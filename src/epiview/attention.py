@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import EpipolarSampleSet
-from .numerics import FeatureMap, LinearMap, apply_linear, bilinear_sample, masked_softmax
+from .numerics import BilinearPlan, FeatureMap, LinearMap, apply_linear, bilinear_sample, masked_softmax
 
 __all__ = [
     "AttentionParams",
@@ -30,6 +30,7 @@ __all__ = [
     "multi_view_aggregate",
     "epipolar_similarity",
     "full_similarity",
+    "bilinear_sample",
 ]
 
 
@@ -192,8 +193,15 @@ def full_cross_attention(f_tgt: FeatureMap, ctx: ContextFeatures, params: Attent
 
 def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
                         params: AttentionParams,
-                        counters: AttentionCounters | None = None):
+                        counters: AttentionCounters | None = None,
+                        plan: BilinearPlan | None = None):
     """Similarity of each target query against its epipolar samples.
+
+    ``plan`` is the bilinear plan of the batched sample positions on the
+    context grid; it depends only on the sample set, so callers that
+    retrieve along the same set repeatedly build it once and pass it in.
+    Without one it is built here. K and V are gathered together, one pass
+    over the concatenated (H*W, 2C) grid per tap.
 
     Returns (logits (h, N, S), weights (h, N, S), sampled values
     (N, S, C), valid (N, S)). Queries are raster-ordered; invalid sample
@@ -204,35 +212,41 @@ def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipol
     valid = samples.valid if samples.valid.ndim == 2 else np.broadcast_to(samples.valid, (n,) + samples.valid.shape)
     if uv.shape[0] != n:
         raise ValueError("sample set is not sized for the target grid")
+    if plan is None:
+        plan = BilinearPlan.build(uv, ctx.k.width, ctx.k.height)
+    elif plan.valid.shape != uv.shape[:-1] or (plan.width, plan.height) != (ctx.k.width, ctx.k.height):
+        raise ValueError("plan does not match the sample set and context grid")
     if counters is not None:
         counters.record(params.heads * n * uv.shape[1])
     q = _split_heads(apply_linear(params.q_proj, f_tgt).flat().astype(np.float64), params.heads)
-    k_samp, k_ok = bilinear_sample(ctx.k, uv)              # (N, S, C)
-    v_samp, _ = bilinear_sample(ctx.value, uv)
-    valid = valid & k_ok
-    k_h = _split_heads(k_samp, params.heads)               # (N, S, h, d)
+    c = ctx.k.channels
+    kv_samp = plan.gather(np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1))
+    valid = valid & plan.valid
+    k_h = _split_heads(kv_samp[..., :c], params.heads)     # (N, S, h, d)
     logits = np.einsum("qhd,qshd->hqs", q, k_h) / np.sqrt(params.head_dim)
     weights, _ = masked_softmax(logits, valid[None, :, :], axis=-1)
-    return logits, weights, v_samp, valid
+    return logits, weights, kv_samp[..., c:], valid
 
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
                        block: EpipolarAttentionBlock,
-                       counters: AttentionCounters | None = None):
+                       counters: AttentionCounters | None = None,
+                       plan: BilinearPlan | None = None):
     """Retrieve reference information along epipolar lines.
 
     For each query: similarity of its query feature against the key
     features bilinearly sampled at the valid epipolar positions, a masked
     softmax, and the weighted sum of the sampled value features. Queries
     whose sample set is empty contribute nothing and are marked False in
-    the returned mask.
+    the returned mask. ``plan`` is passed on to
+    :func:`epipolar_similarity`.
 
     Returns (FeatureMap, contributed (H, W) bool).
     """
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     params = block.params
-    _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters)
+    _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters, plan)
     v_h = _split_heads(v_samp, params.heads)               # (N, S, h, d)
     out = np.einsum("hqs,qshd->qhd", weights, v_h)
     out = out.reshape(f_tgt.height * f_tgt.width, -1)
@@ -240,9 +254,6 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     if block.apply_out_proj:
         fm = apply_linear(params.out_proj, fm)
     contributed = valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
-    if not contributed.any():
-        # degenerate sample set: every query is a no-contribution marker
-        return fm, contributed
     return fm, contributed
 
 

@@ -91,6 +91,12 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _schedule(steps: int) -> NoiseSchedule:
+    if steps < 0:
+        raise UsageError(f"--steps must be >= 0, got {steps}")
+    return NoiseSchedule.linear_beta(steps)
+
+
 def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ckpt):
     """Targets for oracle-style backends come from rendering the fixture
     scene at every trajectory camera; the reference target is the input
@@ -140,8 +146,8 @@ def _cmd_traj(args) -> int:
 
 def _cmd_invert(args) -> int:
     merged = _merged(args, {"steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0})
+    sched = _schedule(merged["steps"])
     image = read_ppm(_require_file(args.input, "input image"))
-    sched = NoiseSchedule.linear_beta(merged["steps"])
     denoiser = _build_denoiser(args.backend, merged, image, [], args.scene, args.ckpt)
     x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
     write_f32(args.out, x_ref.data, sidecar={"timestep": sched.steps})
@@ -170,18 +176,21 @@ def _synth_config(args) -> tuple:
 
 def _cmd_synth(args) -> int:
     merged, config = _synth_config(args)
+    sched = _schedule(merged["steps"])
     image = read_ppm(_require_file(args.input, "input image"))
     traj = read_trajectory(_require_file(args.traj, "trajectory"))
     if args.input_cam is not None:
         input_cam = pose_from_json(json.loads(args.input_cam))
     elif args.scene is not None and args.input_view is not None:
         _, cams, _, _ = read_fixture(args.scene)
+        if not 0 <= args.input_view < len(cams):
+            raise UsageError(f"--input-view {args.input_view} outside the fixture's "
+                             f"{len(cams)} cameras")
         input_cam = cams[args.input_view]
     else:
         input_cam = SphericalCamera(30.0, 0.0, 2.0)
     h, w = image.shape[:2]
     K = CameraIntrinsics.from_fov(w, h, merged["fov"])
-    sched = NoiseSchedule.linear_beta(merged["steps"])
     denoiser = _build_denoiser(merged["backend"], merged, image, traj, args.scene, args.ckpt)
     counters = AttentionCounters()
     synth = TrajectorySynthesizer(image, input_cam, K, denoiser, sched, config, counters)
@@ -211,6 +220,10 @@ def _cmd_simmap(args) -> int:
         raise UsageError("--pair wants A,B and --query wants x,y integers")
     if not (0 <= a < len(views) and 0 <= b < len(views)):
         raise DataError(f"pair {a},{b} outside the fixture's {len(views)} views")
+    scale, rgb = args.feature_scale, views[a].rgb
+    if scale < 1 or rgb.height % scale or rgb.width % scale:
+        raise UsageError(f"--feature-scale {scale} must be a positive divisor of the "
+                         f"fixture's {rgb.width}x{rgb.height} size")
     f_tgt = downsample_mean(views[a].rgb, args.feature_scale)
     f_ref = downsample_mean(views[b].rgb, args.feature_scale)
     wf, hf = f_tgt.width, f_tgt.height
@@ -244,7 +257,14 @@ def _cmd_simmap(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        raise UsageError(f"--sizes wants comma-separated integers, got {args.sizes!r}")
+    if min(sizes) < 1 or list(sizes) != sorted(sizes):
+        raise UsageError(f"--sizes must be positive and ascending, got {args.sizes}")
+    if args.reps < 3:
+        raise UsageError(f"--reps must be >= 3, got {args.reps}")
     rows = run_scaling_bench(sizes=sizes, reps=args.reps, seed=args.seed)
     _write_csv(args.out, bench_csv_rows(rows))
     print(f"bench CSV written to {args.out}")

@@ -212,6 +212,11 @@ class EpipolarSampleSet:
     ``uv`` has shape (S, 2) for a single query or (N, S, 2) for a batch of
     queries; ``valid`` mirrors the leading shape. Invalid slots are
     placeholders and must be masked by every consumer.
+
+    A set depends only on the relative pose and the grid, so the
+    synthesizer builds one per (context, target) pair, together with the
+    bilinear tap plan of its positions, once per target view, reuses both
+    at every step and layer, and frees them when that view ends.
     """
 
     uv: np.ndarray

@@ -1,5 +1,5 @@
 """Minimal tensor kernels: feature maps, linear projections, masked
-softmax, and bilinear sampling.
+softmax, and bilinear tap plans and sampling.
 
 Feature data is stored as float32; similarity and blending computations
 accumulate in float64 so that dual-route checks meet their tolerances.
@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "FeatureMap",
     "LinearMap",
+    "BilinearPlan",
     "bilinear_sample",
     "masked_softmax",
     "apply_linear",
@@ -96,6 +97,89 @@ class LinearMap:
                          bias=None if self.bias is None else self.bias.copy())
 
 
+def _axis_taps(x: np.ndarray, n: int):
+    """Lower and upper lattice index and the fraction between them along
+    one axis of length ``n``. The lower index is clamped to ``n - 2`` so
+    that ``x = n - 1`` lands on the upper tap with fraction 1."""
+    x0 = np.floor(x).astype(np.int64)
+    x0 = np.minimum(x0, n - 2) if n > 1 else x0 * 0
+    return x0, np.minimum(x0 + 1, n - 1), x - x0
+
+
+@dataclass(frozen=True)
+class BilinearPlan:
+    """Bilinear sampling at fixed sub-pixel positions of an H x W grid,
+    reduced to flat tap indices and fractions. Built once, it samples any
+    number of maps on that grid without recomputing floors and weights.
+
+    ``index`` is (T, M) int32: for each of the M positions, T rows of the
+    raster-order (H*W, C) grid. ``frac`` is (log2 T, M) float64: one
+    interpolation fraction per position and interpolated axis, the
+    innermost tap pair first. A position with an integral coordinate
+    needs only the two taps along its other axis; when every position has
+    one (as every epipolar sample grid does) T is 2, otherwise 4.
+    ``valid`` is the in-grid mask, shaped like the positions.
+    """
+
+    index: np.ndarray
+    frac: np.ndarray
+    valid: np.ndarray
+    width: int
+    height: int
+
+    @classmethod
+    def build(cls, uv, width: int, height: int) -> "BilinearPlan":
+        """Plan for positions ``uv`` (..., 2), in pixel-center (u, v)
+        coordinates, on a ``width`` x ``height`` grid."""
+        uv = np.asarray(uv, dtype=np.float64)
+        u, v = uv[..., 0].ravel(), uv[..., 1].ravel()
+        valid = (u >= 0.0) & (u <= width - 1) & (v >= 0.0) & (v <= height - 1)
+        u = np.where(valid, u, 0.0)
+        v = np.where(valid, v, 0.0)
+        u0, u1, du = _axis_taps(u, width)
+        v0, v1, dv = _axis_taps(v, height)
+        u_int = (du == 0.0) | (du == 1.0)
+        v_int = (dv == 0.0) | (dv == 1.0)
+        if np.all(u_int | v_int):
+            # along v where u is integral, else along u; the integral
+            # coordinate is its own tap (clamped or not)
+            col = u.astype(np.int64)
+            row = v.astype(np.int64)
+            index = [np.where(u_int, v0 * width + col, row * width + u0),
+                     np.where(u_int, v1 * width + col, row * width + u1)]
+            frac = [np.where(u_int, dv, du)]
+        else:
+            index = [v0 * width + u0, v0 * width + u1, v1 * width + u0, v1 * width + u1]
+            frac = [du, dv]
+        return cls(index=np.array(index, dtype=np.int32), frac=np.array(frac),
+                   valid=valid.reshape(uv.shape[:-1]), width=width, height=height)
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """Sample an (H*W, C) raster-order grid at the planned positions.
+
+        Returns (*valid.shape, C) float64 blends, zero outside the grid:
+        each tap pair becomes ``a * (1 - f) + b * f``, the operations (and
+        so the bits) of the four-neighbor formula wherever only two of its
+        weights are nonzero.
+        """
+        grid = np.asarray(grid, dtype=np.float64)
+        if grid.ndim != 2 or grid.shape[0] != self.width * self.height:
+            raise ValueError(f"plan expects a ({self.width * self.height}, C) grid, "
+                             f"got shape {grid.shape}")
+        taps = [np.take(grid, i, axis=0) for i in self.index]
+        for f in self.frac:
+            f = f[:, None]
+            g = 1 - f
+            for a, b in zip(taps[0::2], taps[1::2]):   # fresh arrays from take
+                a *= g
+                b *= f
+                a += b
+            taps = taps[0::2]
+        out = taps[0]
+        out[~self.valid.ravel()] = 0.0
+        return out.reshape(self.valid.shape + grid.shape[1:])
+
+
 def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
     """Sample a feature map at sub-pixel positions.
 
@@ -108,39 +192,14 @@ def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
     Returns
     -------
     values : ndarray, shape (..., C), float64
-        Four-neighbor bilinear blends; zero where invalid.
+        Bilinear blends of the neighbors carrying weight; zero where invalid.
     valid : ndarray, shape (...), bool
         True where every neighbor carrying weight lies on the grid,
         i.e. 0 <= u <= W-1 and 0 <= v <= H-1. Out-of-grid samples are
         masked, never clamped.
     """
-    uv = np.asarray(uv, dtype=np.float64)
-    u, v = uv[..., 0], uv[..., 1]
-    h, w = fm.height, fm.width
-    valid = (u >= 0.0) & (u <= w - 1) & (v >= 0.0) & (v <= h - 1)
-
-    u = np.where(valid, u, 0.0)
-    v = np.where(valid, v, 0.0)
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    u0 = np.minimum(u0, w - 2) if w > 1 else u0 * 0
-    v0 = np.minimum(v0, h - 2) if h > 1 else v0 * 0
-    du = u - u0
-    dv = v - v0
-
-    grid = fm.data.astype(np.float64)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    p00 = grid[v0, u0]
-    p01 = grid[v0, u1]
-    p10 = grid[v1, u0]
-    p11 = grid[v1, u1]
-    du_ = du[..., None]
-    dv_ = dv[..., None]
-    values = (p00 * (1 - du_) * (1 - dv_) + p01 * du_ * (1 - dv_)
-              + p10 * (1 - du_) * dv_ + p11 * du_ * dv_)
-    values = np.where(valid[..., None], values, 0.0)
-    return values, valid
+    plan = BilinearPlan.build(uv, fm.width, fm.height)
+    return plan.gather(fm.flat()), plan.valid
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray, scale: float = 1.0, axis: int = -1):

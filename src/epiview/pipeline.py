@@ -6,6 +6,12 @@ from selected context views.
 The reference branch is never injected into (it has no context); target
 branches cache their own features at every injected (step, layer) so that
 later views can retrieve from them.
+
+A (context, target) pair's epipolar sample set and bilinear tap plan
+depend only on the two cameras and the feature grid, so each is built once
+per pair on first use within the target's view and reused at every step
+and layer; both are freed when the view ends, since no later view shares
+its target camera.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .geometry import (
     epipolar_sample_grid,
     relative_pose,
 )
+from .numerics import BilinearPlan
 
 __all__ = [
     "GenerationConfig",
@@ -171,7 +178,6 @@ class TrajectorySynthesizer:
         self._ref_image: np.ndarray | None = None
         self._input_cache: ViewCache | None = None
         self._dup_params: dict = {}
-        self._sample_memo: dict = {}
         layers = tuple(config.inject_layers) or tuple(denoiser.layers)
         self.inject_layers = tuple(l for l in layers if l in denoiser.layers)
 
@@ -182,21 +188,25 @@ class TrajectorySynthesizer:
             self._dup_params[layer] = duplicate_params(params)
         return self._dup_params[layer]
 
-    def _samples_for(self, ctx_cam: SphericalCamera, tgt_cam: SphericalCamera,
-                     width: int, height: int):
-        key = (ctx_cam, tgt_cam, width, height, self.config.sample_axis)
-        if key not in self._sample_memo:
-            pose = relative_pose(camera_on_sphere(ctx_cam), camera_on_sphere(tgt_cam))
-            k_feat = self.intrinsics.scaled(width / self.intrinsics.width)
-            self._sample_memo[key] = epipolar_sample_grid(
-                pose, k_feat, width, height, self.config.sample_axis)
-        return self._sample_memo[key]
+    def _pair_geometry(self, ctx_cam: SphericalCamera, tgt_cam: SphericalCamera,
+                       width: int, height: int):
+        """Epipolar sample set of a (context, target) pair on a feature
+        grid, and the bilinear plan of its positions."""
+        pose = relative_pose(camera_on_sphere(ctx_cam), camera_on_sphere(tgt_cam))
+        k_feat = self.intrinsics.scaled(width / self.intrinsics.width)
+        samples = epipolar_sample_grid(pose, k_feat, width, height, self.config.sample_axis)
+        return samples, BilinearPlan.build(samples.uv, width, height)
 
     def _stage_callback(self, cam: SphericalCamera, own_cache: ViewCache | None,
                         context: list):
         """Build the per-branch callback that caches features and, when
-        context views are present, injects retrieved ones."""
+        context views are present, injects retrieved ones.
+
+        The callback owns the memo of its pairs' sample sets and plans,
+        keyed by context camera and feature grid, so they live exactly as
+        long as the branch's view."""
         cfg = self.config
+        pairs: dict = {}
 
         def cb(step_idx: int, stage):
             if stage.layer not in self.inject_layers:
@@ -213,12 +223,14 @@ class TrajectorySynthesizer:
             for vc in context:
                 entry = vc.get(step_idx, stage.layer)
                 if cfg.mode == "epipolar":
-                    samples = self._samples_for(vc.camera, cam,
-                                                stage.feature.width, stage.feature.height)
+                    key = (vc.camera, stage.feature.width, stage.feature.height)
+                    if key not in pairs:
+                        pairs[key] = self._pair_geometry(vc.camera, cam, *key[1:])
+                    samples, plan = pairs[key]
                     block = EpipolarAttentionBlock(params=dup, fusion_alpha=cfg.alpha,
                                                    apply_out_proj=cfg.apply_out_proj)
                     outs.append(epipolar_attention(stage.feature, entry, samples,
-                                                   block, self.counters))
+                                                   block, self.counters, plan=plan))
                 else:
                     outs.append(full_cross_attention(stage.feature, entry, dup,
                                                      self.counters, cfg.apply_out_proj))

@@ -181,6 +181,34 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: 3")
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--input-view", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
+                                               "--traj", str(tj), "--scene", str(fx),
+                                               "--input-view", "99", "--out", out]),
+        ("--steps", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
+                                          "--traj", str(tj), "--steps", "-1", "--out", out]),
+        ("--steps", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
+                                          "--backend", "oracle", "--scene", str(fx),
+                                          "--steps", "-1", "--out", out]),
+        ("--feature-scale", lambda fx, tj, out: ["simmap", "--query", "1,1", "--pair", "0,1",
+                                                  "--scene", str(fx), "--feature-scale", "0",
+                                                  "--out", out]),
+        ("--feature-scale", lambda fx, tj, out: ["simmap", "--query", "1,1", "--pair", "0,1",
+                                                  "--scene", str(fx), "--feature-scale", "3",
+                                                  "--out", out]),
+        ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "16,8", "--out", out]),
+        ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "8,x", "--out", out]),
+        ("--reps", lambda fx, tj, out: ["bench", "--reps", "1", "--out", out]),
+    ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
+            "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
+            "bench-sizes-not-int", "bench-reps-1"])
+    def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
+                                           fixture_dir, capsys):
+        assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: 2 {flag} ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_command_is_2(self):
         assert main(["frobnicate"]) == 2
 

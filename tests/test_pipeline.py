@@ -1,14 +1,17 @@
 """Pipeline: context selection, injection plumbing, disabling semantics,
 causality, caches, and the controlled consistency experiment."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from epiview import pipeline
 from epiview.attention import AttentionCounters
 from epiview.diffusion import AnalyticAttentionDenoiser, NoiseSchedule, OracleDenoiser
 from epiview.errors import CacheMissError, DataError
 from epiview.fileio import to_u8
-from epiview.geometry import SphericalCamera
+from epiview.geometry import CameraIntrinsics, SphericalCamera
 from epiview.metrics import reprojection_consistency
 from epiview.pipeline import (
     GenerationConfig,
@@ -173,6 +176,58 @@ class TestCaches:
         redo = project_context(entry.f, dup, synth.config.value_source)
         assert np.array_equal(redo.k.data, entry.k.data)
         assert np.array_equal(redo.value.data, entry.value.data)
+
+
+class TestPairMemoLifetime:
+    def test_no_sample_set_or_plan_outlives_its_view(self, monkeypatch):
+        # free16 targets 1-8 from input view 0, as in the benchmark, at 16 px
+        K = CameraIntrinsics.from_fov(16, 16)
+        scene = make_scene(0, "distinctive")
+        cams = make_trajectory("free16", 100)
+        input_cam, traj = cams[0], cams[1:9]
+        targets = {None: render(scene, input_cam, K).rgb.data}
+        for i, c in enumerate(traj):
+            targets[i] = render(scene, c, K).rgb.data
+        synth = TrajectorySynthesizer(
+            targets[None], input_cam, K, AnalyticAttentionDenoiser(targets, sigma=0.08),
+            NoiseSchedule.linear_beta(6),
+            GenerationConfig(context_views=2, inject_after_step=4, mode="epipolar"))
+
+        views = []   # per branch (ddim_sample call): weakrefs to its sample sets and plans
+        grids = []   # per branch: epipolar_sample_grid calls
+
+        def next_branch():
+            for refs in views:
+                assert all(r() is None for r in refs)
+            views.append([])
+            grids.append(0)
+
+        grid, attend, sample = (pipeline.epipolar_sample_grid, pipeline.epipolar_attention,
+                                pipeline.ddim_sample)
+
+        def recording_grid(*args, **kwargs):
+            out = grid(*args, **kwargs)
+            grids[-1] += 1
+            views[-1].append(weakref.ref(out))
+            return out
+
+        def recording_attention(*args, **kwargs):
+            views[-1].append(weakref.ref(kwargs["plan"]))
+            return attend(*args, **kwargs)
+
+        def branch(*args, **kwargs):
+            next_branch()
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "epipolar_sample_grid", recording_grid)
+        monkeypatch.setattr(pipeline, "epipolar_attention", recording_attention)
+        monkeypatch.setattr(pipeline, "ddim_sample", branch)
+        synth.synthesize_trajectory(traj)
+        next_branch()
+        # reference branch, then per view the input view plus up to 2 earlier ones
+        assert grids[:-1] == [0] + [1 + min(i, 2) for i in range(8)]
+        assert sum(grids) == 21
+        assert all(len(refs) > n for refs, n in zip(views[1:-1], grids[1:]))
 
 
 class TestInversion:
