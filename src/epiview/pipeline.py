@@ -200,13 +200,9 @@ class TrajectorySynthesizer:
     def _stage_callback(self, cam: SphericalCamera, own_cache: ViewCache | None,
                         context: list):
         """Build the per-branch callback that caches features and, when
-        context views are present, injects retrieved ones.
-
-        The callback owns the memo of its pairs' sample sets and plans,
-        keyed by context camera and feature grid, so they live exactly as
-        long as the branch's view."""
+        context views are present, injects retrieved ones."""
         cfg = self.config
-        pairs: dict = {}
+        pairs: dict = {}   # (context camera, w, h) -> (samples, plan), dies with the view
 
         def cb(step_idx: int, stage):
             if stage.layer not in self.inject_layers:
