@@ -20,7 +20,6 @@ import numpy as np
 from epiview.attention import (
     AttentionCounters,
     AttentionParams,
-    EpipolarAttentionBlock,
     duplicate_params,
     epipolar_attention,
     epipolar_similarity,
@@ -45,9 +44,8 @@ f_ref = FeatureMap(rng.standard_normal((8, 8, 16)))
 params = AttentionParams.seeded(16, 4, rng)
 ctx = project_context(f_ref, params)
 
-block = EpipolarAttentionBlock(params=duplicate_params(params), fusion_alpha=0.5)
 everything = EpipolarSampleSet.full_grid(8, 8, 64)
-out_epi, _ = epipolar_attention(f_tgt, ctx, everything, block)
+out_epi, _ = epipolar_attention(f_tgt, ctx, everything, duplicate_params(params))
 out_full, _ = full_cross_attention(f_tgt, ctx, params)
 print("1. full-grid epipolar vs cross attention, max |diff|:",
       f"{np.abs(out_epi.data - out_full.data).max():.2e}")
@@ -65,7 +63,7 @@ pose = relative_pose(vb.extrinsics, va.extrinsics)
 samples = epipolar_sample_grid(pose, K, 32, 32)
 
 ce, cf = AttentionCounters(), AttentionCounters()
-epipolar_attention(fa, ctx_ab, samples, EpipolarAttentionBlock(params=idp), ce)
+epipolar_attention(fa, ctx_ab, samples, idp, ce)
 full_cross_attention(fa, ctx_ab, idp, cf)
 print(f"2. similarity-buffer elements: epipolar {ce.peak_elems:,} "
       f"vs full {cf.peak_elems:,} "

@@ -1,7 +1,15 @@
 """Self attention, full cross attention, and epipolar attention with
 duplicated parameters.
 
-Every attention variant records how many similarity-buffer elements it
+All three are one computation on one core: heads-major float64 queries,
+keys and values (``_heads``), scaled dot-product logits and their softmax
+(``_scores``), and the weighted value sum merged back onto the target
+grid (``_mix``). Self attention is full cross attention with the map as
+its own context; epipolar attention restricts each query's keys to its
+own bilinearly sampled epipolar positions, masking the invalid ones, and
+reuses the block's Q/K/V/out projections with no new parameters.
+
+Every attention call records how many similarity-buffer elements it
 allocates into an optional :class:`AttentionCounters`, which is what the
 complexity bench and the memory-bound invariants read. Counts are exact
 integer accounting (heads x queries x keys), independent of the machine.
@@ -9,7 +17,7 @@ integer accounting (heads x queries x keys), independent of the machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +26,6 @@ from .numerics import BilinearPlan, FeatureMap, LinearMap, apply_linear, bilinea
 
 __all__ = [
     "AttentionParams",
-    "EpipolarAttentionBlock",
     "ContextFeatures",
     "AttentionCounters",
     "self_attention",
@@ -71,20 +78,6 @@ class AttentionParams:
 
 
 @dataclass(frozen=True)
-class EpipolarAttentionBlock:
-    """A retrieval block instantiated from the value-identical parameters
-    of an existing self-attention block, plus the fusion weight."""
-
-    params: AttentionParams
-    fusion_alpha: float = 0.5
-    apply_out_proj: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.fusion_alpha <= 1.0:
-            raise ValueError("fusion_alpha must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ContextFeatures:
     """Features of one context view at one (step, layer): the raw map F,
     its key projection, and the retrieval-value map (either the value
@@ -97,18 +90,17 @@ class ContextFeatures:
 
 @dataclass
 class AttentionCounters:
-    """Exact similarity-buffer accounting per attention call."""
+    """Exact similarity-buffer accounting over attention calls: running
+    count, total and peak, in constant memory."""
 
     peak_elems: int = 0
     total_elems: int = 0
     calls: int = 0
-    per_call: list = field(default_factory=list)
 
     def record(self, elems: int):
         self.calls += 1
         self.total_elems += elems
         self.peak_elems = max(self.peak_elems, elems)
-        self.per_call.append(elems)
 
 
 def duplicate_params(src: AttentionParams) -> AttentionParams:
@@ -133,41 +125,46 @@ def project_context(f_ref: FeatureMap, params: AttentionParams,
     return ContextFeatures(f=f_ref, k=k, value=value)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(..., C) -> (..., heads, C // heads)."""
-    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., C) -> heads-major (heads, ..., C // heads) float64."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.moveaxis(x.reshape(x.shape[:-1] + (heads, -1)), -2, 0)
+
+
+def _scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None):
+    """Scaled dot-product logits of heads-major queries (h, ..., n, d)
+    against keys (h, ..., m, d), and their softmax over the keys.
+    Returns (logits, weights), both (h, ..., n, m)."""
+    logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+    weights, _ = masked_softmax(logits, mask)
+    return logits, weights
+
+
+def _mix(weights: np.ndarray, v: np.ndarray, f_tgt: FeatureMap, params: AttentionParams,
+         apply_out_proj: bool = True) -> FeatureMap:
+    """Weighted sum of heads-major values, with the heads merged back onto
+    the target grid and the output projection applied unless told not to."""
+    out = np.moveaxis(weights @ v, 0, -2)
+    fm = FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1))
+    return apply_linear(params.out_proj, fm) if apply_out_proj else fm
 
 
 def self_attention(fm: FeatureMap, params: AttentionParams,
                    counters: AttentionCounters | None = None) -> FeatureMap:
-    """Scaled dot-product attention of a map over its own H*W positions."""
-    if params.q_proj.in_dim != fm.channels:
-        raise ValueError("channel count does not match attention parameters")
-    n = fm.height * fm.width
-    q = _split_heads(apply_linear(params.q_proj, fm).flat().astype(np.float64), params.heads)
-    k = _split_heads(apply_linear(params.k_proj, fm).flat().astype(np.float64), params.heads)
-    v = _split_heads(apply_linear(params.v_proj, fm).flat().astype(np.float64), params.heads)
-    if counters is not None:
-        counters.record(params.heads * n * n)
-    logits = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(params.head_dim)
-    weights, _ = masked_softmax(logits, np.ones_like(logits, dtype=bool), axis=-1)
-    out = np.einsum("hqk,khd->qhd", weights, v).reshape(n, -1)
-    return apply_linear(params.out_proj, FeatureMap(out.reshape(fm.height, fm.width, -1)))
+    """Scaled dot-product attention of a map over its own H*W positions:
+    full cross attention with the map as its own context."""
+    return full_cross_attention(fm, project_context(fm, params), params, counters)[0]
 
 
 def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
                     counters: AttentionCounters | None = None):
     """Per-head similarity logits of every target query against every
     reference position. Returns (logits (h, N, N_ref), weights)."""
-    n = f_tgt.height * f_tgt.width
-    n_ref = ctx.k.height * ctx.k.width
-    q = _split_heads(apply_linear(params.q_proj, f_tgt).flat().astype(np.float64), params.heads)
-    k = _split_heads(ctx.k.flat().astype(np.float64), params.heads)
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)
+    k = _heads(ctx.k.flat(), params.heads)
     if counters is not None:
-        counters.record(params.heads * n * n_ref)
-    logits = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(params.head_dim)
-    weights, _ = masked_softmax(logits, np.ones_like(logits, dtype=bool), axis=-1)
-    return logits, weights
+        counters.record(params.heads * q.shape[1] * k.shape[1])
+    return _scores(q, k)
 
 
 def full_cross_attention(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
@@ -181,14 +178,8 @@ def full_cross_attention(f_tgt: FeatureMap, ctx: ContextFeatures, params: Attent
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     _, weights = full_similarity(f_tgt, ctx, params, counters)
-    v = _split_heads(ctx.value.flat().astype(np.float64), params.heads)
-    out = np.einsum("hqk,khd->qhd", weights, v)
-    out = out.reshape(f_tgt.height * f_tgt.width, -1)
-    fm = FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1))
-    if apply_out_proj:
-        fm = apply_linear(params.out_proj, fm)
-    contributed = np.ones((f_tgt.height, f_tgt.width), dtype=bool)
-    return fm, contributed
+    fm = _mix(weights, _heads(ctx.value.flat(), params.heads), f_tgt, params, apply_out_proj)
+    return fm, np.ones((f_tgt.height, f_tgt.width), dtype=bool)
 
 
 def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -218,19 +209,20 @@ def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipol
         raise ValueError("plan does not match the sample set and context grid")
     if counters is not None:
         counters.record(params.heads * n * uv.shape[1])
-    q = _split_heads(apply_linear(params.q_proj, f_tgt).flat().astype(np.float64), params.heads)
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)   # (h, N, d)
     c = ctx.k.channels
     kv_samp = plan.gather(np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1))
     valid = valid & plan.valid
-    k_h = _split_heads(kv_samp[..., :c], params.heads)     # (N, S, h, d)
-    logits = np.einsum("qhd,qshd->hqs", q, k_h) / np.sqrt(params.head_dim)
-    weights, _ = masked_softmax(logits, valid[None, :, :], axis=-1)
-    return logits, weights, kv_samp[..., c:], valid
+    # one query against its own S samples: a (1, d) @ (d, S) product per (head, query)
+    logits, weights = _scores(q[:, :, None], _heads(kv_samp[..., :c], params.heads),
+                              valid[None, :, None])
+    return logits[:, :, 0], weights[:, :, 0], kv_samp[..., c:], valid
 
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
-                       block: EpipolarAttentionBlock,
+                       params: AttentionParams,
                        counters: AttentionCounters | None = None,
+                       apply_out_proj: bool = True,
                        plan: BilinearPlan | None = None):
     """Retrieve reference information along epipolar lines.
 
@@ -245,16 +237,9 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     """
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
-    params = block.params
     _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters, plan)
-    v_h = _split_heads(v_samp, params.heads)               # (N, S, h, d)
-    out = np.einsum("hqs,qshd->qhd", weights, v_h)
-    out = out.reshape(f_tgt.height * f_tgt.width, -1)
-    fm = FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1))
-    if block.apply_out_proj:
-        fm = apply_linear(params.out_proj, fm)
-    contributed = valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
-    return fm, contributed
+    fm = _mix(weights[:, :, None], _heads(v_samp, params.heads), f_tgt, params, apply_out_proj)
+    return fm, valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
 
 
 def fuse(f_hat: FeatureMap, f_src_hat: FeatureMap, contributed: np.ndarray,

@@ -17,7 +17,6 @@ import numpy as np
 from .attention import (
     AttentionCounters,
     AttentionParams,
-    EpipolarAttentionBlock,
     epipolar_attention,
     full_cross_attention,
     project_context,
@@ -68,21 +67,20 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), modes=("epipolar", "full"),
         params = AttentionParams.seeded(channels, 1, rng)
         ctx = project_context(f_ref, params)
         samples = epipolar_sample_grid(pose, k_feat, L, L)
-        block = EpipolarAttentionBlock(params=params, fusion_alpha=0.5)
         for mode in modes:
             counters = AttentionCounters()
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter_ns()
                 if mode == "epipolar":
-                    epipolar_attention(f_tgt, ctx, samples, block, counters)
+                    epipolar_attention(f_tgt, ctx, samples, params, counters)
                 elif mode == "full":
                     full_cross_attention(f_tgt, ctx, params, counters)
                 else:
                     raise ValueError(f"unknown mode {mode!r}")
                 times.append(time.perf_counter_ns() - t0)
             rows.append(BenchRow(size=L, mode=mode,
-                                 buffer_elems=counters.per_call[0],
+                                 buffer_elems=counters.peak_elems,
                                  wall_ns_median=int(np.median(times)), reps=reps))
     return rows
 

@@ -41,7 +41,7 @@ from .fileio import (
     write_trajectory,
 )
 from .geometry import CameraIntrinsics, SphericalCamera, epipolar_sample_grid, pose_from_json, relative_pose
-from .metrics import psnr, reprojection_consistency, ssim
+from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean
 from .pipeline import GenerationConfig, TrajectorySynthesizer
 from .scenegen import make_scene, make_trajectory, render
@@ -175,13 +175,15 @@ def _synth_config(args) -> tuple:
 
 
 def _cmd_synth(args) -> int:
+    if args.input_view is not None and args.scene is None:
+        raise UsageError("--input-view needs --scene, whose fixture cameras it indexes")
     merged, config = _synth_config(args)
     sched = _schedule(merged["steps"])
     image = read_ppm(_require_file(args.input, "input image"))
     traj = read_trajectory(_require_file(args.traj, "trajectory"))
     if args.input_cam is not None:
         input_cam = pose_from_json(json.loads(args.input_cam))
-    elif args.scene is not None and args.input_view is not None:
+    elif args.input_view is not None:
         _, cams, _, _ = read_fixture(args.scene)
         if not 0 <= args.input_view < len(cams):
             raise UsageError(f"--input-view {args.input_view} outside the fixture's "
@@ -282,7 +284,6 @@ def _cmd_eval(args) -> int:
     images = [read_ppm(run_dir / f"{i:03d}.ppm") for i in range(len(traj))]
     gt_views = [render(scene, cam, K) for cam in traj]
 
-    run_id = run_dir.name
     values = []
     for i, (img, gt) in enumerate(zip(images, gt_views)):
         values.append(("psnr", f"{i}:gt", psnr(np.clip(img, 0, 1), gt.rgb.data)))
@@ -291,9 +292,7 @@ def _cmd_eval(args) -> int:
     for p in pairs:
         values.append(("reprojection", f"{p.view_a}:{p.view_b}", p.error))
     values.append(("reprojection_mean", "all", mean_err))
-    rows = [("run_id", "metric", "view_pair", "value")]
-    rows += [(run_id, m, pair, f"{v:.9g}") for m, pair, v in values]
-    _write_csv(args.out, rows)
+    _write_csv(args.out, metrics_csv_rows(run_dir.name, values))
     print(f"metrics CSV written to {args.out}")
     return 0
 

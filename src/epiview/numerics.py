@@ -202,22 +202,29 @@ def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
     return plan.gather(fm.flat()), plan.valid
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray, scale: float = 1.0, axis: int = -1):
+def masked_softmax(logits: np.ndarray, mask: np.ndarray | None, scale: float = 1.0,
+                   axis: int = -1):
     """Numerically stable softmax over the valid entries of ``logits``.
 
     Masked entries get weight 0; rows with no valid entry come back
     all-zero with ``has_valid`` False (no NaNs). Weights over valid
     entries sum to 1 and are invariant to adding a constant to all valid
-    logits.
+    logits. ``mask=None`` is the plain softmax over every entry, with the
+    same bytes as an all-True mask.
     """
     logits = np.asarray(logits, dtype=np.float64) * scale
-    mask = np.asarray(mask, dtype=bool)
-    has_valid = mask.any(axis=axis)
-    neg = np.where(mask, logits, -np.inf)
+    if mask is None:
+        has_valid = np.ones(np.delete(logits.shape, axis), dtype=bool)
+        neg = logits
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        has_valid = mask.any(axis=axis)
+        neg = np.where(mask, logits, -np.inf)
     peak = np.max(neg, axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
     ex = np.exp(neg - peak)
-    ex = np.where(mask, ex, 0.0)
+    if mask is not None:
+        ex = np.where(mask, ex, 0.0)
     denom = ex.sum(axis=axis, keepdims=True)
     weights = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
     return weights, has_valid

@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .attention import (
     AttentionCounters,
-    EpipolarAttentionBlock,
     duplicate_params,
     epipolar_attention,
     full_cross_attention,
@@ -223,10 +222,9 @@ class TrajectorySynthesizer:
                     if key not in pairs:
                         pairs[key] = self._pair_geometry(vc.camera, cam, *key[1:])
                     samples, plan = pairs[key]
-                    block = EpipolarAttentionBlock(params=dup, fusion_alpha=cfg.alpha,
-                                                   apply_out_proj=cfg.apply_out_proj)
-                    outs.append(epipolar_attention(stage.feature, entry, samples,
-                                                   block, self.counters, plan=plan))
+                    outs.append(epipolar_attention(stage.feature, entry, samples, dup,
+                                                   self.counters, cfg.apply_out_proj,
+                                                   plan=plan))
                 else:
                     outs.append(full_cross_attention(stage.feature, entry, dup,
                                                      self.counters, cfg.apply_out_proj))

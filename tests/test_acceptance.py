@@ -12,7 +12,6 @@ import pytest
 
 from epiview.attention import (
     AttentionParams,
-    EpipolarAttentionBlock,
     duplicate_params,
     epipolar_attention,
     full_cross_attention,
@@ -125,9 +124,7 @@ class TestCriterion3AttentionEquivalence:
             params = AttentionParams.seeded(8, 2, rng)
             ctx = project_context(f_ref, params)
             samples = EpipolarSampleSet.full_grid(w, h, h * w)
-            block = EpipolarAttentionBlock(params=duplicate_params(params),
-                                           fusion_alpha=0.5)
-            out_e, _ = epipolar_attention(f_tgt, ctx, samples, block)
+            out_e, _ = epipolar_attention(f_tgt, ctx, samples, duplicate_params(params))
             out_f, _ = full_cross_attention(f_tgt, ctx, params)
             worst_pair = max(worst_pair, float(np.abs(out_e.data - out_f.data).max()))
             assert worst_pair < 1e-6

@@ -7,7 +7,6 @@ import pytest
 from epiview.attention import (
     AttentionCounters,
     AttentionParams,
-    EpipolarAttentionBlock,
     duplicate_params,
     epipolar_attention,
     epipolar_similarity,
@@ -103,8 +102,7 @@ class TestEpipolarFullEquivalence:
         params = AttentionParams.seeded(c, heads, rng)
         ctx = project_context(f_ref, params)
         samples = EpipolarSampleSet.full_grid(w, h, h * w)
-        block = EpipolarAttentionBlock(params=duplicate_params(params), fusion_alpha=0.5)
-        out_e, mask = epipolar_attention(f_tgt, ctx, samples, block)
+        out_e, mask = epipolar_attention(f_tgt, ctx, samples, duplicate_params(params))
         out_f, _ = full_cross_attention(f_tgt, ctx, params)
         assert mask.all()
         np.testing.assert_allclose(out_e.data, out_f.data, atol=1e-6)
@@ -128,8 +126,7 @@ class TestEpipolarAttention:
         uv = np.tile(np.array([[1.0, 1.0], [0, 0]]), (4, 1, 1))
         valid = np.tile(np.array([True, False]), (4, 1))
         samples = EpipolarSampleSet(uv=uv, valid=valid, width=2, height=2)
-        block = EpipolarAttentionBlock(params=params, fusion_alpha=0.5)
-        out, mask = epipolar_attention(f_tgt, ctx, samples, block)
+        out, mask = epipolar_attention(f_tgt, ctx, samples, params)
         assert mask.all()
         want = apply_linear(params.out_proj,
                             FeatureMap(np.broadcast_to(ctx.value.data[1, 1], (2, 2, 4)).copy()))
@@ -142,8 +139,7 @@ class TestEpipolarAttention:
         samples = EpipolarSampleSet(uv=np.zeros((9, 3, 2)),
                                     valid=np.zeros((9, 3), dtype=bool),
                                     width=3, height=3)
-        block = EpipolarAttentionBlock(params=params, fusion_alpha=0.5)
-        out, mask = epipolar_attention(f, project_context(f, params), samples, block)
+        out, mask = epipolar_attention(f, project_context(f, params), samples, params)
         assert not mask.any()
         fused = fuse(f, out, mask, 0.7)
         np.testing.assert_array_equal(fused.data, f.data)
@@ -155,7 +151,7 @@ class TestEpipolarAttention:
                 FeatureMap(np.zeros((4, 4, 3))),
                 project_context(FeatureMap(np.zeros((2, 2, 3))), params),
                 EpipolarSampleSet.full_grid(2, 2, 16),
-                EpipolarAttentionBlock(params=params))
+                params)
 
     def test_weights_sum_to_one_over_valid(self):
         rng = np.random.default_rng(7)
@@ -188,8 +184,7 @@ class TestEpipolarAttention:
             params = AttentionParams.identity(5)
             ctx = project_context(fr, params)
             samples = EpipolarSampleSet(uv=uv, valid=valid, width=3, height=3)
-            block = EpipolarAttentionBlock(params=params, fusion_alpha=0.5)
-            out, _ = epipolar_attention(ft, ctx, samples, block)
+            out, _ = epipolar_attention(ft, ctx, samples, params)
             return out.data[:, :, :4]
 
         np.testing.assert_allclose(run(0.0), run(57.0), atol=1e-9)
@@ -214,11 +209,8 @@ class TestConfigSwitches:
         params = AttentionParams.seeded(4, 1, rng)
         ctx = project_context(f_ref, params)
         samples = EpipolarSampleSet.full_grid(3, 3, 9)
-        with_proj, _ = epipolar_attention(
-            f_tgt, ctx, samples, EpipolarAttentionBlock(params=params))
-        without, _ = epipolar_attention(
-            f_tgt, ctx, samples,
-            EpipolarAttentionBlock(params=params, apply_out_proj=False))
+        with_proj, _ = epipolar_attention(f_tgt, ctx, samples, params)
+        without, _ = epipolar_attention(f_tgt, ctx, samples, params, apply_out_proj=False)
         np.testing.assert_allclose(apply_linear(params.out_proj, without).data,
                                    with_proj.data, atol=1e-6)
 
@@ -304,7 +296,6 @@ class TestCounters:
         uv = rng.uniform(0, 3, (24, 6, 2))
         valid = np.ones((24, 6), dtype=bool)
         samples = EpipolarSampleSet(uv=uv, valid=valid, width=6, height=4)
-        block = EpipolarAttentionBlock(params=params)
-        epipolar_attention(fm, project_context(fm, params), samples, block, counters)
+        epipolar_attention(fm, project_context(fm, params), samples, params, counters)
         assert counters.peak_elems == 24 * 6
         assert counters.peak_elems <= 4 * 6 * max(4, 6)

@@ -199,9 +199,12 @@ class TestExitCodes:
         ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "16,8", "--out", out]),
         ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "8,x", "--out", out]),
         ("--reps", lambda fx, tj, out: ["bench", "--reps", "1", "--out", out]),
+        ("--input-view", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
+                                               "--traj", str(tj), "--backend", "toyunet",
+                                               "--input-view", "7", "--out", out]),
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
-            "bench-sizes-not-int", "bench-reps-1"])
+            "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2

@@ -95,8 +95,14 @@ def test_similarity_through_the_plan_matches_the_oracle_route(axis):
         assert np.ascontiguousarray(v_samp).tobytes() == v_want.tobytes()
         np.testing.assert_array_equal(valid, samples.valid & k_ok)
         q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64).reshape(144, 2, 2)
-        want = np.einsum("qhd,qshd->hqs", q, k_want.reshape(144, -1, 2, 2)) / np.sqrt(2)
-        assert logits.tobytes() == want.tobytes()
+        k = k_want.reshape(144, -1, 2, 2)
+        # the same heads-major product as the attention core, on the oracle's keys
+        q_h, k_h = np.moveaxis(q, 1, 0), np.moveaxis(k, 2, 0)
+        want = (q_h[:, :, None] @ np.swapaxes(k_h, -1, -2))[:, :, 0] / np.sqrt(2)
+        assert np.ascontiguousarray(logits).tobytes() == want.tobytes()
+        # an independent formula; BLAS may fuse multiply-adds differently
+        np.testing.assert_allclose(
+            logits, np.einsum("qhd,qshd->hqs", q, k) / np.sqrt(2), rtol=0, atol=1e-12)
         # the plan built inside gives the same bytes as the one passed in
         again = epipolar_similarity(f_tgt, ctx, samples, params)
         for a, b in zip((logits, weights, v_samp, valid), again):

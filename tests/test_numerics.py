@@ -118,6 +118,14 @@ class TestMaskedSoftmax:
         w, ok = masked_softmax(np.array([1e4, -1e4, 0.0]), np.ones(3, dtype=bool))
         assert ok and np.all(np.isfinite(w)) and abs(w.sum() - 1) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(7,), (2, 5, 1, 9)])
+    def test_no_mask_is_byte_identical_to_an_all_true_mask(self, shape):
+        logits = np.random.default_rng(5).standard_normal(shape) * 30.0
+        w_none, ok_none = masked_softmax(logits, None, scale=0.3)
+        w_ones, ok_ones = masked_softmax(logits, np.ones(shape, dtype=bool), scale=0.3)
+        assert w_none.tobytes() == w_ones.tobytes()
+        assert ok_none.shape == ok_ones.shape and ok_none.all()
+
 
 class TestApplyLinear:
     def test_identity(self):
