@@ -140,13 +140,12 @@ def _scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None):
     return logits, weights
 
 
-def _mix(weights: np.ndarray, v: np.ndarray, f_tgt: FeatureMap, params: AttentionParams,
-         apply_out_proj: bool = True) -> FeatureMap:
+def _mix(weights: np.ndarray, v: np.ndarray, f_tgt: FeatureMap,
+         params: AttentionParams) -> FeatureMap:
     """Weighted sum of heads-major values, with the heads merged back onto
-    the target grid and the output projection applied unless told not to."""
+    the target grid and the output projection applied."""
     out = np.moveaxis(weights @ v, 0, -2)
-    fm = FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1))
-    return apply_linear(params.out_proj, fm) if apply_out_proj else fm
+    return apply_linear(params.out_proj, FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1)))
 
 
 def self_attention(fm: FeatureMap, params: AttentionParams,
@@ -168,8 +167,7 @@ def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionPa
 
 
 def full_cross_attention(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
-                         counters: AttentionCounters | None = None,
-                         apply_out_proj: bool = True):
+                         counters: AttentionCounters | None = None):
     """Retrieval over every position of the reference map.
 
     Returns (FeatureMap, contributed mask); the mask is all-True since
@@ -178,7 +176,7 @@ def full_cross_attention(f_tgt: FeatureMap, ctx: ContextFeatures, params: Attent
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     _, weights = full_similarity(f_tgt, ctx, params, counters)
-    fm = _mix(weights, _heads(ctx.value.flat(), params.heads), f_tgt, params, apply_out_proj)
+    fm = _mix(weights, _heads(ctx.value.flat(), params.heads), f_tgt, params)
     return fm, np.ones((f_tgt.height, f_tgt.width), dtype=bool)
 
 
@@ -194,15 +192,15 @@ def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipol
     Without one it is built here. K and V are gathered together, one pass
     over the concatenated (H*W, 2C) grid per tap.
 
+    ``samples`` is a batched (N, S, 2) set with one row per target query.
     Returns (logits (h, N, S), weights (h, N, S), sampled values
     (N, S, C), valid (N, S)). Queries are raster-ordered; invalid sample
     slots carry zero weight.
     """
     n = f_tgt.height * f_tgt.width
-    uv = samples.uv if samples.uv.ndim == 3 else np.broadcast_to(samples.uv, (n,) + samples.uv.shape)
-    valid = samples.valid if samples.valid.ndim == 2 else np.broadcast_to(samples.valid, (n,) + samples.valid.shape)
-    if uv.shape[0] != n:
-        raise ValueError("sample set is not sized for the target grid")
+    uv, valid = samples.uv, samples.valid
+    if uv.ndim != 3 or uv.shape[0] != n:
+        raise ValueError("sample set is not (N, S, 2) for the target grid")
     if plan is None:
         plan = BilinearPlan.build(uv, ctx.k.width, ctx.k.height)
     elif plan.valid.shape != uv.shape[:-1] or (plan.width, plan.height) != (ctx.k.width, ctx.k.height):
@@ -222,7 +220,6 @@ def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipol
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
                        params: AttentionParams,
                        counters: AttentionCounters | None = None,
-                       apply_out_proj: bool = True,
                        plan: BilinearPlan | None = None):
     """Retrieve reference information along epipolar lines.
 
@@ -238,7 +235,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters, plan)
-    fm = _mix(weights[:, :, None], _heads(v_samp, params.heads), f_tgt, params, apply_out_proj)
+    fm = _mix(weights[:, :, None], _heads(v_samp, params.heads), f_tgt, params)
     return fm, valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
 
 

@@ -109,7 +109,10 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ck
         K = CameraIntrinsics.from_fov(w, h, merged["fov"])
         targets = {None: input_image}
         for i, cam in enumerate(traj):
-            targets[i] = render(scene, cam, K).rgb.data
+            try:
+                targets[i] = render(scene, cam, K).rgb.data
+            except ValueError as e:   # a camera inside the scene's bounding sphere
+                raise DataError(f"trajectory view {i}: {e}") from None
         if backend == "oracle":
             return OracleDenoiser(targets)
         return AnalyticAttentionDenoiser(targets, sigma=merged["sigma"],

@@ -1,5 +1,5 @@
 """Noise schedule, deterministic DDIM sampling and inversion, and the
-pose-conditioned denoiser interface with feature hooks.
+pose-conditioned denoiser interface with attention-stage callbacks.
 
 Denoisers expose zero or more *attention stages*. During a prediction a
 stage callback may observe each stage (feature map plus the block's
@@ -10,21 +10,19 @@ backends knowing about epipolar geometry at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionParams
 from .geometry import RelativePose
-from .numerics import FeatureMap, apply_linear
+from .numerics import FeatureMap
 
 __all__ = [
     "NoiseSchedule",
     "LatentImage",
     "Condition",
     "AttentionStage",
-    "DenoiserHooks",
-    "StageCapture",
     "Denoiser",
     "OracleDenoiser",
     "AnalyticAttentionDenoiser",
@@ -33,7 +31,6 @@ __all__ = [
     "ddim_invert_step",
     "ddim_sample",
     "ddim_invert",
-    "denoise",
     "x0_from_eps",
     "eps_from_x0",
 ]
@@ -114,34 +111,6 @@ class AttentionStage:
     feature: FeatureMap          # pre-attention feature map F
     params: AttentionParams
     baseline: FeatureMap         # the block's unmodified output F-hat
-
-
-@dataclass
-class StageCapture:
-    q: FeatureMap
-    k: FeatureMap
-    v: FeatureMap
-    f: FeatureMap
-
-
-@dataclass
-class DenoiserHooks:
-    """Capture request plus storage. Captures exist exactly for the
-    requested layers that fired during the prediction."""
-
-    capture_layers: frozenset
-    captured: dict = field(default_factory=dict)
-
-    def grab(self, stage: AttentionStage) -> None:
-        if stage.layer not in self.capture_layers:
-            return
-        p = stage.params
-        self.captured[stage.layer] = StageCapture(
-            q=apply_linear(p.q_proj, stage.feature),
-            k=apply_linear(p.k_proj, stage.feature),
-            v=apply_linear(p.v_proj, stage.feature),
-            f=stage.feature,
-        )
 
 
 class Denoiser:
@@ -227,22 +196,6 @@ def ddim_invert(x0: LatentImage, denoiser: Denoiser, cond: Condition,
         eps = denoiser.predict(x, t, cond, sched)
         x = ddim_invert_step(x, eps, t, sched)
     return LatentImage(data=x, t=sched.steps)
-
-
-def denoise(x_t: LatentImage, cond: Condition, denoiser: Denoiser,
-            sched: NoiseSchedule, hooks: DenoiserHooks | None = None):
-    """Single noise prediction plus hook captures for requested layers.
-
-    Observation is side-effect-free: the returned prediction is identical
-    with and without hooks.
-    """
-    cb = None
-    if hooks is not None:
-        def cb(stage):
-            hooks.grab(stage)
-            return None
-    eps = denoiser.predict(x_t.data.astype(np.float64), x_t.t, cond, sched, stage_cb=cb)
-    return eps, (hooks.captured if hooks is not None else {})
 
 
 class OracleDenoiser(Denoiser):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
 from .geometry import CameraIntrinsics, SphericalCamera, pose_from_json, pose_to_json
 from .scenegen import RenderedView, Scene, render, scene_from_json, scene_to_json
 
@@ -41,10 +42,12 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM into an (H, W, 3) float32 array in [0, 1]."""
+    """Read a binary 8-bit PPM (P6, maxval 1..255) into an (H, W, 3)
+    float32 array in [0, 1]. Anything else, or a short pixel block, is a
+    DataError naming the path."""
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM")
+        raise DataError(f"{path}: not a binary PPM")
     fields: list[bytes] = []
     pos = 2
     while len(fields) < 3:
@@ -59,7 +62,14 @@ def read_ppm(path) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(f) for f in fields)
+    try:
+        w, h, maxval = (int(f) for f in fields)
+    except ValueError:
+        raise DataError(f"{path}: bad PPM header {b' '.join(fields)!r}") from None
+    if w < 1 or h < 1 or not 1 <= maxval <= 255:
+        raise DataError(f"{path}: unsupported PPM {w}x{h}, maxval {maxval} (need maxval 1..255)")
+    if len(raw) - pos < h * w * 3:
+        raise DataError(f"{path}: truncated PPM, {len(raw) - pos} of {h * w * 3} pixel bytes")
     data = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3, offset=pos)
     return (data.reshape(h, w, 3).astype(np.float32) / float(maxval))
 
@@ -106,17 +116,24 @@ def write_checkpoint(path, arrays: dict[str, np.ndarray], header_extra: dict | N
 
 
 def read_checkpoint(path):
-    """Returns (arrays dict, header dict)."""
+    """Returns (arrays dict, header dict). A header that is not the JSON
+    layer list, or data shorter than it declares, is a DataError naming
+    the path."""
     raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode())
+    try:
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl].decode())
+        layers = [(lay["name"], tuple(int(d) for d in lay["shape"])) for lay in header["layers"]]
+    except (ValueError, KeyError, TypeError) as e:   # incl. JSON and UTF-8 decode errors
+        raise DataError(f"{path}: bad checkpoint header ({type(e).__name__}: {e})") from None
     arrays: dict[str, np.ndarray] = {}
     off = nl + 1
-    for layer in header["layers"]:
-        shape = tuple(layer["shape"])
+    for name, shape in layers:
         count = int(np.prod(shape)) if shape else 1
+        if min(shape, default=0) < 0 or count > (len(raw) - off) // 4:
+            raise DataError(f"{path}: layer {name!r} {list(shape)} does not fit the checkpoint data")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        arrays[layer["name"]] = arr.reshape(shape).copy()
+        arrays[name] = arr.reshape(shape).copy()
         off += count * 4
     return arrays, header
 

@@ -306,95 +306,25 @@ def line_to_pixel_frame(line: EpipolarLine, K: CameraIntrinsics) -> np.ndarray:
 EDGE_EPS = 1e-9
 
 
-def _step_line(coeffs: np.ndarray, width: int, height: int, along_x: bool, slots: int):
-    """One sample per integer step along the chosen axis; out-of-grid
-    positions masked. Returns (uv (slots, 2), valid (slots,))."""
-    a, b, c = coeffs
-    uv = np.zeros((slots, 2))
-    valid = np.zeros(slots, dtype=bool)
-    if along_x:
-        n = width
-        u = np.arange(n, dtype=np.float64)
-        v = -(a * u + c) / b
-        valid[:n] = (v >= -EDGE_EPS) & (v <= height - 1 + EDGE_EPS)
-        uv[:n, 0], uv[:n, 1] = u, np.clip(v, 0.0, height - 1)
-    else:
-        n = height
-        v = np.arange(n, dtype=np.float64)
-        u = -(b * v + c) / a
-        valid[:n] = (u >= -EDGE_EPS) & (u <= width - 1 + EDGE_EPS)
-        uv[:n, 0], uv[:n, 1] = np.clip(u, 0.0, width - 1), v
-    return uv, valid
+def _sample_lines(lines: np.ndarray, width: int, height: int, sample_axis: str) -> EpipolarSampleSet:
+    """The line-stepping kernel: sample each of ``n`` pixel-frame lines
+    (an (n, 3) array of a*u + b*v + c = 0) on a ``width`` x ``height`` grid.
 
-
-def sample_epipolar_points(
-    line: EpipolarLine,
-    width: int,
-    height: int,
-    K_feat: CameraIntrinsics,
-    sample_axis: str = "dominant",
-) -> EpipolarSampleSet:
-    """Sample the epipolar line on a ``width`` x ``height`` feature grid.
-
-    ``K_feat`` must be the intrinsics of that grid (see
-    :meth:`CameraIntrinsics.scaled`). In the default ``dominant`` mode the
-    samples step one feature pixel along the axis the line is most aligned
-    with, so near-vertical lines are sampled as densely as horizontal
-    ones; ``width`` mode always steps along the image width. max(W, H)
-    slots are allocated per query; unused or out-of-grid slots are masked.
+    In ``dominant`` mode each line steps one pixel along the axis it is
+    most aligned with, so near-vertical lines are sampled as densely as
+    horizontal ones; ``width`` mode always steps along the width and
+    cannot represent a vertical line (b == 0). max(W, H) slots per line;
+    unused, out-of-grid and degenerate (a = b = 0) slots are masked, and
+    valid samples are clamped onto the grid.
     """
     if sample_axis not in ("dominant", "width"):
         raise ValueError(f"unknown sample_axis {sample_axis!r}")
-    slots = max(width, height)
-    if line.degenerate:
-        return EpipolarSampleSet(uv=np.zeros((slots, 2)), valid=np.zeros(slots, dtype=bool),
-                                 width=width, height=height)
-    coeffs = line_to_pixel_frame(line, K_feat)
-    a, b = coeffs[0], coeffs[1]
-    if np.hypot(a, b) < 1e-12:
-        return EpipolarSampleSet(uv=np.zeros((slots, 2)), valid=np.zeros(slots, dtype=bool),
-                                 width=width, height=height)
-    along_x = True if sample_axis == "width" else abs(a) <= abs(b)
-    if along_x and b == 0.0:
-        # width stepping cannot represent a perfectly vertical line
-        uv, valid = np.zeros((slots, 2)), np.zeros(slots, dtype=bool)
-    else:
-        uv, valid = _step_line(coeffs, width, height, along_x, slots)
-    return EpipolarSampleSet(uv=uv, valid=valid, width=width, height=height)
-
-
-def epipolar_sample_grid(
-    pose: RelativePose,
-    K_feat: CameraIntrinsics,
-    width: int,
-    height: int,
-    sample_axis: str = "dominant",
-) -> EpipolarSampleSet:
-    """Batched sample set: one epipolar line per target feature pixel.
-
-    Queries are in raster order (row-major over the target grid). The
-    reference and target grids share ``K_feat``.
-    """
-    slots = max(width, height)
-    n = width * height
+    n, slots = lines.shape[0], max(width, height)
     uv = np.zeros((n, slots, 2))
     valid = np.zeros((n, slots), dtype=bool)
-    if pose.baseline() < DEGENERATE_BASELINE:
-        return EpipolarSampleSet(uv=uv, valid=valid, width=width, height=height)
-
-    E = essential_matrix(pose)
-    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    pts = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
-    xn = np.concatenate([K_feat.normalize(pts), np.ones((n, 1))], axis=1)
-    lines = xn @ E.T                       # (n, 3) lines, normalized frame
-    lines = lines @ K_feat.inverse()       # == (K^-T @ l)^T, pixel frame
     a, b, c = lines[:, 0], lines[:, 1], lines[:, 2]
     finite = np.hypot(a, b) >= 1e-12
-    if sample_axis == "width":
-        along_x = np.ones(n, dtype=bool)
-    else:
-        along_x = np.abs(a) <= np.abs(b)
-
+    along_x = np.ones(n, dtype=bool) if sample_axis == "width" else np.abs(a) <= np.abs(b)
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
 
@@ -415,6 +345,48 @@ def epipolar_sample_grid(
         uv[rows, cols, 1] = ys[None, :]
         valid[rows, cols] = (u >= -EDGE_EPS) & (u <= width - 1 + EDGE_EPS)
     return EpipolarSampleSet(uv=uv, valid=valid, width=width, height=height)
+
+
+def sample_epipolar_points(
+    line: EpipolarLine,
+    width: int,
+    height: int,
+    K_feat: CameraIntrinsics,
+    sample_axis: str = "dominant",
+) -> EpipolarSampleSet:
+    """Sample one epipolar line on a ``width`` x ``height`` feature grid:
+    the line in the pixel frame of ``K_feat`` (the intrinsics of that grid,
+    see :meth:`CameraIntrinsics.scaled`) as the single row of the stepping
+    kernel. A degenerate line comes back all masked. Returns the
+    single-query set, ``uv`` (S, 2) and ``valid`` (S,).
+    """
+    coeffs = np.zeros(3) if line.degenerate else line_to_pixel_frame(line, K_feat)
+    s = _sample_lines(coeffs[None], width, height, sample_axis)
+    return EpipolarSampleSet(uv=s.uv[0], valid=s.valid[0], width=width, height=height)
+
+
+def epipolar_sample_grid(
+    pose: RelativePose,
+    K_feat: CameraIntrinsics,
+    width: int,
+    height: int,
+    sample_axis: str = "dominant",
+) -> EpipolarSampleSet:
+    """Batched sample set: one epipolar line per target feature pixel,
+    built in one product and sampled by the stepping kernel.
+
+    Queries are in raster order (row-major over the target grid). The
+    reference and target grids share ``K_feat``. A degenerate baseline
+    gives all-zero lines, so every slot comes back masked.
+    """
+    n = width * height
+    E = np.zeros((3, 3)) if pose.baseline() < DEGENERATE_BASELINE else essential_matrix(pose)
+    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    pts = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
+    xn = np.concatenate([K_feat.normalize(pts), np.ones((n, 1))], axis=1)
+    lines = xn @ E.T                       # (n, 3) lines, normalized frame
+    lines = lines @ K_feat.inverse()       # == (K^-T @ l)^T, pixel frame
+    return _sample_lines(lines, width, height, sample_axis)
 
 
 def pose_to_json(pose) -> dict:

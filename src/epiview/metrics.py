@@ -208,7 +208,7 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
     epi_acc = localization_accuracy(epi_uv[queries][usable], gt_feat[queries][usable], k)
 
     logits_f, _ = full_similarity(f_tgt, ctx, params)
-    best_f = _argmax_lowest_index(logits_f[0], np.ones_like(logits_f[0], dtype=bool))
+    best_f = np.argmax(logits_f[0], axis=-1)
     full_uv = np.stack([best_f % wf, best_f // wf], axis=-1).astype(np.float64)
     full_acc = localization_accuracy(full_uv[queries], gt_feat[queries], k)
 

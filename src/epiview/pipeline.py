@@ -73,7 +73,6 @@ class GenerationConfig:
     mode: str = "epipolar"
     sample_axis: str = "dominant"
     value_source: str = "value_projection"
-    apply_out_proj: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -93,8 +92,7 @@ class GenerationConfig:
             "alpha": self.alpha, "context_views": self.context_views,
             "inject_after_step": self.inject_after_step,
             "inject_layers": list(self.inject_layers), "mode": self.mode,
-            "sample_axis": self.sample_axis, "value_source": self.value_source,
-            "apply_out_proj": self.apply_out_proj, "seed": self.seed,
+            "sample_axis": self.sample_axis, "value_source": self.value_source, "seed": self.seed,
         }
 
     @classmethod
@@ -223,11 +221,9 @@ class TrajectorySynthesizer:
                         pairs[key] = self._pair_geometry(vc.camera, cam, *key[1:])
                     samples, plan = pairs[key]
                     outs.append(epipolar_attention(stage.feature, entry, samples, dup,
-                                                   self.counters, cfg.apply_out_proj,
-                                                   plan=plan))
+                                                   self.counters, plan=plan))
                 else:
-                    outs.append(full_cross_attention(stage.feature, entry, dup,
-                                                     self.counters, cfg.apply_out_proj))
+                    outs.append(full_cross_attention(stage.feature, entry, dup, self.counters))
             agg, contributed = multi_view_aggregate(outs)
             return fuse(stage.baseline, agg, contributed, cfg.alpha)
 

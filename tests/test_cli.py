@@ -212,6 +212,36 @@ class TestExitCodes:
         assert err.startswith(f"error: 2 {flag} ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", [
+        ("bad.ppm", b"P6\n32 32\n255\n" + bytes(100)),
+        ("bad.ppm", b"P3\n1 1\n255\n0 0 0"),
+        ("bad.ppm", b"P6\n2 2\n65535\n" + bytes(24)),
+        ("bad.ckpt", b"{not json\n" + bytes(16)),
+        ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [4, 4]}], "c1": 1}\n' + bytes(8)),
+        ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
+                      b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.1}]}'),
+    ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
+            "ckpt-short-data", "traj-camera-inside-scene"])
+    def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
+        name, payload = case
+        bad = tmp_path / name
+        bad.write_bytes(payload)
+        out = tmp_path / "out"
+        argv = {
+            "bad.ppm": ["synth", "--input", str(bad), "--traj", str(traj_file),
+                        "--backend", "toyunet", "--out", str(out)],
+            "bad.ckpt": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                         "--traj", str(traj_file), "--backend", "toyunet",
+                         "--ckpt", str(bad), "--out", str(out)],
+            "traj.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                          "--traj", str(bad), "--scene", str(fixture_dir), "--out", str(out)],
+        }[name]
+        named = "trajectory view 1" if name == "traj.json" else str(bad)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 3 ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_command_is_2(self):
         assert main(["frobnicate"]) == 2
 

@@ -1,5 +1,5 @@
 """Diffusion core: schedules, the forward process, DDIM stepping and
-inversion, hooks, and the analytic backends."""
+inversion, attention-stage callbacks, and the analytic backends."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from epiview.diffusion import (
     AnalyticAttentionDenoiser,
     Condition,
-    DenoiserHooks,
     LatentImage,
     NoiseSchedule,
     OracleDenoiser,
@@ -15,12 +14,12 @@ from epiview.diffusion import (
     ddim_invert_step,
     ddim_sample,
     ddim_step,
-    denoise,
     eps_from_x0,
     forward_diffuse,
     x0_from_eps,
 )
 from epiview.geometry import RelativePose
+from epiview.numerics import apply_linear
 from epiview.scenegen import make_scene, make_trajectory, render
 from epiview.toyunet import ToyUNet
 
@@ -190,6 +189,18 @@ class TestDdimInversion:
         np.testing.assert_allclose(back, x, atol=1e-10)
 
 
+def recorder(layers=None):
+    """A stage callback that records each stage it sees (of ``layers``,
+    or all) by layer name and leaves the prediction alone."""
+    seen = {}
+
+    def cb(stage):
+        if layers is None or stage.layer in layers:
+            seen[stage.layer] = stage
+        return None
+    return seen, cb
+
+
 class TestDenoiseAndHooks:
     def test_oracle_closed_form(self, oracle_setup):
         input_image, targets = oracle_setup
@@ -197,7 +208,9 @@ class TestDenoiseAndHooks:
         den = OracleDenoiser(targets)
         rng = np.random.default_rng(9)
         x_t = LatentImage(rng.standard_normal(input_image.shape), t=4)
-        eps, captures = denoise(x_t, Condition.reference(), den, sched)
+        captures, cb = recorder()
+        eps = den.predict(x_t.data.astype(np.float64), x_t.t, Condition.reference(), sched,
+                          stage_cb=cb)
         a = sched.alphas[4]
         want = (x_t.data.astype(np.float64)
                 - np.sqrt(a) * input_image.astype(np.float32).astype(np.float64)) / np.sqrt(1 - a)
@@ -221,25 +234,28 @@ class TestDenoiseAndHooks:
         rng = np.random.default_rng(11)
         x_t = LatentImage(rng.standard_normal(input_image.shape), t=6)
         cond = Condition(rel_pose=RelativePose.identity(), view_key=0)
-        hooks = DenoiserHooks(capture_layers=frozenset({"stage0"}))
-        eps_hooked, captures = denoise(x_t, cond, den, sched, hooks)
-        eps_plain, _ = denoise(x_t, cond, den, sched)
+        captures, cb = recorder({"stage0"})
+        x = x_t.data.astype(np.float64)
+        eps_hooked = den.predict(x, x_t.t, cond, sched, stage_cb=cb)
+        eps_plain = den.predict(x, x_t.t, cond, sched)
         assert set(captures) == {"stage0"}
         assert np.array_equal(eps_hooked, eps_plain)
         cap = captures["stage0"]
-        np.testing.assert_array_equal(cap.q.data, cap.f.data)  # identity projections
+        q = apply_linear(cap.params.q_proj, cap.feature)
+        np.testing.assert_array_equal(q.data, cap.feature.data)  # identity projections
 
     def test_toyunet_hooks_and_determinism(self, oracle_setup):
         input_image, _ = oracle_setup
         sched = NoiseSchedule.linear_beta(10)
         net = ToyUNet(seed=5)
         x_t = LatentImage(np.random.default_rng(12).standard_normal(input_image.shape), t=3)
-        hooks = DenoiserHooks(capture_layers=frozenset({"bottleneck"}))
-        e1, caps = denoise(x_t, Condition.reference(), net, sched, hooks)
-        e2, _ = denoise(x_t, Condition.reference(), net, sched)
+        caps, cb = recorder({"bottleneck"})
+        x = x_t.data.astype(np.float64)
+        e1 = net.predict(x, x_t.t, Condition.reference(), sched, stage_cb=cb)
+        e2 = net.predict(x, x_t.t, Condition.reference(), sched)
         assert set(caps) == {"bottleneck"}
         assert np.array_equal(e1, e2)
-        assert caps["bottleneck"].f.channels == net.c2
+        assert caps["bottleneck"].feature.channels == net.c2
 
     def test_per_view_perturbations_are_stable_and_distinct(self, oracle_setup):
         _, targets = oracle_setup

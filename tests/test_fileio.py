@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from epiview.errors import DataError
 from epiview.fileio import (
     read_checkpoint,
     read_f32,
@@ -46,8 +47,27 @@ class TestPpm:
     def test_rejects_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ppm"
         p.write_bytes(b"P3\n1 1\n255\n0 0 0")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             read_ppm(p)
+
+    @pytest.mark.parametrize("payload", [
+        b"P6\n2 2\n255\n" + bytes(11),            # truncated pixel block
+        b"P6\n2 2\n65535\n" + bytes(24),          # 16-bit samples
+        b"P6\n2 2\n0\n" + bytes(12),              # maxval outside 1..255
+        b"P6\n2 x\n255\n" + bytes(12),            # non-numeric header field
+        b"P6\n2 2",                                # header ends early
+        b"P6\n0 2\n255\n",                        # empty image
+    ], ids=["truncated", "maxval-65535", "maxval-0", "bad-field", "short-header", "zero-width"])
+    def test_bad_data_is_a_data_error_naming_the_path(self, tmp_path, payload):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(payload)
+        with pytest.raises(DataError, match="bad.ppm"):
+            read_ppm(p)
+
+    def test_maxval_below_255_is_rescaled(self, tmp_path):
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6\n1 1\n15\n" + bytes([0, 5, 15]))
+        np.testing.assert_allclose(read_ppm(p)[0, 0], [0.0, 1 / 3, 1.0], atol=1e-6)
 
 
 class TestPgm:
@@ -93,6 +113,19 @@ class TestCheckpoint:
         import json
         json.loads(raw[:nl])  # header parses
         assert np.array_equal(np.frombuffer(raw[nl + 1:], dtype="<f4"), [1.0, 1.0])
+
+    @pytest.mark.parametrize("payload", [
+        b"{not json\n" + bytes(8),                                       # corrupt header
+        b'{"layers": [{"name": "x"}]}\n' + bytes(8),                     # layer without shape
+        b'{"layers": [{"name": "x", "shape": [2]}]}',                    # no header line end
+        b'{"layers": [{"name": "x", "shape": [4, 4]}]}\n' + bytes(60),   # data cut short
+        b'{"layers": [{"name": "x", "shape": [-2, -2]}]}\n' + bytes(16), # negative sizes
+    ], ids=["corrupt-header", "no-shape", "no-newline", "short-data", "negative-shape"])
+    def test_bad_data_is_a_data_error_naming_the_path(self, tmp_path, payload):
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(payload)
+        with pytest.raises(DataError, match="bad.ckpt"):
+            read_checkpoint(p)
 
 
 class TestTrajectoryFile:

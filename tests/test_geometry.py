@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from epiview.geometry import (
+    EDGE_EPS,
     CameraIntrinsics,
     EpipolarLine,
     RelativePose,
@@ -215,6 +216,45 @@ def pixel_line(K_feat, a, b, c):
     return EpipolarLine(coeffs=coeffs)
 
 
+# An independent scalar stepper, one line at a time: the oracle that
+# sample_epipolar_points, a row of the batched kernel, must match byte for byte.
+def _step_line(coeffs: np.ndarray, width: int, height: int, along_x: bool, slots: int):
+    """One sample per integer step along the chosen axis; out-of-grid
+    positions masked. Returns (uv (slots, 2), valid (slots,))."""
+    a, b, c = coeffs
+    uv = np.zeros((slots, 2))
+    valid = np.zeros(slots, dtype=bool)
+    if along_x:
+        n = width
+        u = np.arange(n, dtype=np.float64)
+        v = -(a * u + c) / b
+        valid[:n] = (v >= -EDGE_EPS) & (v <= height - 1 + EDGE_EPS)
+        uv[:n, 0], uv[:n, 1] = u, np.clip(v, 0.0, height - 1)
+    else:
+        n = height
+        v = np.arange(n, dtype=np.float64)
+        u = -(b * v + c) / a
+        valid[:n] = (u >= -EDGE_EPS) & (u <= width - 1 + EDGE_EPS)
+        uv[:n, 0], uv[:n, 1] = np.clip(u, 0.0, width - 1), v
+    return uv, valid
+
+
+def oracle_sample_line(line, width, height, K_feat, sample_axis="dominant"):
+    """Scalar dispatch of one line onto ``_step_line``. Returns (uv, valid)."""
+    slots = max(width, height)
+    if line.degenerate:
+        return np.zeros((slots, 2)), np.zeros(slots, dtype=bool)
+    coeffs = line_to_pixel_frame(line, K_feat)
+    a, b = coeffs[0], coeffs[1]
+    if np.hypot(a, b) < 1e-12:
+        return np.zeros((slots, 2)), np.zeros(slots, dtype=bool)
+    along_x = True if sample_axis == "width" else abs(a) <= abs(b)
+    if along_x and b == 0.0:
+        # width stepping cannot represent a perfectly vertical line
+        return np.zeros((slots, 2)), np.zeros(slots, dtype=bool)
+    return _step_line(coeffs, width, height, along_x, slots)
+
+
 class TestSampleEpipolarPoints:
     def setup_method(self):
         self.K8 = CameraIntrinsics.from_fov(8, 8)
@@ -279,6 +319,48 @@ class TestSampleEpipolarPoints:
             np.testing.assert_array_equal(batch.valid[q], single.valid)
             np.testing.assert_allclose(batch.uv[q][batch.valid[q]],
                                        single.uv[single.valid], atol=1e-9)
+
+    @pytest.mark.parametrize("sample_axis", ["dominant", "width"])
+    @pytest.mark.parametrize("width,height", [(8, 6), (11, 7)])
+    def test_single_line_matches_the_stepper_oracle(self, sample_axis, width, height):
+        K = CameraIntrinsics.from_fov(width, height)
+        rng = np.random.default_rng(11)
+        lines = [EpipolarLine(coeffs=rng.standard_normal(3)) for _ in range(100)]
+        for _ in range(100):   # lines through the grid at random angles
+            p, th = rng.uniform(0, [width - 1, height - 1]), rng.uniform(0, np.pi)
+            a, b = np.sin(th), -np.cos(th)
+            lines.append(pixel_line(K, a, b, -(a * p[0] + b * p[1])))
+        vertical = pixel_line(K, 1.0, 0.0, -3.0)
+        assert line_to_pixel_frame(vertical, K)[1] == 0.0   # b == 0 exactly
+        lines += [
+            vertical,
+            pixel_line(K, 0.0, 1.0, -2.0),       # horizontal: a == 0
+            pixel_line(K, 1.0, -1.0, 0.0),       # diagonal, |a| == |b|
+            pixel_line(K, 1e-13, 1e-13, 1.0),    # vanishing normal
+            EpipolarLine(np.zeros(3)),
+            EpipolarLine(np.zeros(3), degenerate=True),
+            EpipolarLine(np.array([0.3, -0.2, 0.1]), degenerate=True),
+        ]
+        for line in lines:
+            uv, valid = oracle_sample_line(line, width, height, K, sample_axis)
+            s = sample_epipolar_points(line, width, height, K, sample_axis)
+            assert s.uv.tobytes() == uv.tobytes() and s.valid.tobytes() == valid.tobytes()
+
+    def test_unknown_sample_axis_rejected(self, intrinsics32):
+        pose = RelativePose(R=np.eye(3), t=np.array([1.0, 0, 0]))
+        line = epipolar_line([3.0, 4.0], pose, intrinsics32)
+        for sample_axis in ("bogus", "height", ""):
+            with pytest.raises(ValueError, match="sample_axis"):
+                epipolar_sample_grid(pose, intrinsics32.scaled(0.5), 16, 16, sample_axis)
+            with pytest.raises(ValueError, match="sample_axis"):
+                sample_epipolar_points(line, 32, 32, intrinsics32, sample_axis)
+
+    def test_degenerate_baseline_grid_all_masked(self, intrinsics32):
+        k_feat = intrinsics32.scaled(0.25)
+        for t in (np.zeros(3), np.array([1e-7, 0.0, 0.0])):
+            s = epipolar_sample_grid(RelativePose(R=np.eye(3), t=t), k_feat, 8, 8)
+            assert s.uv.shape == (64, 8, 2) and not s.valid.any() and not s.uv.any()
+
 
 
 class TestPoseJson:
