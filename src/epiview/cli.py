@@ -29,6 +29,7 @@ from .diffusion import (
 )
 from .errors import DataError, EpiViewError, UsageError
 from .fileio import (
+    camera_from_json,
     read_fixture,
     read_json,
     read_ppm,
@@ -60,35 +61,21 @@ def _write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def _load_config_file(path) -> dict:
-    try:
-        return read_json(path)
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise DataError(f"bad config JSON: {e}")
+# Run settings besides the GenerationConfig fields, whose defaults the dataclass holds.
+_RUN_SETTINGS = {"backend": "analytic", "steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0}
 
 
-def _merged(args, keys: dict) -> dict:
-    """Flag > config file > default, per key."""
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key, default in keys.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = default
-    return out
-
-
-def _require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} not found: {p}")
-    return p
+def _merged(args) -> tuple[dict, dict]:
+    """Run settings and GenerationConfig fields (flag > config file > default), and the
+    config file, which holds the fields at its top level or, as a manifest, under "config"."""
+    recorded = read_json(args.config) if args.config else {}
+    nested = recorded.get("config", {})
+    if not isinstance(nested, dict):
+        raise DataError(f'{args.config}: "config" is not a JSON object')
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    merged = {**_RUN_SETTINGS, **nested, **recorded, **flags}
+    keys = (*_RUN_SETTINGS, *GenerationConfig.__dataclass_fields__)
+    return {k: merged[k] for k in keys if k in merged}, recorded
 
 
 def _schedule(steps: int) -> NoiseSchedule:
@@ -104,7 +91,7 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ck
     if backend in ("oracle", "analytic"):
         if scene_dir is None:
             raise DataError(f"backend {backend!r} needs --scene (fixture directory)")
-        scene, _, _, _ = read_fixture(_require_file(scene_dir, "scene fixture"))
+        scene, _, _, _ = read_fixture(scene_dir)
         h, w = input_image.shape[:2]
         K = CameraIntrinsics.from_fov(w, h, merged["fov"])
         targets = {None: input_image}
@@ -119,7 +106,7 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ck
                                          seed=merged["seed"])
     if backend == "toyunet":
         if ckpt is not None:
-            return ToyUNet.load(_require_file(ckpt, "checkpoint"))
+            return ToyUNet.load(ckpt)
         return ToyUNet(seed=merged["seed"])
     raise DataError(f"unknown backend {backend!r}")
 
@@ -148,9 +135,9 @@ def _cmd_traj(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    merged = _merged(args, {"steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0})
+    merged, _ = _merged(args)
     sched = _schedule(merged["steps"])
-    image = read_ppm(_require_file(args.input, "input image"))
+    image = read_ppm(args.input)
     denoiser = _build_denoiser(args.backend, merged, image, [], args.scene, args.ckpt)
     x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
     write_f32(args.out, x_ref.data, sidecar={"timestep": sched.steps})
@@ -162,36 +149,27 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _synth_config(args) -> tuple:
-    merged = _merged(args, {
-        "alpha": 0.5, "context": 2, "inject_step": 4, "mode": "epipolar",
-        "sample_axis": "dominant", "value_source": "value_projection",
-        "steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0, "backend": "analytic",
-    })
-    config = GenerationConfig(
-        alpha=merged["alpha"], context_views=merged["context"],
-        inject_after_step=merged["inject_step"], mode=merged["mode"],
-        sample_axis=merged["sample_axis"], value_source=merged["value_source"],
-        seed=merged["seed"],
-    )
-    return merged, config
-
-
 def _cmd_synth(args) -> int:
     if args.input_view is not None and args.scene is None:
         raise UsageError("--input-view needs --scene, whose fixture cameras it indexes")
-    merged, config = _synth_config(args)
+    merged, recorded = _merged(args)
+    config = GenerationConfig.from_json(merged)
     sched = _schedule(merged["steps"])
-    image = read_ppm(_require_file(args.input, "input image"))
-    traj = read_trajectory(_require_file(args.traj, "trajectory"))
+    image = read_ppm(args.input)
+    traj = read_trajectory(args.traj)
     if args.input_cam is not None:
-        input_cam = pose_from_json(json.loads(args.input_cam))
+        try:
+            input_cam = camera_from_json(json.loads(args.input_cam), "the pose")
+        except (ValueError, DataError) as e:   # ValueError: not JSON
+            raise UsageError(f"--input-cam {args.input_cam!r}: {e}") from None
     elif args.input_view is not None:
-        _, cams, _, _ = read_fixture(args.scene)
+        cams = read_trajectory(Path(args.scene) / "cameras.json")
         if not 0 <= args.input_view < len(cams):
             raise UsageError(f"--input-view {args.input_view} outside the fixture's "
                              f"{len(cams)} cameras")
         input_cam = cams[args.input_view]
+    elif "input_view" in recorded:
+        input_cam = camera_from_json(recorded["input_view"], f"{args.config} input_view")
     else:
         input_cam = SphericalCamera(30.0, 0.0, 2.0)
     h, w = image.shape[:2]
@@ -204,11 +182,8 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(images):
         write_ppm(out / f"{i:03d}.ppm", img)
-    manifest["backend"] = merged["backend"]
-    manifest["sigma"] = merged["sigma"]
-    manifest["fov"] = merged["fov"]
-    manifest["steps"] = merged["steps"]
-    manifest["input"] = str(args.input)
+    manifest.update(backend=merged["backend"], sigma=merged["sigma"], fov=merged["fov"],
+                    steps=merged["steps"], input=str(args.input))
     if args.scene is not None:
         manifest["scene"] = str(args.scene)
     write_json(out / "manifest.json", manifest)
@@ -217,7 +192,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simmap(args) -> int:
-    scene, cams, K, views = read_fixture(_require_file(args.scene, "scene fixture"))
+    scene, cams, K, views = read_fixture(args.scene)
     try:
         a, b = (int(x) for x in args.pair.split(","))
         qx, qy = (int(x) for x in args.query.split(","))
@@ -277,12 +252,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    run_dir = _require_file(args.run, "run directory")
+    run_dir = Path(args.run)
     manifest = read_json(run_dir / "manifest.json")
-    scene, _, _, _ = read_fixture(_require_file(args.fixtures, "fixture directory"))
-    ki = manifest["intrinsics"]
-    K = CameraIntrinsics(f=ki["f"], cx=ki["cx"], cy=ki["cy"],
-                         width=int(ki["width"]), height=int(ki["height"]))
+    scene, _, _, _ = read_fixture(args.fixtures)
+    K = CameraIntrinsics(**manifest["intrinsics"])
     traj = [pose_from_json(v) for v in manifest["trajectory"]]
     images = [read_ppm(run_dir / f"{i:03d}.ppm") for i in range(len(traj))]
     gt_views = [render(scene, cam, K) for cam in traj]
@@ -301,7 +274,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    scene, cams, K, views = read_fixture(_require_file(args.scene, "scene fixture"))
+    scene, cams, K, views = read_fixture(args.scene)
     net = ToyUNet(seed=args.seed)
     sched = NoiseSchedule.linear_beta(args.diffusion_steps)
     conds = [Condition.reference() for _ in views]  # zero-pose overfit on renders
@@ -356,8 +329,8 @@ def _build_parser() -> _Parser:
     sy.add_argument("--traj", required=True)
     sy.add_argument("--mode", choices=["epipolar", "full", "off"])
     sy.add_argument("--alpha", type=float)
-    sy.add_argument("--context", type=int)
-    sy.add_argument("--inject-step", dest="inject_step", type=int)
+    sy.add_argument("--context", dest="context_views", type=int)
+    sy.add_argument("--inject-step", dest="inject_after_step", type=int)
     sy.add_argument("--sample-axis", dest="sample_axis", choices=["dominant", "width"])
     sy.add_argument("--value-source", dest="value_source",
                     choices=["value_projection", "raw_feature"])

@@ -8,6 +8,7 @@ stay stable across machines.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ __all__ = [
     "write_f32", "read_f32",
     "write_checkpoint", "read_checkpoint",
     "write_fixture", "read_fixture",
-    "write_trajectory", "read_trajectory",
+    "write_trajectory", "read_trajectory", "camera_from_json",
     "write_json", "read_json",
 ]
 
@@ -97,7 +98,7 @@ def write_f32(path, data: np.ndarray, sidecar: dict | None = None) -> None:
 
 
 def read_f32(path) -> np.ndarray:
-    meta = json.loads(Path(str(path) + ".json").read_text())
+    meta = read_json(str(path) + ".json")
     data = np.frombuffer(Path(path).read_bytes(), dtype="<f4")
     return data.reshape(meta["shape"]).copy()
 
@@ -142,8 +143,26 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True))
 
 
-def read_json(path):
-    return json.loads(Path(path).read_text())
+def read_json(path) -> dict:
+    """A JSON object from a file; anything else is a DataError naming the path."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as e:   # incl. JSON and UTF-8 decode errors
+        raise DataError(f"{path}: not JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return obj
+
+
+def camera_from_json(obj, where: str) -> SphericalCamera:
+    """The SphericalCamera of a pose record; anything else is a DataError naming ``where``."""
+    try:
+        cam = pose_from_json(obj)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{where} is not a camera ({type(e).__name__}: {e})") from None
+    if not isinstance(cam, SphericalCamera):
+        raise DataError(f"{where} is not a camera but a relative pose")
+    return cam
 
 
 def write_trajectory(path, cams: list[SphericalCamera]) -> None:
@@ -151,8 +170,11 @@ def write_trajectory(path, cams: list[SphericalCamera]) -> None:
 
 
 def read_trajectory(path) -> list[SphericalCamera]:
-    obj = read_json(path)
-    return [pose_from_json(v) for v in obj["views"]]
+    """The ``"views"`` camera list of a trajectory (or fixture cameras) file."""
+    views = read_json(path).get("views")
+    if not isinstance(views, list):
+        raise DataError(f'{path}: no "views" list')
+    return [camera_from_json(v, f"{path} view {i}") for i, v in enumerate(views)]
 
 
 def write_fixture(out_dir, scene: Scene, cams: list[SphericalCamera],
@@ -165,10 +187,8 @@ def write_fixture(out_dir, scene: Scene, cams: list[SphericalCamera],
     (out / "views").mkdir(parents=True, exist_ok=True)
     (out / "depth").mkdir(parents=True, exist_ok=True)
     write_json(out / "scene.json", scene_to_json(scene))
-    write_json(out / "cameras.json", {
-        "intrinsics": {"f": K.f, "cx": K.cx, "cy": K.cy, "width": K.width, "height": K.height},
-        "views": [pose_to_json(c) for c in cams],
-    })
+    write_json(out / "cameras.json",
+               {"intrinsics": asdict(K), "views": [pose_to_json(c) for c in cams]})
     views = []
     for i, cam in enumerate(cams):
         view = render(scene, cam, K)
@@ -184,10 +204,7 @@ def read_fixture(fixture_dir):
     depth/prim buffers are exact. Returns (scene, cams, K, views)."""
     fix = Path(fixture_dir)
     scene = scene_from_json(read_json(fix / "scene.json"))
-    cam_obj = read_json(fix / "cameras.json")
-    ki = cam_obj["intrinsics"]
-    K = CameraIntrinsics(f=ki["f"], cx=ki["cx"], cy=ki["cy"],
-                         width=int(ki["width"]), height=int(ki["height"]))
-    cams = [pose_from_json(v) for v in cam_obj["views"]]
+    K = CameraIntrinsics(**read_json(fix / "cameras.json")["intrinsics"])
+    cams = read_trajectory(fix / "cameras.json")
     views = [render(scene, c, K) for c in cams]
     return scene, cams, K, views

@@ -17,7 +17,7 @@ its target camera.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .geometry import (
     SphericalCamera,
     camera_on_sphere,
     epipolar_sample_grid,
+    pose_to_json,
     relative_pose,
 )
 from .numerics import BilinearPlan
@@ -88,12 +89,7 @@ class GenerationConfig:
             raise DataError(f"unknown value_source {self.value_source!r}")
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha, "context_views": self.context_views,
-            "inject_after_step": self.inject_after_step,
-            "inject_layers": list(self.inject_layers), "mode": self.mode,
-            "sample_axis": self.sample_axis, "value_source": self.value_source, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenerationConfig":
@@ -293,15 +289,9 @@ class TrajectorySynthesizer:
             "config": self.config.to_json(),
             "schedule": {"steps": self.sched.steps,
                          "alphas": [float(a) for a in self.sched.alphas]},
-            "input_view": {"elevation_deg": self.input_cam.elevation_deg,
-                           "azimuth_deg": self.input_cam.azimuth_deg,
-                           "radius": self.input_cam.radius},
-            "intrinsics": {"f": self.intrinsics.f, "cx": self.intrinsics.cx,
-                           "cy": self.intrinsics.cy, "width": self.intrinsics.width,
-                           "height": self.intrinsics.height},
-            "trajectory": [{"elevation_deg": c.elevation_deg,
-                            "azimuth_deg": c.azimuth_deg, "radius": c.radius}
-                           for c in cams],
+            "input_view": pose_to_json(self.input_cam),
+            "intrinsics": asdict(self.intrinsics),
+            "trajectory": [pose_to_json(c) for c in cams],
             "timings": self.timings,
         }
         if self.counters is not None:

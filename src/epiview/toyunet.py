@@ -12,12 +12,18 @@ import numpy as np
 
 from .attention import AttentionParams, self_attention
 from .diffusion import AttentionStage, Condition, Denoiser, NoiseSchedule
+from .errors import DataError
 from .fileio import read_checkpoint, write_checkpoint
 from .numerics import FeatureMap, LinearMap
 
 __all__ = ["ToyUNet", "train_overfit"]
 
-_PARAM_SHAPES = ("enc1", "enc2", "attn.q", "attn.k", "attn.v", "attn.o", "dec1", "dec2")
+
+def _param_shapes(c1: int, c2: int) -> dict:
+    """Every parameter's shape, in initialisation order; conv weights are (Cout, 9*Cin)."""
+    weights = {"enc1": (c1, 27), "enc2": (c2, 9 * c1), "attn.q": (c2, c2), "attn.k": (c2, c2),
+               "attn.v": (c2, c2), "attn.o": (c2, c2), "dec1": (c1, 9 * c2), "dec2": (3, 9 * c1)}
+    return {f"{n}.{p}": (s if p == "w" else s[:1]) for n, s in weights.items() for p in "wb"}
 
 
 def _sinusoidal(values: np.ndarray, dim: int) -> np.ndarray:
@@ -102,25 +108,14 @@ class ToyUNet(Denoiser):
 
     def _init_params(self, seed: int) -> dict:
         rng = np.random.default_rng(seed)
-        c1, c2 = self.c1, self.c2
-
-        def conv(cout, cin):
-            return (rng.standard_normal((cout, 9 * cin)) * np.sqrt(2.0 / (9 * cin))).astype(self.dtype)
-
-        def lin(cout, cin):
-            return (rng.standard_normal((cout, cin)) * np.sqrt(1.0 / cin)).astype(self.dtype)
-
-        z = lambda n: np.zeros(n, dtype=self.dtype)
-        return {
-            "enc1.w": conv(c1, 3), "enc1.b": z(c1),
-            "enc2.w": conv(c2, c1), "enc2.b": z(c2),
-            "attn.q.w": lin(c2, c2), "attn.q.b": z(c2),
-            "attn.k.w": lin(c2, c2), "attn.k.b": z(c2),
-            "attn.v.w": lin(c2, c2), "attn.v.b": z(c2),
-            "attn.o.w": lin(c2, c2), "attn.o.b": z(c2),
-            "dec1.w": conv(c1, c2), "dec1.b": z(c1),
-            "dec2.w": conv(3, c1), "dec2.b": z(3),
-        }
+        params = {}
+        for name, shape in _param_shapes(self.c1, self.c2).items():
+            if name.endswith(".b"):
+                params[name] = np.zeros(shape, dtype=self.dtype)
+            else:
+                gain = 1.0 if name.startswith("attn.") else 2.0
+                params[name] = (rng.standard_normal(shape) * np.sqrt(gain / shape[1])).astype(self.dtype)
+        return params
 
     def attention_params(self) -> AttentionParams:
         p = self.params
@@ -259,10 +254,17 @@ class ToyUNet(Denoiser):
 
     @classmethod
     def load(cls, path) -> "ToyUNet":
+        """The net of a :meth:`save` checkpoint; a bad header or layer is a DataError."""
         arrays, header = read_checkpoint(path)
-        net = cls(params={k: v.astype(np.float32) for k, v in arrays.items()},
-                  seed=int(header.get("seed", 0)), c1=int(header["c1"]),
-                  c2=int(header["c2"]), heads=int(header["heads"]))
+        try:
+            net = cls(params={k: v.astype(np.float32) for k, v in arrays.items()},
+                      seed=int(header.get("seed", 0)), c1=int(header["c1"]),
+                      c2=int(header["c2"]), heads=int(header["heads"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}: bad ToyUNet header ({type(e).__name__}: {e})") from None
+        for name, shape in _param_shapes(net.c1, net.c2).items():
+            if name not in arrays or arrays[name].shape != shape:
+                raise DataError(f"{path}: layer {name!r} missing or not {list(shape)}")
         return net
 
 

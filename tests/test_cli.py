@@ -1,14 +1,16 @@
 """Command surface: subcommands, exit codes, and end-to-end flag
 semantics. Commands run in-process through main()."""
 
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epiview.cli import main
+from epiview.cli import _RUN_SETTINGS, _build_parser, main
 from epiview.fileio import read_f32, read_ppm
+from epiview.pipeline import GenerationConfig
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,24 @@ class TestSynth:
         for i in range(16):
             assert (first / f"{i:03d}.ppm").read_bytes() == (rerun / f"{i:03d}.ppm").read_bytes()
 
+    def test_manifest_rerun_reproduces_every_knob(self, tmp_path, traj_file, fixture_dir):
+        inputs = ["--input", str(fixture_dir / "views" / "000.ppm"), "--traj", str(traj_file),
+                  "--scene", str(fixture_dir)]
+        first = tmp_path / "first"
+        assert main(["synth", *inputs, "--backend", "analytic", "--steps", "6",
+                     "--sigma", "0.05", "--input-view", "3", "--alpha", "0.3",
+                     "--context", "1", "--inject-step", "2", "--sample-axis", "width",
+                     "--value-source", "raw_feature", "--seed", "5", "--out", str(first)]) == 0
+        rerun = tmp_path / "rerun"
+        assert main(["synth", *inputs, "--config", str(first / "manifest.json"),
+                     "--out", str(rerun)]) == 0
+        for i in range(16):
+            assert (first / f"{i:03d}.ppm").read_bytes() == (rerun / f"{i:03d}.ppm").read_bytes()
+        man_first, man_rerun = (json.loads((d / "manifest.json").read_text())
+                                for d in (first, rerun))
+        assert man_rerun["config"] == man_first["config"]
+        assert man_first["config"]["seed"] == 5 and man_first["config"]["context_views"] == 1
+
 
 class TestInvert:
     def test_blob_and_manifest(self, tmp_path, fixture_dir):
@@ -152,7 +172,7 @@ class TestTrainToy:
 class TestConfigPrecedence:
     def test_flags_beat_config_file(self, tmp_path, traj_file, fixture_dir):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": 0.3, "context": 1, "steps": 8,
+        cfg.write_text(json.dumps({"alpha": 0.3, "context_views": 1, "steps": 8,
                                    "mode": "epipolar", "backend": "analytic",
                                    "sigma": 0.05}))
         out = tmp_path / "run"
@@ -164,6 +184,16 @@ class TestConfigPrecedence:
         assert man["config"]["alpha"] == 0.7        # flag wins
         assert man["config"]["context_views"] == 1  # config file beats default
         assert man["steps"] == 8
+
+    def test_every_synth_flag_is_recorded_in_the_manifest(self):
+        """A synth flag is a GenerationConfig field, a run setting or an
+        input/output path, so no knob can bypass the manifest."""
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["synth"]._actions} - {"help"}
+        io = {"input", "traj", "scene", "ckpt", "input_cam", "input_view", "config", "out"}
+        allowed = set(GenerationConfig.__dataclass_fields__) | set(_RUN_SETTINGS) | io
+        assert dests <= allowed, dests - allowed
 
 
 class TestExitCodes:
@@ -202,9 +232,17 @@ class TestExitCodes:
         ("--input-view", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
                                                "--traj", str(tj), "--backend", "toyunet",
                                                "--input-view", "7", "--out", out]),
+        *[("--input-cam", lambda fx, tj, out, cam=cam: [
+            "synth", "--input", str(fx / "views" / "000.ppm"), "--traj", str(tj),
+            "--backend", "toyunet", "--input-cam", cam, "--out", out])
+          for cam in ['{', '{"elevation_deg": 100, "azimuth_deg": 0, "radius": 2}',
+                      '{"elevation_deg": 10}',
+                      '{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}']],
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
-            "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene"])
+            "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene",
+            "input-cam-not-json", "input-cam-elevation-100", "input-cam-missing-keys",
+            "input-cam-relative-pose"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
@@ -220,8 +258,21 @@ class TestExitCodes:
         ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [4, 4]}], "c1": 1}\n' + bytes(8)),
         ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
                       b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.1}]}'),
+        ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [1]}]}\n' + bytes(4)),
+        ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [1]}], "c1": 8, "c2": 16,'
+                     b' "heads": 2}\n' + bytes(4)),
+        ("bad.ckpt", b'{"layers": [{"name": "enc1.w", "shape": [8, 26]}], "c1": 8, "c2": 16,'
+                     b' "heads": 2}\n' + bytes(8 * 26 * 4)),
+        ("bad.json", b'{"views": ['),
+        ("bad.json", b'{"x": 1}'),
+        ("bad.json", b'{"views": [{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}]}'),
+        ("scene.json", b'{"spheres": ['),
+        ("cfg.json", b'{"config": 5}'),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
-            "ckpt-short-data", "traj-camera-inside-scene"])
+            "ckpt-short-data", "traj-camera-inside-scene", "ckpt-without-sizes",
+            "ckpt-without-layer", "ckpt-layer-misshapen", "traj-not-json", "traj-without-views",
+            "traj-view-not-a-camera", "scene-json-corrupt",
+            "config-not-an-object"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload = case
         bad = tmp_path / name
@@ -235,6 +286,13 @@ class TestExitCodes:
                          "--ckpt", str(bad), "--out", str(out)],
             "traj.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
                           "--traj", str(bad), "--scene", str(fixture_dir), "--out", str(out)],
+            "bad.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                         "--traj", str(bad), "--backend", "toyunet", "--out", str(out)],
+            "scene.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                           "--traj", str(traj_file), "--scene", str(tmp_path), "--out", str(out)],
+            "cfg.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                         "--traj", str(traj_file), "--backend", "toyunet",
+                         "--config", str(bad), "--out", str(out)],
         }[name]
         named = "trajectory view 1" if name == "traj.json" else str(bad)
         assert main(argv) == 3
