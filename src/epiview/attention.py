@@ -134,8 +134,10 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
 def _scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None):
     """Scaled dot-product logits of heads-major queries (h, ..., n, d)
     against keys (h, ..., m, d), and their softmax over the keys.
-    Returns (logits, weights), both (h, ..., n, m)."""
-    logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+    Returns (logits, weights), both (h, ..., n, m): the product is scaled
+    in place, and the softmax makes the one other full-size array."""
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits /= np.sqrt(q.shape[-1])
     weights, _ = masked_softmax(logits, mask)
     return logits, weights
 

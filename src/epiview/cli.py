@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,29 @@ def _write_csv(path, rows):
 
 # Run settings besides the GenerationConfig fields, whose defaults the dataclass holds.
 _RUN_SETTINGS = {"backend": "analytic", "steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0}
+# What a manifest records besides the settings; a config file may carry them.
+_MANIFEST_RECORDS = ("version", "schedule", "input_view", "intrinsics", "trajectory",
+                     "timings", "buffer_counters", "input", "scene")
+# The JSON values a setting's declared type accepts, and their name; a bool is
+# never a number.
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "float": ((int, float), "a number"), "tuple": (list, "a list of strings")}
+# The declared type of every setting, by name.
+_SETTING_TYPES = {**{k: type(v).__name__ for k, v in _RUN_SETTINGS.items()},
+                  **{f.name: f.type for f in fields(GenerationConfig)}}
+
+
+def _check_config(path, obj: dict) -> None:
+    """Reject a config file's unknown keys and wrong-typed settings."""
+    for key, value in obj.items():
+        if key in ("config", *_MANIFEST_RECORDS):
+            continue
+        if key not in _SETTING_TYPES:
+            raise DataError(f"{path}: unknown key {key!r}")
+        accepted, name = _JSON_TYPES[_SETTING_TYPES[key]]
+        if (isinstance(value, bool) or not isinstance(value, accepted)
+                or (isinstance(value, list) and not all(isinstance(x, str) for x in value))):
+            raise DataError(f"{path}: {key!r} must be {name}, got {value!r}")
 
 
 def _merged(args) -> tuple[dict, dict]:
@@ -72,10 +96,11 @@ def _merged(args) -> tuple[dict, dict]:
     nested = recorded.get("config", {})
     if not isinstance(nested, dict):
         raise DataError(f'{args.config}: "config" is not a JSON object')
+    _check_config(args.config, recorded)
+    _check_config(args.config, nested)
     flags = {k: v for k, v in vars(args).items() if v is not None}
     merged = {**_RUN_SETTINGS, **nested, **recorded, **flags}
-    keys = (*_RUN_SETTINGS, *GenerationConfig.__dataclass_fields__)
-    return {k: merged[k] for k in keys if k in merged}, recorded
+    return {k: merged[k] for k in _SETTING_TYPES if k in merged}, recorded
 
 
 def _schedule(steps: int) -> NoiseSchedule:

@@ -199,12 +199,24 @@ def write_fixture(out_dir, scene: Scene, cams: list[SphericalCamera],
     return views
 
 
+def _parse(parse, path):
+    """``parse`` applied to the JSON object in ``path``; a missing key or a
+    malformed value is a DataError naming the file."""
+    obj = read_json(path)
+    try:
+        return parse(obj)
+    except KeyError as e:
+        raise DataError(f"{path}: missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: {type(e).__name__}: {e}") from None
+
+
 def read_fixture(fixture_dir):
     """Load a fixture directory; views are re-rendered from the scene so
     depth/prim buffers are exact. Returns (scene, cams, K, views)."""
     fix = Path(fixture_dir)
-    scene = scene_from_json(read_json(fix / "scene.json"))
-    K = CameraIntrinsics(**read_json(fix / "cameras.json")["intrinsics"])
+    scene = _parse(scene_from_json, fix / "scene.json")
+    K = _parse(lambda obj: CameraIntrinsics(**obj["intrinsics"]), fix / "cameras.json")
     cams = read_trajectory(fix / "cameras.json")
     views = [render(scene, c, K) for c in cams]
     return scene, cams, K, views

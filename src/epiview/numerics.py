@@ -158,23 +158,23 @@ class BilinearPlan:
         """Sample an (H*W, C) raster-order grid at the planned positions.
 
         Returns (*valid.shape, C) float64 blends, zero outside the grid:
-        each tap pair becomes ``a * (1 - f) + b * f``, the operations (and
-        so the bits) of the four-neighbor formula wherever only two of its
-        weights are nonzero.
+        one take of every tap into a (T, M, C) array, whose tap pairs are
+        then blended in place as ``a * (1 - f) + b * f``, the operations
+        (and so the bits) of the four-neighbor formula wherever only two
+        of its weights are nonzero.
         """
         grid = np.asarray(grid, dtype=np.float64)
         if grid.ndim != 2 or grid.shape[0] != self.width * self.height:
             raise ValueError(f"plan expects a ({self.width * self.height}, C) grid, "
                              f"got shape {grid.shape}")
-        taps = [np.take(grid, i, axis=0) for i in self.index]
+        taps = np.take(grid, self.index, axis=0)
         for f in self.frac:
             f = f[:, None]
-            g = 1 - f
-            for a, b in zip(taps[0::2], taps[1::2]):   # fresh arrays from take
-                a *= g
-                b *= f
-                a += b
-            taps = taps[0::2]
+            a, b = taps[0::2], taps[1::2]
+            a *= 1 - f
+            b *= f
+            a += b
+            taps = a
         out = taps[0]
         out[~self.valid.ravel()] = 0.0
         return out.reshape(self.valid.shape + grid.shape[1:])
@@ -211,23 +211,27 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None, scale: float = 1
     entries sum to 1 and are invariant to adding a constant to all valid
     logits. ``mask=None`` is the plain softmax over every entry, with the
     same bytes as an all-True mask.
+
+    One full-size copy, ``logits * scale``, becomes the weights in place;
+    the caller's ``logits`` are never written to.
     """
-    logits = np.asarray(logits, dtype=np.float64) * scale
+    ex = np.asarray(logits, dtype=np.float64) * scale
     if mask is None:
-        has_valid = np.ones(np.delete(logits.shape, axis), dtype=bool)
-        neg = logits
+        has_valid = np.ones(np.delete(ex.shape, axis), dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
         has_valid = mask.any(axis=axis)
-        neg = np.where(mask, logits, -np.inf)
-    peak = np.max(neg, axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    ex = np.exp(neg - peak)
-    if mask is not None:
-        ex = np.where(mask, ex, 0.0)
+        np.copyto(ex, -np.inf, where=~mask)
+    peak = np.max(ex, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    ex -= peak
+    np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
     denom = ex.sum(axis=axis, keepdims=True)
-    weights = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
-    return weights, has_valid
+    live = denom > 0
+    np.divide(ex, denom, out=ex, where=live)
+    if not live.all():
+        np.copyto(ex, 0.0, where=~live)   # all-masked and NaN rows
+    return ex, has_valid
 
 
 def apply_linear(lin: LinearMap, fm: FeatureMap) -> FeatureMap:

@@ -296,3 +296,33 @@ class TestCounters:
         epipolar_attention(fm, project_context(fm, params), samples, params, counters)
         assert counters.peak_elems == 24 * 6
         assert counters.peak_elems <= 4 * 6 * max(4, 6)
+
+
+class TestSoftmaxHook:
+    """Every attention call reaches its softmax through the ``attention``
+    module's ``masked_softmax`` name, once: the name a tracer wraps to time
+    the layer, whose metrics would otherwise read 0."""
+
+    @pytest.mark.parametrize("call", ["self", "full", "epipolar"])
+    def test_one_softmax_per_attention_call(self, call, monkeypatch):
+        import epiview.attention as attention
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return masked_softmax(*args, **kwargs)
+
+        monkeypatch.setattr(attention, "masked_softmax", counting)
+        rng = np.random.default_rng(14)
+        fm = FeatureMap(rng.standard_normal((4, 5, 4)))
+        params = AttentionParams.seeded(4, 2, rng)
+        ctx = project_context(fm, params)
+        if call == "self":
+            self_attention(fm, params)
+        elif call == "full":
+            full_cross_attention(fm, ctx, params)
+        else:
+            samples = EpipolarSampleSet(uv=rng.uniform(0, 3, (20, 6, 2)),
+                                        valid=np.ones((20, 6), dtype=bool), width=5, height=4)
+            epipolar_attention(fm, ctx, samples, params)
+        assert len(calls) == 1

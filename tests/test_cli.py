@@ -268,15 +268,27 @@ class TestExitCodes:
         ("bad.json", b'{"views": [{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}]}'),
         ("scene.json", b'{"spheres": ['),
         ("cfg.json", b'{"config": 5}'),
+        ("cfg.json", b'{"context": 1}'),
+        ("cfg.json", b'{"config": {"alpha": 0.5, "contxt_views": 1}}'),
+        ("cfg.json", b'{"alpha": "x"}'),
+        ("cfg.json", b'{"steps": 5.5}'),
+        ("cfg.json", b'{"inject_layers": "mid"}'),
+        ("scene.json", b'{"x": 1}'),
+        ("cameras.json", b'{"views": []}'),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
             "ckpt-short-data", "traj-camera-inside-scene", "ckpt-without-sizes",
             "ckpt-without-layer", "ckpt-layer-misshapen", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
-            "config-not-an-object"])
+            "config-not-an-object", "config-unknown-key", "config-unknown-nested-key",
+            "config-alpha-not-a-number", "config-steps-not-an-int",
+            "config-inject-layers-not-a-list", "scene-json-without-primitives",
+            "cameras-json-without-intrinsics"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload = case
         bad = tmp_path / name
         bad.write_bytes(payload)
+        if name == "cameras.json":   # a fixture whose scene reads, but whose cameras do not
+            (tmp_path / "scene.json").write_bytes((fixture_dir / "scene.json").read_bytes())
         out = tmp_path / "out"
         argv = {
             "bad.ppm": ["synth", "--input", str(bad), "--traj", str(traj_file),
@@ -290,6 +302,9 @@ class TestExitCodes:
                          "--traj", str(bad), "--backend", "toyunet", "--out", str(out)],
             "scene.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
                            "--traj", str(traj_file), "--scene", str(tmp_path), "--out", str(out)],
+            "cameras.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                             "--traj", str(traj_file), "--scene", str(tmp_path),
+                             "--out", str(out)],
             "cfg.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
                          "--traj", str(traj_file), "--backend", "toyunet",
                          "--config", str(bad), "--out", str(out)],

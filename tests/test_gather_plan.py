@@ -1,6 +1,8 @@
 """Bilinear tap plans against a frozen copy of the four-neighbor
 bilinear sampler they replaced: byte-identical on epipolar sample grids
-(two taps), within 1e-12 on arbitrary positions (four taps)."""
+(two taps), within 1e-12 on arbitrary positions (four taps). The one-take
+gather against a frozen copy of the per-tap gather it replaced:
+byte-identical on both."""
 
 import numpy as np
 import pytest
@@ -46,6 +48,24 @@ def bilinear_oracle(fm: FeatureMap, uv: np.ndarray):
               + p10 * (1 - du_) * dv_ + p11 * du_ * dv_)
     values = np.where(valid[..., None], values, 0.0)
     return values, valid
+
+
+def gather_oracle(plan: BilinearPlan, grid: np.ndarray) -> np.ndarray:
+    """``BilinearPlan.gather`` as it was before the one take: a fresh array
+    per tap, blended pairwise. Kept verbatim as the oracle."""
+    grid = np.asarray(grid, dtype=np.float64)
+    taps = [np.take(grid, i, axis=0) for i in plan.index]
+    for f in plan.frac:
+        f = f[:, None]
+        g = 1 - f
+        for a, b in zip(taps[0::2], taps[1::2]):   # fresh arrays from take
+            a *= g
+            b *= f
+            a += b
+        taps = taps[0::2]
+    out = taps[0]
+    out[~plan.valid.ravel()] = 0.0
+    return out.reshape(plan.valid.shape + grid.shape[1:])
 
 
 def random_sample_sets(seed: int, count: int, width: int, height: int, axis: str):
@@ -141,3 +161,25 @@ def test_similarity_rejects_a_plan_of_another_sample_set():
     with pytest.raises(ValueError):
         epipolar_similarity(fm, ctx, samples, params,
                             plan=BilinearPlan.build(samples.uv[:, :3], 6, 6))
+
+
+@pytest.mark.parametrize("taps", [2, 4])
+def test_one_take_gather_is_byte_identical_to_the_per_tap_gather(taps):
+    rng = np.random.default_rng(taps)
+    width, height = 9, 6
+    uv = rng.uniform(-2.0, 10.0, (50, 7, 2))
+    if taps == 2:   # one integral coordinate per position, as on sample grids
+        on_u = rng.random((50, 7)) < 0.5
+        uv[..., 0] = np.where(on_u, np.round(uv[..., 0]), uv[..., 0])
+        uv[..., 1] = np.where(on_u, uv[..., 1], np.round(uv[..., 1]))
+    uv[0, :3] = [(width - 1, 2.5), (3.5, height - 1), (width - 1, height - 1)]   # clamps
+    plan = BilinearPlan.build(uv, width, height)
+    assert plan.index.shape[0] == taps
+    assert 0 < plan.valid.sum() < plan.valid.size   # out-of-grid positions included
+    grid = rng.standard_normal((width * height, 5))
+    kept = grid.copy()
+    got = plan.gather(grid)
+    assert grid.tobytes() == kept.tobytes()   # the input grid is not written
+    want = gather_oracle(plan, grid)
+    assert got.shape == want.shape == (50, 7, 5)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from epiview.attention import AttentionParams, full_similarity, project_context
 from epiview.numerics import (
     FeatureMap,
     LinearMap,
@@ -125,6 +126,90 @@ class TestMaskedSoftmax:
         w_ones, ok_ones = masked_softmax(logits, np.ones(shape, dtype=bool), scale=0.3)
         assert w_none.tobytes() == w_ones.tobytes()
         assert ok_none.shape == ok_ones.shape and ok_none.all()
+
+
+def softmax_oracle(logits, mask, scale=1.0, axis=-1):
+    """``masked_softmax`` as it was before it worked in place: a fresh
+    full-size array per step. Kept verbatim as the oracle."""
+    logits = np.asarray(logits, dtype=np.float64) * scale
+    if mask is None:
+        has_valid = np.ones(np.delete(logits.shape, axis), dtype=bool)
+        neg = logits
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        has_valid = mask.any(axis=axis)
+        neg = np.where(mask, logits, -np.inf)
+    peak = np.max(neg, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    ex = np.exp(neg - peak)
+    if mask is not None:
+        ex = np.where(mask, ex, 0.0)
+    denom = ex.sum(axis=axis, keepdims=True)
+    weights = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
+    return weights, has_valid
+
+
+def _special_rows(logits, mask):
+    """Rows 0-6 of (rows, S) copies made all-masked, +inf, all -inf, NaN
+    (seen and masked), +inf twice and -inf."""
+    logits, mask = logits.copy(), mask.copy()
+    mask[0] = False
+    logits[1, 0] = np.inf
+    logits[2, :] = -np.inf
+    logits[3, 1] = np.nan
+    logits[4, 2] = np.nan
+    mask[4, 2] = False
+    logits[5, 1:3] = np.inf
+    logits[6, 0] = -np.inf
+    return logits, mask
+
+
+def _softmax_cases():
+    rng = np.random.default_rng(11)
+    for shape, mask_shape in (((9,), (9,)), ((2, 256, 256), (2, 256, 256)),
+                              ((1, 40, 1, 17), (1, 40, 1, 17)),
+                              ((3, 40, 1, 17), (1, 40, 1, 17))):
+        logits = rng.standard_normal(shape) * 8.0
+        mask = rng.random(mask_shape) > 0.3
+        yield f"finite {shape}", logits, None
+        yield f"finite-masked {shape}", logits, mask
+        if len(shape) == 1:       # one special row per call
+            rows, row_masks = _special_rows(np.tile(logits, (7, 1)), np.tile(mask, (7, 1)))
+            for i in range(7):
+                yield f"special row {i}", rows[i], None
+                yield f"special-masked row {i}", rows[i], row_masks[i]
+            continue
+        flat = (-1, shape[-1])
+        special, special_mask = _special_rows(
+            logits.reshape(flat), np.broadcast_to(mask, shape).reshape(flat))
+        yield f"special {shape}", special.reshape(shape), None
+        yield f"special-masked {shape}", special.reshape(shape), special_mask.reshape(shape)
+
+
+class TestSoftmaxDualRoute:
+    """The in-place softmax against its out-of-place oracle, byte for byte."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_weights_and_has_valid_are_byte_identical(self, scale):
+        for name, logits, mask in _softmax_cases():
+            before = logits.tobytes()
+            with np.errstate(invalid="ignore"):   # inf - inf, inf / inf
+                w, ok = masked_softmax(logits, mask, scale=scale)
+                w_want, ok_want = softmax_oracle(logits, mask, scale=scale)
+            assert w.shape == w_want.shape and w.dtype == w_want.dtype, name
+            assert w.tobytes() == w_want.tobytes(), name
+            assert ok.shape == ok_want.shape and ok.tobytes() == ok_want.tobytes(), name
+            assert logits.tobytes() == before, f"{name}: the caller's logits were written"
+
+    def test_full_similarity_logits_do_not_alias_its_weights(self):
+        rng = np.random.default_rng(12)
+        fm = FeatureMap(rng.standard_normal((6, 5, 4)))
+        params = AttentionParams.seeded(4, 2, rng)
+        logits, weights = full_similarity(fm, project_context(fm, params), params)
+        kept = logits.copy()
+        assert not np.shares_memory(logits, weights)
+        weights[...] = -1.0
+        assert logits.tobytes() == kept.tobytes()
 
 
 class TestApplyLinear:
