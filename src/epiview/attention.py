@@ -57,10 +57,6 @@ class AttentionParams:
         if self.q_proj.out_dim % self.heads:
             raise ValueError("projection out-dim must divide evenly into heads")
 
-    @property
-    def head_dim(self) -> int:
-        return self.q_proj.out_dim // self.heads
-
     @classmethod
     def identity(cls, channels: int) -> "AttentionParams":
         eye = LinearMap.identity(channels)
@@ -246,10 +242,8 @@ def fuse(f_hat: FeatureMap, f_src_hat: FeatureMap, contributed: np.ndarray,
     """Convex blend ``alpha * retrieved + (1 - alpha) * original``.
 
     Pixels marked as no-contribution pass the original feature through
-    unchanged. ``alpha`` outside [0, 1] is an error.
+    unchanged. ``alpha`` lies in [0, 1], as ``GenerationConfig`` checks.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if f_hat.data.shape != f_src_hat.data.shape:
         raise ValueError("fused maps must share a shape")
     if alpha == 0.0:

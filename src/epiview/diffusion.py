@@ -138,8 +138,6 @@ def forward_diffuse(x0: LatentImage, t: int, z: np.ndarray, sched: NoiseSchedule
 def x0_from_eps(x_t: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Clean-image estimate implied by a noise prediction."""
     a = sched.alphas[t]
-    if a == 0:
-        raise ZeroDivisionError("alpha_t must be positive")
     return (np.asarray(x_t, dtype=np.float64) - np.sqrt(1.0 - a) * np.asarray(eps, dtype=np.float64)) / np.sqrt(a)
 
 
@@ -206,8 +204,6 @@ class OracleDenoiser(Denoiser):
     in isolation. Exposes no attention stages.
     """
 
-    layers = ()
-
     def __init__(self, targets: dict):
         # targets are held at float32 precision so the feature-map view of
         # the estimate is lossless
@@ -224,13 +220,13 @@ class OracleDenoiser(Denoiser):
         return eps_from_x0(x_t, self.target_for(cond), t, sched)
 
 
-class AnalyticAttentionDenoiser(Denoiser):
+class AnalyticAttentionDenoiser(OracleDenoiser):
     """Oracle-style backend with per-view perturbed targets and a single
     pass-through attention stage.
 
     Each view's target is the ground-truth image plus seeded Gaussian
-    noise of scale ``sigma`` (the reference branch stays clean by
-    default). The exposed stage's feature map is the current clean-image
+    noise of scale ``sigma``; the reference branch (view key None) stays
+    clean. The exposed stage's feature map is the current clean-image
     estimate with identity projections, so injecting retrieved features
     directly mixes corresponding pixel estimates across views and the
     consistency effect becomes measurable.
@@ -238,26 +234,21 @@ class AnalyticAttentionDenoiser(Denoiser):
 
     layers = ("stage0",)
 
-    def __init__(self, targets: dict, sigma: float = 0.0, seed: int = 0,
-                 perturb_reference: bool = False):
+    def __init__(self, targets: dict, sigma: float = 0.0, seed: int = 0):
+        super().__init__(targets)
         self.sigma = float(sigma)
         self.seed = int(seed)
-        self._clean = {k: np.asarray(v, dtype=np.float32).astype(np.float64)
-                       for k, v in targets.items()}
         self._perturbed: dict = {}
-        self._perturb_reference = perturb_reference
 
     def target_for(self, cond: Condition) -> np.ndarray:
+        clean = super().target_for(cond)
         key = cond.view_key
-        if key not in self._clean:
-            raise KeyError(f"no target image for view key {key!r}")
-        clean = self._clean[key]
-        if self.sigma == 0.0 or (key is None and not self._perturb_reference):
+        if self.sigma == 0.0 or key is None:
             return clean
         if key not in self._perturbed:
             # noise keyed by (seed, view) so permuting future views cannot
             # change earlier ones
-            rng = np.random.default_rng([self.seed, 7001 + (0 if key is None else int(key))])
+            rng = np.random.default_rng([self.seed, 7001 + int(key)])
             y = clean + self.sigma * rng.standard_normal(clean.shape)
             self._perturbed[key] = y.astype(np.float32).astype(np.float64)
         return self._perturbed[key]

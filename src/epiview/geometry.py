@@ -166,10 +166,6 @@ class RelativePose:
     def inverse(self) -> "RelativePose":
         return RelativePose(R=self.R.T, t=-self.R.T @ self.t)
 
-    def compose(self, other: "RelativePose") -> "RelativePose":
-        """self . other : apply ``other`` first, then ``self``."""
-        return RelativePose(R=self.R @ other.R, t=self.R @ other.t + self.t)
-
     def baseline(self) -> float:
         return float(np.linalg.norm(self.t))
 

@@ -153,13 +153,6 @@ def localization_accuracy(argmax_uv: np.ndarray, gt_uv: np.ndarray,
     return float(np.mean(d <= k))
 
 
-def _argmax_lowest_index(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Argmax over the sample axis with masked entries excluded; exact
-    ties resolve to the lowest sample index (np.argmax semantics)."""
-    masked = np.where(valid, logits, -np.inf)
-    return np.argmax(masked, axis=-1)
-
-
 def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedView,
                        feature_size: int = 24, k: float = 1.0,
                        sample_axis: str = "dominant", feature_source: str = "positional"):
@@ -202,7 +195,8 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
     pose = relative_pose(view_ref.extrinsics, view_tgt.extrinsics)
     samples = epipolar_sample_grid(pose, k_feat, wf, hf, sample_axis)
     logits_e, _, _, valid_e = epipolar_similarity(f_tgt, ctx, samples, params)
-    best = _argmax_lowest_index(logits_e[0], valid_e)
+    # invalid slots excluded; exact ties go to the lowest sample index
+    best = np.argmax(np.where(valid_e, logits_e[0], -np.inf), axis=-1)
     epi_uv = samples.uv[np.arange(wf * hf), best]
     usable = valid_e.any(axis=1)[queries]
     epi_acc = localization_accuracy(epi_uv[queries][usable], gt_feat[queries][usable], k)

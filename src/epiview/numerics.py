@@ -206,11 +206,12 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None, scale: float = 1
                    axis: int = -1):
     """Numerically stable softmax over the valid entries of ``logits``.
 
-    Masked entries get weight 0; rows with no valid entry come back
-    all-zero with ``has_valid`` False (no NaNs). Weights over valid
-    entries sum to 1 and are invariant to adding a constant to all valid
-    logits. ``mask=None`` is the plain softmax over every entry, with the
-    same bytes as an all-True mask.
+    Valid logits must be finite (a valid ``+inf`` gives NaN weights);
+    masked entries may hold anything. Masked entries get weight 0; rows
+    with no valid entry come back all-zero with ``has_valid`` False (no
+    NaNs). Weights over valid entries sum to 1 and are invariant to adding
+    a constant to all valid logits. ``mask=None`` is the plain softmax
+    over every entry, with the same bytes as an all-True mask.
 
     One full-size copy, ``logits * scale``, becomes the weights in place;
     the caller's ``logits`` are never written to.

@@ -171,8 +171,11 @@ class TrajectorySynthesizer:
         self._ref_image: np.ndarray | None = None
         self._input_cache: ViewCache | None = None
         self._dup_params: dict = {}
-        layers = tuple(config.inject_layers) or tuple(denoiser.layers)
-        self.inject_layers = tuple(l for l in layers if l in denoiser.layers)
+        self.inject_layers = tuple(config.inject_layers) or tuple(denoiser.layers)
+        unknown = [l for l in self.inject_layers if l not in denoiser.layers]
+        if unknown:
+            raise DataError(f"inject_layers {unknown} are not layers of the backend, "
+                            f"which has {list(denoiser.layers)}")
 
     # --- stage plumbing -------------------------------------------------
 
@@ -190,41 +193,6 @@ class TrajectorySynthesizer:
         samples = epipolar_sample_grid(pose, k_feat, width, height, self.config.sample_axis)
         return samples, BilinearPlan.build(samples.uv, width, height)
 
-    def _stage_callback(self, cam: SphericalCamera, own_cache: ViewCache | None,
-                        context: list):
-        """Build the per-branch callback that caches features and, when
-        context views are present, injects retrieved ones."""
-        cfg = self.config
-        pairs: dict = {}   # (context camera, w, h) -> (samples, plan), dies with the view
-
-        def cb(step_idx: int, stage):
-            if stage.layer not in self.inject_layers:
-                return None
-            if step_idx < cfg.inject_after_step:
-                return None
-            dup = self._duplicated(stage.layer, stage.params)
-            if own_cache is not None:
-                own_cache.put(step_idx, stage.layer,
-                              project_context(stage.feature, dup, cfg.value_source))
-            if not context:
-                return None
-            outs = []
-            for vc in context:
-                entry = vc.get(step_idx, stage.layer)
-                if cfg.mode == "epipolar":
-                    key = (vc.camera, stage.feature.width, stage.feature.height)
-                    if key not in pairs:
-                        pairs[key] = self._pair_geometry(vc.camera, cam, *key[1:])
-                    samples, plan = pairs[key]
-                    outs.append(epipolar_attention(stage.feature, entry, samples, dup,
-                                                   self.counters, plan=plan))
-                else:
-                    outs.append(full_cross_attention(stage.feature, entry, dup, self.counters))
-            agg, contributed = multi_view_aggregate(outs)
-            return fuse(stage.baseline, agg, contributed, cfg.alpha)
-
-        return cb
-
     # --- the run ---------------------------------------------------------
 
     def invert_input(self) -> LatentImage:
@@ -235,21 +203,51 @@ class TrajectorySynthesizer:
                                       Condition.reference(self.input_image), self.sched)
         return self._x_ref
 
+    def _branch(self, cam: SphericalCamera, key, cond: Condition, context: list):
+        """One DDIM run from the shared noise. At every injected (step,
+        layer) its stage callback caches the branch's own features and,
+        given context views, fuses in the features retrieved from them.
+        Returns the image and the frozen cache."""
+        cfg = self.config
+        cache = ViewCache(key=key, camera=cam)
+        pairs: dict = {}   # (context camera, w, h) -> (samples, plan), dies with the view
+
+        def cb(step_idx: int, stage):
+            if stage.layer not in self.inject_layers:
+                return None
+            if step_idx < cfg.inject_after_step:
+                return None
+            dup = self._duplicated(stage.layer, stage.params)
+            cache.put(step_idx, stage.layer, project_context(stage.feature, dup, cfg.value_source))
+            if not context:
+                return None
+            outs = []
+            for vc in context:
+                entry = vc.get(step_idx, stage.layer)
+                if cfg.mode == "epipolar":
+                    pair = (vc.camera, stage.feature.width, stage.feature.height)
+                    if pair not in pairs:
+                        pairs[pair] = self._pair_geometry(vc.camera, cam, *pair[1:])
+                    samples, plan = pairs[pair]
+                    outs.append(epipolar_attention(stage.feature, entry, samples, dup,
+                                                   self.counters, plan=plan))
+                else:
+                    outs.append(full_cross_attention(stage.feature, entry, dup, self.counters))
+            agg, contributed = multi_view_aggregate(outs)
+            return fuse(stage.baseline, agg, contributed, cfg.alpha)
+
+        injects = cfg.mode != "off" and self.inject_layers
+        out = ddim_sample(self.invert_input(), self.denoiser, cond, self.sched,
+                          stage_cb=cb if injects else None)
+        cache.frozen = True
+        return out.data, cache
+
     def reference_branch(self):
         """Reconstruct the input view from the shared noise, caching its
         features for retrieval. Never injected into."""
         if self._input_cache is None:
-            x_ref = self.invert_input()
-            cache = ViewCache(key=INPUT_VIEW, camera=self.input_cam)
-            cb = None
-            if self.config.mode != "off" and self.inject_layers:
-                cb = self._stage_callback(self.input_cam, cache, [])
-            out = ddim_sample(x_ref, self.denoiser,
-                              Condition.reference(self.input_image),
-                              self.sched, stage_cb=cb)
-            cache.frozen = True
-            self._ref_image = out.data
-            self._input_cache = cache
+            self._ref_image, self._input_cache = self._branch(
+                self.input_cam, INPUT_VIEW, Condition.reference(self.input_image), [])
         return self._ref_image, self._input_cache
 
     def synthesize_view(self, target_cam: SphericalCamera, view_index: int):
@@ -264,18 +262,12 @@ class TrajectorySynthesizer:
             d_spherical=_spherical_delta(self.input_cam, target_cam),
             view_key=view_index,
         )
-        cache = ViewCache(key=view_index, camera=target_cam)
-        cb = None
-        if self.config.mode != "off" and self.inject_layers:
-            context = select_context_views(target_cam, self.generated,
-                                           input_cache, self.config.context_views)
-            cb = self._stage_callback(target_cam, cache, context)
-        out = ddim_sample(self.invert_input(), self.denoiser, cond,
-                          self.sched, stage_cb=cb)
-        cache.frozen = True
+        context = select_context_views(target_cam, self.generated, input_cache,
+                                       self.config.context_views)
+        image, cache = self._branch(target_cam, view_index, cond, context)
         self.generated.append(cache)
         self.timings.append({"view": view_index, "seconds": time.perf_counter() - t0})
-        return out.data, cache
+        return image, cache
 
     def synthesize_trajectory(self, cams: list):
         """Generate every view of a trajectory in order; returns the image

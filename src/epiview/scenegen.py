@@ -167,6 +167,13 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def _satellite_center(rng: np.random.Generator) -> np.ndarray:
+    """Center of a satellite sphere at radius 0.82, drawn as azimuth then elevation."""
+    az = rng.uniform(0, 2 * math.pi)
+    el = rng.uniform(-0.4, 0.7)
+    return 0.82 * np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
+
+
 def make_scene(seed: int, mode: str = "distinctive", n_patches: int = 24) -> Scene:
     """Build a random scene.
 
@@ -182,12 +189,8 @@ def make_scene(seed: int, mode: str = "distinctive", n_patches: int = 24) -> Sce
         colors = _equal_norm_colors(rng, 3)
         prims.append(PaintedBall(center=np.zeros(3), radius=0.7, shading="normal"))
         for k in range(3):
-            az = rng.uniform(0, 2 * math.pi)
-            el = rng.uniform(-0.4, 0.7)
-            c = 0.82 * np.array([math.cos(el) * math.cos(az),
-                                 math.cos(el) * math.sin(az), math.sin(el)])
-            prims.append(Sphere(center=c, radius=float(rng.uniform(0.08, 0.11)),
-                                color=colors[k]))
+            prims.append(Sphere(center=_satellite_center(rng),
+                                radius=float(rng.uniform(0.08, 0.11)), color=colors[k]))
     elif mode == "plain":
         # flat fills and a deliberately narrow palette: exact-zero
         # self-consistency, ambiguous matching
@@ -198,11 +201,8 @@ def make_scene(seed: int, mode: str = "distinctive", n_patches: int = 24) -> Sce
                                  colors=np.clip(base + jitter, 0.0, 1.0),
                                  shading="voronoi"))
         for k in range(2):
-            az = rng.uniform(0, 2 * math.pi)
-            el = rng.uniform(-0.4, 0.7)
-            c = 0.82 * np.array([math.cos(el) * math.cos(az),
-                                 math.cos(el) * math.sin(az), math.sin(el)])
-            prims.append(Sphere(center=c, radius=float(rng.uniform(0.09, 0.12)),
+            prims.append(Sphere(center=_satellite_center(rng),
+                                radius=float(rng.uniform(0.09, 0.12)),
                                 color=np.clip(base + rng.uniform(-0.06, 0.06, 3), 0, 1)))
     else:
         raise ValueError(f"unknown scene mode {mode!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttentionParams, self_attention
+from .attention import AttentionParams, _heads, _scores, self_attention
 from .diffusion import AttentionStage, Condition, Denoiser, NoiseSchedule
 from .errors import DataError
 from .fileio import read_checkpoint, write_checkpoint
@@ -88,12 +88,6 @@ def _upsample2_back(dy):
     return dy.reshape(h // 2, 2, w // 2, 2, c).sum(axis=(1, 3))
 
 
-def _softmax_rows(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class ToyUNet(Denoiser):
     """Two conv stages down, attention at the bottleneck, two stages up."""
 
@@ -133,18 +127,31 @@ class ToyUNet(Denoiser):
                             de / 90.0, da / 180.0, dr], dtype=np.float64)
         return _sinusoidal(scalars, self.c2).astype(self.dtype)
 
-    # inference path -----------------------------------------------------
+    # forward stages, shared by inference and training -------------------
+
+    def _encode(self, x, t, cond, sched):
+        """Two conv stages down plus the embedding: the bottleneck map and
+        the activations :meth:`backward` reads."""
+        p = self.params
+        a1, cols1 = _conv(x, p["enc1.w"], p["enc1.b"], 1)
+        h1 = np.maximum(a1, 0)
+        a2, cols2 = _conv(h1, p["enc2.w"], p["enc2.b"], 2)
+        hb = np.maximum(a2, 0) + self._embedding(t, cond, sched)
+        return hb, dict(x=x, a1=a1, cols1=cols1, h1=h1, a2=a2, cols2=cols2)
+
+    def _decode(self, h3):
+        """Upsample and two conv stages: the output and the activations
+        :meth:`backward` reads."""
+        p = self.params
+        up = _upsample2(h3)
+        a3, cols3 = _conv(up, p["dec1.w"], p["dec1.b"], 1)
+        u1 = np.maximum(a3, 0)
+        out, cols4 = _conv(u1, p["dec2.w"], p["dec2.b"], 1)
+        return out, dict(up=up, a3=a3, cols3=cols3, u1=u1, cols4=cols4)
 
     def predict(self, x_t, t, cond, sched, stage_cb=None):
-        p = self.params
-        x = np.asarray(x_t, dtype=self.dtype)
-        h1, _ = _conv(x, p["enc1.w"], p["enc1.b"], 1)
-        h1 = np.maximum(h1, 0)
-        h2, _ = _conv(h1, p["enc2.w"], p["enc2.b"], 2)
-        h2 = np.maximum(h2, 0)
-        h2 = h2 + self._embedding(t, cond, sched)
-
-        fm = FeatureMap(h2)
+        hb = self._encode(np.asarray(x_t, dtype=self.dtype), t, cond, sched)[0]
+        fm = FeatureMap(hb)
         attn_params = self.attention_params()
         attn_out = self_attention(fm, attn_params)
         if stage_cb is not None:
@@ -152,49 +159,22 @@ class ToyUNet(Denoiser):
                                                   params=attn_params, baseline=attn_out))
             if replacement is not None:
                 attn_out = replacement
-        h3 = h2 + attn_out.data.astype(self.dtype)
-
-        u1, _ = _conv(_upsample2(h3), p["dec1.w"], p["dec1.b"], 1)
-        u1 = np.maximum(u1, 0)
-        out, _ = _conv(u1, p["dec2.w"], p["dec2.b"], 1)
-        return out.astype(np.float64)
+        return self._decode(hb + attn_out.data.astype(self.dtype))[0].astype(np.float64)
 
     # training path (explicit gradients) ---------------------------------
 
     def forward_train(self, x, t, cond, sched):
-        """Forward pass that keeps every activation needed for backward."""
+        """Forward pass that keeps every activation needed for backward.
+        The attention runs on the library's core, in float64."""
         p = self.params
-        cache: dict = {"x": x}
-        a1, cols1 = _conv(x, p["enc1.w"], p["enc1.b"], 1)
-        h1 = np.maximum(a1, 0)
-        a2, cols2 = _conv(h1, p["enc2.w"], p["enc2.b"], 2)
-        h2 = np.maximum(a2, 0)
-        emb = self._embedding(t, cond, sched)
-        hb = h2 + emb
-
-        hh, ww, c = hb.shape
-        n, hd = hh * ww, c // self.heads
-        flat = hb.reshape(n, c)
-        q = flat @ p["attn.q.w"].T + p["attn.q.b"]
-        k = flat @ p["attn.k.w"].T + p["attn.k.b"]
-        v = flat @ p["attn.v.w"].T + p["attn.v.b"]
-        qh = q.reshape(n, self.heads, hd).transpose(1, 0, 2)
-        kh = k.reshape(n, self.heads, hd).transpose(1, 0, 2)
-        vh = v.reshape(n, self.heads, hd).transpose(1, 0, 2)
-        logits = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
-        attn = _softmax_rows(logits)
-        mixed = (attn @ vh).transpose(1, 0, 2).reshape(n, c)
-        attn_out = mixed @ p["attn.o.w"].T + p["attn.o.b"]
-        h3 = hb + attn_out.reshape(hh, ww, c)
-
-        up = _upsample2(h3)
-        a3, cols3 = _conv(up, p["dec1.w"], p["dec1.b"], 1)
-        u1 = np.maximum(a3, 0)
-        out, cols4 = _conv(u1, p["dec2.w"], p["dec2.b"], 1)
-
-        cache.update(a1=a1, cols1=cols1, h1=h1, a2=a2, cols2=cols2, hb=hb,
-                     q=qh, k=kh, v=vh, attn=attn, mixed=mixed, flat=flat,
-                     up=up, a3=a3, cols3=cols3, u1=u1, cols4=cols4)
+        hb, cache = self._encode(x, t, cond, sched)
+        n = hb.shape[0] * hb.shape[1]
+        flat = hb.reshape(n, -1)
+        q, k, v = (_heads(flat @ p[f"attn.{s}.w"].T + p[f"attn.{s}.b"], self.heads) for s in "qkv")
+        attn = _scores(q, k)[1]
+        mixed = np.moveaxis(attn @ v, 0, -2).reshape(n, -1)
+        out, dec = self._decode(hb + (mixed @ p["attn.o.w"].T + p["attn.o.b"]).reshape(hb.shape))
+        cache.update(dec, flat=flat, q=q, k=k, v=v, attn=attn, mixed=mixed)
         return out, cache
 
     def backward(self, cache: dict, dout: np.ndarray) -> dict:
@@ -210,32 +190,25 @@ class ToyUNet(Denoiser):
         dh3 = _upsample2_back(dup)
 
         hh, ww, c = dh3.shape
-        n, hd = hh * ww, c // self.heads
+        n = hh * ww
         dattn_out = dh3.reshape(n, c)
-        dhb = dh3.copy()
-
         g["attn.o.w"] = dattn_out.T @ cache["mixed"]
         g["attn.o.b"] = dattn_out.sum(axis=0)
-        dmixed = (dattn_out @ p["attn.o.w"]).reshape(n, self.heads, hd).transpose(1, 0, 2)
+        dmixed = _heads(dattn_out @ p["attn.o.w"], self.heads)
         attn, qh, kh, vh = cache["attn"], cache["q"], cache["k"], cache["v"]
         dattn = dmixed @ vh.transpose(0, 2, 1)
         dvh = attn.transpose(0, 2, 1) @ dmixed
         dlogits = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dqh = dlogits @ kh / np.sqrt(hd)
-        dkh = dlogits.transpose(0, 2, 1) @ qh / np.sqrt(hd)
+        dqh = dlogits @ kh / np.sqrt(qh.shape[-1])
+        dkh = dlogits.transpose(0, 2, 1) @ qh / np.sqrt(qh.shape[-1])
 
-        flat = cache["flat"]
-        dq = dqh.transpose(1, 0, 2).reshape(n, c)
-        dk = dkh.transpose(1, 0, 2).reshape(n, c)
-        dv = dvh.transpose(1, 0, 2).reshape(n, c)
-        g["attn.q.w"] = dq.T @ flat
-        g["attn.q.b"] = dq.sum(axis=0)
-        g["attn.k.w"] = dk.T @ flat
-        g["attn.k.b"] = dk.sum(axis=0)
-        g["attn.v.w"] = dv.T @ flat
-        g["attn.v.b"] = dv.sum(axis=0)
-        dflat = dq @ p["attn.q.w"] + dk @ p["attn.k.w"] + dv @ p["attn.v.w"]
-        dhb += dflat.reshape(hh, ww, c)
+        dflat = 0.0
+        for s, dh in zip("qkv", (dqh, dkh, dvh)):
+            d = np.moveaxis(dh, 0, -2).reshape(n, c)
+            g[f"attn.{s}.w"] = d.T @ cache["flat"]
+            g[f"attn.{s}.b"] = d.sum(axis=0)
+            dflat = dflat + d @ p[f"attn.{s}.w"]
+        dhb = dh3 + dflat.reshape(hh, ww, c)
 
         dh2 = dhb * (cache["a2"] > 0)
         dh1, g["enc2.w"], g["enc2.b"] = _conv_back(dh2, cache["cols2"], p["enc2.w"],

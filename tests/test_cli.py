@@ -257,7 +257,8 @@ class TestExitCodes:
         ("bad.ckpt", b"{not json\n" + bytes(16)),
         ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [4, 4]}], "c1": 1}\n' + bytes(8)),
         ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
-                      b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.1}]}'),
+                      b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.1}]}',
+         "trajectory view 1"),
         ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [1]}]}\n' + bytes(4)),
         ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [1]}], "c1": 8, "c2": 16,'
                      b' "heads": 2}\n' + bytes(4)),
@@ -273,6 +274,7 @@ class TestExitCodes:
         ("cfg.json", b'{"alpha": "x"}'),
         ("cfg.json", b'{"steps": 5.5}'),
         ("cfg.json", b'{"inject_layers": "mid"}'),
+        ("cfg.json", b'{"inject_layers": ["stage1"]}', "'stage1'"),
         ("scene.json", b'{"x": 1}'),
         ("cameras.json", b'{"views": []}'),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
@@ -281,10 +283,11 @@ class TestExitCodes:
             "traj-view-not-a-camera", "scene-json-corrupt",
             "config-not-an-object", "config-unknown-key", "config-unknown-nested-key",
             "config-alpha-not-a-number", "config-steps-not-an-int",
-            "config-inject-layers-not-a-list", "scene-json-without-primitives",
+            "config-inject-layers-not-a-list", "config-inject-layer-unknown",
+            "scene-json-without-primitives",
             "cameras-json-without-intrinsics"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
-        name, payload = case
+        name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
         bad.write_bytes(payload)
         if name == "cameras.json":   # a fixture whose scene reads, but whose cameras do not
@@ -309,7 +312,7 @@ class TestExitCodes:
                          "--traj", str(traj_file), "--backend", "toyunet",
                          "--config", str(bad), "--out", str(out)],
         }[name]
-        named = "trajectory view 1" if name == "traj.json" else str(bad)
+        named = named[0] if named else str(bad)
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: 3 ") and named in err and err.count("\n") == 1

@@ -102,9 +102,10 @@ class TestRelativePose:
         rng = np.random.default_rng(4)
         for _ in range(100):
             _, _, pose = random_pose_pair(rng)
-            back = pose.inverse().compose(pose)
-            np.testing.assert_allclose(back.R, np.eye(3), atol=1e-9)
-            np.testing.assert_allclose(back.t, 0, atol=1e-9)
+            inv = pose.inverse()
+            # inverse after pose: R_inv R and R_inv t + t_inv
+            np.testing.assert_allclose(inv.R @ pose.R, np.eye(3), atol=1e-9)
+            np.testing.assert_allclose(inv.R @ pose.t + inv.t, 0, atol=1e-9)
 
     def test_matches_direct_world_transform(self):
         rng = np.random.default_rng(5)

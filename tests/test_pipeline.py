@@ -111,6 +111,14 @@ class TestDisablingSemantics:
         with pytest.raises(DataError):
             GenerationConfig(context_views=-1)
 
+    def test_unknown_inject_layer_rejected(self, setup, intrinsics32):
+        _, input_cam, _, input_image, targets, _ = setup
+        cfg = GenerationConfig(inject_layers=("stage0", "stage1"))
+        with pytest.raises(DataError, match=r"\['stage1'\].*\['stage0'\]"):
+            TrajectorySynthesizer(input_image, input_cam, intrinsics32,
+                                  AnalyticAttentionDenoiser(targets), NoiseSchedule.linear_beta(4),
+                                  cfg)
+
 
 class TestCausality:
     def test_permuting_later_poses_keeps_earlier_views(self, setup, intrinsics32):

@@ -1,15 +1,124 @@
-"""Toy UNet: analytic gradients against finite differences, trainer
-smoke, and checkpoint persistence."""
+"""Toy UNet: analytic gradients against finite differences, the shared
+forward stages against frozen copies of the two hand-written forwards,
+trainer smoke, and checkpoint persistence."""
 
 import numpy as np
+import pytest
 
-from epiview.diffusion import Condition, NoiseSchedule
+from epiview.attention import self_attention
+from epiview.diffusion import AttentionStage, Condition, NoiseSchedule
+from epiview.numerics import FeatureMap
 from epiview.scenegen import make_scene, make_trajectory, render
-from epiview.toyunet import ToyUNet, train_overfit
+from epiview.toyunet import ToyUNet, _conv, _upsample2, train_overfit
 
 
 def tiny_net(seed=0):
     return ToyUNet(seed=seed, c1=4, c2=6, heads=2, dtype=np.float64)
+
+
+# --- oracles: the inference and training forwards as each was written out
+# in full before they shared one encoder, decoder and attention core
+
+
+def _softmax_rows(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def oracle_predict(self, x_t, t, cond, sched, stage_cb=None):
+    p = self.params
+    x = np.asarray(x_t, dtype=self.dtype)
+    h1, _ = _conv(x, p["enc1.w"], p["enc1.b"], 1)
+    h1 = np.maximum(h1, 0)
+    h2, _ = _conv(h1, p["enc2.w"], p["enc2.b"], 2)
+    h2 = np.maximum(h2, 0)
+    h2 = h2 + self._embedding(t, cond, sched)
+
+    fm = FeatureMap(h2)
+    attn_params = self.attention_params()
+    attn_out = self_attention(fm, attn_params)
+    if stage_cb is not None:
+        replacement = stage_cb(AttentionStage(layer="bottleneck", feature=fm,
+                                              params=attn_params, baseline=attn_out))
+        if replacement is not None:
+            attn_out = replacement
+    h3 = h2 + attn_out.data.astype(self.dtype)
+
+    u1, _ = _conv(_upsample2(h3), p["dec1.w"], p["dec1.b"], 1)
+    u1 = np.maximum(u1, 0)
+    out, _ = _conv(u1, p["dec2.w"], p["dec2.b"], 1)
+    return out.astype(np.float64)
+
+
+def oracle_forward_train(self, x, t, cond, sched):
+    p = self.params
+    cache: dict = {"x": x}
+    a1, cols1 = _conv(x, p["enc1.w"], p["enc1.b"], 1)
+    h1 = np.maximum(a1, 0)
+    a2, cols2 = _conv(h1, p["enc2.w"], p["enc2.b"], 2)
+    h2 = np.maximum(a2, 0)
+    emb = self._embedding(t, cond, sched)
+    hb = h2 + emb
+
+    hh, ww, c = hb.shape
+    n, hd = hh * ww, c // self.heads
+    flat = hb.reshape(n, c)
+    q = flat @ p["attn.q.w"].T + p["attn.q.b"]
+    k = flat @ p["attn.k.w"].T + p["attn.k.b"]
+    v = flat @ p["attn.v.w"].T + p["attn.v.b"]
+    qh = q.reshape(n, self.heads, hd).transpose(1, 0, 2)
+    kh = k.reshape(n, self.heads, hd).transpose(1, 0, 2)
+    vh = v.reshape(n, self.heads, hd).transpose(1, 0, 2)
+    logits = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
+    attn = _softmax_rows(logits)
+    mixed = (attn @ vh).transpose(1, 0, 2).reshape(n, c)
+    attn_out = mixed @ p["attn.o.w"].T + p["attn.o.b"]
+    h3 = hb + attn_out.reshape(hh, ww, c)
+
+    up = _upsample2(h3)
+    a3, cols3 = _conv(up, p["dec1.w"], p["dec1.b"], 1)
+    u1 = np.maximum(a3, 0)
+    out, cols4 = _conv(u1, p["dec2.w"], p["dec2.b"], 1)
+
+    cache.update(a1=a1, cols1=cols1, h1=h1, a2=a2, cols2=cols2, hb=hb,
+                 q=qh, k=kh, v=vh, attn=attn, mixed=mixed, flat=flat,
+                 up=up, a3=a3, cols3=cols3, u1=u1, cols4=cols4)
+    return out, cache
+
+
+class TestSharedForwardDualRoute:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_predict_is_byte_identical_to_the_oracle(self, seed, replace):
+        net = ToyUNet(seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((32, 32, 3))
+        sched = NoiseSchedule.linear_beta(10)
+        cond = Condition.reference()
+
+        def cb(stage):   # a replacement that is not the baseline, so it must reach the decoder
+            return FeatureMap(stage.baseline.data * 0.5 + stage.feature.data) if replace else None
+
+        for t in (1, 7):
+            want = oracle_predict(net, x, t, cond, sched, stage_cb=cb)
+            got = net.predict(x, t, cond, sched, stage_cb=cb)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("net,atol", [(tiny_net(3), 1e-12),
+                                          (ToyUNet(seed=3, c1=4, c2=6, heads=2), 1e-5)],
+                             ids=["float64", "float32"])
+    def test_forward_train_and_cache_match_the_oracle(self, net, atol):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((8, 8, 3)).astype(net.dtype)
+        sched = NoiseSchedule.linear_beta(8)
+        cond = Condition(rel_pose=Condition.reference().rel_pose, d_spherical=(10.0, -30.0, 0.1))
+        want, want_cache = oracle_forward_train(net, x, 5, cond, sched)
+        got, cache = net.forward_train(x, 5, cond, sched)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        assert set(cache) == set(want_cache) - {"hb"}
+        for key, value in cache.items():
+            np.testing.assert_allclose(value, want_cache[key], rtol=0, atol=atol, err_msg=key)
 
 
 class TestGradients:
