@@ -46,7 +46,7 @@ ctx = project_context(f_ref, params)
 
 everything = EpipolarSampleSet.full_grid(8, 8, 64)
 out_epi, _ = epipolar_attention(f_tgt, ctx, everything, duplicate_params(params))
-out_full, _ = full_cross_attention(f_tgt, ctx, params)
+out_full, _ = full_cross_attention(f_tgt, [ctx], params)[0]
 print("1. full-grid epipolar vs cross attention, max |diff|:",
       f"{np.abs(out_epi.data - out_full.data).max():.2e}")
 
@@ -64,7 +64,7 @@ samples = epipolar_sample_grid(pose, K, 32, 32)
 
 ce, cf = AttentionCounters(), AttentionCounters()
 epipolar_attention(fa, ctx_ab, samples, idp, ce)
-full_cross_attention(fa, ctx_ab, idp, cf)
+full_cross_attention(fa, [ctx_ab], idp, cf)
 print(f"2. similarity-buffer elements: epipolar {ce.peak_elems:,} "
       f"vs full {cf.peak_elems:,} "
       f"({cf.peak_elems / ce.peak_elems:.0f}x smaller search space)")

@@ -4,15 +4,18 @@
 
 Runs ``run_unit`` of ``perfbench/workloads.py`` once, untraced, at seed
 0, for each of analytic-epipolar, toyunet-full and consistency-loop, and
-hashes the u8 images of every run of the unit in order (reference view
-first). Two
-checkouts print the same lines exactly when their outputs are byte for
-byte the same. BLAS is pinned to one thread before numpy loads, as in
-``perfbench/run.py``, and the library is imported from ``src/`` of this
-checkout. The three prefixes are 5084e54caba36190, 233859cc782c07c0 and
-298cd9caf5f8538a. A unit marked failed by perfbench, whether it raised or
-one of its runs failed ``check_outputs``, prints FAILED and makes the
-script exit 1.
+for toyunet-epipolar: toyunet-full's spec with ``"mode": "epipolar"``,
+built here, which byte-checks the per-context epipolar path on a 2-head
+map. It hashes the u8 images of every run of the unit in order
+(reference view first). Two checkouts print the same lines exactly when
+their outputs are byte for byte the same. BLAS is pinned to one thread
+before numpy loads, as in ``perfbench/run.py``, and the library is
+imported from ``src/`` of this checkout. The four prefixes are
+5084e54caba36190, 233859cc782c07c0, 298cd9caf5f8538a and
+84e26901e7c0531c; the last was first taken at the commit before
+full-mode attention was batched over its contexts. A unit marked failed
+by perfbench, whether it raised or one of its runs failed
+``check_outputs``, prints FAILED and makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop")
+WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-epipolar")
 
 
 def main() -> int:
@@ -34,6 +37,7 @@ def main() -> int:
     import workloads as wl
 
     specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    specs["toyunet-epipolar"] = dict(specs["toyunet-full"], mode="epipolar")
     failed = False
     for name in WORKLOADS:
         spec = specs[name]

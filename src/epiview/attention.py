@@ -2,12 +2,14 @@
 duplicated parameters.
 
 All three are one computation on one core: heads-major float64 queries,
-keys and values (``_heads``), scaled dot-product logits and their softmax
-(``_scores``), and the weighted value sum merged back onto the target
-grid (``_mix``). Self attention is full cross attention with the map as
-its own context; epipolar attention restricts each query's keys to its
-own bilinearly sampled epipolar positions, masking the invalid ones, and
-reuses the block's Q/K/V/out projections with no new parameters.
+keys and values (``_heads``), scaled dot-product logits (``_logits``) and
+their softmax (``_scores``), and the weighted value sum merged back onto
+the target grid (``_merge``). Full cross attention retrieves from all of
+a stage's context views in one batched call; self attention is full
+cross attention with the map as its only context. Epipolar attention
+restricts each query's keys to its own bilinearly sampled epipolar
+positions, masking the invalid ones, one context at a time. Both reuse
+the block's Q/K/V/out projections with no new parameters.
 
 Every attention call records how many similarity-buffer elements it
 allocates into an optional :class:`AttentionCounters`, which is what the
@@ -87,7 +89,11 @@ class ContextFeatures:
 @dataclass
 class AttentionCounters:
     """Exact similarity-buffer accounting over attention calls: running
-    count, total and peak, in constant memory."""
+    count, total and peak, in constant memory.
+
+    There is one record per (target, context) buffer, heads x queries x
+    keys. A batched full-attention call over V contexts makes V records,
+    although it holds all V buffers at once."""
 
     peak_elems: int = 0
     total_elems: int = 0
@@ -127,30 +133,34 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
     return np.moveaxis(x.reshape(x.shape[:-1] + (heads, -1)), -2, 0)
 
 
-def _scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None):
-    """Scaled dot-product logits of heads-major queries (h, ..., n, d)
-    against keys (h, ..., m, d), and their softmax over the keys.
-    Returns (logits, weights), both (h, ..., n, m): the product is scaled
-    in place, and the softmax makes the one other full-size array."""
+def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Scaled dot-product logits (h, ..., n, m) of heads-major queries
+    (h, ..., n, d) against keys (h, ..., m, d), scaled in place."""
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= np.sqrt(q.shape[-1])
+    return logits
+
+
+def _scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None):
+    """The logits and their softmax over the keys, kept apart: returns
+    (logits, weights), both (h, ..., n, m)."""
+    logits = _logits(q, k)
     weights, _ = masked_softmax(logits, mask)
     return logits, weights
 
 
-def _mix(weights: np.ndarray, v: np.ndarray, f_tgt: FeatureMap,
-         params: AttentionParams) -> FeatureMap:
-    """Weighted sum of heads-major values, with the heads merged back onto
-    the target grid and the output projection applied."""
-    out = np.moveaxis(weights @ v, 0, -2)
+def _merge(mixed: np.ndarray, f_tgt: FeatureMap, params: AttentionParams) -> FeatureMap:
+    """Heads-major weighted values (h, N, ..., d) merged back onto the
+    target grid, with the output projection applied."""
+    out = np.moveaxis(mixed, 0, -2)
     return apply_linear(params.out_proj, FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1)))
 
 
 def self_attention(fm: FeatureMap, params: AttentionParams,
                    counters: AttentionCounters | None = None) -> FeatureMap:
     """Scaled dot-product attention of a map over its own H*W positions:
-    full cross attention with the map as its own context."""
-    return full_cross_attention(fm, project_context(fm, params), params, counters)[0]
+    full cross attention with the map as its only context."""
+    return full_cross_attention(fm, [project_context(fm, params)], params, counters)[0][0]
 
 
 def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
@@ -164,18 +174,33 @@ def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionPa
     return _scores(q, k)
 
 
-def full_cross_attention(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
-                         counters: AttentionCounters | None = None):
-    """Retrieval over every position of the reference map.
+def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
+                         counters: AttentionCounters | None = None) -> list:
+    """Retrieval over every position of each context map, in one call.
 
-    Returns (FeatureMap, contributed mask); the mask is all-True since
-    every query sees the whole reference grid.
+    The target queries are projected once. The logits of all V contexts
+    are one batched product (heads, V, N, M), softmaxed in place in one
+    call, and mixed with their values in one more batched product; the
+    output projection is then applied per context, in context order. Each
+    context's result has the bytes of a call with that context alone.
+
+    Returns one (FeatureMap, contributed mask) per context, in order; the
+    masks are all-True since every query sees the whole context grid.
     """
-    if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
+    if not contexts:
+        raise ValueError("need at least one context view")
+    if any(c.f.height != f_tgt.height or c.f.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
-    _, weights = full_similarity(f_tgt, ctx, params, counters)
-    fm = _mix(weights, _heads(ctx.value.flat(), params.heads), f_tgt, params)
-    return fm, np.ones((f_tgt.height, f_tgt.width), dtype=bool)
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)[:, None]
+    k = _heads(np.stack([c.k.flat() for c in contexts]), params.heads)
+    if counters is not None:
+        for _ in contexts:
+            counters.record(params.heads * q.shape[2] * k.shape[2])
+    logits = _logits(q, k)
+    weights, _ = masked_softmax(logits, None, out=logits)
+    mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params.heads)
+    return [(_merge(mixed[:, i], f_tgt, params), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
+            for i in range(len(contexts))]
 
 
 def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -233,7 +258,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters, plan)
-    fm = _mix(weights[:, :, None], _heads(v_samp, params.heads), f_tgt, params)
+    fm = _merge(weights[:, :, None] @ _heads(v_samp, params.heads), f_tgt, params)
     return fm, valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
 
 
@@ -247,7 +272,7 @@ def fuse(f_hat: FeatureMap, f_src_hat: FeatureMap, contributed: np.ndarray,
     if f_hat.data.shape != f_src_hat.data.shape:
         raise ValueError("fused maps must share a shape")
     if alpha == 0.0:
-        return FeatureMap(f_hat.data.copy())
+        return FeatureMap(f_hat.data)
     a = f_hat.data.astype(np.float64)
     b = f_src_hat.data.astype(np.float64)
     mask = np.asarray(contributed, dtype=bool)[:, :, None]

@@ -75,7 +75,7 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), modes=("epipolar", "full"),
                 if mode == "epipolar":
                     epipolar_attention(f_tgt, ctx, samples, params, counters)
                 elif mode == "full":
-                    full_cross_attention(f_tgt, ctx, params, counters)
+                    full_cross_attention(f_tgt, [ctx], params, counters)
                 else:
                     raise ValueError(f"unknown mode {mode!r}")
                 times.append(time.perf_counter_ns() - t0)

@@ -37,7 +37,9 @@ class FeatureMap:
             raise ValueError(f"feature map must be HxWxC, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise ValueError("feature map contains non-finite entries")
-        data = np.ascontiguousarray(data, dtype=np.float32)
+        src, data = data, np.ascontiguousarray(data, dtype=np.float32)
+        if data.flags.writeable and np.may_share_memory(data, src):
+            data = data.copy()   # freeze our own copy, never the caller's array
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -203,7 +205,7 @@ def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray | None, scale: float = 1.0,
-                   axis: int = -1):
+                   axis: int = -1, out: np.ndarray | None = None):
     """Numerically stable softmax over the valid entries of ``logits``.
 
     Valid logits must be finite (a valid ``+inf`` gives NaN weights);
@@ -213,24 +215,33 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None, scale: float = 1
     a constant to all valid logits. ``mask=None`` is the plain softmax
     over every entry, with the same bytes as an all-True mask.
 
-    One full-size copy, ``logits * scale``, becomes the weights in place;
-    the caller's ``logits`` are never written to.
+    The weights are built in one full-size float64 array: ``out`` when
+    given (a float64 array shaped like ``logits``, which may be ``logits``
+    itself, for fresh logits the caller no longer needs), else a new one.
+    With ``out=None`` the caller's ``logits`` are never written to, and
+    without a mask or scale the copy is the subtraction of the row peak.
+    Rows that all carry weight take a plain divide. Either way the weights
+    have the same bytes.
     """
-    ex = np.asarray(logits, dtype=np.float64) * scale
+    x = np.asarray(logits, dtype=np.float64)
+    if scale != 1.0 or (mask is not None and x is not out):
+        out = x = np.multiply(x, scale, out=out)
     if mask is None:
-        has_valid = np.ones(np.delete(ex.shape, axis), dtype=bool)
+        has_valid = np.ones(np.delete(x.shape, axis), dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
         has_valid = mask.any(axis=axis)
-        np.copyto(ex, -np.inf, where=~mask)
-    peak = np.max(ex, axis=axis, keepdims=True)
+        np.copyto(x, -np.inf, where=~mask)
+    peak = np.max(x, axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
-    ex -= peak
+    ex = np.subtract(x, peak, out=out)
     np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
     denom = ex.sum(axis=axis, keepdims=True)
     live = denom > 0
-    np.divide(ex, denom, out=ex, where=live)
-    if not live.all():
+    if live.all():
+        ex /= denom
+    else:
+        np.divide(ex, denom, out=ex, where=live)
         np.copyto(ex, 0.0, where=~live)   # all-masked and NaN rows
     return ex, has_valid
 

@@ -221,18 +221,18 @@ class TrajectorySynthesizer:
             cache.put(step_idx, stage.layer, project_context(stage.feature, dup, cfg.value_source))
             if not context:
                 return None
-            outs = []
-            for vc in context:
-                entry = vc.get(step_idx, stage.layer)
-                if cfg.mode == "epipolar":
+            entries = [vc.get(step_idx, stage.layer) for vc in context]
+            if cfg.mode == "full":
+                outs = full_cross_attention(stage.feature, entries, dup, self.counters)
+            else:
+                outs = []
+                for vc, entry in zip(context, entries):
                     pair = (vc.camera, stage.feature.width, stage.feature.height)
                     if pair not in pairs:
                         pairs[pair] = self._pair_geometry(vc.camera, cam, *pair[1:])
                     samples, plan = pairs[pair]
                     outs.append(epipolar_attention(stage.feature, entry, samples, dup,
                                                    self.counters, plan=plan))
-                else:
-                    outs.append(full_cross_attention(stage.feature, entry, dup, self.counters))
             agg, contributed = multi_view_aggregate(outs)
             return fuse(stage.baseline, agg, contributed, cfg.alpha)
 

@@ -9,6 +9,7 @@ in the tests) so no autodiff framework is needed.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AttentionParams, _heads, _scores, self_attention
 from .diffusion import AttentionStage, Condition, Denoiser, NoiseSchedule
@@ -39,16 +40,14 @@ def _sinusoidal(values: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, stride: int):
-    """(H, W, C) -> (Hout*Wout, C*9) patches of a padded 3x3 window."""
+    """(H, W, C) -> (Hout*Wout, C*9) patches of a padded 3x3 window: one
+    zero-padded buffer, and one copy of its strided window view."""
     h, w, c = x.shape
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    ho = (h + 2 - 3) // stride + 1
-    wo = (w + 2 - 3) // stride + 1
-    cols = np.empty((ho, wo, 3, 3, c), dtype=x.dtype)
-    for di in range(3):
-        for dj in range(3):
-            cols[:, :, di, dj, :] = xp[di:di + ho * stride:stride, dj:dj + wo * stride:stride, :]
-    return cols.reshape(ho * wo, 9 * c), (ho, wo)
+    xp = np.zeros((h + 2, w + 2, c), dtype=x.dtype)
+    xp[1:-1, 1:-1] = x
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))[::stride, ::stride]   # (ho, wo, C, 3, 3)
+    ho, wo = win.shape[:2]
+    return win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, 9 * c), (ho, wo)
 
 
 def _col2im(dcols: np.ndarray, shape, stride: int):
@@ -151,6 +150,7 @@ class ToyUNet(Denoiser):
 
     def predict(self, x_t, t, cond, sched, stage_cb=None):
         hb = self._encode(np.asarray(x_t, dtype=self.dtype), t, cond, sched)[0]
+        hb.setflags(write=False)   # never written again, so the map shares it uncopied
         fm = FeatureMap(hb)
         attn_params = self.attention_params()
         attn_out = self_attention(fm, attn_params)

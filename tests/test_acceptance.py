@@ -125,7 +125,7 @@ class TestCriterion3AttentionEquivalence:
             ctx = project_context(f_ref, params)
             samples = EpipolarSampleSet.full_grid(w, h, h * w)
             out_e, _ = epipolar_attention(f_tgt, ctx, samples, duplicate_params(params))
-            out_f, _ = full_cross_attention(f_tgt, ctx, params)
+            out_f, _ = full_cross_attention(f_tgt, [ctx], params)[0]
             worst_pair = max(worst_pair, float(np.abs(out_e.data - out_f.data).max()))
             assert worst_pair < 1e-6
             if h <= 6 and w <= 6:

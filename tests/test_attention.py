@@ -103,7 +103,7 @@ class TestEpipolarFullEquivalence:
         ctx = project_context(f_ref, params)
         samples = EpipolarSampleSet.full_grid(w, h, h * w)
         out_e, mask = epipolar_attention(f_tgt, ctx, samples, duplicate_params(params))
-        out_f, _ = full_cross_attention(f_tgt, ctx, params)
+        out_f, _ = full_cross_attention(f_tgt, [ctx], params)[0]
         assert mask.all()
         np.testing.assert_allclose(out_e.data, out_f.data, atol=1e-6)
 
@@ -111,9 +111,83 @@ class TestEpipolarFullEquivalence:
         rng = np.random.default_rng(40)
         fm = FeatureMap(rng.standard_normal((5, 5, 6)))
         params = AttentionParams.seeded(6, 2, rng)
-        out_c, _ = full_cross_attention(fm, project_context(fm, params), params)
+        out_c, _ = full_cross_attention(fm, [project_context(fm, params)], params)[0]
         out_s = self_attention(fm, params)
         np.testing.assert_allclose(out_c.data, out_s.data, atol=1e-6)
+
+
+def oracle_full_cross_attention(f_tgt, ctx, params, counters=None):
+    """One context's full cross attention as it was before the contexts
+    were batched, with the core's helpers inlined. Kept as the oracle."""
+    def heads_major(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.moveaxis(x.reshape(x.shape[:-1] + (params.heads, -1)), -2, 0)
+
+    q = heads_major(apply_linear(params.q_proj, f_tgt).flat())
+    k = heads_major(ctx.k.flat())
+    if counters is not None:
+        counters.record(params.heads * q.shape[1] * k.shape[1])
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits /= np.sqrt(q.shape[-1])
+    weights, _ = masked_softmax(logits, None)
+    out = np.moveaxis(weights @ heads_major(ctx.value.flat()), 0, -2)
+    fm = apply_linear(params.out_proj, FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1)))
+    return (fm, np.ones((f_tgt.height, f_tgt.width), dtype=bool)), weights
+
+
+class TestBatchedFullAttentionDualRoute:
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("value_source", ["value_projection", "raw_feature"])
+    def test_byte_identical_to_per_context_calls(self, views, heads, value_source,
+                                                 monkeypatch):
+        import epiview.attention as attention
+        softmaxed = []
+
+        def keeping(*args, **kwargs):
+            out = masked_softmax(*args, **kwargs)
+            softmaxed.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(attention, "masked_softmax", keeping)
+        rng = np.random.default_rng(views * 10 + heads)
+        h, w, c = 5, 7, 8
+        f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+        params = AttentionParams.seeded(c, heads, rng)
+        contexts = [project_context(FeatureMap(rng.standard_normal((h, w, c))), params,
+                                    value_source) for _ in range(views)]
+        got_counters, want_counters = AttentionCounters(), AttentionCounters()
+        got = full_cross_attention(f_tgt, contexts, params, got_counters)
+        want, want_weights = zip(*(oracle_full_cross_attention(f_tgt, ctx, params, want_counters)
+                                   for ctx in contexts))
+        # the float64 weights too: a last-bit change rarely survives the
+        # float32 outputs
+        (weights,) = softmaxed
+        assert weights.shape == (heads, views, h * w, h * w)
+        for i, ww in enumerate(want_weights):
+            assert weights[:, i].tobytes() == ww.tobytes()
+        assert len(got) == views
+        for (fm, mask), (fm_want, mask_want) in zip(got, want):
+            assert fm.data.tobytes() == fm_want.data.tobytes()
+            assert mask.tobytes() == mask_want.tobytes()
+        agg, contributed = multi_view_aggregate(got)
+        agg_want, contributed_want = multi_view_aggregate(list(want))
+        assert agg.data.tobytes() == agg_want.data.tobytes()
+        assert contributed.tobytes() == contributed_want.tobytes()
+        assert vars(got_counters) == vars(want_counters)
+        assert got_counters.calls == views and got_counters.peak_elems == heads * (h * w) ** 2
+
+    def test_no_context_rejected(self):
+        fm = FeatureMap(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError):
+            full_cross_attention(fm, [], AttentionParams.identity(3))
+
+    def test_resolution_mismatch(self):
+        params = AttentionParams.identity(3)
+        fm = FeatureMap(np.zeros((4, 4, 3)))
+        small = project_context(FeatureMap(np.zeros((2, 2, 3))), params)
+        with pytest.raises(ValueError):
+            full_cross_attention(fm, [project_context(fm, params), small], params)
 
 
 class TestEpipolarAttention:
@@ -278,7 +352,7 @@ class TestCounters:
         fm = FeatureMap(rng.standard_normal((4, 4, 4)))
         params = AttentionParams.identity(4)
         counters = AttentionCounters()
-        full_cross_attention(fm, project_context(fm, params), params, counters)
+        full_cross_attention(fm, [project_context(fm, params)], params, counters)
         assert counters.peak_elems == (4 * 4) ** 2
 
     def test_epipolar_buffer_bounded(self):
@@ -299,7 +373,7 @@ class TestSoftmaxHook:
     module's ``masked_softmax`` name, once: the name a tracer wraps to time
     the layer, whose metrics would otherwise read 0."""
 
-    @pytest.mark.parametrize("call", ["self", "full", "epipolar"])
+    @pytest.mark.parametrize("call", ["self", "full", "full-3", "epipolar"])
     def test_one_softmax_per_attention_call(self, call, monkeypatch):
         import epiview.attention as attention
         calls = []
@@ -316,7 +390,9 @@ class TestSoftmaxHook:
         if call == "self":
             self_attention(fm, params)
         elif call == "full":
-            full_cross_attention(fm, ctx, params)
+            full_cross_attention(fm, [ctx], params)
+        elif call == "full-3":
+            full_cross_attention(fm, [ctx] * 3, params)
         else:
             samples = EpipolarSampleSet(uv=rng.uniform(0, 3, (20, 6, 2)),
                                         valid=np.ones((20, 6), dtype=bool), width=5, height=4)

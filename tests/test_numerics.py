@@ -28,6 +28,20 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             fm.data[0, 0, 0] = 1.0
 
+    def test_callers_array_stays_writable_and_apart(self):
+        a = np.zeros((2, 2, 3), np.float32)
+        fm = FeatureMap(a)
+        a[0] = 1
+        assert not fm.data.any() and not np.shares_memory(a, fm.data)
+        b = np.zeros((2, 2), np.float32)    # promoted through a view of b
+        fm2 = FeatureMap(b)
+        b[0] = 1
+        assert not fm2.data.any()
+
+    def test_frozen_data_is_shared(self):
+        fm = FeatureMap(np.ones((2, 2, 3)))
+        assert FeatureMap(fm.data).data is fm.data
+
 
 class TestBilinearSample:
     def setup_method(self):
@@ -200,6 +214,22 @@ class TestSoftmaxDualRoute:
             assert w.tobytes() == w_want.tobytes(), name
             assert ok.shape == ok_want.shape and ok.tobytes() == ok_want.tobytes(), name
             assert logits.tobytes() == before, f"{name}: the caller's logits were written"
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    @pytest.mark.parametrize("where", ["logits", "buffer"])
+    def test_out_is_byte_identical_to_the_copy_form(self, scale, where):
+        for name, logits, mask in _softmax_cases():
+            before = logits.tobytes()
+            buf = logits.copy() if where == "logits" else np.full_like(logits, 7.0)
+            src = buf if where == "logits" else logits
+            with np.errstate(invalid="ignore"):
+                w_copy, ok_copy = masked_softmax(logits, mask, scale=scale)
+                w_want, _ = softmax_oracle(logits, mask, scale=scale)
+                w, ok = masked_softmax(src, mask, scale=scale, out=buf)
+            assert w is buf, name
+            assert w.tobytes() == w_copy.tobytes() == w_want.tobytes(), name
+            assert ok.shape == ok_copy.shape and ok.tobytes() == ok_copy.tobytes(), name
+            assert logits.tobytes() == before, name
 
     def test_full_similarity_logits_do_not_alias_its_weights(self):
         rng = np.random.default_rng(12)

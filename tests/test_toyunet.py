@@ -9,7 +9,7 @@ from epiview.attention import self_attention
 from epiview.diffusion import AttentionStage, Condition, NoiseSchedule
 from epiview.numerics import FeatureMap
 from epiview.scenegen import make_scene, make_trajectory, render
-from epiview.toyunet import ToyUNet, _conv, _upsample2, train_overfit
+from epiview.toyunet import ToyUNet, _col2im, _conv, _im2col, _upsample2, train_overfit
 
 
 def tiny_net(seed=0):
@@ -85,6 +85,49 @@ def oracle_forward_train(self, x, t, cond, sched):
                  q=qh, k=kh, v=vh, attn=attn, mixed=mixed, flat=flat,
                  up=up, a3=a3, cols3=cols3, u1=u1, cols4=cols4)
     return out, cache
+
+
+def oracle_im2col(x, stride):
+    """``_im2col`` as it was before it used a strided window view: a
+    padded copy and nine slice copies. Kept verbatim as the oracle."""
+    h, w, c = x.shape
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    ho = (h + 2 - 3) // stride + 1
+    wo = (w + 2 - 3) // stride + 1
+    cols = np.empty((ho, wo, 3, 3, c), dtype=x.dtype)
+    for di in range(3):
+        for dj in range(3):
+            cols[:, :, di, dj, :] = xp[di:di + ho * stride:stride, dj:dj + wo * stride:stride, :]
+    return cols.reshape(ho * wo, 9 * c), (ho, wo)
+
+
+class TestIm2colDualRoute:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("c", [1, 3, 8])
+    @pytest.mark.parametrize("hw", [(7, 5), (9, 9), (8, 6)])
+    def test_byte_identical_to_the_loop(self, stride, c, hw):
+        rng = np.random.default_rng(stride * 100 + c)
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal(hw + (c,)).astype(dtype)
+            before = x.tobytes()
+            cols, size = _im2col(x, stride)
+            want, want_size = oracle_im2col(x, stride)
+            assert size == want_size
+            assert cols.shape == want.shape and cols.dtype == want.dtype
+            assert cols.tobytes() == want.tobytes()
+            assert x.tobytes() == before
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("c", [1, 3, 8])
+    def test_col2im_is_the_adjoint(self, stride, c):
+        # <im2col(x), y> == <x, col2im(y)> for every x and y
+        rng = np.random.default_rng(40 + stride * 10 + c)
+        x = rng.standard_normal((7, 5, c))
+        cols, _ = _im2col(x, stride)
+        y = rng.standard_normal(cols.shape)
+        lhs = float(np.sum(cols * y))
+        rhs = float(np.sum(x * _col2im(y, x.shape, stride)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestSharedForwardDualRoute:
