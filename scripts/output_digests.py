@@ -1,4 +1,5 @@
-"""Print the u8 SHA-256 prefix of one whole perfbench unit per workload.
+"""Print the u8 SHA-256 prefix of one whole perfbench unit per workload,
+and one of the analytic scene renders.
 
     python3 scripts/output_digests.py
 
@@ -16,6 +17,12 @@ imported from ``src/`` of this checkout. The four prefixes are
 full-mode attention was batched over its contexts. A unit marked failed
 by perfbench, whether it raised or one of its runs failed
 ``check_outputs``, prints FAILED and makes the script exit 1.
+
+The last line, ``scene-renders``, hashes the rgb, depth and prim_id of
+``render`` and the 16x16 ``positional_features`` of ``make_scene(0, m)``,
+for m in distinctive and plain, at every free16 camera (seed 100) at
+32 px, in that order. Its prefix is c138a3add59b2d1c, first taken at the
+commit before ray casts returned their hit points.
 """
 
 from __future__ import annotations
@@ -49,7 +56,24 @@ def main() -> int:
         bad = unit.failed or any(run.failed for run in unit.runs)
         failed |= bad
         print(f"{name:20s} {digest.hexdigest()[:16]}{'  FAILED' if bad else ''}")
+    print(f"{'scene-renders':20s} {scene_digest()}")
     return 1 if failed else 0
+
+
+def scene_digest() -> str:
+    from epiview.geometry import CameraIntrinsics
+    from epiview.scenegen import make_scene, make_trajectory, positional_features, render
+
+    K = CameraIntrinsics.from_fov(32, 32)
+    digest = hashlib.sha256()
+    for mode in ("distinctive", "plain"):
+        scene = make_scene(0, mode)
+        for cam in make_trajectory("free16", 100):
+            view = render(scene, cam, K)
+            for a in (view.rgb.data, view.depth, view.prim_id,
+                      positional_features(scene, view, 16, 16).data):
+                digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EpipolarSampleSet
-from .numerics import BilinearPlan, FeatureMap, LinearMap, apply_linear, bilinear_sample, masked_softmax
+from .numerics import FeatureMap, LinearMap, apply_linear, bilinear_sample, masked_softmax
 
 __all__ = [
     "AttentionParams",
@@ -163,15 +163,26 @@ def self_attention(fm: FeatureMap, params: AttentionParams,
     return full_cross_attention(fm, [project_context(fm, params)], params, counters)[0][0]
 
 
+def _full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
+                 counters: AttentionCounters | None) -> np.ndarray:
+    """Logits (heads, V, N, M) of the target queries, projected once, against
+    every key of the V context maps in one batched product; one counter
+    record per context."""
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)[:, None]
+    k = _heads(np.stack([c.k.flat() for c in contexts]), params.heads)
+    if counters is not None:
+        for _ in contexts:
+            counters.record(params.heads * q.shape[2] * k.shape[2])
+    return _logits(q, k)
+
+
 def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
                     counters: AttentionCounters | None = None):
     """Per-head similarity logits of every target query against every
-    reference position. Returns (logits (h, N, N_ref), weights)."""
-    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)
-    k = _heads(ctx.k.flat(), params.heads)
-    if counters is not None:
-        counters.record(params.heads * q.shape[1] * k.shape[1])
-    return _scores(q, k)
+    reference position, on full attention's route, with the softmax kept
+    apart. Returns (logits (h, N, N_ref), weights)."""
+    logits = _full_logits(f_tgt, [ctx], params, counters)[:, 0]
+    return logits, masked_softmax(logits, None)[0]
 
 
 def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
@@ -191,12 +202,7 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
         raise ValueError("need at least one context view")
     if any(c.f.height != f_tgt.height or c.f.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
-    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)[:, None]
-    k = _heads(np.stack([c.k.flat() for c in contexts]), params.heads)
-    if counters is not None:
-        for _ in contexts:
-            counters.record(params.heads * q.shape[2] * k.shape[2])
-    logits = _logits(q, k)
+    logits = _full_logits(f_tgt, contexts, params, counters)
     weights, _ = masked_softmax(logits, None, out=logits)
     mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params.heads)
     return [(_merge(mixed[:, i], f_tgt, params), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
@@ -205,35 +211,30 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
 
 def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
                         params: AttentionParams,
-                        counters: AttentionCounters | None = None,
-                        plan: BilinearPlan | None = None):
+                        counters: AttentionCounters | None = None):
     """Similarity of each target query against its epipolar samples.
 
-    ``plan`` is the bilinear plan of the batched sample positions on the
-    context grid; it depends only on the sample set, so callers that
-    retrieve along the same set repeatedly build it once and pass it in.
-    Without one it is built here. K and V are gathered together, one pass
-    over the concatenated (H*W, 2C) grid per tap.
+    K and V are gathered together through the sample set's own bilinear
+    plan (:attr:`EpipolarSampleSet.plan`, built on its first use and kept
+    with the set), one pass over the concatenated (H*W, 2C) grid per tap.
 
-    ``samples`` is a batched (N, S, 2) set with one row per target query.
-    Returns (logits (h, N, S), weights (h, N, S), sampled values
-    (N, S, C), valid (N, S)). Queries are raster-ordered; invalid sample
-    slots carry zero weight.
+    ``samples`` is a batched (N, S, 2) set with one row per target query,
+    on the context's grid. Returns (logits (h, N, S), weights (h, N, S),
+    sampled values (N, S, C), valid (N, S)). Queries are raster-ordered;
+    invalid sample slots carry zero weight.
     """
     n = f_tgt.height * f_tgt.width
-    uv, valid = samples.uv, samples.valid
+    uv = samples.uv
     if uv.ndim != 3 or uv.shape[0] != n:
         raise ValueError("sample set is not (N, S, 2) for the target grid")
-    if plan is None:
-        plan = BilinearPlan.build(uv, ctx.k.width, ctx.k.height)
-    elif plan.valid.shape != uv.shape[:-1] or (plan.width, plan.height) != (ctx.k.width, ctx.k.height):
-        raise ValueError("plan does not match the sample set and context grid")
+    if (samples.width, samples.height) != (ctx.k.width, ctx.k.height):
+        raise ValueError("sample set is not on the context grid")
     if counters is not None:
         counters.record(params.heads * n * uv.shape[1])
     q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)   # (h, N, d)
     c = ctx.k.channels
-    kv_samp = plan.gather(np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1))
-    valid = valid & plan.valid
+    kv_samp = samples.plan.gather(np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1))
+    valid = samples.valid & samples.plan.valid
     # one query against its own S samples: a (1, d) @ (d, S) product per (head, query)
     logits, weights = _scores(q[:, :, None], _heads(kv_samp[..., :c], params.heads),
                               valid[None, :, None])
@@ -242,22 +243,20 @@ def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipol
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
                        params: AttentionParams,
-                       counters: AttentionCounters | None = None,
-                       plan: BilinearPlan | None = None):
+                       counters: AttentionCounters | None = None):
     """Retrieve reference information along epipolar lines.
 
     For each query: similarity of its query feature against the key
     features bilinearly sampled at the valid epipolar positions, a masked
     softmax, and the weighted sum of the sampled value features. Queries
     whose sample set is empty contribute nothing and are marked False in
-    the returned mask. ``plan`` is passed on to
-    :func:`epipolar_similarity`.
+    the returned mask.
 
     Returns (FeatureMap, contributed (H, W) bool).
     """
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
-    _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters, plan)
+    _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters)
     fm = _merge(weights[:, :, None] @ _heads(v_samp, params.heads), f_tgt, params)
     return fm, valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
 

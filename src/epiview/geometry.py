@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .numerics import BilinearPlan
 
 __all__ = [
     "CameraIntrinsics",
@@ -27,6 +30,7 @@ __all__ = [
     "RelativePose",
     "EpipolarLine",
     "EpipolarSampleSet",
+    "pixel_grid",
     "skew_symmetric",
     "camera_on_sphere",
     "relative_pose",
@@ -209,10 +213,11 @@ class EpipolarSampleSet:
     queries; ``valid`` mirrors the leading shape. Invalid slots are
     placeholders and must be masked by every consumer.
 
-    A set depends only on the relative pose and the grid, so the
-    synthesizer builds one per (context, target) pair, together with the
-    bilinear tap plan of its positions, once per target view, reuses both
-    at every step and layer, and frees them when that view ends.
+    A set depends only on the relative pose and the grid, and its
+    bilinear tap plan (:attr:`plan`) only on the set, so the synthesizer
+    builds one set per (context, target) pair once per target view, reuses
+    it with its plan at every step and layer, and frees both when that
+    view ends.
     """
 
     uv: np.ndarray
@@ -220,15 +225,24 @@ class EpipolarSampleSet:
     width: int
     height: int
 
+    @cached_property
+    def plan(self) -> BilinearPlan:
+        """Bilinear tap plan of ``uv`` on this set's grid, built on first use."""
+        return BilinearPlan.build(self.uv, self.width, self.height)
+
     @classmethod
     def full_grid(cls, width: int, height: int, queries: int) -> "EpipolarSampleSet":
         """Sample set covering every pixel of the reference grid, for every
         query; turns epipolar attention into full cross attention."""
-        vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-        uv = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
-        uv = np.broadcast_to(uv, (queries,) + uv.shape)
-        valid = np.ones(uv.shape[:2], dtype=bool)
-        return cls(uv=uv, valid=valid, width=width, height=height)
+        uv = np.broadcast_to(pixel_grid(width, height), (queries, width * height, 2))
+        return cls(uv=uv, valid=np.ones(uv.shape[:2], dtype=bool), width=width, height=height)
+
+
+def pixel_grid(width: int, height: int) -> np.ndarray:
+    """Every pixel center of a ``width`` x ``height`` grid as (u, v), an
+    (H*W, 2) float64 array in raster order (row-major)."""
+    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    return np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
 
 
 def skew_symmetric(t: np.ndarray) -> np.ndarray:
@@ -377,9 +391,7 @@ def epipolar_sample_grid(
     """
     n = width * height
     E = np.zeros((3, 3)) if pose.baseline() < DEGENERATE_BASELINE else essential_matrix(pose)
-    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    pts = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
-    xn = np.concatenate([K_feat.normalize(pts), np.ones((n, 1))], axis=1)
+    xn = np.concatenate([K_feat.normalize(pixel_grid(width, height)), np.ones((n, 1))], axis=1)
     lines = xn @ E.T                       # (n, 3) lines, normalized frame
     lines = lines @ K_feat.inverse()       # == (K^-T @ l)^T, pixel frame
     return _sample_lines(lines, width, height, sample_axis)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionParams, epipolar_similarity, full_similarity, project_context
-from .geometry import epipolar_sample_grid, relative_pose
+from .geometry import epipolar_sample_grid, pixel_grid, relative_pose
 from .numerics import downsample_mean
 from .scenegen import RenderedView, Scene, correspondence_grid, positional_features
 
@@ -108,8 +108,7 @@ def reprojection_consistency(images: list, views: list, scene: Scene):
     defined = []
     for i in range(n):
         h, w = views[i].intrinsics.height, views[i].intrinsics.width
-        vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        uv_a = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
+        uv_a = pixel_grid(w, h)
         img_a = np.asarray(images[i], dtype=np.float64).reshape(h * w, -1)
         for j in range(n):
             if i == j:
@@ -183,9 +182,7 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
     ctx = project_context(f_ref, params)
 
     # ground truth at feature-pixel centers, through the analytic scene
-    vv, uu = np.meshgrid(np.arange(hf), np.arange(wf), indexing="ij")
-    uv_feat = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
-    uv_img = (uv_feat + 0.5) / scale - 0.5
+    uv_img = (pixel_grid(wf, hf) + 0.5) / scale - 0.5
     uv_b_img, visible, prim_a, _ = correspondence_grid(scene, view_tgt, view_ref, uv_img)
     gt_feat = (uv_b_img + 0.5) * scale - 0.5
     queries = np.flatnonzero((prim_a >= 0) & visible)

@@ -7,11 +7,11 @@ The reference branch is never injected into (it has no context); target
 branches cache their own features at every injected (step, layer) so that
 later views can retrieve from them.
 
-A (context, target) pair's epipolar sample set and bilinear tap plan
-depend only on the two cameras and the feature grid, so each is built once
-per pair on first use within the target's view and reused at every step
-and layer; both are freed when the view ends, since no later view shares
-its target camera.
+A (context, target) pair's epipolar sample set depends only on the two
+cameras and the feature grid, so it is built once per pair on first use
+within the target's view and reused at every step and layer, together with
+the bilinear tap plan it builds and keeps on its first gather; both are
+freed when the view ends, since no later view shares its target camera.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .geometry import (
     pose_to_json,
     relative_pose,
 )
-from .numerics import BilinearPlan
 
 __all__ = [
     "GenerationConfig",
@@ -81,6 +80,8 @@ class GenerationConfig:
             raise DataError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.context_views < 0:
             raise DataError("context_views must be >= 0")
+        if self.inject_after_step < 0:
+            raise DataError(f"inject_after_step must be >= 0, got {self.inject_after_step}")
         if self.mode not in ("epipolar", "full", "off"):
             raise DataError(f"unknown mode {self.mode!r}")
         if self.sample_axis not in ("dominant", "width"):
@@ -186,12 +187,10 @@ class TrajectorySynthesizer:
 
     def _pair_geometry(self, ctx_cam: SphericalCamera, tgt_cam: SphericalCamera,
                        width: int, height: int):
-        """Epipolar sample set of a (context, target) pair on a feature
-        grid, and the bilinear plan of its positions."""
+        """Epipolar sample set of a (context, target) pair on a feature grid."""
         pose = relative_pose(camera_on_sphere(ctx_cam), camera_on_sphere(tgt_cam))
         k_feat = self.intrinsics.scaled(width / self.intrinsics.width)
-        samples = epipolar_sample_grid(pose, k_feat, width, height, self.config.sample_axis)
-        return samples, BilinearPlan.build(samples.uv, width, height)
+        return epipolar_sample_grid(pose, k_feat, width, height, self.config.sample_axis)
 
     # --- the run ---------------------------------------------------------
 
@@ -210,7 +209,7 @@ class TrajectorySynthesizer:
         Returns the image and the frozen cache."""
         cfg = self.config
         cache = ViewCache(key=key, camera=cam)
-        pairs: dict = {}   # (context camera, w, h) -> (samples, plan), dies with the view
+        pairs: dict = {}   # (context camera, w, h) -> sample set, dies with the view
 
         def cb(step_idx: int, stage):
             if stage.layer not in self.inject_layers:
@@ -230,9 +229,8 @@ class TrajectorySynthesizer:
                     pair = (vc.camera, stage.feature.width, stage.feature.height)
                     if pair not in pairs:
                         pairs[pair] = self._pair_geometry(vc.camera, cam, *pair[1:])
-                    samples, plan = pairs[pair]
-                    outs.append(epipolar_attention(stage.feature, entry, samples, dup,
-                                                   self.counters, plan=plan))
+                    outs.append(epipolar_attention(stage.feature, entry, pairs[pair], dup,
+                                                   self.counters))
             agg, contributed = multi_view_aggregate(outs)
             return fuse(stage.baseline, agg, contributed, cfg.alpha)
 

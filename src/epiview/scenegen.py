@@ -20,6 +20,7 @@ from .geometry import (
     Extrinsics,
     SphericalCamera,
     camera_on_sphere,
+    pixel_grid,
 )
 from .numerics import FeatureMap
 
@@ -267,9 +268,11 @@ def surface_palette(scene: Scene) -> np.ndarray:
 def raycast(scene: Scene, ext: Extrinsics, K: CameraIntrinsics, uv: np.ndarray):
     """Cast rays through sub-pixel positions ``uv`` (N, 2).
 
-    Returns (depth (N,), surf_id (N,)): camera-frame z of the first hit
-    (inf for a miss) and the global surface id hit (patch-resolved for
-    painted balls, BACKGROUND for misses).
+    Returns (depth (N,), surf_id (N,), points (N, 3)): camera-frame z of
+    the first hit (inf for a miss), the global surface id hit
+    (patch-resolved for painted balls, BACKGROUND for misses), and the
+    world hit point, camera center plus depth times the ray direction (the
+    camera center itself for a miss).
     """
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
     n = uv.shape[0]
@@ -289,6 +292,7 @@ def raycast(scene: Scene, ext: Extrinsics, K: CameraIntrinsics, uv: np.ndarray):
         closer = s < depth
         depth = np.where(closer, s, depth)
         winner = np.where(closer, i, winner)
+    points = origin[None, :] + dirs * np.where(np.isfinite(depth), depth, 0.0)[:, None]
 
     surf = np.full(n, BACKGROUND, dtype=np.int64)
     for i, p in enumerate(scene.primitives):
@@ -296,24 +300,19 @@ def raycast(scene: Scene, ext: Extrinsics, K: CameraIntrinsics, uv: np.ndarray):
         if not sel.any():
             continue
         if isinstance(p, PaintedBall) and p.shading == "voronoi":
-            pts = origin[None, :] + dirs[sel] * depth[sel, None]
-            normals = (pts - np.asarray(p.center)) / p.radius
-            patch = np.argmax(normals @ p.seeds.T, axis=1)
-            surf[sel] = bases[i] + patch
+            normals = (points[sel] - np.asarray(p.center)) / p.radius
+            surf[sel] = bases[i] + np.argmax(normals @ p.seeds.T, axis=1)
         else:
             surf[sel] = bases[i]
-    return depth, surf
+    return depth, surf, points
 
 
 def render(scene: Scene, cam: SphericalCamera, K: CameraIntrinsics) -> RenderedView:
     """Z-buffered pinhole render. Deterministic for a fixed scene."""
     if cam.radius <= scene.bounding_radius:
         raise ValueError("camera must stay outside the scene bounding sphere")
-    ext = camera_on_sphere(cam)
     h, w = K.height, K.width
-    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    uv = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
-    depth, surf = raycast(scene, ext, K, uv)
+    depth, surf, points = raycast(scene, camera_on_sphere(cam), K, pixel_grid(w, h))
     rgb = np.zeros((h * w, 3), dtype=np.float64)
     fg = surf >= 0
     if fg.any():
@@ -323,11 +322,7 @@ def render(scene: Scene, cam: SphericalCamera, K: CameraIntrinsics) -> RenderedV
         if isinstance(p, PaintedBall) and p.shading == "normal":
             sel = surf == base
             if sel.any():
-                d_cam = np.concatenate([K.normalize(uv[sel]), np.ones((int(sel.sum()), 1))], axis=1)
-                dirs = d_cam @ ext.R
-                pts = ext.camera_center()[None, :] + dirs * depth[sel, None]
-                normals = (pts - np.asarray(p.center)) / p.radius
-                rgb[sel] = p.shade_normals(normals)
+                rgb[sel] = p.shade_normals((points[sel] - np.asarray(p.center)) / p.radius)
     return RenderedView(
         rgb=FeatureMap(rgb.reshape(h, w, 3)),
         depth=depth.reshape(h, w),
@@ -337,78 +332,55 @@ def render(scene: Scene, cam: SphericalCamera, K: CameraIntrinsics) -> RenderedV
     )
 
 
-def _unproject(scene: Scene, view: RenderedView, uv: np.ndarray):
-    """World points and primitive ids for sub-pixel positions of a view."""
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    ext = view.extrinsics
-    K = view.intrinsics
-    depth, prim = raycast(scene, ext, K, uv)
-    d_cam = np.concatenate([K.normalize(uv), np.ones((uv.shape[0], 1))], axis=1)
-    safe = np.where(np.isfinite(depth), depth, 0.0)  # background rows are junk; prim marks them
-    x_cam = d_cam * safe[:, None]
-    x_world = (x_cam - ext.t) @ ext.R
-    return x_world, depth, prim
+def _correspond(scene: Scene, view_a: RenderedView, view_b: RenderedView, uv_a: np.ndarray):
+    """The one correspondence kernel: cast (sub-)pixels ``uv_a`` (N, 2) of
+    view A into the scene, project their hit points into view B, and cast
+    B's rays at those in B's frame; a point is visible ('ok') when the two
+    depths agree within ``OCCLUSION_TOL``. Returns (status, uv_b, prim_a,
+    prim_b, depth_b), one row per position: status is 'background' (in A),
+    'behind', 'out_of_frame', 'occluded' or 'ok'; uv_b is zero where A is
+    background or behind B; B's hit is BACKGROUND and inf where not cast."""
+    uv_a = np.asarray(uv_a, dtype=np.float64).reshape(-1, 2)
+    _, prim_a, x_world = raycast(scene, view_a.extrinsics, view_a.intrinsics, uv_a)
+    ext_b, K_b = view_b.extrinsics, view_b.intrinsics
+    x_b = ext_b.apply(x_world)
+    n = uv_a.shape[0]
+    status = np.where(prim_a >= 0, "behind", "background").astype("<U12")
+    uv_b = np.zeros((n, 2))
+    prim_b = np.full(n, BACKGROUND, dtype=np.int64)
+    depth_b = np.full(n, np.inf)
+    front = np.flatnonzero((prim_a >= 0) & (x_b[:, 2] > 0))
+    status[front] = "out_of_frame"
+    uv_b[front] = K_b.project(x_b[front])
+    u, v = uv_b[front, 0], uv_b[front, 1]
+    check = front[(u >= 0) & (u <= K_b.width - 1) & (v >= 0) & (v <= K_b.height - 1)]
+    depth_b[check], prim_b[check], _ = raycast(scene, ext_b, K_b, uv_b[check])
+    seen = np.abs(depth_b[check] - x_b[check, 2]) <= OCCLUSION_TOL
+    status[check] = np.where(seen, "ok", "occluded")
+    return status, uv_b, prim_a, prim_b, depth_b
 
 
 def gt_correspondence(scene: Scene, view_a: RenderedView, view_b: RenderedView,
                       p: np.ndarray) -> Correspondence:
     """Exact correspondence of (sub-)pixel ``p`` of view A in view B.
-
-    The pixel is unprojected through the analytic scene, transformed, and
-    reprojected; visibility in B is decided by casting the B ray and
-    comparing depths within ``OCCLUSION_TOL``. Background pixels are an
-    error (no surface to correspond).
-    """
+    Background pixels are an error (no surface to correspond)."""
     p = np.asarray(p, dtype=np.float64).reshape(2)
-    x_world, depth_a, prim_a = _unproject(scene, view_a, p[None, :])
-    if prim_a[0] < 0:
+    status, uv_b, prim_a, prim_b, depth_b = (x[0] for x in _correspond(scene, view_a, view_b, p))
+    if status == "background":
         raise ValueError(f"pixel {p} is background in view A")
-    ext_b = view_b.extrinsics
-    K_b = view_b.intrinsics
-    x_b = ext_b.apply(x_world)[0]
-    if x_b[2] <= 0:
-        return Correspondence(status="behind", uv=None, prim_a=int(prim_a[0]))
-    uv_b = K_b.project(x_b)
-    if not (0 <= uv_b[0] <= K_b.width - 1 and 0 <= uv_b[1] <= K_b.height - 1):
-        return Correspondence(status="out_of_frame", uv=None, prim_a=int(prim_a[0]))
-    hit_depth, hit_prim = raycast(scene, ext_b, K_b, uv_b[None, :])
-    if abs(hit_depth[0] - x_b[2]) > OCCLUSION_TOL:
-        return Correspondence(status="occluded", uv=uv_b, prim_a=int(prim_a[0]),
-                              prim_b=int(hit_prim[0]), depth_b=float(hit_depth[0]))
-    return Correspondence(status="ok", uv=uv_b, prim_a=int(prim_a[0]),
-                          prim_b=int(hit_prim[0]), depth_b=float(hit_depth[0]))
+    return Correspondence(status=str(status),
+                          uv=uv_b if status in ("ok", "occluded") else None,
+                          prim_a=int(prim_a), prim_b=int(prim_b), depth_b=float(depth_b))
 
 
 def correspondence_grid(scene: Scene, view_a: RenderedView, view_b: RenderedView,
                         uv_a: np.ndarray):
-    """Vectorized :func:`gt_correspondence` over many positions of view A.
-
-    Returns (uv_b (N, 2), visible (N,), prim_a (N,), prim_b (N,)); rows
-    that are background in A come back with prim_a == BACKGROUND and
-    visible False.
-    """
-    uv_a = np.asarray(uv_a, dtype=np.float64).reshape(-1, 2)
-    x_world, _, prim_a = _unproject(scene, view_a, uv_a)
-    ext_b = view_b.extrinsics
-    K_b = view_b.intrinsics
-    x_b = ext_b.apply(x_world)
-    n = uv_a.shape[0]
-    uv_b = np.zeros((n, 2))
-    visible = np.zeros(n, dtype=bool)
-    prim_b = np.full(n, BACKGROUND, dtype=np.int64)
-    front = (prim_a >= 0) & (x_b[:, 2] > 0)
-    if front.any():
-        proj = K_b.project(x_b[front])
-        uv_b[front] = proj
-        in_frame = ((proj[:, 0] >= 0) & (proj[:, 0] <= K_b.width - 1)
-                    & (proj[:, 1] >= 0) & (proj[:, 1] <= K_b.height - 1))
-        check = np.flatnonzero(front)[in_frame]
-        if check.size:
-            hit_depth, hit_prim = raycast(scene, ext_b, K_b, uv_b[check])
-            vis = np.abs(hit_depth - x_b[check, 2]) <= OCCLUSION_TOL
-            visible[check] = vis
-            prim_b[check] = hit_prim
-    return uv_b, visible, prim_a, prim_b
+    """Exact correspondences of (sub-)pixels ``uv_a`` (N, 2) of view A in
+    view B. Returns (uv_b (N, 2), visible (N,), prim_a (N,), prim_b (N,));
+    rows that are background in A come back with prim_a == BACKGROUND and
+    visible False."""
+    status, uv_b, prim_a, prim_b, _ = _correspond(scene, view_a, view_b, uv_a)
+    return uv_b, status == "ok", prim_a, prim_b
 
 
 def positional_features(scene: Scene, view: RenderedView, width: int, height: int,
@@ -423,13 +395,7 @@ def positional_features(scene: Scene, view: RenderedView, width: int, height: in
     truth; background pixels are zero.
     """
     k_feat = view.intrinsics.scaled(width / view.intrinsics.width)
-    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    uv = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
-    ext = view.extrinsics
-    depth, surf = raycast(scene, ext, k_feat, uv)
-    d_cam = np.concatenate([k_feat.normalize(uv), np.ones((uv.shape[0], 1))], axis=1)
-    safe = np.where(np.isfinite(depth), depth, 0.0)
-    pts = ext.camera_center()[None, :] + (d_cam @ ext.R) * safe[:, None]
+    _, surf, pts = raycast(scene, view.extrinsics, k_feat, pixel_grid(width, height))
     chans = []
     for f in freqs:
         chans.append(np.sin(f * pts))

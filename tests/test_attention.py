@@ -11,6 +11,7 @@ from epiview.attention import (
     epipolar_attention,
     epipolar_similarity,
     full_cross_attention,
+    full_similarity,
     fuse,
     multi_view_aggregate,
     project_context,
@@ -188,6 +189,42 @@ class TestBatchedFullAttentionDualRoute:
         small = project_context(FeatureMap(np.zeros((2, 2, 3))), params)
         with pytest.raises(ValueError):
             full_cross_attention(fm, [project_context(fm, params), small], params)
+
+
+def oracle_full_similarity(f_tgt, ctx, params, counters=None):
+    """``full_similarity`` as it was before it shared full attention's
+    logits, with the core's helpers inlined. Kept as the oracle."""
+    def heads_major(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.moveaxis(x.reshape(x.shape[:-1] + (params.heads, -1)), -2, 0)
+
+    q = heads_major(apply_linear(params.q_proj, f_tgt).flat())
+    k = heads_major(ctx.k.flat())
+    if counters is not None:
+        counters.record(params.heads * q.shape[1] * k.shape[1])
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits /= np.sqrt(q.shape[-1])
+    weights, _ = masked_softmax(logits, None)
+    return logits, weights
+
+
+class TestFullSimilarityDualRoute:
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 6)])
+    def test_byte_identical_to_the_old_body(self, heads, shape):
+        rng = np.random.default_rng(heads * 100 + shape[1])
+        f_tgt = FeatureMap(rng.standard_normal(shape + (8,)))
+        params = AttentionParams.seeded(8, heads, rng)
+        ctx = project_context(FeatureMap(rng.standard_normal(shape + (8,))), params)
+        got_counters, want_counters = AttentionCounters(), AttentionCounters()
+        logits, weights = full_similarity(f_tgt, ctx, params, got_counters)
+        want_logits, want_weights = oracle_full_similarity(f_tgt, ctx, params, want_counters)
+        n = shape[0] * shape[1]
+        assert logits.shape == weights.shape == (heads, n, n)
+        assert np.ascontiguousarray(logits).tobytes() == want_logits.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
+        assert vars(got_counters) == vars(want_counters)
+        assert not np.shares_memory(logits, weights)
 
 
 class TestEpipolarAttention:

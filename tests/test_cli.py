@@ -275,6 +275,7 @@ class TestExitCodes:
         ("cfg.json", b'{"steps": 5.5}'),
         ("cfg.json", b'{"inject_layers": "mid"}'),
         ("cfg.json", b'{"inject_layers": ["stage1"]}', "'stage1'"),
+        ("cfg.json", b'{"inject_after_step": -1}', "inject_after_step"),
         ("scene.json", b'{"x": 1}'),
         ("cameras.json", b'{"views": []}'),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
@@ -284,6 +285,7 @@ class TestExitCodes:
             "config-not-an-object", "config-unknown-key", "config-unknown-nested-key",
             "config-alpha-not-a-number", "config-steps-not-an-int",
             "config-inject-layers-not-a-list", "config-inject-layer-unknown",
+            "config-inject-step-negative",
             "scene-json-without-primitives",
             "cameras-json-without-intrinsics"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):

@@ -10,6 +10,7 @@ import pytest
 from epiview.attention import AttentionParams, epipolar_similarity, project_context
 from epiview.geometry import (
     CameraIntrinsics,
+    EpipolarSampleSet,
     SphericalCamera,
     camera_on_sphere,
     epipolar_sample_grid,
@@ -88,6 +89,8 @@ def test_two_tap_plan_is_byte_identical_on_sample_grids(axis, width, height):
         v = FeatureMap(rng.standard_normal((height, width, 3)))
         plan = BilinearPlan.build(samples.uv, width, height)
         assert plan.index.shape[0] == 2 and plan.index.dtype == np.int32
+        for field in ("index", "frac", "valid"):   # the set's own plan is the same plan
+            assert getattr(samples.plan, field).tobytes() == getattr(plan, field).tobytes()
         kv = plan.gather(np.concatenate([k.flat(), v.flat()], axis=1))
         for got, fm in ((kv[..., :5], k), (kv[..., 5:], v)):
             want, ok = bilinear_oracle(fm, samples.uv)
@@ -107,9 +110,7 @@ def test_similarity_through_the_plan_matches_the_oracle_route(axis):
     params = AttentionParams.seeded(4, 2, rng)
     ctx = project_context(f_ref, params)
     for samples in random_sample_sets(4, 4, 12, 12, axis):
-        plan = BilinearPlan.build(samples.uv, 12, 12)
-        logits, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params,
-                                                             plan=plan)
+        logits, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params)
         k_want, k_ok = bilinear_oracle(ctx.k, samples.uv)
         v_want, _ = bilinear_oracle(ctx.value, samples.uv)
         assert np.ascontiguousarray(v_samp).tobytes() == v_want.tobytes()
@@ -123,8 +124,15 @@ def test_similarity_through_the_plan_matches_the_oracle_route(axis):
         # an independent formula; BLAS may fuse multiply-adds differently
         np.testing.assert_allclose(
             logits, np.einsum("qhd,qshd->hqs", q, k) / np.sqrt(2), rtol=0, atol=1e-12)
-        # the plan built inside gives the same bytes as the one passed in
+        # the set's own plan has the bytes of a plan built from its positions
+        plan = BilinearPlan.build(samples.uv, 12, 12)
+        for field in ("index", "frac", "valid"):
+            assert getattr(samples.plan, field).tobytes() == getattr(plan, field).tobytes()
+        assert (samples.plan.width, samples.plan.height) == (12, 12)
+        # a second call reuses that plan and gives the same bytes
+        kept = samples.plan
         again = epipolar_similarity(f_tgt, ctx, samples, params)
+        assert samples.plan is kept
         for a, b in zip((logits, weights, v_samp, valid), again):
             assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
@@ -152,15 +160,17 @@ def test_plan_rejects_a_grid_of_another_size():
         plan.gather(np.zeros((15, 2)))
 
 
-def test_similarity_rejects_a_plan_of_another_sample_set():
+def test_similarity_rejects_a_sample_set_of_another_grid():
     rng = np.random.default_rng(1)
     fm = FeatureMap(rng.standard_normal((6, 6, 2)))
     params = AttentionParams.identity(2)
     ctx = project_context(fm, params)
-    samples = next(random_sample_sets(1, 1, 6, 6, "dominant"))
-    with pytest.raises(ValueError):
-        epipolar_similarity(fm, ctx, samples, params,
-                            plan=BilinearPlan.build(samples.uv[:, :3], 6, 6))
+    on_grid = next(random_sample_sets(1, 1, 6, 6, "dominant"))
+    # one row per query of the 6x6 target, but labelled for an 8x8 grid
+    samples = EpipolarSampleSet(uv=on_grid.uv, valid=on_grid.valid, width=8, height=8)
+    assert samples.uv.shape[:1] == (36,)
+    with pytest.raises(ValueError, match="context grid"):
+        epipolar_similarity(fm, ctx, samples, params)
 
 
 @pytest.mark.parametrize("taps", [2, 4])

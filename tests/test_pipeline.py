@@ -220,7 +220,7 @@ class TestPairMemoLifetime:
             return out
 
         def recording_attention(*args, **kwargs):
-            views[-1].append(weakref.ref(kwargs["plan"]))
+            views[-1].append(weakref.ref(args[2].plan))
             return attend(*args, **kwargs)
 
         def branch(*args, **kwargs):

@@ -1,0 +1,325 @@
+"""Ray casts that return their hit points, and the one correspondence
+kernel, against frozen copies of the routes they replaced: ``raycast``
+without hit points, ``render`` and ``positional_features`` that cast
+again, ``_unproject`` (the hit point as R^T (d z - t)), and the two
+hand-written correspondence routes. Renders and features are byte-equal;
+correspondences agree in every mask and id, and in position to 1e-12 px."""
+
+import math
+
+import numpy as np
+import pytest
+
+from epiview.geometry import CameraIntrinsics, SphericalCamera, camera_on_sphere
+from epiview.numerics import FeatureMap
+from epiview.scenegen import (
+    BACKGROUND,
+    OCCLUSION_TOL,
+    Box,
+    Correspondence,
+    PaintedBall,
+    RenderedView,
+    Scene,
+    Sphere,
+    _ray_box,
+    _ray_sphere,
+    correspondence_grid,
+    gt_correspondence,
+    make_scene,
+    make_trajectory,
+    positional_features,
+    raycast,
+    render,
+    surface_palette,
+    surface_table,
+)
+
+
+# --- frozen copies of the old routes, kept verbatim as oracles -------------
+
+def oracle_raycast(scene, ext, K, uv):
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    n = uv.shape[0]
+    d_cam = np.concatenate([K.normalize(uv), np.ones((n, 1))], axis=1)
+    dirs = d_cam @ ext.R                                # R^T per row
+    origin = ext.camera_center()
+
+    bases, _ = surface_table(scene)
+    depth = np.full(n, np.inf)
+    winner = np.full(n, -1, dtype=np.int64)
+    for i, p in enumerate(scene.primitives):
+        if isinstance(p, (Sphere, PaintedBall)):
+            s = _ray_sphere(origin, dirs, np.asarray(p.center, dtype=np.float64), p.radius)
+        else:
+            s = _ray_box(origin, dirs, np.asarray(p.lo, dtype=np.float64),
+                         np.asarray(p.hi, dtype=np.float64))
+        closer = s < depth
+        depth = np.where(closer, s, depth)
+        winner = np.where(closer, i, winner)
+
+    surf = np.full(n, BACKGROUND, dtype=np.int64)
+    for i, p in enumerate(scene.primitives):
+        sel = winner == i
+        if not sel.any():
+            continue
+        if isinstance(p, PaintedBall) and p.shading == "voronoi":
+            pts = origin[None, :] + dirs[sel] * depth[sel, None]
+            normals = (pts - np.asarray(p.center)) / p.radius
+            patch = np.argmax(normals @ p.seeds.T, axis=1)
+            surf[sel] = bases[i] + patch
+        else:
+            surf[sel] = bases[i]
+    return depth, surf
+
+
+def oracle_render(scene, cam, K):
+    if cam.radius <= scene.bounding_radius:
+        raise ValueError("camera must stay outside the scene bounding sphere")
+    ext = camera_on_sphere(cam)
+    h, w = K.height, K.width
+    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    uv = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
+    depth, surf = oracle_raycast(scene, ext, K, uv)
+    rgb = np.zeros((h * w, 3), dtype=np.float64)
+    fg = surf >= 0
+    if fg.any():
+        rgb[fg] = surface_palette(scene)[surf[fg]]
+    bases, _ = surface_table(scene)
+    for p, base in zip(scene.primitives, bases):
+        if isinstance(p, PaintedBall) and p.shading == "normal":
+            sel = surf == base
+            if sel.any():
+                d_cam = np.concatenate([K.normalize(uv[sel]), np.ones((int(sel.sum()), 1))], axis=1)
+                dirs = d_cam @ ext.R
+                pts = ext.camera_center()[None, :] + dirs * depth[sel, None]
+                normals = (pts - np.asarray(p.center)) / p.radius
+                rgb[sel] = p.shade_normals(normals)
+    return RenderedView(
+        rgb=FeatureMap(rgb.reshape(h, w, 3)),
+        depth=depth.reshape(h, w),
+        prim_id=surf.reshape(h, w).astype(np.int64),
+        camera=cam,
+        intrinsics=K,
+    )
+
+
+def oracle_unproject(scene, view, uv):
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    ext = view.extrinsics
+    K = view.intrinsics
+    depth, prim = oracle_raycast(scene, ext, K, uv)
+    d_cam = np.concatenate([K.normalize(uv), np.ones((uv.shape[0], 1))], axis=1)
+    safe = np.where(np.isfinite(depth), depth, 0.0)  # background rows are junk; prim marks them
+    x_cam = d_cam * safe[:, None]
+    x_world = (x_cam - ext.t) @ ext.R
+    return x_world, depth, prim
+
+
+def oracle_gt_correspondence(scene, view_a, view_b, p):
+    p = np.asarray(p, dtype=np.float64).reshape(2)
+    x_world, depth_a, prim_a = oracle_unproject(scene, view_a, p[None, :])
+    if prim_a[0] < 0:
+        raise ValueError(f"pixel {p} is background in view A")
+    ext_b = view_b.extrinsics
+    K_b = view_b.intrinsics
+    x_b = ext_b.apply(x_world)[0]
+    if x_b[2] <= 0:
+        return Correspondence(status="behind", uv=None, prim_a=int(prim_a[0]))
+    uv_b = K_b.project(x_b)
+    if not (0 <= uv_b[0] <= K_b.width - 1 and 0 <= uv_b[1] <= K_b.height - 1):
+        return Correspondence(status="out_of_frame", uv=None, prim_a=int(prim_a[0]))
+    hit_depth, hit_prim = oracle_raycast(scene, ext_b, K_b, uv_b[None, :])
+    if abs(hit_depth[0] - x_b[2]) > OCCLUSION_TOL:
+        return Correspondence(status="occluded", uv=uv_b, prim_a=int(prim_a[0]),
+                              prim_b=int(hit_prim[0]), depth_b=float(hit_depth[0]))
+    return Correspondence(status="ok", uv=uv_b, prim_a=int(prim_a[0]),
+                          prim_b=int(hit_prim[0]), depth_b=float(hit_depth[0]))
+
+
+def oracle_correspondence_grid(scene, view_a, view_b, uv_a):
+    uv_a = np.asarray(uv_a, dtype=np.float64).reshape(-1, 2)
+    x_world, _, prim_a = oracle_unproject(scene, view_a, uv_a)
+    ext_b = view_b.extrinsics
+    K_b = view_b.intrinsics
+    x_b = ext_b.apply(x_world)
+    n = uv_a.shape[0]
+    uv_b = np.zeros((n, 2))
+    visible = np.zeros(n, dtype=bool)
+    prim_b = np.full(n, BACKGROUND, dtype=np.int64)
+    front = (prim_a >= 0) & (x_b[:, 2] > 0)
+    if front.any():
+        proj = K_b.project(x_b[front])
+        uv_b[front] = proj
+        in_frame = ((proj[:, 0] >= 0) & (proj[:, 0] <= K_b.width - 1)
+                    & (proj[:, 1] >= 0) & (proj[:, 1] <= K_b.height - 1))
+        check = np.flatnonzero(front)[in_frame]
+        if check.size:
+            hit_depth, hit_prim = oracle_raycast(scene, ext_b, K_b, uv_b[check])
+            vis = np.abs(hit_depth - x_b[check, 2]) <= OCCLUSION_TOL
+            visible[check] = vis
+            prim_b[check] = hit_prim
+    return uv_b, visible, prim_a, prim_b
+
+
+def oracle_positional_features(scene, view, width, height, freqs=(9.0,)):
+    k_feat = view.intrinsics.scaled(width / view.intrinsics.width)
+    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    uv = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
+    ext = view.extrinsics
+    depth, surf = oracle_raycast(scene, ext, k_feat, uv)
+    d_cam = np.concatenate([k_feat.normalize(uv), np.ones((uv.shape[0], 1))], axis=1)
+    safe = np.where(np.isfinite(depth), depth, 0.0)
+    pts = ext.camera_center()[None, :] + (d_cam @ ext.R) * safe[:, None]
+    chans = []
+    for f in freqs:
+        chans.append(np.sin(f * pts))
+        chans.append(np.cos(f * pts))
+    feat = np.concatenate(chans, axis=1)
+    feat[surf < 0] = 0.0
+    return FeatureMap(feat.reshape(height, width, -1))
+
+
+# --- scenes ------------------------------------------------------------------
+
+def box_scene() -> Scene:
+    """A box poking out of a voronoi ball, and a sphere beside them."""
+    base = make_scene(3, "plain")
+    return Scene(seed=3, mode="plain", bounding_radius=1.0, primitives=base.primitives + (
+        Box(lo=np.array([0.35, -0.3, -0.2]), hi=np.array([0.75, 0.1, 0.25]),
+            color=np.array([0.8, 0.2, 0.1])),
+        Sphere(center=np.array([-0.2, 0.75, 0.3]), radius=0.15, color=np.array([0.1, 0.6, 0.3])),
+    ))
+
+
+SCENES = {"distinctive": lambda: make_scene(0, "distinctive"),
+          "plain": lambda: make_scene(0, "plain"),
+          "box": box_scene}
+
+
+def assert_same_view(got: RenderedView, want: RenderedView):
+    assert got.rgb.data.tobytes() == want.rgb.data.tobytes()
+    assert got.depth.tobytes() == want.depth.tobytes()
+    assert got.prim_id.dtype == want.prim_id.dtype
+    assert got.prim_id.tobytes() == want.prim_id.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_render_and_features_are_byte_equal(name):
+    scene = SCENES[name]()
+    K = CameraIntrinsics.from_fov(32, 32)
+    K_wide = CameraIntrinsics.from_fov(24, 20, 65.0)
+    drawn = set()
+    for cam in make_trajectory("free16", 100):
+        view = render(scene, cam, K)
+        assert_same_view(view, oracle_render(scene, cam, K))
+        assert_same_view(render(scene, cam, K_wide), oracle_render(scene, cam, K_wide))
+        for size in (16, 24):
+            got = positional_features(scene, view, size, size)
+            want = oracle_positional_features(scene, view, size, size)
+            assert got.data.tobytes() == want.data.tobytes()
+        drawn |= set(np.unique(view.prim_id).tolist())
+    assert set(surface_table(scene)[0]) <= drawn   # every primitive is seen somewhere
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_raycast_hit_points_match_the_unprojection(name):
+    scene = SCENES[name]()
+    K = CameraIntrinsics.from_fov(32, 32)
+    rng = np.random.default_rng(7)
+    for cam in make_trajectory("free16", 100)[:6]:
+        view = oracle_render(scene, cam, K)
+        ext = view.extrinsics
+        uv = rng.uniform(-2.0, 33.0, (300, 2))
+        depth, surf, points = raycast(scene, ext, K, uv)
+        want_depth, want_surf = oracle_raycast(scene, ext, K, uv)
+        assert depth.tobytes() == want_depth.tobytes()
+        assert surf.tobytes() == want_surf.tobytes()
+        x_world, _, _ = oracle_unproject(scene, view, uv)
+        fg = surf >= 0
+        assert 0 < fg.sum() < fg.size
+        np.testing.assert_allclose(points[fg], x_world[fg], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ext.apply(points[fg])[:, 2], depth[fg], rtol=0, atol=1e-12)
+        assert np.all(points[~fg] == ext.camera_center())
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_correspondence_grid_matches_the_old_route(name):
+    scene = SCENES[name]()
+    K = CameraIntrinsics.from_fov(32, 32)
+    views = [render(scene, c, K) for c in make_trajectory("free16", 100)[::2]]
+    uv_a = np.stack(np.meshgrid(np.arange(32.0), np.arange(32.0), indexing="xy"),
+                    axis=-1).reshape(-1, 2)
+    uv_frac = np.random.default_rng(11).uniform(-0.5, 31.5, (200, 2))
+    seen = invisible_in_frame = 0
+    for i, va in enumerate(views):
+        for j, vb in enumerate(views):
+            if i == j:
+                continue
+            for uv in (uv_a, uv_frac):
+                uv_b, visible, prim_a, prim_b = correspondence_grid(scene, va, vb, uv)
+                w_uv_b, w_visible, w_prim_a, w_prim_b = oracle_correspondence_grid(
+                    scene, va, vb, uv)
+                assert visible.tobytes() == w_visible.tobytes()
+                assert prim_a.tobytes() == w_prim_a.tobytes()
+                assert prim_b.tobytes() == w_prim_b.tobytes()
+                assert np.array_equal(np.round(uv_b), np.round(w_uv_b))
+                np.testing.assert_allclose(uv_b, w_uv_b, rtol=0, atol=1e-12)
+                seen += int(visible.sum())
+                invisible_in_frame += int(np.sum(~visible & (prim_b >= 0)))
+    assert seen > 0 and invisible_in_frame > 0   # both visible and occluded rows ran
+
+
+def assert_same_correspondence(got: Correspondence, want: Correspondence):
+    assert got.status == want.status
+    assert (got.prim_a, got.prim_b) == (want.prim_a, want.prim_b)
+    assert (got.uv is None) == (want.uv is None)
+    if want.uv is not None:
+        np.testing.assert_allclose(got.uv, want.uv, rtol=0, atol=1e-12)
+    if math.isinf(want.depth_b):
+        assert got.depth_b == want.depth_b
+    else:
+        assert abs(got.depth_b - want.depth_b) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_gt_correspondence_matches_the_old_route(name):
+    scene = SCENES[name]()
+    K = CameraIntrinsics.from_fov(32, 32)
+    views = [render(scene, c, K) for c in make_trajectory("free16", 100)[::3]]
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for i, va in enumerate(views):
+        ys, xs = np.nonzero(va.prim_id >= 0)
+        picks = rng.choice(xs.size, 40, replace=False)
+        uv = np.stack([xs[picks], ys[picks]], axis=-1) + rng.uniform(-0.3, 0.3, (40, 2))
+        for j, vb in enumerate(views):
+            if i == j:
+                continue
+            for p in uv:
+                try:
+                    want = oracle_gt_correspondence(scene, va, vb, p)
+                except ValueError:   # a sub-pixel step off the silhouette
+                    with pytest.raises(ValueError):
+                        gt_correspondence(scene, va, vb, p)
+                    continue
+                got = gt_correspondence(scene, va, vb, p)
+                assert_same_correspondence(got, want)
+                statuses.add(got.status)
+    assert {"ok", "occluded", "out_of_frame"} <= statuses
+
+
+def test_gt_correspondence_behind_the_other_view():
+    # view A at +x looks through the empty middle at a sphere behind view B
+    scene = Scene(seed=0, bounding_radius=1.0, primitives=(
+        Sphere(center=np.array([-3.0, 0.0, 0.0]), radius=0.5, color=np.array([0.9, 0.1, 0.1])),))
+    K = CameraIntrinsics.from_fov(32, 32)
+    va, vb = (render(scene, SphericalCamera(0.0, az, 2.0), K) for az in (0.0, 180.0))
+    ys, xs = np.nonzero(va.prim_id >= 0)
+    assert xs.size > 0
+    for x, y in zip(xs, ys):
+        got = gt_correspondence(scene, va, vb, (float(x), float(y)))
+        want = oracle_gt_correspondence(scene, va, vb, (float(x), float(y)))
+        assert got.status == "behind"
+        assert_same_correspondence(got, want)
+    with pytest.raises(ValueError):
+        gt_correspondence(scene, va, vb, (0.0, 0.0))

@@ -41,7 +41,7 @@ class TestRender:
                                   float(rng.uniform(1.5, 3)))
             ext = camera_on_sphere(cam)
             K = intrinsics32
-            depth, surf = raycast(scene, ext, K, np.array([[K.cx, K.cy]]))
+            depth, surf, _ = raycast(scene, ext, K, np.array([[K.cx, K.cy]]))
             assert surf[0] == 0
             assert abs(depth[0] - (cam.radius - 0.01)) < 1e-9
 
@@ -185,7 +185,7 @@ class TestPositionalFeatures:
         k_feat = views[0].intrinsics.scaled(24 / 32)
         vv, uu = np.meshgrid(np.arange(24), np.arange(24), indexing="ij")
         uv = np.stack([uu.ravel(), vv.ravel()], -1).astype(float)
-        _, surf = raycast(scene, views[0].extrinsics, k_feat, uv)
+        _, surf, _ = raycast(scene, views[0].extrinsics, k_feat, uv)
         norms = np.linalg.norm(fm.flat(), axis=1)
         fg = surf >= 0
         np.testing.assert_allclose(norms[fg], np.sqrt(3.0), atol=1e-5)
