@@ -1,5 +1,6 @@
 """Print the u8 SHA-256 prefix of one whole perfbench unit per workload,
-and one of the analytic scene renders.
+one of the analytic scene renders, and one of their reprojection
+consistency.
 
     python3 scripts/output_digests.py
 
@@ -23,6 +24,13 @@ The last line, ``scene-renders``, hashes the rgb, depth and prim_id of
 for m in distinctive and plain, at every free16 camera (seed 100) at
 32 px, in that order. Its prefix is c138a3add59b2d1c, first taken at the
 commit before ray casts returned their hit points.
+
+The ``reprojection`` line hashes, as float64, the mean error and every
+pair's (view_a, view_b, pixels, error) of ``reprojection_consistency``
+over those renders, per scene mode: first on the clean renders, then on
+a noisy copy (Gaussian, sigma 0.05, one generator seeded 0 for both
+modes). Its prefix is 9efc96be45eadda3, first taken at the commit before
+each view was ray-cast once per call.
 """
 
 from __future__ import annotations
@@ -56,24 +64,36 @@ def main() -> int:
         bad = unit.failed or any(run.failed for run in unit.runs)
         failed |= bad
         print(f"{name:20s} {digest.hexdigest()[:16]}{'  FAILED' if bad else ''}")
-    print(f"{'scene-renders':20s} {scene_digest()}")
+    renders, reprojection = scene_digests()
+    print(f"{'scene-renders':20s} {renders}")
+    print(f"{'reprojection':20s} {reprojection}")
     return 1 if failed else 0
 
 
-def scene_digest() -> str:
+def scene_digests() -> tuple[str, str]:
+    """The ``scene-renders`` and ``reprojection`` prefixes."""
+    import numpy as np
     from epiview.geometry import CameraIntrinsics
+    from epiview.metrics import reprojection_consistency
     from epiview.scenegen import make_scene, make_trajectory, positional_features, render
 
     K = CameraIntrinsics.from_fov(32, 32)
-    digest = hashlib.sha256()
+    renders, reprojection = hashlib.sha256(), hashlib.sha256()
+    rng = np.random.default_rng(0)
     for mode in ("distinctive", "plain"):
         scene = make_scene(0, mode)
-        for cam in make_trajectory("free16", 100):
-            view = render(scene, cam, K)
+        views = [render(scene, cam, K) for cam in make_trajectory("free16", 100)]
+        for view in views:
             for a in (view.rgb.data, view.depth, view.prim_id,
                       positional_features(scene, view, 16, 16).data):
-                digest.update(a.tobytes())
-    return digest.hexdigest()[:16]
+                renders.update(a.tobytes())
+        clean = [view.rgb.data for view in views]
+        noisy = [im + rng.normal(0.0, 0.05, im.shape) for im in clean]
+        for images in (clean, noisy):
+            mean, pairs = reprojection_consistency(images, views, scene)
+            rows = [(p.view_a, p.view_b, p.pixels, p.error) for p in pairs]
+            reprojection.update(np.array([mean, *np.ravel(rows)], dtype=np.float64).tobytes())
+    return renders.hexdigest()[:16], reprojection.hexdigest()[:16]
 
 
 if __name__ == "__main__":

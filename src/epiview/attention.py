@@ -66,10 +66,9 @@ class AttentionParams:
                    out_proj=eye.copy(), heads=1)
 
     @classmethod
-    def seeded(cls, channels: int, heads: int, rng: np.random.Generator,
-               scale: float = 0.3) -> "AttentionParams":
+    def seeded(cls, channels: int, heads: int, rng: np.random.Generator) -> "AttentionParams":
         def lin():
-            w = rng.standard_normal((channels, channels)) * scale
+            w = rng.standard_normal((channels, channels)) * 0.3
             b = rng.standard_normal(channels) * 0.01
             return LinearMap(weight=w, bias=b)
         return cls(q_proj=lin(), k_proj=lin(), v_proj=lin(), out_proj=lin(), heads=heads)
@@ -145,7 +144,7 @@ def _scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None):
     """The logits and their softmax over the keys, kept apart: returns
     (logits, weights), both (h, ..., n, m)."""
     logits = _logits(q, k)
-    weights, _ = masked_softmax(logits, mask)
+    weights = masked_softmax(logits, mask)
     return logits, weights
 
 
@@ -182,7 +181,7 @@ def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionPa
     reference position, on full attention's route, with the softmax kept
     apart. Returns (logits (h, N, N_ref), weights)."""
     logits = _full_logits(f_tgt, [ctx], params, counters)[:, 0]
-    return logits, masked_softmax(logits, None)[0]
+    return logits, masked_softmax(logits, None)
 
 
 def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
@@ -203,7 +202,7 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
     if any(c.f.height != f_tgt.height or c.f.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
     logits = _full_logits(f_tgt, contexts, params, counters)
-    weights, _ = masked_softmax(logits, None, out=logits)
+    weights = masked_softmax(logits, None, out=logits)
     mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params.heads)
     return [(_merge(mixed[:, i], f_tgt, params), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
             for i in range(len(contexts))]

@@ -46,9 +46,9 @@ def _bench_pose(rng: np.random.Generator):
             return pose
 
 
-def run_scaling_bench(sizes=(8, 16, 32, 64), modes=("epipolar", "full"),
-                      reps: int = 3, seed: int = 0, channels: int = 4) -> list:
-    """Measure buffer elements and median wall time per (size, mode).
+def run_scaling_bench(sizes=(8, 16, 32, 64), reps: int = 3, seed: int = 0) -> list:
+    """Measure buffer elements and median wall time per size, for epipolar
+    then full attention, on 4-channel maps.
 
     Sizes must be ascending and reps >= 3. Single-threaded; one head, so
     the full-attention count is exactly L^4.
@@ -62,22 +62,20 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), modes=("epipolar", "full"),
     rows: list[BenchRow] = []
     for L in sizes:
         k_feat = CameraIntrinsics.from_fov(L, L)
-        f_tgt = FeatureMap(rng.standard_normal((L, L, channels)))
-        f_ref = FeatureMap(rng.standard_normal((L, L, channels)))
-        params = AttentionParams.seeded(channels, 1, rng)
+        f_tgt = FeatureMap(rng.standard_normal((L, L, 4)))
+        f_ref = FeatureMap(rng.standard_normal((L, L, 4)))
+        params = AttentionParams.seeded(4, 1, rng)
         ctx = project_context(f_ref, params)
         samples = epipolar_sample_grid(pose, k_feat, L, L)
-        for mode in modes:
+        for mode in ("epipolar", "full"):
             counters = AttentionCounters()
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter_ns()
                 if mode == "epipolar":
                     epipolar_attention(f_tgt, ctx, samples, params, counters)
-                elif mode == "full":
-                    full_cross_attention(f_tgt, [ctx], params, counters)
                 else:
-                    raise ValueError(f"unknown mode {mode!r}")
+                    full_cross_attention(f_tgt, [ctx], params, counters)
                 times.append(time.perf_counter_ns() - t0)
             rows.append(BenchRow(size=L, mode=mode,
                                  buffer_elems=counters.peak_elems,

@@ -64,7 +64,8 @@ def _write_csv(path, rows):
 
 # Run settings besides the GenerationConfig fields, whose defaults the dataclass holds.
 _RUN_SETTINGS = {"backend": "analytic", "steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0}
-# What a manifest records besides the settings; a config file may carry them.
+# What a manifest records besides the settings (older manifests also carry
+# "timings"); a config file may carry them.
 _MANIFEST_RECORDS = ("version", "schedule", "input_view", "intrinsics", "trajectory",
                      "timings", "buffer_counters", "input", "scene")
 # The JSON values a setting's declared type accepts, and their name; a bool is
@@ -140,8 +141,6 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ck
 
 
 def _cmd_scene(args) -> int:
-    if args.action != "gen":
-        raise UsageError(f"unknown scene action {args.action!r}")
     scene = make_scene(args.seed, mode=args.mode)
     cams = make_trajectory(args.traj, args.seed, radius=args.radius)
     K = CameraIntrinsics.from_fov(args.size, args.size, args.fov)
@@ -151,8 +150,6 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_traj(args) -> int:
-    if args.action != "make":
-        raise UsageError(f"unknown traj action {args.action!r}")
     cams = make_trajectory(args.mode, args.seed, radius=args.radius)
     write_trajectory(args.out, cams)
     print(f"trajectory ({args.mode}) written to {args.out}")

@@ -58,11 +58,12 @@ class NoiseSchedule:
         return self.alphas.size - 1
 
     @classmethod
-    def linear_beta(cls, steps: int, beta_min: float = 1e-4, beta_max: float = 0.12) -> "NoiseSchedule":
-        """Linear-in-beta schedule; the desk-scale default is 50 steps."""
+    def linear_beta(cls, steps: int) -> "NoiseSchedule":
+        """Schedule with beta linear from 1e-4 to 0.12 over ``steps``; the
+        desk-scale default is 50 steps."""
         if steps == 0:
             return cls(alphas=np.array([1.0]))
-        betas = np.linspace(beta_min, beta_max, steps)
+        betas = np.linspace(1e-4, 0.12, steps)
         return cls(alphas=np.concatenate([[1.0], np.cumprod(1.0 - betas)]))
 
 

@@ -72,11 +72,6 @@ class CameraIntrinsics:
         return cls(f=f, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
                    width=width, height=height)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.f, 0.0, self.cx],
-                         [0.0, self.f, self.cy],
-                         [0.0, 0.0, 1.0]])
-
     def inverse(self) -> np.ndarray:
         return np.array([[1.0 / self.f, 0.0, -self.cx / self.f],
                          [0.0, 1.0 / self.f, -self.cy / self.f],
@@ -163,12 +158,6 @@ class RelativePose:
             raise ValueError("R is not orthonormal within 1e-9")
         if abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("R must have determinant +1")
-
-    def apply(self, xyz_ref: np.ndarray) -> np.ndarray:
-        return np.asarray(xyz_ref, dtype=np.float64) @ self.R.T + self.t
-
-    def inverse(self) -> "RelativePose":
-        return RelativePose(R=self.R.T, t=-self.R.T @ self.t)
 
     def baseline(self) -> float:
         return float(np.linalg.norm(self.t))

@@ -16,8 +16,14 @@ import numpy as np
 
 from .attention import AttentionParams, epipolar_similarity, full_similarity, project_context
 from .geometry import epipolar_sample_grid, pixel_grid, relative_pose
-from .numerics import downsample_mean
-from .scenegen import RenderedView, Scene, correspondence_grid, positional_features
+from .scenegen import (
+    RenderedView,
+    Scene,
+    _correspond,
+    correspondence_grid,
+    positional_features,
+    raycast,
+)
 
 __all__ = [
     "psnr",
@@ -43,10 +49,10 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 8,
-         c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
-    """Mean local SSIM over uniformly weighted ``window`` x ``window``
-    patches (stride 1), standard stabilizers, unit data range."""
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean local SSIM over uniformly weighted 8 x 8 patches (stride 1),
+    standard stabilizers, unit data range."""
+    window, c1, c2 = 8, 0.01 ** 2, 0.03 ** 2
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -103,36 +109,29 @@ def reprojection_consistency(images: list, views: list, scene: Scene):
     """
     if len(images) != len(views):
         raise ValueError("need one image per rendered view")
-    n = len(views)
+    hits = []   # (surface ids, world hit points) of each view's pixel grid, cast once
+    for view in views:
+        K = view.intrinsics
+        _, surf, points = raycast(scene, view.extrinsics, K, pixel_grid(K.width, K.height))
+        hits.append((surf, points))
     pairs: list[PairConsistency] = []
     defined = []
-    for i in range(n):
-        h, w = views[i].intrinsics.height, views[i].intrinsics.width
-        uv_a = pixel_grid(w, h)
-        img_a = np.asarray(images[i], dtype=np.float64).reshape(h * w, -1)
-        for j in range(n):
+    for i, (prim_a, x_world) in enumerate(hits):
+        img_a = np.asarray(images[i], dtype=np.float64).reshape(prim_a.size, -1)
+        for j, view_b in enumerate(views):
             if i == j:
                 continue
-            uv_b, visible, prim_a, prim_b = correspondence_grid(scene, views[i], views[j], uv_a)
-            near = np.round(uv_b).astype(np.int64)
-            ok = visible.copy()
-            idx = np.flatnonzero(ok)
-            if idx.size:
-                nb = near[idx]
-                nb[:, 0] = np.clip(nb[:, 0], 0, views[j].intrinsics.width - 1)
-                nb[:, 1] = np.clip(nb[:, 1], 0, views[j].intrinsics.height - 1)
-                same_prim = views[j].prim_id[nb[:, 1], nb[:, 0]] == prim_a[idx]
-                ok[idx] = same_prim
-            count = int(ok.sum())
-            if count == 0:
+            status, uv_b, _, _ = _correspond(scene, prim_a, x_world, view_b)
+            idx = np.flatnonzero(status == "ok")
+            near = np.round(uv_b[idx]).astype(np.int64)   # a visible point lies on B's grid
+            same = view_b.prim_id[near[:, 1], near[:, 0]] == prim_a[idx]
+            sel, nb = idx[same], near[same]
+            if sel.size == 0:
                 pairs.append(PairConsistency(i, j, float("nan"), 0))
                 continue
-            sel = np.flatnonzero(ok)
-            nb = near[sel]
             img_b = np.asarray(images[j], dtype=np.float64)
-            diff = np.abs(img_a[sel] - img_b[nb[:, 1], nb[:, 0]])
-            err = float(diff.mean())
-            pairs.append(PairConsistency(i, j, err, count))
+            err = float(np.abs(img_a[sel] - img_b[nb[:, 1], nb[:, 0]]).mean())
+            pairs.append(PairConsistency(i, j, err, int(sel.size)))
             defined.append(err)
     mean_error = float(np.mean(defined)) if defined else float("nan")
     return mean_error, pairs
@@ -153,28 +152,19 @@ def localization_accuracy(argmax_uv: np.ndarray, gt_uv: np.ndarray,
 
 
 def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedView,
-                       feature_size: int = 24, k: float = 1.0,
-                       sample_axis: str = "dominant", feature_source: str = "positional"):
+                       feature_size: int = 24, k: float = 1.0):
     """Compare epipolar against full-attention localization on a fixture.
 
-    Feature maps use identity projections over either position-encoded
-    surface features (``positional``, the idealized distinctive texture)
-    or area-downsampled renders (``rgb``). Queries are the target's
+    Feature maps use identity projections over position-encoded surface
+    features (the idealized distinctive texture). Queries are the target's
     foreground feature pixels whose ground-truth correspondence is
     visible in the reference view; occluded queries are excluded from
     the denominator.
 
     Returns a dict with per-mode accuracies and the query count.
     """
-    if feature_source == "positional":
-        f_tgt = positional_features(scene, view_tgt, feature_size, feature_size)
-        f_ref = positional_features(scene, view_ref, feature_size, feature_size)
-    elif feature_source == "rgb":
-        factor = view_tgt.intrinsics.width // feature_size
-        f_tgt = downsample_mean(view_tgt.rgb, factor)
-        f_ref = downsample_mean(view_ref.rgb, factor)
-    else:
-        raise ValueError(f"unknown feature_source {feature_source!r}")
+    f_tgt = positional_features(scene, view_tgt, feature_size, feature_size)
+    f_ref = positional_features(scene, view_ref, feature_size, feature_size)
     wf, hf = f_tgt.width, f_tgt.height
     scale = wf / view_tgt.intrinsics.width
     k_feat = view_tgt.intrinsics.scaled(scale)
@@ -190,7 +180,7 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
         return {"epipolar": float("nan"), "full": float("nan"), "queries": 0}
 
     pose = relative_pose(view_ref.extrinsics, view_tgt.extrinsics)
-    samples = epipolar_sample_grid(pose, k_feat, wf, hf, sample_axis)
+    samples = epipolar_sample_grid(pose, k_feat, wf, hf)
     logits_e, _, _, valid_e = epipolar_similarity(f_tgt, ctx, samples, params)
     # invalid slots excluded; exact ties go to the lowest sample index
     best = np.argmax(np.where(valid_e, logits_e[0], -np.inf), axis=-1)

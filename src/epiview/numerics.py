@@ -204,46 +204,43 @@ def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
     return plan.gather(fm.flat()), plan.valid
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray | None, scale: float = 1.0,
-                   axis: int = -1, out: np.ndarray | None = None):
-    """Numerically stable softmax over the valid entries of ``logits``.
+def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax over the valid entries of the last axis
+    of ``logits``, which the caller has already scaled.
 
     Valid logits must be finite (a valid ``+inf`` gives NaN weights);
     masked entries may hold anything. Masked entries get weight 0; rows
-    with no valid entry come back all-zero with ``has_valid`` False (no
-    NaNs). Weights over valid entries sum to 1 and are invariant to adding
-    a constant to all valid logits. ``mask=None`` is the plain softmax
-    over every entry, with the same bytes as an all-True mask.
+    with no valid entry come back all-zero (no NaNs). Weights over valid
+    entries sum to 1 and are invariant to adding a constant to all valid
+    logits. ``mask=None`` is the plain softmax over every entry, with the
+    same bytes as an all-True mask.
 
-    The weights are built in one full-size float64 array: ``out`` when
-    given (a float64 array shaped like ``logits``, which may be ``logits``
-    itself, for fresh logits the caller no longer needs), else a new one.
-    With ``out=None`` the caller's ``logits`` are never written to, and
-    without a mask or scale the copy is the subtraction of the row peak.
-    Rows that all carry weight take a plain divide. Either way the weights
-    have the same bytes.
+    The weights are built in one full-size float64 array and returned:
+    ``out`` when given (a float64 array shaped like ``logits``, which may
+    be ``logits`` itself, for fresh logits the caller no longer needs),
+    else a new one. With ``out=None`` the caller's ``logits`` are never
+    written to, and without a mask the copy is the subtraction of the row
+    peak. Rows that all carry weight take a plain divide. Either way the
+    weights have the same bytes.
     """
     x = np.asarray(logits, dtype=np.float64)
-    if scale != 1.0 or (mask is not None and x is not out):
-        out = x = np.multiply(x, scale, out=out)
-    if mask is None:
-        has_valid = np.ones(np.delete(x.shape, axis), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        has_valid = mask.any(axis=axis)
-        np.copyto(x, -np.inf, where=~mask)
-    peak = np.max(x, axis=axis, keepdims=True)
+    if mask is not None:
+        if x is not out:
+            out = x = np.positive(x, out=out)   # a copy to mask in
+        np.copyto(x, -np.inf, where=~np.asarray(mask, dtype=bool))
+    peak = np.max(x, axis=-1, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
     ex = np.subtract(x, peak, out=out)
     np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
-    denom = ex.sum(axis=axis, keepdims=True)
+    denom = ex.sum(axis=-1, keepdims=True)
     live = denom > 0
     if live.all():
         ex /= denom
     else:
         np.divide(ex, denom, out=ex, where=live)
         np.copyto(ex, 0.0, where=~live)   # all-masked and NaN rows
-    return ex, has_valid
+    return ex
 
 
 def apply_linear(lin: LinearMap, fm: FeatureMap) -> FeatureMap:

@@ -16,7 +16,6 @@ freed when the view ends, since no later view shares its target camera.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -167,7 +166,6 @@ class TrajectorySynthesizer:
         self.config = config
         self.counters = counters
         self.generated: list[ViewCache] = []
-        self.timings: list[dict] = []
         self._x_ref: LatentImage | None = None
         self._ref_image: np.ndarray | None = None
         self._input_cache: ViewCache | None = None
@@ -251,7 +249,6 @@ class TrajectorySynthesizer:
     def synthesize_view(self, target_cam: SphericalCamera, view_index: int):
         """Generate one target view using the current context set; caches
         its own features for the views that follow."""
-        t0 = time.perf_counter()
         _, input_cache = self.reference_branch()
         cond = Condition(
             rel_pose=relative_pose(camera_on_sphere(self.input_cam),
@@ -264,7 +261,6 @@ class TrajectorySynthesizer:
                                        self.config.context_views)
         image, cache = self._branch(target_cam, view_index, cond, context)
         self.generated.append(cache)
-        self.timings.append({"view": view_index, "seconds": time.perf_counter() - t0})
         return image, cache
 
     def synthesize_trajectory(self, cams: list):
@@ -282,7 +278,6 @@ class TrajectorySynthesizer:
             "input_view": pose_to_json(self.input_cam),
             "intrinsics": asdict(self.intrinsics),
             "trajectory": [pose_to_json(c) for c in cams],
-            "timings": self.timings,
         }
         if self.counters is not None:
             man["buffer_counters"] = {"peak_elems": self.counters.peak_elems,

@@ -1,11 +1,11 @@
 """Synthetic scenes: ray-cast rendering, ground-truth correspondences,
 and view trajectories.
 
-Scenes are small sets of flat-colored spheres and axis-aligned boxes
-inside a unit-ish bounding sphere, rendered with a z-buffered pinhole
-model. Because every surface is analytic, depth and cross-view
-correspondences are exact, which is what the geometric and consistency
-tests lean on.
+Scenes are a large painted ball with a few small flat-colored satellite
+spheres (fixtures may also hold axis-aligned boxes) inside a unit-ish
+bounding sphere, rendered with a z-buffered pinhole model. Because every
+surface is analytic, depth and cross-view correspondences are exact,
+which is what the geometric and consistency tests lean on.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ class Correspondence:
         return self.status == "ok"
 
 
-def _equal_norm_colors(rng: np.random.Generator, n: int, norm: float = 0.9) -> np.ndarray:
-    """Colors of equal vector norm with greedily maximized pairwise
-    angles, so dot-product matching has a strict, unambiguous winner.
+def _equal_norm_colors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Colors of norm 0.9 with greedily maximized pairwise angles, so
+    dot-product matching has a strict, unambiguous winner.
 
     Greedy farthest-point selection over a candidate pool of octant
     directions; deterministic for a given generator.
@@ -156,7 +156,7 @@ def _equal_norm_colors(rng: np.random.Generator, n: int, norm: float = 0.9) -> n
     for _ in range(n - 1):
         worst = np.max(np.stack([pool @ p for p in picked]), axis=0)
         picked.append(pool[np.argmin(worst)])
-    return np.clip(np.array(picked) * norm, 0.0, 1.0)
+    return np.clip(np.array(picked) * 0.9, 0.0, 1.0)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -175,14 +175,15 @@ def _satellite_center(rng: np.random.Generator) -> np.ndarray:
     return 0.82 * np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
 
 
-def make_scene(seed: int, mode: str = "distinctive", n_patches: int = 24) -> Scene:
-    """Build a random scene.
+def make_scene(seed: int, mode: str = "distinctive") -> Scene:
+    """Build a random scene around one large ball of radius 0.7.
 
-    ``distinctive``: one large ball painted with ``n_patches`` Voronoi
-    cells of unique equal-norm colors (every foreground pixel carries a
-    saturated, match-unambiguous color) plus a few satellite spheres that
-    create occlusions. ``plain``: a few large spheres with a deliberately
-    narrow palette, stressing soft matching under ambiguity.
+    ``distinctive``: the ball is normal-shaded, so every surface point
+    carries its own equal-norm color (match-unambiguous), plus 3 small
+    satellite spheres of distinct equal-norm colors that create
+    occlusions. ``plain``: the ball is painted with 24 Voronoi cells of
+    near-gray colors, plus 2 satellites from the same narrow palette,
+    stressing soft matching under ambiguity.
     """
     rng = np.random.default_rng(seed)
     prims: list = []
@@ -196,9 +197,9 @@ def make_scene(seed: int, mode: str = "distinctive", n_patches: int = 24) -> Sce
         # flat fills and a deliberately narrow palette: exact-zero
         # self-consistency, ambiguous matching
         base = rng.uniform(0.45, 0.6, 3)
-        jitter = rng.uniform(-0.06, 0.06, (n_patches, 3))
+        jitter = rng.uniform(-0.06, 0.06, (24, 3))
         prims.append(PaintedBall(center=np.zeros(3), radius=0.7,
-                                 seeds=_fibonacci_sphere(n_patches),
+                                 seeds=_fibonacci_sphere(24),
                                  colors=np.clip(base + jitter, 0.0, 1.0),
                                  shading="voronoi"))
         for k in range(2):
@@ -332,19 +333,18 @@ def render(scene: Scene, cam: SphericalCamera, K: CameraIntrinsics) -> RenderedV
     )
 
 
-def _correspond(scene: Scene, view_a: RenderedView, view_b: RenderedView, uv_a: np.ndarray):
-    """The one correspondence kernel: cast (sub-)pixels ``uv_a`` (N, 2) of
-    view A into the scene, project their hit points into view B, and cast
-    B's rays at those in B's frame; a point is visible ('ok') when the two
-    depths agree within ``OCCLUSION_TOL``. Returns (status, uv_b, prim_a,
-    prim_b, depth_b), one row per position: status is 'background' (in A),
+def _correspond(scene: Scene, prim_a: np.ndarray, x_world: np.ndarray, view_b: RenderedView):
+    """The one correspondence kernel: given the surface ids ``prim_a`` (N,)
+    and world hit points ``x_world`` (N, 3) of view A's rays, as
+    :func:`raycast` returns them, project the hit points into view B and
+    cast B's rays at those in B's frame; a point is visible ('ok') when
+    the two depths agree within ``OCCLUSION_TOL``. Returns (status, uv_b,
+    prim_b, depth_b), one row per ray: status is 'background' (in A),
     'behind', 'out_of_frame', 'occluded' or 'ok'; uv_b is zero where A is
     background or behind B; B's hit is BACKGROUND and inf where not cast."""
-    uv_a = np.asarray(uv_a, dtype=np.float64).reshape(-1, 2)
-    _, prim_a, x_world = raycast(scene, view_a.extrinsics, view_a.intrinsics, uv_a)
     ext_b, K_b = view_b.extrinsics, view_b.intrinsics
     x_b = ext_b.apply(x_world)
-    n = uv_a.shape[0]
+    n = prim_a.shape[0]
     status = np.where(prim_a >= 0, "behind", "background").astype("<U12")
     uv_b = np.zeros((n, 2))
     prim_b = np.full(n, BACKGROUND, dtype=np.int64)
@@ -357,20 +357,21 @@ def _correspond(scene: Scene, view_a: RenderedView, view_b: RenderedView, uv_a: 
     depth_b[check], prim_b[check], _ = raycast(scene, ext_b, K_b, uv_b[check])
     seen = np.abs(depth_b[check] - x_b[check, 2]) <= OCCLUSION_TOL
     status[check] = np.where(seen, "ok", "occluded")
-    return status, uv_b, prim_a, prim_b, depth_b
+    return status, uv_b, prim_b, depth_b
 
 
 def gt_correspondence(scene: Scene, view_a: RenderedView, view_b: RenderedView,
                       p: np.ndarray) -> Correspondence:
     """Exact correspondence of (sub-)pixel ``p`` of view A in view B.
     Background pixels are an error (no surface to correspond)."""
-    p = np.asarray(p, dtype=np.float64).reshape(2)
-    status, uv_b, prim_a, prim_b, depth_b = (x[0] for x in _correspond(scene, view_a, view_b, p))
+    p = np.asarray(p, dtype=np.float64).reshape(1, 2)
+    _, prim_a, x_world = raycast(scene, view_a.extrinsics, view_a.intrinsics, p)
+    status, uv_b, prim_b, depth_b = (x[0] for x in _correspond(scene, prim_a, x_world, view_b))
     if status == "background":
-        raise ValueError(f"pixel {p} is background in view A")
+        raise ValueError(f"pixel {p[0]} is background in view A")
     return Correspondence(status=str(status),
                           uv=uv_b if status in ("ok", "occluded") else None,
-                          prim_a=int(prim_a), prim_b=int(prim_b), depth_b=float(depth_b))
+                          prim_a=int(prim_a[0]), prim_b=int(prim_b), depth_b=float(depth_b))
 
 
 def correspondence_grid(scene: Scene, view_a: RenderedView, view_b: RenderedView,
@@ -379,28 +380,24 @@ def correspondence_grid(scene: Scene, view_a: RenderedView, view_b: RenderedView
     view B. Returns (uv_b (N, 2), visible (N,), prim_a (N,), prim_b (N,));
     rows that are background in A come back with prim_a == BACKGROUND and
     visible False."""
-    status, uv_b, prim_a, prim_b, _ = _correspond(scene, view_a, view_b, uv_a)
+    _, prim_a, x_world = raycast(scene, view_a.extrinsics, view_a.intrinsics, uv_a)
+    status, uv_b, prim_b, _ = _correspond(scene, prim_a, x_world, view_b)
     return uv_b, status == "ok", prim_a, prim_b
 
 
-def positional_features(scene: Scene, view: RenderedView, width: int, height: int,
-                        freqs=(9.0,)) -> FeatureMap:
+def positional_features(scene: Scene, view: RenderedView, width: int, height: int) -> FeatureMap:
     """Sinusoidal position-encoded feature map of the visible surface.
 
-    Channels are sin/cos of the hit point's coordinates at the given
-    frequencies, evaluated at feature-pixel centers through the analytic
-    scene. Every surface point maps to the same feature in every view and
-    to a constant-norm vector (sin^2 + cos^2), which makes the field an
+    Its 6 channels are sin and cos of 9 times the hit point's coordinates,
+    evaluated at feature-pixel centers through the analytic scene. Every
+    surface point maps to the same feature in every view and to a
+    constant-norm vector (sin^2 + cos^2), which makes the field an
     idealized distinctive texture with an unambiguous matching ground
     truth; background pixels are zero.
     """
     k_feat = view.intrinsics.scaled(width / view.intrinsics.width)
     _, surf, pts = raycast(scene, view.extrinsics, k_feat, pixel_grid(width, height))
-    chans = []
-    for f in freqs:
-        chans.append(np.sin(f * pts))
-        chans.append(np.cos(f * pts))
-    feat = np.concatenate(chans, axis=1)
+    feat = np.concatenate([np.sin(9.0 * pts), np.cos(9.0 * pts)], axis=1)
     feat[surf < 0] = 0.0
     return FeatureMap(feat.reshape(height, width, -1))
 

@@ -130,7 +130,7 @@ def oracle_full_cross_attention(f_tgt, ctx, params, counters=None):
         counters.record(params.heads * q.shape[1] * k.shape[1])
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= np.sqrt(q.shape[-1])
-    weights, _ = masked_softmax(logits, None)
+    weights = masked_softmax(logits, None)
     out = np.moveaxis(weights @ heads_major(ctx.value.flat()), 0, -2)
     fm = apply_linear(params.out_proj, FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1)))
     return (fm, np.ones((f_tgt.height, f_tgt.width), dtype=bool)), weights
@@ -147,7 +147,7 @@ class TestBatchedFullAttentionDualRoute:
 
         def keeping(*args, **kwargs):
             out = masked_softmax(*args, **kwargs)
-            softmaxed.append(out[0].copy())
+            softmaxed.append(out.copy())
             return out
 
         monkeypatch.setattr(attention, "masked_softmax", keeping)
@@ -204,7 +204,7 @@ def oracle_full_similarity(f_tgt, ctx, params, counters=None):
         counters.record(params.heads * q.shape[1] * k.shape[1])
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= np.sqrt(q.shape[-1])
-    weights, _ = masked_softmax(logits, None)
+    weights = masked_softmax(logits, None)
     return logits, weights
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epiview.metrics import (
+    PairConsistency,
     localization_accuracy,
     localization_study,
     metrics_csv_rows,
@@ -13,8 +14,16 @@ from epiview.metrics import (
     reprojection_consistency,
     ssim,
 )
-from epiview.geometry import SphericalCamera
-from epiview.scenegen import Box, Scene, make_scene, render
+from epiview.geometry import SphericalCamera, pixel_grid
+from epiview.scenegen import (
+    BACKGROUND,
+    OCCLUSION_TOL,
+    Box,
+    Scene,
+    make_scene,
+    raycast,
+    render,
+)
 
 
 class TestPsnr:
@@ -120,6 +129,110 @@ class TestReprojectionConsistency:
         err, pairs = reprojection_consistency([va.rgb.data, vb.rgb.data], [va, vb], scene)
         assert all(math.isnan(p.error) for p in pairs)
         assert math.isnan(err)
+
+
+def frozen_correspond(scene, view_a, view_b, uv_a):
+    """The correspondence kernel as it was when it cast view A itself.
+    Kept verbatim as the oracle."""
+    uv_a = np.asarray(uv_a, dtype=np.float64).reshape(-1, 2)
+    _, prim_a, x_world = raycast(scene, view_a.extrinsics, view_a.intrinsics, uv_a)
+    ext_b, K_b = view_b.extrinsics, view_b.intrinsics
+    x_b = ext_b.apply(x_world)
+    n = uv_a.shape[0]
+    status = np.where(prim_a >= 0, "behind", "background").astype("<U12")
+    uv_b = np.zeros((n, 2))
+    prim_b = np.full(n, BACKGROUND, dtype=np.int64)
+    depth_b = np.full(n, np.inf)
+    front = np.flatnonzero((prim_a >= 0) & (x_b[:, 2] > 0))
+    status[front] = "out_of_frame"
+    uv_b[front] = K_b.project(x_b[front])
+    u, v = uv_b[front, 0], uv_b[front, 1]
+    check = front[(u >= 0) & (u <= K_b.width - 1) & (v >= 0) & (v <= K_b.height - 1)]
+    depth_b[check], prim_b[check], _ = raycast(scene, ext_b, K_b, uv_b[check])
+    seen = np.abs(depth_b[check] - x_b[check, 2]) <= OCCLUSION_TOL
+    status[check] = np.where(seen, "ok", "occluded")
+    return status, uv_b, prim_a, prim_b, depth_b
+
+
+def frozen_reprojection_consistency(images, views, scene):
+    """``reprojection_consistency`` as it was when it cast view A once per
+    view pair and clipped the nearest pixel. Kept verbatim as the oracle."""
+    n = len(views)
+    pairs = []
+    defined = []
+    for i in range(n):
+        h, w = views[i].intrinsics.height, views[i].intrinsics.width
+        uv_a = pixel_grid(w, h)
+        img_a = np.asarray(images[i], dtype=np.float64).reshape(h * w, -1)
+        for j in range(n):
+            if i == j:
+                continue
+            status, uv_b, prim_a, _, _ = frozen_correspond(scene, views[i], views[j], uv_a)
+            visible = status == "ok"
+            near = np.round(uv_b).astype(np.int64)
+            ok = visible.copy()
+            idx = np.flatnonzero(ok)
+            if idx.size:
+                nb = near[idx]
+                nb[:, 0] = np.clip(nb[:, 0], 0, views[j].intrinsics.width - 1)
+                nb[:, 1] = np.clip(nb[:, 1], 0, views[j].intrinsics.height - 1)
+                same_prim = views[j].prim_id[nb[:, 1], nb[:, 0]] == prim_a[idx]
+                ok[idx] = same_prim
+            count = int(ok.sum())
+            if count == 0:
+                pairs.append(PairConsistency(i, j, float("nan"), 0))
+                continue
+            sel = np.flatnonzero(ok)
+            nb = near[sel]
+            img_b = np.asarray(images[j], dtype=np.float64)
+            diff = np.abs(img_a[sel] - img_b[nb[:, 1], nb[:, 0]])
+            err = float(diff.mean())
+            pairs.append(PairConsistency(i, j, err, count))
+            defined.append(err)
+    mean_error = float(np.mean(defined)) if defined else float("nan")
+    return mean_error, pairs
+
+
+class TestReprojectionDualRoute:
+    """One ray cast per view against the frozen route that cast view A
+    once per pair, byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["distinctive", "plain"])
+    def test_pairs_byte_identical_to_the_frozen_route(self, mode, distinctive_fixture,
+                                                      intrinsics32):
+        _, cams, _ = distinctive_fixture
+        scene = make_scene(0, mode)
+        views = [render(scene, cam, intrinsics32) for cam in cams[::2]]
+        clean = [v.rgb.data for v in views]
+        rng = np.random.default_rng(9)
+        noisy = [im + rng.normal(0.0, 0.05, im.shape) for im in clean]
+        for images in (clean, noisy):
+            got_mean, got = reprojection_consistency(images, views, scene)
+            want_mean, want = frozen_reprojection_consistency(images, views, scene)
+            assert np.float64(got_mean).tobytes() == np.float64(want_mean).tobytes()
+            assert [(p.view_a, p.view_b, p.pixels) for p in got] == \
+                [(p.view_a, p.view_b, p.pixels) for p in want]
+            assert np.array([p.error for p in got]).tobytes() == \
+                np.array([p.error for p in want]).tobytes()
+            assert sum(p.pixels for p in got) > 0
+
+    def test_each_view_is_cast_once(self, distinctive_fixture, monkeypatch):
+        import epiview.metrics as metrics
+        import epiview.scenegen as scenegen
+        scene, _, views = distinctive_fixture
+        grid = pixel_grid(32, 32)
+        casts = []
+
+        def counting(scene, ext, K, uv):
+            casts.append(np.array_equal(np.reshape(uv, (-1, 2)), grid))
+            return raycast(scene, ext, K, uv)
+
+        monkeypatch.setattr(metrics, "raycast", counting)
+        monkeypatch.setattr(scenegen, "raycast", counting)
+        reprojection_consistency([v.rgb.data for v in views], views, scene)
+        # A's whole pixel grid once per view; B's rays once per ordered pair
+        assert sum(casts) == 16
+        assert len(casts) == 16 + 16 * 15
 
 
 class TestLocalization:
