@@ -18,8 +18,8 @@ from epiview.geometry import (
     CameraIntrinsics,
     camera_on_sphere,
     epipolar_line,
+    epipolar_sample_grid,
     relative_pose,
-    sample_epipolar_points,
 )
 from epiview.scenegen import gt_correspondence, make_scene, make_trajectory, render
 
@@ -39,6 +39,8 @@ pose = relative_pose(camera_on_sphere(reference.camera),
                      camera_on_sphere(target.camera))
 print(f"baseline between the two cameras: {pose.baseline():.3f} scene units")
 
+# one sampled epipolar line per target pixel, in raster order
+samples = epipolar_sample_grid(pose, K, K.width, K.height)
 canvas = reference.rgb.data.copy()
 ys, xs = np.nonzero(target.prim_id >= 0)
 picks = np.linspace(0, len(xs) - 1, 5).astype(int)
@@ -49,8 +51,8 @@ for n, i in enumerate(picks):
     corr = gt_correspondence(scene, target, reference, p)
 
     # every valid sample along the line, one per pixel column/row
-    samples = sample_epipolar_points(line, K.width, K.height, K)
-    for u, v in samples.uv[samples.valid]:
+    q = int(ys[i]) * K.width + int(xs[i])
+    for u, v in samples.uv[q][samples.valid[q]]:
         canvas[int(round(v)), int(round(u))] = [1.0, 1.0, 1.0]
 
     if corr.visible:

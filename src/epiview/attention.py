@@ -76,9 +76,9 @@ class AttentionParams:
 
 @dataclass(frozen=True)
 class ContextFeatures:
-    """Features of one context view at one (step, layer): the raw map F,
-    its key projection, and the retrieval-value map (either the value
-    projection of F or F itself, per configuration)."""
+    """Features of one context view at one (step, layer): the raw map F
+    and its key and value projections, made with the block's own
+    parameters."""
 
     f: FeatureMap
     k: FeatureMap
@@ -116,14 +116,11 @@ def duplicate_params(src: AttentionParams) -> AttentionParams:
     )
 
 
-def project_context(f_ref: FeatureMap, params: AttentionParams,
-                    value_source: str = "value_projection") -> ContextFeatures:
-    """Precompute the reference-branch features retrieval needs."""
-    if value_source not in ("value_projection", "raw_feature"):
-        raise ValueError(f"unknown value_source {value_source!r}")
-    k = apply_linear(params.k_proj, f_ref)
-    value = apply_linear(params.v_proj, f_ref) if value_source == "value_projection" else f_ref
-    return ContextFeatures(f=f_ref, k=k, value=value)
+def project_context(f_ref: FeatureMap, params: AttentionParams) -> ContextFeatures:
+    """Precompute the reference-branch features retrieval needs: the K and
+    V projections of ``f_ref``."""
+    return ContextFeatures(f=f_ref, k=apply_linear(params.k_proj, f_ref),
+                           value=apply_linear(params.v_proj, f_ref))
 
 
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:

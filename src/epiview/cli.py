@@ -32,6 +32,7 @@ from .errors import DataError, EpiViewError, UsageError
 from .fileio import (
     camera_from_json,
     read_fixture,
+    read_intrinsics,
     read_json,
     read_ppm,
     read_trajectory,
@@ -42,7 +43,7 @@ from .fileio import (
     write_ppm,
     write_trajectory,
 )
-from .geometry import CameraIntrinsics, SphericalCamera, epipolar_sample_grid, pose_from_json, relative_pose
+from .geometry import CameraIntrinsics, SphericalCamera, epipolar_sample_grid, relative_pose
 from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean
 from .pipeline import GenerationConfig, TrajectorySynthesizer
@@ -68,25 +69,31 @@ _RUN_SETTINGS = {"backend": "analytic", "steps": 50, "seed": 0, "sigma": 0.0, "f
 # "timings"); a config file may carry them.
 _MANIFEST_RECORDS = ("version", "schedule", "input_view", "intrinsics", "trajectory",
                      "timings", "buffer_counters", "input", "scene")
+# Removed GenerationConfig fields, at the one value that older manifests may hold.
+_RETIRED = {"inject_layers": [], "sample_axis": "dominant", "value_source": "value_projection"}
 # The JSON values a setting's declared type accepts, and their name; a bool is
 # never a number.
 _JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-               "float": ((int, float), "a number"), "tuple": (list, "a list of strings")}
+               "float": ((int, float), "a number")}
 # The declared type of every setting, by name.
 _SETTING_TYPES = {**{k: type(v).__name__ for k, v in _RUN_SETTINGS.items()},
                   **{f.name: f.type for f in fields(GenerationConfig)}}
 
 
 def _check_config(path, obj: dict) -> None:
-    """Reject a config file's unknown keys and wrong-typed settings."""
+    """Reject a config file's unknown keys, wrong-typed settings and changed retired keys."""
     for key, value in obj.items():
         if key in ("config", *_MANIFEST_RECORDS):
+            continue
+        if key in _RETIRED:
+            if value != _RETIRED[key]:
+                raise DataError(f"{path}: key {key!r} was removed; it may only hold "
+                                f"{_RETIRED[key]!r}, got {value!r}")
             continue
         if key not in _SETTING_TYPES:
             raise DataError(f"{path}: unknown key {key!r}")
         accepted, name = _JSON_TYPES[_SETTING_TYPES[key]]
-        if (isinstance(value, bool) or not isinstance(value, accepted)
-                or (isinstance(value, list) and not all(isinstance(x, str) for x in value))):
+        if isinstance(value, bool) or not isinstance(value, accepted):
             raise DataError(f"{path}: {key!r} must be {name}, got {value!r}")
 
 
@@ -275,10 +282,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    manifest = read_json(run_dir / "manifest.json")
     scene, _, _, _ = read_fixture(args.fixtures)
-    K = CameraIntrinsics(**manifest["intrinsics"])
-    traj = [pose_from_json(v) for v in manifest["trajectory"]]
+    K = read_intrinsics(run_dir / "manifest.json")
+    traj = read_trajectory(run_dir / "manifest.json", "trajectory")
     images = [read_ppm(run_dir / f"{i:03d}.ppm") for i in range(len(traj))]
     gt_views = [render(scene, cam, K) for cam in traj]
 
@@ -296,6 +302,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
+    for flag, value in (("--steps", args.steps), ("--diffusion-steps", args.diffusion_steps)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     scene, cams, K, views = read_fixture(args.scene)
     net = ToyUNet(seed=args.seed)
     sched = NoiseSchedule.linear_beta(args.diffusion_steps)
@@ -353,9 +362,6 @@ def _build_parser() -> _Parser:
     sy.add_argument("--alpha", type=float)
     sy.add_argument("--context", dest="context_views", type=int)
     sy.add_argument("--inject-step", dest="inject_after_step", type=int)
-    sy.add_argument("--sample-axis", dest="sample_axis", choices=["dominant", "width"])
-    sy.add_argument("--value-source", dest="value_source",
-                    choices=["value_projection", "raw_feature"])
     sy.add_argument("--backend", choices=["oracle", "analytic", "toyunet"])
     sy.add_argument("--steps", type=int)
     sy.add_argument("--seed", type=int)

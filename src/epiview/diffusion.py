@@ -1,11 +1,13 @@
 """Noise schedule, deterministic DDIM sampling and inversion, and the
 pose-conditioned denoiser interface with attention-stage callbacks.
 
-Denoisers expose zero or more *attention stages*. During a prediction a
-stage callback may observe each stage (feature map plus the block's
-parameters and unmodified output) and optionally return a replacement
-output, which is how the pipeline injects retrieved features without the
-backends knowing about epipolar geometry at all.
+Denoisers expose zero or more *attention stages*: the oracle none, the
+analytic backend one (``stage0``), the toy UNet one (``bottleneck``).
+During a prediction a stage callback observes every stage (feature map
+plus the block's parameters and unmodified output) and may return a
+replacement output, which is how the pipeline injects retrieved features
+into each stage without the backends knowing about epipolar geometry at
+all.
 """
 
 from __future__ import annotations
@@ -117,8 +119,6 @@ class AttentionStage:
 class Denoiser:
     """Interface: predict noise for a latent, optionally exposing
     attention stages to a callback."""
-
-    layers: tuple = ()
 
     def predict(self, x_t: np.ndarray, t: int, cond: Condition,
                 sched: NoiseSchedule, stage_cb=None) -> np.ndarray:
@@ -232,8 +232,6 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
     directly mixes corresponding pixel estimates across views and the
     consistency effect becomes measurable.
     """
-
-    layers = ("stage0",)
 
     def __init__(self, targets: dict, sigma: float = 0.0, seed: int = 0):
         super().__init__(targets)

@@ -22,7 +22,7 @@ __all__ = [
     "write_f32", "read_f32",
     "write_checkpoint", "read_checkpoint",
     "write_fixture", "read_fixture",
-    "write_trajectory", "read_trajectory", "camera_from_json",
+    "write_trajectory", "read_trajectory", "camera_from_json", "read_intrinsics",
     "write_json", "read_json",
 ]
 
@@ -169,12 +169,23 @@ def write_trajectory(path, cams: list[SphericalCamera]) -> None:
     write_json(path, {"views": [pose_to_json(c) for c in cams]})
 
 
-def read_trajectory(path) -> list[SphericalCamera]:
-    """The ``"views"`` camera list of a trajectory (or fixture cameras) file."""
-    views = read_json(path).get("views")
+def read_trajectory(path, key: str = "views") -> list[SphericalCamera]:
+    """The camera list under ``key`` of a trajectory, fixture cameras or run manifest file."""
+    views = read_json(path).get(key)
     if not isinstance(views, list):
-        raise DataError(f'{path}: no "views" list')
+        raise DataError(f'{path}: no "{key}" list')
     return [camera_from_json(v, f"{path} view {i}") for i, v in enumerate(views)]
+
+
+def read_intrinsics(path) -> CameraIntrinsics:
+    """The ``"intrinsics"`` record of a fixture's cameras.json or a run's manifest.json."""
+    obj = read_json(path)
+    if "intrinsics" not in obj:
+        raise DataError(f"{path}: missing key 'intrinsics'")
+    try:
+        return CameraIntrinsics(**obj["intrinsics"])
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: bad 'intrinsics' ({type(e).__name__}: {e})") from None
 
 
 def write_fixture(out_dir, scene: Scene, cams: list[SphericalCamera],
@@ -216,7 +227,7 @@ def read_fixture(fixture_dir):
     depth/prim buffers are exact. Returns (scene, cams, K, views)."""
     fix = Path(fixture_dir)
     scene = _parse(scene_from_json, fix / "scene.json")
-    K = _parse(lambda obj: CameraIntrinsics(**obj["intrinsics"]), fix / "cameras.json")
+    K = read_intrinsics(fix / "cameras.json")
     cams = read_trajectory(fix / "cameras.json")
     views = [render(scene, c, K) for c in cams]
     return scene, cams, K, views

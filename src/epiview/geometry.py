@@ -36,8 +36,6 @@ __all__ = [
     "relative_pose",
     "essential_matrix",
     "epipolar_line",
-    "line_to_pixel_frame",
-    "sample_epipolar_points",
     "epipolar_sample_grid",
     "pose_to_json",
     "pose_from_json",
@@ -198,9 +196,9 @@ class EpipolarLine:
 class EpipolarSampleSet:
     """Sub-pixel sample coordinates along epipolar lines on a feature grid.
 
-    ``uv`` has shape (S, 2) for a single query or (N, S, 2) for a batch of
-    queries; ``valid`` mirrors the leading shape. Invalid slots are
-    placeholders and must be masked by every consumer.
+    ``uv`` has shape (N, S, 2), one row of S slots per target query, and
+    ``valid`` (N, S). Invalid slots are placeholders and must be masked by
+    every consumer.
 
     A set depends only on the relative pose and the grid, and its
     bilinear tap plan (:attr:`plan`) only on the set, so the synthesizer
@@ -283,8 +281,8 @@ def epipolar_line(p: np.ndarray, pose: RelativePose, K: CameraIntrinsics) -> Epi
 
     The pixel is normalized with ``K`` and multiplied by the essential
     matrix; the resulting line lives in reference normalized coordinates
-    (convert with :func:`line_to_pixel_frame` before sampling a grid).
-    A near-zero baseline yields a degenerate, flagged line.
+    (:func:`epipolar_sample_grid` samples the pixel-frame lines of a whole
+    grid). A near-zero baseline yields a degenerate, flagged line.
     """
     p = np.asarray(p, dtype=np.float64).reshape(-1)[:2]
     if not (0 <= p[0] <= K.width - 1 and 0 <= p[1] <= K.height - 1):
@@ -295,39 +293,30 @@ def epipolar_line(p: np.ndarray, pose: RelativePose, K: CameraIntrinsics) -> Epi
     return EpipolarLine(coeffs=essential_matrix(pose) @ x)
 
 
-def line_to_pixel_frame(line: EpipolarLine, K: CameraIntrinsics) -> np.ndarray:
-    """Convert a normalized-coordinate line to the pixel frame of ``K``."""
-    return K.inverse().T @ np.asarray(line.coeffs, dtype=np.float64)
-
-
 # Grid-boundary slack for the in-bounds test; valid samples are then
 # clamped so the [0, W-1] x [0, H-1] invariant holds exactly.
 EDGE_EPS = 1e-9
 
 
-def _sample_lines(lines: np.ndarray, width: int, height: int, sample_axis: str) -> EpipolarSampleSet:
+def _sample_lines(lines: np.ndarray, width: int, height: int) -> EpipolarSampleSet:
     """The line-stepping kernel: sample each of ``n`` pixel-frame lines
     (an (n, 3) array of a*u + b*v + c = 0) on a ``width`` x ``height`` grid.
 
-    In ``dominant`` mode each line steps one pixel along the axis it is
-    most aligned with, so near-vertical lines are sampled as densely as
-    horizontal ones; ``width`` mode always steps along the width and
-    cannot represent a vertical line (b == 0). max(W, H) slots per line;
-    unused, out-of-grid and degenerate (a = b = 0) slots are masked, and
-    valid samples are clamped onto the grid.
+    Each line steps one pixel along the axis it is most aligned with, so
+    near-vertical lines are sampled as densely as horizontal ones. max(W, H)
+    slots per line; unused, out-of-grid and degenerate (a = b = 0) slots are
+    masked, and valid samples are clamped onto the grid.
     """
-    if sample_axis not in ("dominant", "width"):
-        raise ValueError(f"unknown sample_axis {sample_axis!r}")
     n, slots = lines.shape[0], max(width, height)
     uv = np.zeros((n, slots, 2))
     valid = np.zeros((n, slots), dtype=bool)
     a, b, c = lines[:, 0], lines[:, 1], lines[:, 2]
     finite = np.hypot(a, b) >= 1e-12
-    along_x = np.ones(n, dtype=bool) if sample_axis == "width" else np.abs(a) <= np.abs(b)
+    along_x = np.abs(a) <= np.abs(b)
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
 
-    ix = finite & along_x & (b != 0.0)
+    ix = finite & along_x              # so b != 0: |a| <= |b| = 0 fails finite
     if np.any(ix):
         v = -(a[ix, None] * xs[None, :] + c[ix, None]) / b[ix, None]
         rows = np.flatnonzero(ix)[:, None]
@@ -346,31 +335,8 @@ def _sample_lines(lines: np.ndarray, width: int, height: int, sample_axis: str) 
     return EpipolarSampleSet(uv=uv, valid=valid, width=width, height=height)
 
 
-def sample_epipolar_points(
-    line: EpipolarLine,
-    width: int,
-    height: int,
-    K_feat: CameraIntrinsics,
-    sample_axis: str = "dominant",
-) -> EpipolarSampleSet:
-    """Sample one epipolar line on a ``width`` x ``height`` feature grid:
-    the line in the pixel frame of ``K_feat`` (the intrinsics of that grid,
-    see :meth:`CameraIntrinsics.scaled`) as the single row of the stepping
-    kernel. A degenerate line comes back all masked. Returns the
-    single-query set, ``uv`` (S, 2) and ``valid`` (S,).
-    """
-    coeffs = np.zeros(3) if line.degenerate else line_to_pixel_frame(line, K_feat)
-    s = _sample_lines(coeffs[None], width, height, sample_axis)
-    return EpipolarSampleSet(uv=s.uv[0], valid=s.valid[0], width=width, height=height)
-
-
-def epipolar_sample_grid(
-    pose: RelativePose,
-    K_feat: CameraIntrinsics,
-    width: int,
-    height: int,
-    sample_axis: str = "dominant",
-) -> EpipolarSampleSet:
+def epipolar_sample_grid(pose: RelativePose, K_feat: CameraIntrinsics,
+                         width: int, height: int) -> EpipolarSampleSet:
     """Batched sample set: one epipolar line per target feature pixel,
     built in one product and sampled by the stepping kernel.
 
@@ -383,7 +349,7 @@ def epipolar_sample_grid(
     xn = np.concatenate([K_feat.normalize(pixel_grid(width, height)), np.ones((n, 1))], axis=1)
     lines = xn @ E.T                       # (n, 3) lines, normalized frame
     lines = lines @ K_feat.inverse()       # == (K^-T @ l)^T, pixel frame
-    return _sample_lines(lines, width, height, sample_axis)
+    return _sample_lines(lines, width, height)
 
 
 def pose_to_json(pose) -> dict:

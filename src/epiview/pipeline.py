@@ -63,15 +63,14 @@ INPUT_VIEW = "input"
 class GenerationConfig:
     """Knobs of the synthesis run. ``context_views`` is the number of
     previously generated views retrieved from alongside the input view;
-    ``inject_after_step`` counts denoising iterations from the noise end."""
+    ``inject_after_step`` counts denoising iterations from the noise end.
+    Unless ``mode`` is ``"off"``, every attention stage the denoiser
+    exposes is injected into."""
 
     alpha: float = 0.5
     context_views: int = 2
     inject_after_step: int = 4
-    inject_layers: tuple = ()
     mode: str = "epipolar"
-    sample_axis: str = "dominant"
-    value_source: str = "value_projection"
     seed: int = 0
 
     def __post_init__(self):
@@ -83,20 +82,13 @@ class GenerationConfig:
             raise DataError(f"inject_after_step must be >= 0, got {self.inject_after_step}")
         if self.mode not in ("epipolar", "full", "off"):
             raise DataError(f"unknown mode {self.mode!r}")
-        if self.sample_axis not in ("dominant", "width"):
-            raise DataError(f"unknown sample_axis {self.sample_axis!r}")
-        if self.value_source not in ("value_projection", "raw_feature"):
-            raise DataError(f"unknown value_source {self.value_source!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenerationConfig":
-        known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
-        if "inject_layers" in known:
-            known["inject_layers"] = tuple(known["inject_layers"])
-        return cls(**known)
+        return cls(**{f: obj[f] for f in cls.__dataclass_fields__ if f in obj})
 
 
 @dataclass
@@ -170,11 +162,6 @@ class TrajectorySynthesizer:
         self._ref_image: np.ndarray | None = None
         self._input_cache: ViewCache | None = None
         self._dup_params: dict = {}
-        self.inject_layers = tuple(config.inject_layers) or tuple(denoiser.layers)
-        unknown = [l for l in self.inject_layers if l not in denoiser.layers]
-        if unknown:
-            raise DataError(f"inject_layers {unknown} are not layers of the backend, "
-                            f"which has {list(denoiser.layers)}")
 
     # --- stage plumbing -------------------------------------------------
 
@@ -188,7 +175,7 @@ class TrajectorySynthesizer:
         """Epipolar sample set of a (context, target) pair on a feature grid."""
         pose = relative_pose(camera_on_sphere(ctx_cam), camera_on_sphere(tgt_cam))
         k_feat = self.intrinsics.scaled(width / self.intrinsics.width)
-        return epipolar_sample_grid(pose, k_feat, width, height, self.config.sample_axis)
+        return epipolar_sample_grid(pose, k_feat, width, height)
 
     # --- the run ---------------------------------------------------------
 
@@ -210,12 +197,10 @@ class TrajectorySynthesizer:
         pairs: dict = {}   # (context camera, w, h) -> sample set, dies with the view
 
         def cb(step_idx: int, stage):
-            if stage.layer not in self.inject_layers:
-                return None
             if step_idx < cfg.inject_after_step:
                 return None
             dup = self._duplicated(stage.layer, stage.params)
-            cache.put(step_idx, stage.layer, project_context(stage.feature, dup, cfg.value_source))
+            cache.put(step_idx, stage.layer, project_context(stage.feature, dup))
             if not context:
                 return None
             entries = [vc.get(step_idx, stage.layer) for vc in context]
@@ -232,9 +217,8 @@ class TrajectorySynthesizer:
             agg, contributed = multi_view_aggregate(outs)
             return fuse(stage.baseline, agg, contributed, cfg.alpha)
 
-        injects = cfg.mode != "off" and self.inject_layers
         out = ddim_sample(self.invert_input(), self.denoiser, cond, self.sched,
-                          stage_cb=cb if injects else None)
+                          stage_cb=cb if cfg.mode != "off" else None)
         cache.frozen = True
         return out.data, cache
 

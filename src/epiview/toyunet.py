@@ -90,8 +90,6 @@ def _upsample2_back(dy):
 class ToyUNet(Denoiser):
     """Two conv stages down, attention at the bottleneck, two stages up."""
 
-    layers = ("bottleneck",)
-
     def __init__(self, params: dict | None = None, seed: int = 0,
                  c1: int = 8, c2: int = 16, heads: int = 2, dtype=np.float32):
         self.c1, self.c2, self.heads = c1, c2, heads

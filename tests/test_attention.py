@@ -139,9 +139,7 @@ def oracle_full_cross_attention(f_tgt, ctx, params, counters=None):
 class TestBatchedFullAttentionDualRoute:
     @pytest.mark.parametrize("views", [1, 2, 3])
     @pytest.mark.parametrize("heads", [1, 2])
-    @pytest.mark.parametrize("value_source", ["value_projection", "raw_feature"])
-    def test_byte_identical_to_per_context_calls(self, views, heads, value_source,
-                                                 monkeypatch):
+    def test_byte_identical_to_per_context_calls(self, views, heads, monkeypatch):
         import epiview.attention as attention
         softmaxed = []
 
@@ -155,8 +153,8 @@ class TestBatchedFullAttentionDualRoute:
         h, w, c = 5, 7, 8
         f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
         params = AttentionParams.seeded(c, heads, rng)
-        contexts = [project_context(FeatureMap(rng.standard_normal((h, w, c))), params,
-                                    value_source) for _ in range(views)]
+        contexts = [project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
+                    for _ in range(views)]
         got_counters, want_counters = AttentionCounters(), AttentionCounters()
         got = full_cross_attention(f_tgt, contexts, params, got_counters)
         want, want_weights = zip(*(oracle_full_cross_attention(f_tgt, ctx, params, want_counters)
@@ -310,17 +308,16 @@ class TestEpipolarAttention:
         np.testing.assert_allclose(run(0.0), run(57.0), atol=1e-9)
 
 
-class TestConfigSwitches:
-    def test_value_source_raw_feature(self):
+class TestProjectContext:
+    def test_keys_and_values_are_the_block_projections(self):
         rng = np.random.default_rng(30)
         f_ref = FeatureMap(rng.standard_normal((3, 3, 4)))
         params = AttentionParams.seeded(4, 1, rng)
-        ctx_v = project_context(f_ref, params, "value_projection")
-        ctx_r = project_context(f_ref, params, "raw_feature")
-        assert np.array_equal(ctx_r.value.data, f_ref.data)
-        assert not np.array_equal(ctx_v.value.data, f_ref.data)
-        with pytest.raises(ValueError):
-            project_context(f_ref, params, "nonsense")
+        ctx = project_context(f_ref, params)
+        assert ctx.f is f_ref
+        assert ctx.k.data.tobytes() == apply_linear(params.k_proj, f_ref).data.tobytes()
+        assert ctx.value.data.tobytes() == apply_linear(params.v_proj, f_ref).data.tobytes()
+        assert not np.array_equal(ctx.value.data, f_ref.data)
 
 
 class TestFuse:

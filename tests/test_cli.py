@@ -116,8 +116,8 @@ class TestSynth:
         first = tmp_path / "first"
         assert main(["synth", *inputs, "--backend", "analytic", "--steps", "6",
                      "--sigma", "0.05", "--input-view", "3", "--alpha", "0.3",
-                     "--context", "1", "--inject-step", "2", "--sample-axis", "width",
-                     "--value-source", "raw_feature", "--seed", "5", "--out", str(first)]) == 0
+                     "--context", "1", "--inject-step", "2", "--seed", "5",
+                     "--out", str(first)]) == 0
         rerun = tmp_path / "rerun"
         assert main(["synth", *inputs, "--config", str(first / "manifest.json"),
                      "--out", str(rerun)]) == 0
@@ -127,6 +127,29 @@ class TestSynth:
                                 for d in (first, rerun))
         assert man_rerun["config"] == man_first["config"]
         assert man_first["config"]["seed"] == 5 and man_first["config"]["context_views"] == 1
+
+    def test_manifest_with_retired_keys_reruns(self, tmp_path, traj_file, fixture_dir):
+        """Manifests written before three GenerationConfig fields were
+        removed carry them at the one value every run had; such a manifest
+        reruns to the same images and a manifest without them."""
+        inputs = ["--input", str(fixture_dir / "views" / "000.ppm"), "--traj", str(traj_file),
+                  "--scene", str(fixture_dir)]
+        first = tmp_path / "first"
+        assert main(["synth", *inputs, "--steps", "6", "--input-view", "0", "--sigma", "0.05",
+                     "--out", str(first)]) == 0
+        manifest = (first / "manifest.json").read_bytes()
+        old = json.loads(manifest)
+        old["config"].update(inject_layers=[], sample_axis="dominant",
+                             value_source="value_projection")
+        (tmp_path / "old.json").write_text(json.dumps(old, indent=1, sort_keys=True))
+        rerun = tmp_path / "rerun"
+        assert main(["synth", *inputs, "--config", str(tmp_path / "old.json"),
+                     "--out", str(rerun)]) == 0
+        for i in range(16):
+            assert (first / f"{i:03d}.ppm").read_bytes() == (rerun / f"{i:03d}.ppm").read_bytes()
+        assert (rerun / "manifest.json").read_bytes() == manifest
+        config = json.loads(manifest)["config"]
+        assert not {"inject_layers", "sample_axis", "value_source"} & set(config)
 
 
 class TestInvert:
@@ -211,6 +234,10 @@ class TestConfigPrecedence:
         assert dests <= allowed, dests - allowed
 
 
+# The start of a run manifest with the intrinsics of a 32 px fixture.
+INTRINSICS32 = b'{"intrinsics": {"f": 34.3, "cx": 15.5, "cy": 15.5, "width": 32, "height": 32}, '
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert main(["synth", "--no-such-flag"]) == 2
@@ -244,6 +271,10 @@ class TestExitCodes:
         ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "16,8", "--out", out]),
         ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "8,x", "--out", out]),
         ("--reps", lambda fx, tj, out: ["bench", "--reps", "1", "--out", out]),
+        *[(flag, lambda fx, tj, out, flag=flag, n=n: ["train-toy", "--scene", str(fx),
+                                                      flag, n, "--out", out])
+          for flag, n in (("--steps", "0"), ("--diffusion-steps", "0"),
+                          ("--diffusion-steps", "-1"))],
         ("--input-view", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
                                                "--traj", str(tj), "--backend", "toyunet",
                                                "--input-view", "7", "--out", out]),
@@ -255,7 +286,9 @@ class TestExitCodes:
                       '{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}']],
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
-            "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene",
+            "bench-sizes-not-int", "bench-reps-1", "train-toy-steps-0",
+            "train-toy-diffusion-steps-0", "train-toy-diffusion-steps-negative",
+            "synth-input-view-without-scene",
             "input-cam-not-json", "input-cam-elevation-100", "input-cam-missing-keys",
             "input-cam-relative-pose"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
@@ -289,20 +322,33 @@ class TestExitCodes:
         ("cfg.json", b'{"alpha": "x"}'),
         ("cfg.json", b'{"steps": 5.5}'),
         ("cfg.json", b'{"inject_layers": "mid"}'),
-        ("cfg.json", b'{"inject_layers": ["stage1"]}', "'stage1'"),
+        ("cfg.json", b'{"inject_layers": ["stage1"]}', "cfg.json: key 'inject_layers' was removed"),
+        ("cfg.json", b'{"sample_axis": "width"}', "cfg.json: key 'sample_axis' was removed"),
+        ("cfg.json", b'{"config": {"value_source": "raw_feature"}}',
+         "cfg.json: key 'value_source' was removed"),
         ("cfg.json", b'{"inject_after_step": -1}', "inject_after_step"),
         ("scene.json", b'{"x": 1}'),
         ("cameras.json", b'{"views": []}'),
+        ("manifest.json", b'{"trajectory": []}', "manifest.json: missing key 'intrinsics'"),
+        ("manifest.json", b'{"intrinsics": {"f": -1.0, "cx": 0, "cy": 0, "width": 32,'
+                          b' "height": 32}, "trajectory": []}', "manifest.json: bad 'intrinsics'"),
+        ("manifest.json", INTRINSICS32 + b'"trajectory": [{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1],'
+                          b' "t": [0, 0, 1]}]}', "manifest.json view 0 is not a camera"),
+        ("manifest.json", INTRINSICS32 + b'"trajectory": [{"elevation_deg": 10}]}',
+         "manifest.json view 0 is not a camera"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
             "ckpt-short-data", "traj-camera-inside-scene", "ckpt-without-sizes",
             "ckpt-without-layer", "ckpt-layer-misshapen", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
             "config-not-an-object", "config-unknown-key", "config-unknown-nested-key",
             "config-alpha-not-a-number", "config-steps-not-an-int",
-            "config-inject-layers-not-a-list", "config-inject-layer-unknown",
+            "config-inject-layers-not-a-list", "config-inject-layers-retired",
+            "config-sample-axis-retired", "config-value-source-retired",
             "config-inject-step-negative",
             "scene-json-without-primitives",
-            "cameras-json-without-intrinsics"])
+            "cameras-json-without-intrinsics", "manifest-without-intrinsics",
+            "manifest-intrinsics-bad", "manifest-view-relative-pose",
+            "manifest-view-missing-keys"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
@@ -328,6 +374,8 @@ class TestExitCodes:
             "cfg.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
                          "--traj", str(traj_file), "--backend", "toyunet",
                          "--config", str(bad), "--out", str(out)],
+            "manifest.json": ["eval", "--run", str(tmp_path), "--fixtures", str(fixture_dir),
+                              "--out", str(out)],
         }[name]
         named = named[0] if named else str(bad)
         assert main(argv) == 3

@@ -69,22 +69,21 @@ def gather_oracle(plan: BilinearPlan, grid: np.ndarray) -> np.ndarray:
     return out.reshape(plan.valid.shape + grid.shape[1:])
 
 
-def random_sample_sets(seed: int, count: int, width: int, height: int, axis: str):
+def random_sample_sets(seed: int, count: int, width: int, height: int):
     rng = np.random.default_rng(seed)
     K = CameraIntrinsics.from_fov(width, height)
     for _ in range(count):
         a, b = (SphericalCamera(rng.uniform(-10, 40), rng.uniform(0, 360), rng.uniform(1.8, 2.4))
                 for _ in range(2))
         pose = relative_pose(camera_on_sphere(a), camera_on_sphere(b))
-        yield epipolar_sample_grid(pose, K, width, height, axis)
+        yield epipolar_sample_grid(pose, K, width, height)
 
 
-@pytest.mark.parametrize("axis", ["dominant", "width"])
 @pytest.mark.parametrize("width,height", [(32, 32), (11, 7)])
-def test_two_tap_plan_is_byte_identical_on_sample_grids(axis, width, height):
+def test_two_tap_plan_is_byte_identical_on_sample_grids(width, height):
     rng = np.random.default_rng(width * height)
     reached_u = reached_v = False
-    for samples in random_sample_sets(width + height, 12, width, height, axis):
+    for samples in random_sample_sets(width + height, 12, width, height):
         k = FeatureMap(rng.standard_normal((height, width, 5)))
         v = FeatureMap(rng.standard_normal((height, width, 3)))
         plan = BilinearPlan.build(samples.uv, width, height)
@@ -102,14 +101,13 @@ def test_two_tap_plan_is_byte_identical_on_sample_grids(axis, width, height):
     assert reached_u and reached_v
 
 
-@pytest.mark.parametrize("axis", ["dominant", "width"])
-def test_similarity_through_the_plan_matches_the_oracle_route(axis):
+def test_similarity_through_the_plan_matches_the_oracle_route():
     rng = np.random.default_rng(3)
     f_tgt = FeatureMap(rng.standard_normal((12, 12, 4)))
     f_ref = FeatureMap(rng.standard_normal((12, 12, 4)))
     params = AttentionParams.seeded(4, 2, rng)
     ctx = project_context(f_ref, params)
-    for samples in random_sample_sets(4, 4, 12, 12, axis):
+    for samples in random_sample_sets(4, 4, 12, 12):
         logits, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params)
         k_want, k_ok = bilinear_oracle(ctx.k, samples.uv)
         v_want, _ = bilinear_oracle(ctx.value, samples.uv)
@@ -165,7 +163,7 @@ def test_similarity_rejects_a_sample_set_of_another_grid():
     fm = FeatureMap(rng.standard_normal((6, 6, 2)))
     params = AttentionParams.identity(2)
     ctx = project_context(fm, params)
-    on_grid = next(random_sample_sets(1, 1, 6, 6, "dominant"))
+    on_grid = next(random_sample_sets(1, 1, 6, 6))
     # one row per query of the 6x6 target, but labelled for an 8x8 grid
     samples = EpipolarSampleSet(uv=on_grid.uv, valid=on_grid.valid, width=8, height=8)
     assert samples.uv.shape[:1] == (36,)

@@ -7,18 +7,16 @@ import pytest
 from epiview.geometry import (
     EDGE_EPS,
     CameraIntrinsics,
-    EpipolarLine,
     RelativePose,
     SphericalCamera,
     camera_on_sphere,
     epipolar_line,
     epipolar_sample_grid,
+    _sample_lines,
     essential_matrix,
-    line_to_pixel_frame,
     pose_from_json,
     pose_to_json,
     relative_pose,
-    sample_epipolar_points,
     skew_symmetric,
 )
 from epiview.scenegen import correspondence_grid, make_scene, render
@@ -202,15 +200,15 @@ class TestEpipolarLine:
             epipolar_line([-3.0, 5.0], pose, intrinsics32)
 
 
-def pixel_line(K_feat, a, b, c):
-    """EpipolarLine whose pixel-frame rendering is a*u + b*v + c = 0."""
-    K = np.array([[K_feat.f, 0.0, K_feat.cx], [0.0, K_feat.f, K_feat.cy], [0.0, 0.0, 1.0]])
-    coeffs = K.T @ np.array([a, b, c], dtype=float)
-    return EpipolarLine(coeffs=coeffs)
+def sample_line(coeffs, width, height):
+    """One pixel-frame line a*u + b*v + c = 0 through the stepping kernel,
+    as the single row of a batch. Returns (uv (S, 2), valid (S,))."""
+    s = _sample_lines(np.asarray(coeffs, dtype=np.float64)[None], width, height)
+    return s.uv[0], s.valid[0]
 
 
-# An independent scalar stepper, one line at a time: the oracle that
-# sample_epipolar_points, a row of the batched kernel, must match byte for byte.
+# An independent scalar stepper, one line at a time: the oracle that a row
+# of the batched kernel must match byte for byte.
 def _step_line(coeffs: np.ndarray, width: int, height: int, along_x: bool, slots: int):
     """One sample per integer step along the chosen axis; out-of-grid
     positions masked. Returns (uv (slots, 2), valid (slots,))."""
@@ -232,73 +230,49 @@ def _step_line(coeffs: np.ndarray, width: int, height: int, along_x: bool, slots
     return uv, valid
 
 
-def oracle_sample_line(line, width, height, K_feat, sample_axis="dominant"):
-    """Scalar dispatch of one line onto ``_step_line``. Returns (uv, valid)."""
+def oracle_sample_line(coeffs, width, height):
+    """Scalar dispatch of one pixel-frame line onto ``_step_line``, along
+    its dominant axis. Returns (uv, valid)."""
     slots = max(width, height)
-    if line.degenerate:
-        return np.zeros((slots, 2)), np.zeros(slots, dtype=bool)
-    coeffs = line_to_pixel_frame(line, K_feat)
     a, b = coeffs[0], coeffs[1]
     if np.hypot(a, b) < 1e-12:
         return np.zeros((slots, 2)), np.zeros(slots, dtype=bool)
-    along_x = True if sample_axis == "width" else abs(a) <= abs(b)
-    if along_x and b == 0.0:
-        # width stepping cannot represent a perfectly vertical line
-        return np.zeros((slots, 2)), np.zeros(slots, dtype=bool)
-    return _step_line(coeffs, width, height, along_x, slots)
+    return _step_line(np.asarray(coeffs, dtype=np.float64), width, height, abs(a) <= abs(b), slots)
 
 
-class TestSampleEpipolarPoints:
-    def setup_method(self):
-        self.K8 = CameraIntrinsics.from_fov(8, 8)
-
+class TestSampleLines:
     def test_horizontal_line(self):
-        line = pixel_line(self.K8, 0.0, 1.0, -3.0)  # v = 3
-        s = sample_epipolar_points(line, 8, 8, self.K8)
-        assert s.valid.sum() == 8
-        np.testing.assert_allclose(s.uv[s.valid][:, 1], 3.0, atol=1e-9)
-        np.testing.assert_allclose(s.uv[s.valid][:, 0], np.arange(8), atol=1e-9)
+        uv, valid = sample_line([0.0, 1.0, -3.0], 8, 8)  # v = 3
+        assert valid.sum() == 8
+        np.testing.assert_allclose(uv[valid][:, 1], 3.0, atol=1e-9)
+        np.testing.assert_allclose(uv[valid][:, 0], np.arange(8), atol=1e-9)
 
     def test_line_outside_image(self):
-        line = pixel_line(self.K8, 0.0, 1.0, -50.0)  # v = 50
-        s = sample_epipolar_points(line, 8, 8, self.K8)
-        assert s.valid.sum() == 0
+        _, valid = sample_line([0.0, 1.0, -50.0], 8, 8)  # v = 50
+        assert valid.sum() == 0
 
     def test_diagonal_matches_rasterization(self):
-        line = pixel_line(self.K8, 1.0, -1.0, 0.0)  # v = u
-        s = sample_epipolar_points(line, 8, 8, self.K8)
-        assert s.valid.sum() == 8
-        np.testing.assert_allclose(s.uv[s.valid], np.stack([np.arange(8)] * 2, axis=-1),
-                                   atol=1e-9)
+        uv, valid = sample_line([1.0, -1.0, 0.0], 8, 8)  # v = u
+        assert valid.sum() == 8
+        np.testing.assert_allclose(uv[valid], np.stack([np.arange(8)] * 2, axis=-1), atol=1e-9)
 
     def test_near_vertical_uses_dominant_axis(self):
-        line = pixel_line(self.K8, 1.0, -0.05, -2.0)  # u ~ 2, steep
-        s = sample_epipolar_points(line, 8, 8, self.K8)
-        assert s.valid.sum() == 8
-        np.testing.assert_allclose(s.uv[s.valid][:, 1], np.arange(8), atol=1e-9)
-
-    def test_width_only_stepping_mode(self):
-        line = pixel_line(self.K8, 1.0, -0.05, -2.0)
-        s = sample_epipolar_points(line, 8, 8, self.K8, sample_axis="width")
-        # stepping along width, the steep line leaves the grid almost
-        # immediately
-        assert s.valid.sum() <= 1
+        uv, valid = sample_line([1.0, -0.05, -2.0], 8, 8)  # u ~ 2, steep
+        assert valid.sum() == 8
+        np.testing.assert_allclose(uv[valid][:, 1], np.arange(8), atol=1e-9)
 
     def test_degenerate_line_all_masked(self):
-        s = sample_epipolar_points(EpipolarLine(np.zeros(3), degenerate=True),
-                                   8, 8, self.K8)
-        assert s.valid.sum() == 0
+        _, valid = sample_line(np.zeros(3), 8, 8)
+        assert valid.sum() == 0
 
     def test_valid_samples_inside_grid(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            line = EpipolarLine(coeffs=rng.standard_normal(3))
-            s = sample_epipolar_points(line, 8, 6, CameraIntrinsics.from_fov(8, 6))
-            if s.valid.any():
-                uv = s.uv[s.valid]
-                assert np.all((uv[:, 0] >= 0) & (uv[:, 0] <= 7))
-                assert np.all((uv[:, 1] >= 0) & (uv[:, 1] <= 5))
-            assert s.uv.shape[0] <= 8  # slots capped at max(W, H)
+            uv, valid = sample_line(rng.standard_normal(3), 8, 6)
+            if valid.any():
+                assert np.all((uv[valid][:, 0] >= 0) & (uv[valid][:, 0] <= 7))
+                assert np.all((uv[valid][:, 1] >= 0) & (uv[valid][:, 1] <= 5))
+            assert uv.shape[0] <= 8  # slots capped at max(W, H)
 
     def test_grid_batch_matches_single_queries(self, intrinsics32):
         rng = np.random.default_rng(9)
@@ -308,45 +282,29 @@ class TestSampleEpipolarPoints:
         for q in (0, 37, 135, 255):
             y, x = divmod(q, 16)
             line = epipolar_line([float(x), float(y)], pose, k_feat)
-            single = sample_epipolar_points(line, 16, 16, k_feat)
-            np.testing.assert_array_equal(batch.valid[q], single.valid)
-            np.testing.assert_allclose(batch.uv[q][batch.valid[q]],
-                                       single.uv[single.valid], atol=1e-9)
+            uv, valid = sample_line(k_feat.inverse().T @ line.coeffs, 16, 16)
+            np.testing.assert_array_equal(batch.valid[q], valid)
+            np.testing.assert_allclose(batch.uv[q][batch.valid[q]], uv[valid], atol=1e-9)
 
-    @pytest.mark.parametrize("sample_axis", ["dominant", "width"])
     @pytest.mark.parametrize("width,height", [(8, 6), (11, 7)])
-    def test_single_line_matches_the_stepper_oracle(self, sample_axis, width, height):
-        K = CameraIntrinsics.from_fov(width, height)
+    def test_single_line_matches_the_stepper_oracle(self, width, height):
         rng = np.random.default_rng(11)
-        lines = [EpipolarLine(coeffs=rng.standard_normal(3)) for _ in range(100)]
+        lines = [rng.standard_normal(3) for _ in range(100)]
         for _ in range(100):   # lines through the grid at random angles
             p, th = rng.uniform(0, [width - 1, height - 1]), rng.uniform(0, np.pi)
             a, b = np.sin(th), -np.cos(th)
-            lines.append(pixel_line(K, a, b, -(a * p[0] + b * p[1])))
-        vertical = pixel_line(K, 1.0, 0.0, -3.0)
-        assert line_to_pixel_frame(vertical, K)[1] == 0.0   # b == 0 exactly
+            lines.append(np.array([a, b, -(a * p[0] + b * p[1])]))
         lines += [
-            vertical,
-            pixel_line(K, 0.0, 1.0, -2.0),       # horizontal: a == 0
-            pixel_line(K, 1.0, -1.0, 0.0),       # diagonal, |a| == |b|
-            pixel_line(K, 1e-13, 1e-13, 1.0),    # vanishing normal
-            EpipolarLine(np.zeros(3)),
-            EpipolarLine(np.zeros(3), degenerate=True),
-            EpipolarLine(np.array([0.3, -0.2, 0.1]), degenerate=True),
+            np.array([1.0, 0.0, -3.0]),         # vertical: b == 0
+            np.array([0.0, 1.0, -2.0]),         # horizontal: a == 0
+            np.array([1.0, -1.0, 0.0]),         # diagonal, |a| == |b|
+            np.array([1e-13, 1e-13, 1.0]),      # vanishing normal
+            np.zeros(3),                        # degenerate
         ]
         for line in lines:
-            uv, valid = oracle_sample_line(line, width, height, K, sample_axis)
-            s = sample_epipolar_points(line, width, height, K, sample_axis)
-            assert s.uv.tobytes() == uv.tobytes() and s.valid.tobytes() == valid.tobytes()
-
-    def test_unknown_sample_axis_rejected(self, intrinsics32):
-        pose = RelativePose(R=np.eye(3), t=np.array([1.0, 0, 0]))
-        line = epipolar_line([3.0, 4.0], pose, intrinsics32)
-        for sample_axis in ("bogus", "height", ""):
-            with pytest.raises(ValueError, match="sample_axis"):
-                epipolar_sample_grid(pose, intrinsics32.scaled(0.5), 16, 16, sample_axis)
-            with pytest.raises(ValueError, match="sample_axis"):
-                sample_epipolar_points(line, 32, 32, intrinsics32, sample_axis)
+            uv, valid = oracle_sample_line(line, width, height)
+            got_uv, got_valid = sample_line(line, width, height)
+            assert got_uv.tobytes() == uv.tobytes() and got_valid.tobytes() == valid.tobytes()
 
     def test_degenerate_baseline_grid_all_masked(self, intrinsics32):
         k_feat = intrinsics32.scaled(0.25)
