@@ -8,6 +8,8 @@ from epiview.fileio import (
     read_checkpoint,
     read_f32,
     read_fixture,
+    read_intrinsics,
+    read_json,
     read_ppm,
     read_trajectory,
     to_u8,
@@ -16,6 +18,7 @@ from epiview.fileio import (
     write_fixture,
     write_pgm,
     write_ppm,
+    write_json,
     write_trajectory,
 )
 from epiview.geometry import CameraIntrinsics
@@ -134,6 +137,35 @@ class TestTrajectoryFile:
         p = tmp_path / "traj.json"
         write_trajectory(p, cams)
         assert read_trajectory(p) == cams
+
+    def test_reads_the_list_under_a_named_key(self, tmp_path):
+        cams = make_trajectory("free16", 3)
+        p = tmp_path / "manifest.json"
+        write_trajectory(p, cams)
+        write_json(p, {"trajectory": read_json(p)["views"]})
+        assert read_trajectory(p, "trajectory") == cams
+        with pytest.raises(DataError, match='manifest.json: no "views" list'):
+            read_trajectory(p)
+
+
+class TestIntrinsicsRecord:
+    def test_reads_the_record_a_fixture_writes(self, tmp_path):
+        K = CameraIntrinsics.from_fov(16, 12)
+        write_fixture(tmp_path / "fix", make_scene(4, "plain"),
+                      make_trajectory("fixed16", 0)[:1], K)
+        assert read_intrinsics(tmp_path / "fix" / "cameras.json") == K
+
+    @pytest.mark.parametrize("obj, match", [
+        ({"views": []}, "missing key 'intrinsics'"),
+        ({"intrinsics": {"f": 10.0, "cx": 4.0, "cy": 4.0, "width": 8}}, "bad 'intrinsics'.*TypeError"),
+        ({"intrinsics": {"f": -1.0, "cx": 4.0, "cy": 4.0, "width": 8, "height": 8}},
+         "bad 'intrinsics'.*ValueError"),
+    ], ids=["missing", "missing-field", "bad-focal"])
+    def test_bad_record_is_a_data_error_naming_the_path(self, tmp_path, obj, match):
+        p = tmp_path / "manifest.json"
+        write_json(p, obj)
+        with pytest.raises(DataError, match=f"manifest.json: {match}"):
+            read_intrinsics(p)
 
 
 class TestFixture:

@@ -142,6 +142,11 @@ class TestCausality:
         cfg = GenerationConfig.from_json(man["config"])
         assert cfg == make_synth(setup, intrinsics32).config
 
+    def test_config_of_an_older_manifest_drops_retired_keys(self):
+        old = {**GenerationConfig(alpha=0.25).to_json(), "inject_layers": [],
+               "sample_axis": "dominant", "value_source": "value_projection"}
+        assert GenerationConfig.from_json(old) == GenerationConfig(alpha=0.25)
+
 
 class TestCaches:
     def test_entries_exist_exactly_for_injected_steps(self, setup, intrinsics32):
