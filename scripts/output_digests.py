@@ -13,9 +13,11 @@ map. It hashes the u8 images of every run of the unit in order
 their outputs are byte for byte the same. BLAS is pinned to one thread
 before numpy loads, as in ``perfbench/run.py``, and the library is
 imported from ``src/`` of this checkout. The four prefixes are
-5084e54caba36190, 233859cc782c07c0, 298cd9caf5f8538a and
-84e26901e7c0531c; the last was first taken at the commit before
-full-mode attention was batched over its contexts. A unit marked failed
+5084e54caba36190, f49df66441dbeb13, 298cd9caf5f8538a and
+ab6a38ea5d0fa068. The two toyunet prefixes were re-based when the
+attention blocks began to compute in their own precision (float32 for
+both backends): they were 233859cc782c07c0 and 84e26901e7c0531c before.
+The analytic outputs kept their bytes. A unit marked failed
 by perfbench, whether it raised or one of its runs failed
 ``check_outputs``, prints FAILED and makes the script exit 1.
 

@@ -1,15 +1,22 @@
 """Self attention, full cross attention, and epipolar attention with
 duplicated parameters.
 
-All three are one computation on one core: heads-major float64 queries,
-keys and values (``_heads``), scaled dot-product logits (``_logits``) and
-their softmax (``_scores``), and the weighted value sum merged back onto
-the target grid (``_merge``). Full cross attention retrieves from all of
-a stage's context views in one batched call; self attention is full
-cross attention with the map as its only context. Epipolar attention
+All three are one computation on one core: heads-major queries, keys and
+values (``_heads``), scaled dot-product logits (``_logits``) and their
+softmax (``_scores``), and the weighted value sum merged back onto the
+target grid (``_merge``). Full cross attention retrieves from all of a
+stage's context views in one batched call; self attention is full cross
+attention with the map as its only context. Epipolar attention
 restricts each query's keys to its own bilinearly sampled epipolar
 positions, masking the invalid ones, one context at a time. Both reuse
 the block's Q/K/V/out projections with no new parameters.
+
+The core computes in the block's own precision,
+:attr:`AttentionParams.dtype`. It is float64 by default: the reference
+route of every oracle, the localization study and the toy trainer. The
+backends give the blocks they expose float32, the precision their
+features are stored in, so that the gather and the softmax move half the
+bytes.
 
 Every attention call records how many similarity-buffer elements it
 allocates into an optional :class:`AttentionCounters`, which is what the
@@ -19,6 +26,7 @@ integer accounting (heads x queries x keys), independent of the machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +53,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Q/K/V/output projections plus the head layout of one attention block."""
+    """Q/K/V/output projections plus the head layout of one attention
+    block, and the float dtype its attention core computes in."""
 
     q_proj: LinearMap
     k_proj: LinearMap
     v_proj: LinearMap
     out_proj: LinearMap
     heads: int = 1
+    dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
         if self.q_proj.out_dim % self.heads:
             raise ValueError("projection out-dim must divide evenly into heads")
+        dtype = np.dtype(self.dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"attention computes in float32 or float64, not {dtype}")
+        object.__setattr__(self, "dtype", dtype)
 
     @classmethod
     def identity(cls, channels: int) -> "AttentionParams":
@@ -113,6 +127,7 @@ def duplicate_params(src: AttentionParams) -> AttentionParams:
         v_proj=src.v_proj.copy(),
         out_proj=src.out_proj.copy(),
         heads=src.heads,
+        dtype=src.dtype,
     )
 
 
@@ -123,9 +138,9 @@ def project_context(f_ref: FeatureMap, params: AttentionParams) -> ContextFeatur
                            value=apply_linear(params.v_proj, f_ref))
 
 
-def _heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(..., C) -> heads-major (heads, ..., C // heads) float64."""
-    x = np.asarray(x, dtype=np.float64)
+def _heads(x: np.ndarray, heads: int, dtype=np.float64) -> np.ndarray:
+    """(..., C) -> heads-major (heads, ..., C // heads), cast to ``dtype``."""
+    x = np.asarray(x, dtype=dtype)
     return np.moveaxis(x.reshape(x.shape[:-1] + (heads, -1)), -2, 0)
 
 
@@ -133,7 +148,7 @@ def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Scaled dot-product logits (h, ..., n, m) of heads-major queries
     (h, ..., n, d) against keys (h, ..., m, d), scaled in place."""
     logits = q @ np.swapaxes(k, -1, -2)
-    logits /= np.sqrt(q.shape[-1])
+    logits /= math.sqrt(q.shape[-1])   # a Python float keeps float32 logits in float32
     return logits
 
 
@@ -164,8 +179,8 @@ def _full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
     """Logits (heads, V, N, M) of the target queries, projected once, against
     every key of the V context maps in one batched product; one counter
     record per context."""
-    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)[:, None]
-    k = _heads(np.stack([c.k.flat() for c in contexts]), params.heads)
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads, params.dtype)[:, None]
+    k = _heads(np.stack([c.k.flat() for c in contexts]), params.heads, params.dtype)
     if counters is not None:
         for _ in contexts:
             counters.record(params.heads * q.shape[2] * k.shape[2])
@@ -200,7 +215,8 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
         raise ValueError("context resolution does not match the target map")
     logits = _full_logits(f_tgt, contexts, params, counters)
     weights = masked_softmax(logits, None, out=logits)
-    mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params.heads)
+    mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params.heads,
+                             params.dtype)
     return [(_merge(mixed[:, i], f_tgt, params), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
             for i in range(len(contexts))]
 
@@ -227,12 +243,13 @@ def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipol
         raise ValueError("sample set is not on the context grid")
     if counters is not None:
         counters.record(params.heads * n * uv.shape[1])
-    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads)   # (h, N, d)
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads, params.dtype)  # (h, N, d)
     c = ctx.k.channels
-    kv_samp = samples.plan.gather(np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1))
+    kv_samp = samples.plan.gather(np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1),
+                                  dtype=params.dtype)
     valid = samples.valid & samples.plan.valid
     # one query against its own S samples: a (1, d) @ (d, S) product per (head, query)
-    logits, weights = _scores(q[:, :, None], _heads(kv_samp[..., :c], params.heads),
+    logits, weights = _scores(q[:, :, None], _heads(kv_samp[..., :c], params.heads, params.dtype),
                               valid[None, :, None])
     return logits[:, :, 0], weights[:, :, 0], kv_samp[..., c:], valid
 
@@ -253,7 +270,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters)
-    fm = _merge(weights[:, :, None] @ _heads(v_samp, params.heads), f_tgt, params)
+    fm = _merge(weights[:, :, None] @ _heads(v_samp, params.heads, params.dtype), f_tgt, params)
     return fm, valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -117,6 +118,18 @@ def _schedule(steps: int) -> NoiseSchedule:
     return NoiseSchedule.linear_beta(steps)
 
 
+def _render_trajectory(scene, traj, K, where: str = "trajectory") -> list:
+    """Renders of the scene at every camera of ``traj``; a camera inside
+    the scene's bounding sphere is a data error naming ``where`` and the view."""
+    views = []
+    for i, cam in enumerate(traj):
+        try:
+            views.append(render(scene, cam, K))
+        except ValueError as e:
+            raise DataError(f"{where} view {i}: {e}") from None
+    return views
+
+
 def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ckpt):
     """Targets for oracle-style backends come from rendering the fixture
     scene at every trajectory camera; the reference target is the input
@@ -128,11 +141,8 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ck
         h, w = input_image.shape[:2]
         K = CameraIntrinsics.from_fov(w, h, merged["fov"])
         targets = {None: input_image}
-        for i, cam in enumerate(traj):
-            try:
-                targets[i] = render(scene, cam, K).rgb.data
-            except ValueError as e:   # a camera inside the scene's bounding sphere
-                raise DataError(f"trajectory view {i}: {e}") from None
+        for i, view in enumerate(_render_trajectory(scene, traj, K)):
+            targets[i] = view.rgb.data
         if backend == "oracle":
             return OracleDenoiser(targets)
         return AnalyticAttentionDenoiser(targets, sigma=merged["sigma"],
@@ -282,11 +292,19 @@ def _cmd_bench(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
+    manifest = run_dir / "manifest.json"
     scene, _, _, _ = read_fixture(args.fixtures)
-    K = read_intrinsics(run_dir / "manifest.json")
-    traj = read_trajectory(run_dir / "manifest.json", "trajectory")
-    images = [read_ppm(run_dir / f"{i:03d}.ppm") for i in range(len(traj))]
-    gt_views = [render(scene, cam, K) for cam in traj]
+    K = read_intrinsics(manifest)
+    traj = read_trajectory(manifest, "trajectory")
+    gt_views = _render_trajectory(scene, traj, K, f"{manifest} trajectory")
+    images = []
+    for i in range(len(traj)):
+        path = run_dir / f"{i:03d}.ppm"
+        images.append(read_ppm(path))
+        h, w = images[-1].shape[:2]
+        if (w, h) != (K.width, K.height):
+            raise DataError(f"{manifest}: 'intrinsics' are {K.width}x{K.height}, "
+                            f"but {path} is {w}x{h}")
 
     values = []
     for i, (img, gt) in enumerate(zip(images, gt_views)):
@@ -305,6 +323,8 @@ def _cmd_train_toy(args) -> int:
     for flag, value in (("--steps", args.steps), ("--diffusion-steps", args.diffusion_steps)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise UsageError(f"--lr must be a finite number > 0, got {args.lr}")
     scene, cams, K, views = read_fixture(args.scene)
     net = ToyUNet(seed=args.seed)
     sched = NoiseSchedule.linear_beta(args.diffusion_steps)

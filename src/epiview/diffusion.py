@@ -12,7 +12,7 @@ all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -230,7 +230,8 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
     clean. The exposed stage's feature map is the current clean-image
     estimate with identity projections, so injecting retrieved features
     directly mixes corresponding pixel estimates across views and the
-    consistency effect becomes measurable.
+    consistency effect becomes measurable. The block computes in float32,
+    the precision of its features, and is built once per channel count.
     """
 
     def __init__(self, targets: dict, sigma: float = 0.0, seed: int = 0):
@@ -238,6 +239,13 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
         self.sigma = float(sigma)
         self.seed = int(seed)
         self._perturbed: dict = {}
+        self._blocks: dict = {}   # channel count -> identity block
+
+    def _block(self, channels: int) -> AttentionParams:
+        if channels not in self._blocks:
+            self._blocks[channels] = replace(AttentionParams.identity(channels),
+                                             dtype=np.float32)
+        return self._blocks[channels]
 
     def target_for(self, cond: Condition) -> np.ndarray:
         clean = super().target_for(cond)
@@ -258,7 +266,7 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
         if stage_cb is not None:
             fm = FeatureMap(y)
             stage = AttentionStage(layer="stage0", feature=fm,
-                                   params=AttentionParams.identity(y.shape[2]),
+                                   params=self._block(y.shape[2]),
                                    baseline=fm)
             replacement = stage_cb(stage)
             if replacement is not None:

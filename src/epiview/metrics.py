@@ -22,7 +22,6 @@ from .scenegen import (
     _correspond,
     correspondence_grid,
     positional_features,
-    raycast,
 )
 
 __all__ = [
@@ -109,14 +108,11 @@ def reprojection_consistency(images: list, views: list, scene: Scene):
     """
     if len(images) != len(views):
         raise ValueError("need one image per rendered view")
-    hits = []   # (surface ids, world hit points) of each view's pixel grid, cast once
-    for view in views:
-        K = view.intrinsics
-        _, surf, points = raycast(scene, view.extrinsics, K, pixel_grid(K.width, K.height))
-        hits.append((surf, points))
     pairs: list[PairConsistency] = []
     defined = []
-    for i, (prim_a, x_world) in enumerate(hits):
+    for i, view_a in enumerate(views):
+        # the surface ids and world hit points of A's pixel grid, as its render cast them
+        prim_a, x_world = view_a.prim_id.ravel(), view_a.points.reshape(-1, 3)
         img_a = np.asarray(images[i], dtype=np.float64).reshape(prim_a.size, -1)
         for j, view_b in enumerate(views):
             if i == j:

@@ -1,8 +1,12 @@
 """Minimal tensor kernels: feature maps, linear projections, masked
 softmax, and bilinear tap plans and sampling.
 
-Feature data is stored as float32; similarity and blending computations
-accumulate in float64 so that dual-route checks meet their tolerances.
+Feature data is stored as float32. Sampling blends and softmaxes compute
+in the precision their caller picks: float64 by default, the reference
+route that the dual-route checks and analytic oracles hold to, or float32,
+which halves the bytes the attention core moves (see
+:attr:`epiview.attention.AttentionParams.dtype`). Linear projections
+accumulate in float64 and store float32.
 """
 
 from __future__ import annotations
@@ -156,22 +160,23 @@ class BilinearPlan:
         return cls(index=np.array(index, dtype=np.int32), frac=np.array(frac),
                    valid=valid.reshape(uv.shape[:-1]), width=width, height=height)
 
-    def gather(self, grid: np.ndarray) -> np.ndarray:
+    def gather(self, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
         """Sample an (H*W, C) raster-order grid at the planned positions.
 
-        Returns (*valid.shape, C) float64 blends, zero outside the grid:
-        one take of every tap into a (T, M, C) array, whose tap pairs are
-        then blended in place as ``a * (1 - f) + b * f``, the operations
-        (and so the bits) of the four-neighbor formula wherever only two
-        of its weights are nonzero.
+        Returns (*valid.shape, C) blends in ``dtype``, zero outside the
+        grid: one take of every tap into a (T, M, C) array, whose tap pairs
+        are then blended in place as ``a * (1 - f) + b * f``, the
+        operations (and so, in float64, the bits) of the four-neighbor
+        formula wherever only two of its weights are nonzero. The grid and
+        the fractions are cast to ``dtype`` first.
         """
-        grid = np.asarray(grid, dtype=np.float64)
+        grid = np.asarray(grid, dtype=dtype)
         if grid.ndim != 2 or grid.shape[0] != self.width * self.height:
             raise ValueError(f"plan expects a ({self.width * self.height}, C) grid, "
                              f"got shape {grid.shape}")
         taps = np.take(grid, self.index, axis=0)
         for f in self.frac:
-            f = f[:, None]
+            f = f.astype(dtype, copy=False)[:, None]
             a, b = taps[0::2], taps[1::2]
             a *= 1 - f
             b *= f
@@ -216,15 +221,19 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
     logits. ``mask=None`` is the plain softmax over every entry, with the
     same bytes as an all-True mask.
 
-    The weights are built in one full-size float64 array and returned:
-    ``out`` when given (a float64 array shaped like ``logits``, which may
-    be ``logits`` itself, for fresh logits the caller no longer needs),
-    else a new one. With ``out=None`` the caller's ``logits`` are never
-    written to, and without a mask the copy is the subtraction of the row
-    peak. Rows that all carry weight take a plain divide. Either way the
-    weights have the same bytes.
+    Float32 logits are softmaxed in float32, and any other logits in
+    float64: the attention core hands over logits in its block's
+    precision. The weights are built in one full-size array of that dtype
+    and returned: ``out`` when given (an array of that dtype shaped like
+    ``logits``, which may be ``logits`` itself, for fresh logits the
+    caller no longer needs), else a new one. With ``out=None`` the
+    caller's ``logits`` are never written to, and without a mask the copy
+    is the subtraction of the row peak. Rows that all carry weight take a
+    plain divide. Either way the weights have the same bytes.
     """
-    x = np.asarray(logits, dtype=np.float64)
+    x = np.asarray(logits)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     if mask is not None:
         if x is not out:
             out = x = np.positive(x, out=out)   # a copy to mask in

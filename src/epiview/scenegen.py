@@ -120,6 +120,7 @@ class RenderedView:
     prim_id: np.ndarray        # (H, W) int, BACKGROUND for background
     camera: SphericalCamera
     intrinsics: CameraIntrinsics
+    points: np.ndarray         # (H, W, 3) world hit points, the camera center for background
 
     @property
     def extrinsics(self) -> Extrinsics:
@@ -330,6 +331,7 @@ def render(scene: Scene, cam: SphericalCamera, K: CameraIntrinsics) -> RenderedV
         prim_id=surf.reshape(h, w).astype(np.int64),
         camera=cam,
         intrinsics=K,
+        points=points.reshape(h, w, 3),
     )
 
 

@@ -116,6 +116,7 @@ class ToyUNet(Denoiser):
             v_proj=LinearMap(p["attn.v.w"], p["attn.v.b"]),
             out_proj=LinearMap(p["attn.o.w"], p["attn.o.b"]),
             heads=self.heads,
+            dtype=self.dtype,
         )
 
     def _embedding(self, t: int, cond: Condition, sched: NoiseSchedule) -> np.ndarray:

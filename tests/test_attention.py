@@ -1,6 +1,9 @@
 """Attention blocks: self attention, parameter duplication, epipolar and
 full cross attention, fusion, and multi-view aggregation."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,14 @@ from epiview.attention import (
     project_context,
     self_attention,
 )
-from epiview.geometry import EpipolarSampleSet
+from epiview.geometry import (
+    CameraIntrinsics,
+    EpipolarSampleSet,
+    SphericalCamera,
+    camera_on_sphere,
+    epipolar_sample_grid,
+    relative_pose,
+)
 from epiview.numerics import FeatureMap, apply_linear, masked_softmax
 
 
@@ -89,6 +99,88 @@ class TestDuplicateParams:
         before = src.q_proj.weight.copy()
         dup.q_proj.weight[0, 0] += 100.0
         np.testing.assert_array_equal(src.q_proj.weight, before)
+
+
+class TestBlockPrecision:
+    def test_default_is_float64_and_duplicates_keep_it(self):
+        params = AttentionParams.seeded(4, 2, np.random.default_rng(3))
+        assert params.dtype == np.float64
+        assert duplicate_params(replace(params, dtype=np.float32)).dtype == np.float32
+
+    def test_only_float32_and_float64(self):
+        with pytest.raises(ValueError, match="float16"):
+            replace(AttentionParams.identity(4), dtype=np.float16)
+
+
+class TestFloat32RouteDualRoute:
+    """The float32 route of the core against its float64 reference route,
+    on the same float32 features and projections. Both routes round the
+    mixed values to a float32 map before the float64 output projection.
+
+    The bound, with u = 2**-24 the float32 unit roundoff, d the head
+    width, S the keys per query (samples, or every context position), Q
+    the largest l1 norm of a query head, K and V the largest key and value
+    entries, and W the largest absolute row sum of the output projection:
+    - a logit differs by at most dl = (d + 7) u Q K / sqrt(d): d roundings
+      in the float32 dot product, one in the scaling, at most 4 u K per
+      entry in the float32 bilinear blend of the keys, and 2 u Q K / sqrt(d)
+      when the row peak is subtracted;
+    - so the weights of a query, which sum to 1, differ by at most
+      expm1(2 dl) + (S + 4) u in l1 (exp, sum and divide in float32);
+    - the mix of the values adds S u V (float32 accumulation), the blend
+      of the values 4 u V, and the float32 map each route stores u V;
+    - the output projection multiplies by W, and the two float32 outputs
+      each round once more (u of the largest output).
+    Together: |out32 - out64| <= W V (expm1(2 dl) + (2 S + 9) u) + 2 u max|out64|.
+    """
+
+    @staticmethod
+    def bound(f_tgt, ctx, params, keys, out64):
+        u = np.finfo(np.float32).eps / 2
+        d = params.q_proj.out_dim // params.heads
+        q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64)
+        q_l1 = np.abs(q.reshape(-1, params.heads, d)).sum(axis=-1).max()
+        k_max = np.abs(ctx.k.data).max()
+        v_max = np.abs(ctx.value.data).max()
+        w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
+        dl = (d + 7) * u * q_l1 * k_max / math.sqrt(d)
+        return (w_row * v_max * (math.expm1(2 * dl) + (2 * keys + 9) * u)
+                + 2 * u * np.abs(out64).max())
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("mode", ["epipolar", "epipolar-4tap", "full"])
+    def test_float32_within_the_derived_bound(self, mode, heads):
+        rng = np.random.default_rng(70 + heads)
+        h = w = 12
+        c = 8
+        f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+        params64 = AttentionParams.seeded(c, heads, rng)
+        params32 = replace(params64, dtype=np.float32)
+        ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params64)
+        if mode == "full":
+            def run(params):
+                return full_cross_attention(f_tgt, [ctx], params)[0][0].data
+            keys = h * w
+        else:
+            if mode == "epipolar":   # a real camera pair: two taps per sample
+                K = CameraIntrinsics.from_fov(w, h)
+                pose = relative_pose(camera_on_sphere(SphericalCamera(20.0, 0.0, 2.0)),
+                                     camera_on_sphere(SphericalCamera(35.0, 40.0, 2.0)))
+                samples = epipolar_sample_grid(pose, K, w, h)
+            else:                    # fractional in both axes: four taps per sample
+                samples = EpipolarSampleSet(uv=rng.uniform(-0.5, w - 0.5, (h * w, 9, 2)),
+                                            valid=rng.random((h * w, 9)) > 0.2,
+                                            width=w, height=h)
+            assert samples.plan.index.shape[0] == (2 if mode == "epipolar" else 4)
+
+            def run(params):
+                return epipolar_attention(f_tgt, ctx, samples, params)[0].data
+            keys = samples.uv.shape[1]
+        out64, out32 = run(params64), run(params32)
+        bound = self.bound(f_tgt, ctx, params64, keys, out64)
+        err = np.abs(out32.astype(np.float64) - out64).max()
+        assert 0 < err <= bound
+        assert bound < 1e-3 * np.abs(out64).max()   # and the bound is far below the outputs
 
 
 class TestEpipolarFullEquivalence:

@@ -274,7 +274,8 @@ class TestExitCodes:
         *[(flag, lambda fx, tj, out, flag=flag, n=n: ["train-toy", "--scene", str(fx),
                                                       flag, n, "--out", out])
           for flag, n in (("--steps", "0"), ("--diffusion-steps", "0"),
-                          ("--diffusion-steps", "-1"))],
+                          ("--diffusion-steps", "-1"), ("--lr", "0"), ("--lr", "-5"),
+                          ("--lr", "nan"), ("--lr", "inf"))],
         ("--input-view", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
                                                "--traj", str(tj), "--backend", "toyunet",
                                                "--input-view", "7", "--out", out]),
@@ -288,6 +289,7 @@ class TestExitCodes:
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
             "bench-sizes-not-int", "bench-reps-1", "train-toy-steps-0",
             "train-toy-diffusion-steps-0", "train-toy-diffusion-steps-negative",
+            "train-toy-lr-0", "train-toy-lr-negative", "train-toy-lr-nan", "train-toy-lr-inf",
             "synth-input-view-without-scene",
             "input-cam-not-json", "input-cam-elevation-100", "input-cam-missing-keys",
             "input-cam-relative-pose"])
@@ -336,6 +338,9 @@ class TestExitCodes:
                           b' "t": [0, 0, 1]}]}', "manifest.json view 0 is not a camera"),
         ("manifest.json", INTRINSICS32 + b'"trajectory": [{"elevation_deg": 10}]}',
          "manifest.json view 0 is not a camera"),
+        ("manifest.json", INTRINSICS32 + b'"trajectory": [{"elevation_deg": 20,'
+                          b' "azimuth_deg": 90, "radius": 0.1}]}',
+         "manifest.json trajectory view 0: camera must stay outside"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
             "ckpt-short-data", "traj-camera-inside-scene", "ckpt-without-sizes",
             "ckpt-without-layer", "ckpt-layer-misshapen", "traj-not-json", "traj-without-views",
@@ -348,7 +353,7 @@ class TestExitCodes:
             "scene-json-without-primitives",
             "cameras-json-without-intrinsics", "manifest-without-intrinsics",
             "manifest-intrinsics-bad", "manifest-view-relative-pose",
-            "manifest-view-missing-keys"])
+            "manifest-view-missing-keys", "manifest-camera-inside-scene"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
@@ -381,6 +386,20 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: 3 ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_eval_size_mismatch_is_3_and_named(self, tmp_path, fixture_dir, capsys):
+        """A manifest whose intrinsics are not the size of the run's PPMs."""
+        (tmp_path / "000.ppm").write_bytes((fixture_dir / "views" / "000.ppm").read_bytes())
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "intrinsics": {"f": 17.15, "cx": 7.5, "cy": 7.5, "width": 16, "height": 16},
+            "trajectory": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0}]}))
+        out = tmp_path / "metrics.csv"
+        assert main(["eval", "--run", str(tmp_path), "--fixtures", str(fixture_dir),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: 3 {tmp_path / 'manifest.json'}: 'intrinsics' are 16x16")
+        assert "000.ppm is 32x32" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_command_is_2(self):

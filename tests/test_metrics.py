@@ -217,7 +217,6 @@ class TestReprojectionDualRoute:
             assert sum(p.pixels for p in got) > 0
 
     def test_each_view_is_cast_once(self, distinctive_fixture, monkeypatch):
-        import epiview.metrics as metrics
         import epiview.scenegen as scenegen
         scene, _, views = distinctive_fixture
         grid = pixel_grid(32, 32)
@@ -227,12 +226,11 @@ class TestReprojectionDualRoute:
             casts.append(np.array_equal(np.reshape(uv, (-1, 2)), grid))
             return raycast(scene, ext, K, uv)
 
-        monkeypatch.setattr(metrics, "raycast", counting)
         monkeypatch.setattr(scenegen, "raycast", counting)
         reprojection_consistency([v.rgb.data for v in views], views, scene)
-        # A's whole pixel grid once per view; B's rays once per ordered pair
-        assert sum(casts) == 16
-        assert len(casts) == 16 + 16 * 15
+        # A's pixel grid was cast once, by its render; B's rays once per ordered pair
+        assert sum(casts) == 0
+        assert len(casts) == 16 * 15
 
 
 class TestLocalization:

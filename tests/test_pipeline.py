@@ -13,6 +13,7 @@ from epiview.errors import CacheMissError, DataError
 from epiview.fileio import to_u8
 from epiview.geometry import CameraIntrinsics, SphericalCamera
 from epiview.metrics import reprojection_consistency
+from epiview.numerics import masked_softmax
 from epiview.pipeline import (
     GenerationConfig,
     TrajectorySynthesizer,
@@ -21,6 +22,7 @@ from epiview.pipeline import (
     select_context_views,
 )
 from epiview.scenegen import make_scene, make_trajectory, render
+from epiview.toyunet import ToyUNet
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,34 @@ class TestDisablingSemantics:
             GenerationConfig(mode="sideways")
         with pytest.raises(DataError):
             GenerationConfig(context_views=-1)
+
+
+class TestBlockPrecision:
+    """Each backend's block computes in float32: a synth step's every
+    softmax, the toy UNet's own self attention and the retrieval alike,
+    gets float32 logits."""
+
+    @pytest.mark.parametrize("mode", ["epipolar", "full"])
+    @pytest.mark.parametrize("backend", ["analytic", "toyunet"])
+    def test_synth_step_softmaxes_float32_logits(self, backend, mode, setup, intrinsics32,
+                                                 monkeypatch):
+        import epiview.attention as attention
+        steps = 6
+        den = ToyUNet(seed=0) if backend == "toyunet" else None
+        synth = make_synth(setup, intrinsics32, mode=mode, steps=steps, backend=den)
+        synth.reference_branch()
+        dtypes = []
+
+        def recording(logits, *args, **kwargs):
+            dtypes.append(logits.dtype)
+            return masked_softmax(logits, *args, **kwargs)
+
+        monkeypatch.setattr(attention, "masked_softmax", recording)
+        synth.synthesize_view(setup[2][0], 0)   # one context view: the input
+        self_attention = steps if backend == "toyunet" else 0
+        retrieval = steps - synth.config.inject_after_step
+        assert len(dtypes) == self_attention + retrieval
+        assert set(dtypes) == {np.dtype(np.float32)}
 
 
 class TestCausality:

@@ -94,12 +94,16 @@ def oracle_render(scene, cam, K):
                 pts = ext.camera_center()[None, :] + dirs * depth[sel, None]
                 normals = (pts - np.asarray(p.center)) / p.radius
                 rgb[sel] = p.shade_normals(normals)
+    d_cam = np.concatenate([K.normalize(uv), np.ones((h * w, 1))], axis=1)
+    points = ext.camera_center()[None, :] + (d_cam @ ext.R) * np.where(
+        np.isfinite(depth), depth, 0.0)[:, None]
     return RenderedView(
         rgb=FeatureMap(rgb.reshape(h, w, 3)),
         depth=depth.reshape(h, w),
         prim_id=surf.reshape(h, w).astype(np.int64),
         camera=cam,
         intrinsics=K,
+        points=points.reshape(h, w, 3),
     )
 
 
@@ -201,6 +205,7 @@ def assert_same_view(got: RenderedView, want: RenderedView):
     assert got.depth.tobytes() == want.depth.tobytes()
     assert got.prim_id.dtype == want.prim_id.dtype
     assert got.prim_id.tobytes() == want.prim_id.tobytes()
+    np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
