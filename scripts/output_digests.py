@@ -1,8 +1,8 @@
 """Print the u8 SHA-256 prefix of one whole perfbench unit per workload,
 one of the analytic scene renders, and one of their reprojection
-consistency.
+consistency; with ``--check``, also compare each with its expected prefix.
 
-    python3 scripts/output_digests.py
+    python3 scripts/output_digests.py [--check]
 
 Runs ``run_unit`` of ``perfbench/workloads.py`` once, untraced, at seed
 0, for each of analytic-epipolar, toyunet-full and consistency-loop, and
@@ -12,27 +12,24 @@ map. It hashes the u8 images of every run of the unit in order
 (reference view first). Two checkouts print the same lines exactly when
 their outputs are byte for byte the same. BLAS is pinned to one thread
 before numpy loads, as in ``perfbench/run.py``, and the library is
-imported from ``src/`` of this checkout. The four prefixes are
-5084e54caba36190, f49df66441dbeb13, 298cd9caf5f8538a and
-ab6a38ea5d0fa068. The two toyunet prefixes were re-based when the
-attention blocks began to compute in their own precision (float32 for
-both backends): they were 233859cc782c07c0 and 84e26901e7c0531c before.
-The analytic outputs kept their bytes. A unit marked failed
-by perfbench, whether it raised or one of its runs failed
-``check_outputs``, prints FAILED and makes the script exit 1.
+imported from ``src/`` of this checkout. A unit marked failed by
+perfbench, whether it raised or one of its runs failed ``check_outputs``,
+prints FAILED and makes the script exit 1.
 
 The last line, ``scene-renders``, hashes the rgb, depth and prim_id of
 ``render`` and the 16x16 ``positional_features`` of ``make_scene(0, m)``,
 for m in distinctive and plain, at every free16 camera (seed 100) at
-32 px, in that order. Its prefix is c138a3add59b2d1c, first taken at the
-commit before ray casts returned their hit points.
+32 px, in that order.
 
 The ``reprojection`` line hashes, as float64, the mean error and every
 pair's (view_a, view_b, pixels, error) of ``reprojection_consistency``
 over those renders, per scene mode: first on the clean renders, then on
 a noisy copy (Gaussian, sigma 0.05, one generator seeded 0 for both
-modes). Its prefix is 9efc96be45eadda3, first taken at the commit before
-each view was ray-cast once per call.
+modes).
+
+``EXPECTED`` is the record of every line's prefix. ``--check`` marks each
+line whose prefix differs from it as MOVED, names the moved lines last,
+and exits 1 if any moved.
 """
 
 from __future__ import annotations
@@ -45,9 +42,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-epipolar")
+# The prefix of every line. The toyunet prefixes were re-based when the
+# attention blocks began to compute in their own precision (they were
+# 233859cc782c07c0 and 84e26901e7c0531c before); scene-renders was first
+# taken before ray casts returned their hit points, and reprojection
+# before each view was ray-cast once per call.
+EXPECTED = {
+    "analytic-epipolar": "5084e54caba36190",
+    "toyunet-full": "f49df66441dbeb13",
+    "consistency-loop": "298cd9caf5f8538a",
+    "toyunet-epipolar": "ab6a38ea5d0fa068",
+    "scene-renders": "c138a3add59b2d1c",
+    "reprojection": "9efc96be45eadda3",
+}
 
 
 def main() -> int:
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        print(f"usage: {sys.argv[0]} [--check]", file=sys.stderr)
+        return 2
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -55,7 +69,15 @@ def main() -> int:
 
     specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
     specs["toyunet-epipolar"] = dict(specs["toyunet-full"], mode="epipolar")
-    failed = False
+    failed, moved = False, []
+
+    def report(name: str, prefix: str, bad: bool = False):
+        marks = "  FAILED" if bad else ""
+        if check and prefix != EXPECTED[name]:
+            moved.append(name)
+            marks += f"  MOVED (expected {EXPECTED[name]})"
+        print(f"{name:20s} {prefix}{marks}", flush=True)
+
     for name in WORKLOADS:
         spec = specs[name]
         unit = wl.run_unit(spec, wl.make_inputs(spec, 0), traced=False)
@@ -65,11 +87,13 @@ def main() -> int:
                 digest.update(im.tobytes())
         bad = unit.failed or any(run.failed for run in unit.runs)
         failed |= bad
-        print(f"{name:20s} {digest.hexdigest()[:16]}{'  FAILED' if bad else ''}")
+        report(name, digest.hexdigest()[:16], bad)
     renders, reprojection = scene_digests()
-    print(f"{'scene-renders':20s} {renders}")
-    print(f"{'reprojection':20s} {reprojection}")
-    return 1 if failed else 0
+    report("scene-renders", renders)
+    report("reprojection", reprojection)
+    if check:
+        print(f"moved: {', '.join(moved)}" if moved else "check: every prefix as expected")
+    return 1 if failed or moved else 0
 
 
 def scene_digests() -> tuple[str, str]:

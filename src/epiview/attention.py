@@ -1,15 +1,19 @@
 """Self attention, full cross attention, and epipolar attention with
 duplicated parameters.
 
-All three are one computation on one core: heads-major queries, keys and
-values (``_heads``), scaled dot-product logits (``_logits``) and their
-softmax (``_scores``), and the weighted value sum merged back onto the
-target grid (``_merge``). Full cross attention retrieves from all of a
-stage's context views in one batched call; self attention is full cross
-attention with the map as its only context. Epipolar attention
-restricts each query's keys to its own bilinearly sampled epipolar
-positions, masking the invalid ones, one context at a time. Both reuse
-the block's Q/K/V/out projections with no new parameters.
+All three are one computation: heads-major queries, keys and values,
+scaled dot-product logits, their softmax (``masked_softmax``), and the
+weighted value sum merged back onto the target grid (``_merge``). Full
+cross attention retrieves from all of a stage's context views in one
+batched product (``_heads``, ``_logits``); self attention is full cross
+attention with the map as its only context. Epipolar attention restricts
+each query's keys to its own S bilinearly sampled epipolar positions,
+masking the invalid ones, one context at a time. It is slot-major: its
+sampled keys and values, logits and weights are laid out (..., S, N), so
+that the blend, the logits (a sum over the head channels), the softmax
+over the slots and the value mix each run along a contiguous vector of
+the N queries. Both reuse the block's Q/K/V/out projections with no new
+parameters.
 
 The core computes in the block's own precision,
 :attr:`AttentionParams.dtype`. It is float64 by default: the reference
@@ -152,14 +156,6 @@ def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _scores(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None = None):
-    """The logits and their softmax over the keys, kept apart: returns
-    (logits, weights), both (h, ..., n, m)."""
-    logits = _logits(q, k)
-    weights = masked_softmax(logits, mask)
-    return logits, weights
-
-
 def _merge(mixed: np.ndarray, f_tgt: FeatureMap, params: AttentionParams) -> FeatureMap:
     """Heads-major weighted values (h, N, ..., d) merged back onto the
     target grid, with the output projection applied."""
@@ -221,37 +217,55 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
             for i in range(len(contexts))]
 
 
+def _gather_heads(plan, fm: FeatureMap, params: AttentionParams) -> np.ndarray:
+    """A map sampled through a slot-major plan, heads-major: (h, d, S, N)."""
+    x = plan.gather(fm.flat().T, dtype=params.dtype)
+    return x.reshape(params.heads, -1, *x.shape[1:])
+
+
+def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
+                     params: AttentionParams, counters: AttentionCounters | None):
+    """Slot-major similarity of each target query against its epipolar
+    samples: logits (h, S, N), weights (h, S, N), sampled values
+    (h, d, S, N) and valid (S, N), each a contiguous vector of queries."""
+    n = f_tgt.height * f_tgt.width
+    if samples.uv.ndim != 3 or samples.uv.shape[0] != n:
+        raise ValueError("sample set is not (N, S, 2) for the target grid")
+    if (samples.width, samples.height) != (ctx.k.width, ctx.k.height):
+        raise ValueError("sample set is not on the context grid")
+    if counters is not None:
+        counters.record(params.heads * n * samples.uv.shape[1])
+    q = np.ascontiguousarray(apply_linear(params.q_proj, f_tgt).flat().T, dtype=params.dtype)
+    q = q.reshape(params.heads, -1, 1, n)                                        # (h, d, 1, N)
+    k = _gather_heads(samples.plan, ctx.k, params)
+    k *= q                       # the key samples are spent here, in place
+    logits = k.sum(axis=1)       # summed in head-channel order: (h, S, N)
+    del k                        # its taps are freed before the values are gathered
+    logits /= math.sqrt(q.shape[1])   # a Python float keeps float32 logits in float32
+    valid = samples.valid.T & samples.plan.valid
+    weights = masked_softmax(logits, valid, axis=-2)
+    return logits, weights, _gather_heads(samples.plan, ctx.value, params), valid
+
+
 def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
                         params: AttentionParams,
                         counters: AttentionCounters | None = None):
     """Similarity of each target query against its epipolar samples.
 
-    K and V are gathered together through the sample set's own bilinear
-    plan (:attr:`EpipolarSampleSet.plan`, built on its first use and kept
-    with the set), one pass over the concatenated (H*W, 2C) grid per tap.
+    K and V are gathered from their channel-major (C, H*W) grids through
+    the sample set's own bilinear plan (:attr:`EpipolarSampleSet.plan`,
+    built on its first use and kept with the set), the values only once
+    the keys' taps are spent.
 
     ``samples`` is a batched (N, S, 2) set with one row per target query,
     on the context's grid. Returns (logits (h, N, S), weights (h, N, S),
-    sampled values (N, S, C), valid (N, S)). Queries are raster-ordered;
+    sampled values (N, S, C), valid (N, S)), transposed views of the
+    slot-major arrays the core computes in. Queries are raster-ordered;
     invalid sample slots carry zero weight.
     """
-    n = f_tgt.height * f_tgt.width
-    uv = samples.uv
-    if uv.ndim != 3 or uv.shape[0] != n:
-        raise ValueError("sample set is not (N, S, 2) for the target grid")
-    if (samples.width, samples.height) != (ctx.k.width, ctx.k.height):
-        raise ValueError("sample set is not on the context grid")
-    if counters is not None:
-        counters.record(params.heads * n * uv.shape[1])
-    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads, params.dtype)  # (h, N, d)
-    c = ctx.k.channels
-    kv_samp = samples.plan.gather(np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1),
-                                  dtype=params.dtype)
-    valid = samples.valid & samples.plan.valid
-    # one query against its own S samples: a (1, d) @ (d, S) product per (head, query)
-    logits, weights = _scores(q[:, :, None], _heads(kv_samp[..., :c], params.heads, params.dtype),
-                              valid[None, :, None])
-    return logits[:, :, 0], weights[:, :, 0], kv_samp[..., c:], valid
+    logits, weights, v, valid = _epipolar_scores(f_tgt, ctx, samples, params, counters)
+    v = v.reshape(-1, *v.shape[2:])
+    return logits.swapaxes(-1, -2), weights.swapaxes(-1, -2), v.transpose(2, 1, 0), valid.T
 
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -269,9 +283,10 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     """
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
-    _, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params, counters)
-    fm = _merge(weights[:, :, None] @ _heads(v_samp, params.heads, params.dtype), f_tgt, params)
-    return fm, valid.any(axis=1).reshape(f_tgt.height, f_tgt.width)
+    _, weights, v, valid = _epipolar_scores(f_tgt, ctx, samples, params, counters)
+    v *= weights[:, None]
+    fm = _merge(v.sum(axis=2).swapaxes(1, 2), f_tgt, params)   # summed over the S slots
+    return fm, valid.any(axis=0).reshape(f_tgt.height, f_tgt.width)
 
 
 def fuse(f_hat: FeatureMap, f_src_hat: FeatureMap, contributed: np.ndarray,

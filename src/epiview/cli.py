@@ -79,6 +79,26 @@ _JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
 # The declared type of every setting, by name.
 _SETTING_TYPES = {**{k: type(v).__name__ for k, v in _RUN_SETTINGS.items()},
                   **{f.name: f.type for f in fields(GenerationConfig)}}
+# The geometry and noise knobs, by flag and setting name: the test a value
+# must pass, and what it must be.
+_KNOBS = {
+    "fov": (lambda x: 0 < x < 180, "a field of view in (0, 180) degrees"),
+    "size": (lambda x: x > 0, "a positive integer"),
+    "radius": (lambda x: 0 < x < math.inf, "a finite number > 0"),
+    "sigma": (lambda x: 0 <= x < math.inf, "a finite number >= 0"),
+}
+
+
+def _check_knobs(values: dict, path=None) -> None:
+    """Reject a bad geometry or noise knob: a flag (a usage error naming
+    it) or, given the ``path`` it was read from, a config file's setting (a
+    data error naming the file and the key)."""
+    for key, value in values.items():
+        if key in _KNOBS and value is not None and not _KNOBS[key][0](value):
+            want = _KNOBS[key][1]
+            if path is None:
+                raise UsageError(f"--{key} must be {want}, got {value}")
+            raise DataError(f"{path}: {key!r} must be {want}, got {value!r}")
 
 
 def _check_config(path, obj: dict) -> None:
@@ -96,6 +116,7 @@ def _check_config(path, obj: dict) -> None:
         accepted, name = _JSON_TYPES[_SETTING_TYPES[key]]
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise DataError(f"{path}: {key!r} must be {name}, got {value!r}")
+    _check_knobs(obj, path)
 
 
 def _merged(args) -> tuple[dict, dict]:
@@ -159,6 +180,9 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ck
 
 def _cmd_scene(args) -> int:
     scene = make_scene(args.seed, mode=args.mode)
+    if args.radius <= scene.bounding_radius:
+        raise UsageError(f"--radius must exceed the scene's bounding radius "
+                         f"{scene.bounding_radius:.4g}, got {args.radius}")
     cams = make_trajectory(args.traj, args.seed, radius=args.radius)
     K = CameraIntrinsics.from_fov(args.size, args.size, args.fov)
     write_fixture(args.out, scene, cams, K)
@@ -436,6 +460,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as e:  # --help / --version
             return int(e.code or 0)
+        _check_knobs(vars(args))
         return args.fn(args)
     except UsageError as e:
         print(f"error: 2 {e}", file=sys.stderr)

@@ -214,8 +214,10 @@ class EpipolarSampleSet:
 
     @cached_property
     def plan(self) -> BilinearPlan:
-        """Bilinear tap plan of ``uv`` on this set's grid, built on first use."""
-        return BilinearPlan.build(self.uv, self.width, self.height)
+        """Bilinear tap plan of ``uv`` on this set's grid, built on first
+        use. It is slot-major, the N queries within each of the S slots:
+        ``plan.valid`` is (S, N), and a gather returns (C, S, N)."""
+        return BilinearPlan.build(self.uv.swapaxes(0, 1), self.width, self.height)
 
     @classmethod
     def full_grid(cls, width: int, height: int, queries: int) -> "EpipolarSampleSet":

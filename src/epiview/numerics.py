@@ -1,5 +1,6 @@
 """Minimal tensor kernels: feature maps, linear projections, masked
-softmax, and bilinear tap plans and sampling.
+softmax over any one axis, and bilinear tap plans, which gather from
+channel-major (C, H*W) grids along contiguous vectors of positions.
 
 Feature data is stored as float32. Sampling blends and softmaxes compute
 in the precision their caller picks: float64 by default, the reference
@@ -118,13 +119,14 @@ class BilinearPlan:
     reduced to flat tap indices and fractions. Built once, it samples any
     number of maps on that grid without recomputing floors and weights.
 
-    ``index`` is (T, M) int32: for each of the M positions, T rows of the
-    raster-order (H*W, C) grid. ``frac`` is (log2 T, M) float64: one
+    ``index`` is (T, M) ``intp``, which ``np.take`` uses unconverted: T
+    raster-order grid positions for each of the M positions, in the order
+    of ``uv``'s leading axes. ``frac`` is (log2 T, M) float64: one
     interpolation fraction per position and interpolated axis, the
-    innermost tap pair first. A position with an integral coordinate
-    needs only the two taps along its other axis; when every position has
-    one (as every epipolar sample grid does) T is 2, otherwise 4.
-    ``valid`` is the in-grid mask, shaped like the positions.
+    innermost tap pair first. A position with an integral coordinate needs
+    only the two taps along its other axis; T is 2 when every position has
+    one (as on every epipolar sample grid), else 4. ``valid`` is the
+    in-grid mask, shaped like the positions.
     """
 
     index: np.ndarray
@@ -157,34 +159,33 @@ class BilinearPlan:
         else:
             index = [v0 * width + u0, v0 * width + u1, v1 * width + u0, v1 * width + u1]
             frac = [du, dv]
-        return cls(index=np.array(index, dtype=np.int32), frac=np.array(frac),
+        return cls(index=np.array(index, dtype=np.intp), frac=np.array(frac),
                    valid=valid.reshape(uv.shape[:-1]), width=width, height=height)
 
     def gather(self, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """Sample an (H*W, C) raster-order grid at the planned positions.
-
-        Returns (*valid.shape, C) blends in ``dtype``, zero outside the
-        grid: one take of every tap into a (T, M, C) array, whose tap pairs
-        are then blended in place as ``a * (1 - f) + b * f``, the
-        operations (and so, in float64, the bits) of the four-neighbor
-        formula wherever only two of its weights are nonzero. The grid and
-        the fractions are cast to ``dtype`` first.
+        """Sample a channel-major (C, H*W) raster-order grid at the planned
+        positions: (C, *valid.shape) blends in ``dtype``, zero outside the
+        grid. One take of every tap fills a (C, T, M) array, whose tap pairs
+        are blended in place as ``a * (1 - f) + b * f``, each fraction a
+        contiguous vector over the M positions: the operations (and so, in
+        float64, the bits) of the four-neighbor formula wherever only two of
+        its weights are nonzero. Grid and fractions are cast to ``dtype``.
         """
-        grid = np.asarray(grid, dtype=dtype)
-        if grid.ndim != 2 or grid.shape[0] != self.width * self.height:
-            raise ValueError(f"plan expects a ({self.width * self.height}, C) grid, "
+        grid = np.ascontiguousarray(grid, dtype=dtype)
+        if grid.ndim != 2 or grid.shape[1] != self.width * self.height:
+            raise ValueError(f"plan expects a (C, {self.width * self.height}) grid, "
                              f"got shape {grid.shape}")
-        taps = np.take(grid, self.index, axis=0)
+        taps = np.take(grid, self.index, axis=1)
         for f in self.frac:
-            f = f.astype(dtype, copy=False)[:, None]
-            a, b = taps[0::2], taps[1::2]
+            f = f.astype(dtype, copy=False)
+            a, b = taps[:, 0::2], taps[:, 1::2]
             a *= 1 - f
             b *= f
             a += b
             taps = a
-        out = taps[0]
-        out[~self.valid.ravel()] = 0.0
-        return out.reshape(self.valid.shape + grid.shape[1:])
+        out = taps[:, 0]
+        np.copyto(out, 0.0, where=~self.valid.ravel())
+        return out.reshape(grid.shape[:1] + self.valid.shape)
 
 
 def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
@@ -206,20 +207,22 @@ def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
         masked, never clamped.
     """
     plan = BilinearPlan.build(uv, fm.width, fm.height)
-    return plan.gather(fm.flat()), plan.valid
+    return np.moveaxis(plan.gather(fm.flat().T), 0, -1), plan.valid
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable softmax over the valid entries of the last axis
-    of ``logits``, which the caller has already scaled.
+                   out: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax over the valid entries of ``axis`` of
+    ``logits`` (the last, or -2 where the keys of a slot-major caller run
+    along it), which the caller has already scaled.
 
     Valid logits must be finite (a valid ``+inf`` gives NaN weights);
     masked entries may hold anything. Masked entries get weight 0; rows
     with no valid entry come back all-zero (no NaNs). Weights over valid
     entries sum to 1 and are invariant to adding a constant to all valid
-    logits. ``mask=None`` is the plain softmax over every entry, with the
-    same bytes as an all-True mask.
+    logits. ``mask`` broadcasts against ``logits``; ``mask=None`` is the
+    plain softmax over every entry, with the same bytes as an all-True
+    mask.
 
     Float32 logits are softmaxed in float32, and any other logits in
     float64: the attention core hands over logits in its block's
@@ -238,11 +241,11 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
         if x is not out:
             out = x = np.positive(x, out=out)   # a copy to mask in
         np.copyto(x, -np.inf, where=~np.asarray(mask, dtype=bool))
-    peak = np.max(x, axis=-1, keepdims=True)
+    peak = np.max(x, axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
     ex = np.subtract(x, peak, out=out)
     np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
-    denom = ex.sum(axis=-1, keepdims=True)
+    denom = ex.sum(axis=axis, keepdims=True)
     live = denom > 0
     if live.all():
         ex /= denom

@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .attention import AttentionParams, _heads, _scores, self_attention
+from .attention import AttentionParams, _heads, _logits, self_attention
 from .diffusion import AttentionStage, Condition, Denoiser, NoiseSchedule
 from .errors import DataError
 from .fileio import read_checkpoint, write_checkpoint
-from .numerics import FeatureMap, LinearMap
+from .numerics import FeatureMap, LinearMap, masked_softmax
 
 __all__ = ["ToyUNet", "train_overfit"]
 
@@ -88,7 +88,13 @@ def _upsample2_back(dy):
 
 
 class ToyUNet(Denoiser):
-    """Two conv stages down, attention at the bottleneck, two stages up."""
+    """Two conv stages down, attention at the bottleneck, two stages up.
+
+    The bottleneck's attention block is built from ``params`` once, and
+    again whenever a new parameter dict is assigned to ``params``, as
+    :func:`train_overfit` does after every step. Arrays changed in place
+    are not seen by the block until then.
+    """
 
     def __init__(self, params: dict | None = None, seed: int = 0,
                  c1: int = 8, c2: int = 16, heads: int = 2, dtype=np.float32):
@@ -96,6 +102,15 @@ class ToyUNet(Denoiser):
         self.seed = seed
         self.dtype = dtype
         self.params = params if params is not None else self._init_params(seed)
+
+    @property
+    def params(self) -> dict:
+        return self._params
+
+    @params.setter
+    def params(self, params: dict):
+        self._params = params
+        self._attention = None   # rebuilt from the new arrays on first use
 
     def _init_params(self, seed: int) -> dict:
         rng = np.random.default_rng(seed)
@@ -109,15 +124,18 @@ class ToyUNet(Denoiser):
         return params
 
     def attention_params(self) -> AttentionParams:
-        p = self.params
-        return AttentionParams(
-            q_proj=LinearMap(p["attn.q.w"], p["attn.q.b"]),
-            k_proj=LinearMap(p["attn.k.w"], p["attn.k.b"]),
-            v_proj=LinearMap(p["attn.v.w"], p["attn.v.b"]),
-            out_proj=LinearMap(p["attn.o.w"], p["attn.o.b"]),
-            heads=self.heads,
-            dtype=self.dtype,
-        )
+        """The bottleneck's attention block, built once per parameter dict."""
+        if self._attention is None:
+            p = self.params
+            self._attention = AttentionParams(
+                q_proj=LinearMap(p["attn.q.w"], p["attn.q.b"]),
+                k_proj=LinearMap(p["attn.k.w"], p["attn.k.b"]),
+                v_proj=LinearMap(p["attn.v.w"], p["attn.v.b"]),
+                out_proj=LinearMap(p["attn.o.w"], p["attn.o.b"]),
+                heads=self.heads,
+                dtype=self.dtype,
+            )
+        return self._attention
 
     def _embedding(self, t: int, cond: Condition, sched: NoiseSchedule) -> np.ndarray:
         de, da, dr = cond.d_spherical
@@ -170,7 +188,7 @@ class ToyUNet(Denoiser):
         n = hb.shape[0] * hb.shape[1]
         flat = hb.reshape(n, -1)
         q, k, v = (_heads(flat @ p[f"attn.{s}.w"].T + p[f"attn.{s}.b"], self.heads) for s in "qkv")
-        attn = _scores(q, k)[1]
+        attn = masked_softmax(_logits(q, k), None)
         mixed = np.moveaxis(attn @ v, 0, -2).reshape(n, -1)
         out, dec = self._decode(hb + (mixed @ p["attn.o.w"].T + p["attn.o.b"]).reshape(hb.shape))
         cache.update(dec, flat=flat, q=q, k=k, v=v, attn=attn, mixed=mixed)
@@ -262,10 +280,12 @@ def train_overfit(net: ToyUNet, views: list, conds: list, sched: NoiseSchedule,
         diff = out - z
         losses.append(float(np.mean(diff ** 2)))
         grads = net.backward(cache, (2.0 / diff.size) * diff)
+        params = dict(net.params)
         for k, gk in grads.items():
             m[k] = b1 * m[k] + (1 - b1) * gk
             v2[k] = b2 * v2[k] + (1 - b2) * gk ** 2
             mh = m[k] / (1 - b1 ** it)
             vh = v2[k] / (1 - b2 ** it)
-            net.params[k] = (net.params[k] - lr * mh / (np.sqrt(vh) + eps_)).astype(net.dtype)
+            params[k] = (params[k] - lr * mh / (np.sqrt(vh) + eps_)).astype(net.dtype)
+        net.params = params   # a new dict: the attention block is rebuilt from it
     return losses

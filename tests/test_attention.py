@@ -28,7 +28,7 @@ from epiview.geometry import (
     epipolar_sample_grid,
     relative_pose,
 )
-from epiview.numerics import FeatureMap, apply_linear, masked_softmax
+from epiview.numerics import BilinearPlan, FeatureMap, apply_linear, masked_softmax
 
 
 def naive_self_attention(fm, params):
@@ -181,6 +181,130 @@ class TestFloat32RouteDualRoute:
         err = np.abs(out32.astype(np.float64) - out64).max()
         assert 0 < err <= bound
         assert bound < 1e-3 * np.abs(out64).max()   # and the bound is far below the outputs
+
+
+def oracle_row_major_gather(plan, grid, dtype):
+    """``BilinearPlan.gather`` as it was before plans were slot-major: a
+    row-major (H*W, C) grid in, (*positions, C) out. Kept verbatim as the
+    oracle."""
+    grid = np.asarray(grid, dtype=dtype)
+    taps = np.take(grid, plan.index, axis=0)
+    for f in plan.frac:
+        f = f.astype(dtype, copy=False)[:, None]
+        a, b = taps[0::2], taps[1::2]
+        a *= 1 - f
+        b *= f
+        a += b
+        taps = a
+    out = taps[0]
+    out[~plan.valid.ravel()] = 0.0
+    return out.reshape(plan.valid.shape + grid.shape[1:])
+
+
+def oracle_query_major_attention(f_tgt, ctx, samples, params):
+    """``epipolar_similarity`` and ``epipolar_attention`` as they were
+    before retrieval was slot-major, with the core's helpers inlined: a
+    query-major plan, one (1, d) @ (d, S) product per (head, query) for
+    the logits and for the value mix, and the softmax over the last axis.
+    Kept as the oracle. Returns (logits (h, N, S), weights, sampled values
+    (N, S, C), valid (N, S), mixed values (h, N, d), output map, contributed)."""
+    def heads_major(x):
+        x = np.asarray(x, dtype=params.dtype)
+        return np.moveaxis(x.reshape(x.shape[:-1] + (params.heads, -1)), -2, 0)
+
+    plan = BilinearPlan.build(samples.uv, samples.width, samples.height)
+    q = heads_major(apply_linear(params.q_proj, f_tgt).flat())
+    c = ctx.k.channels
+    kv_samp = oracle_row_major_gather(
+        plan, np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1), params.dtype)
+    valid = samples.valid & plan.valid
+    logits = q[:, :, None] @ np.swapaxes(heads_major(kv_samp[..., :c]), -1, -2)
+    logits /= math.sqrt(q.shape[-1])
+    weights = masked_softmax(logits, valid[None, :, None])
+    v_samp = kv_samp[..., c:]
+    mixed = (weights @ heads_major(v_samp))[:, :, 0]
+    out = np.moveaxis(mixed, 0, -2).reshape(f_tgt.height, f_tgt.width, -1)
+    fm = apply_linear(params.out_proj, FeatureMap(out))
+    return (logits[:, :, 0], weights[:, :, 0], v_samp, valid, mixed, fm,
+            valid.any(axis=1).reshape(f_tgt.height, f_tgt.width))
+
+
+class TestSlotMajorDualRoute:
+    """Slot-major epipolar retrieval against a frozen copy of the
+    query-major route it replaced. The sampled values and masks keep their
+    bytes. In float64 the logits, weights and mixed values agree to 1e-12
+    of each array's largest magnitude: the logits now sum the head
+    channels in order where the oracle's matrix product may fuse them, and
+    the softmax and the mix sum the S slots in order where the oracle's
+    sums are pairwise. The float32 route stays inside the bound that
+    :class:`TestFloat32RouteDualRoute` derives against the oracle's float64
+    outputs."""
+
+    @staticmethod
+    def sample_set(case, rng, w, h):
+        if case == "camera-pair":   # two taps per sample
+            K = CameraIntrinsics.from_fov(w, h)
+            a, b = (SphericalCamera(rng.uniform(-10, 40), rng.uniform(0, 360), 2.0)
+                    for _ in range(2))
+            return epipolar_sample_grid(relative_pose(camera_on_sphere(a), camera_on_sphere(b)),
+                                        K, w, h)
+        return EpipolarSampleSet(uv=rng.uniform(-1.0, w, (h * w, 9, 2)),   # four taps
+                                 valid=rng.random((h * w, 9)) > 0.2, width=w, height=h)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("case", ["camera-pair", "four-tap"])
+    def test_matches_the_query_major_route(self, case, heads, monkeypatch):
+        import epiview.attention as attention
+        merged = []
+
+        def recording(mixed, *args):
+            merged.append(np.array(mixed))
+            return merge(mixed, *args)
+
+        merge = attention._merge
+        monkeypatch.setattr(attention, "_merge", recording)
+        rng = np.random.default_rng(80 + heads)
+        w, h, c = 12, 10, 8
+        for _ in range(3):
+            samples = self.sample_set(case, rng, w, h)
+            assert samples.plan.index.shape[0] == (2 if case == "camera-pair" else 4)
+            f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+            params = AttentionParams.seeded(c, heads, rng)
+            ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
+            logits, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params)
+            fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+            (want_logits, want_weights, want_v, want_valid, want_mixed, want_fm,
+             want_contributed) = oracle_query_major_attention(f_tgt, ctx, samples, params)
+            assert np.ascontiguousarray(v_samp).tobytes() == want_v.tobytes()
+            assert np.ascontiguousarray(valid).tobytes() == want_valid.tobytes()
+            assert contributed.tobytes() == want_contributed.tobytes()
+            assert 0 < valid.sum() < valid.size
+            for got, want in ((logits, want_logits), (weights, want_weights),
+                              (merged.pop(), want_mixed)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.all(weights[:, ~valid] == 0.0)
+            # both maps round the mixed values to float32 (one rounding of
+            # u each, perhaps apart), project them, and round once more
+            u = np.finfo(np.float32).eps / 2
+            w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
+            tol = 2 * u * (w_row * np.abs(want_mixed).max() + np.abs(want_fm.data).max())
+            assert np.abs(fm.data.astype(np.float64) - want_fm.data).max() <= tol
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("case", ["camera-pair", "four-tap"])
+    def test_float32_within_the_bound_of_the_query_major_route(self, case, heads):
+        rng = np.random.default_rng(90 + heads)
+        w, h, c = 12, 10, 8
+        samples = self.sample_set(case, rng, w, h)
+        f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+        params64 = AttentionParams.seeded(c, heads, rng)
+        ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params64)
+        out64 = oracle_query_major_attention(f_tgt, ctx, samples, params64)[5].data
+        out32 = epipolar_attention(f_tgt, ctx, samples, replace(params64, dtype=np.float32))[0]
+        bound = TestFloat32RouteDualRoute.bound(f_tgt, ctx, params64, samples.uv.shape[1], out64)
+        err = np.abs(out32.data.astype(np.float64) - out64).max()
+        assert 0 < err <= bound
 
 
 class TestEpipolarFullEquivalence:

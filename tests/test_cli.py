@@ -285,6 +285,20 @@ class TestExitCodes:
           for cam in ['{', '{"elevation_deg": 100, "azimuth_deg": 0, "radius": 2}',
                       '{"elevation_deg": 10}',
                       '{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}']],
+        *[(flag, lambda fx, tj, out, flag=flag, v=v: ["scene", "gen", flag, v, "--out", out])
+          for flag, v in (("--size", "0"), ("--size", "-4"), ("--fov", "0"), ("--fov", "190"),
+                          ("--radius", "0.1"))],
+        *[("--radius", lambda fx, tj, out, v=v: ["traj", "make", "--mode", "free16",
+                                                 "--radius", v, "--out", out])
+          for v in ("0", "-1", "inf")],
+        *[(flag, lambda fx, tj, out, flag=flag, v=v: [
+            "synth", "--input", str(fx / "views" / "000.ppm"), "--traj", str(tj),
+            "--backend", "analytic", "--scene", str(fx), flag, v, "--out", out])
+          for flag, v in (("--fov", "0"), ("--fov", "180"), ("--fov", "nan"),
+                          ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "-1"))],
+        ("--sigma", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
+                                          "--backend", "analytic", "--scene", str(fx),
+                                          "--sigma", "-1", "--out", out]),
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
             "bench-sizes-not-int", "bench-reps-1", "train-toy-steps-0",
@@ -292,7 +306,11 @@ class TestExitCodes:
             "train-toy-lr-0", "train-toy-lr-negative", "train-toy-lr-nan", "train-toy-lr-inf",
             "synth-input-view-without-scene",
             "input-cam-not-json", "input-cam-elevation-100", "input-cam-missing-keys",
-            "input-cam-relative-pose"])
+            "input-cam-relative-pose", "scene-size-0", "scene-size-negative", "scene-fov-0",
+            "scene-fov-190", "scene-radius-inside-the-scene", "traj-radius-0",
+            "traj-radius-negative", "traj-radius-inf", "synth-fov-0", "synth-fov-180",
+            "synth-fov-nan", "synth-sigma-nan", "synth-sigma-inf", "synth-sigma-negative",
+            "invert-sigma-negative"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
@@ -341,6 +359,11 @@ class TestExitCodes:
         ("manifest.json", INTRINSICS32 + b'"trajectory": [{"elevation_deg": 20,'
                           b' "azimuth_deg": 90, "radius": 0.1}]}',
          "manifest.json trajectory view 0: camera must stay outside"),
+        ("cfg.json", b'{"fov": 190}', "cfg.json: 'fov' must be"),
+        ("cfg.json", b'{"config": {"alpha": 0.5}, "fov": 0}', "cfg.json: 'fov' must be"),
+        ("cfg.json", b'{"config": {"fov": 180.0}}', "cfg.json: 'fov' must be"),
+        ("cfg.json", b'{"sigma": -1}', "cfg.json: 'sigma' must be"),
+        ("cfg.json", b'{"sigma": NaN}', "cfg.json: 'sigma' must be"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
             "ckpt-short-data", "traj-camera-inside-scene", "ckpt-without-sizes",
             "ckpt-without-layer", "ckpt-layer-misshapen", "traj-not-json", "traj-without-views",
@@ -353,7 +376,9 @@ class TestExitCodes:
             "scene-json-without-primitives",
             "cameras-json-without-intrinsics", "manifest-without-intrinsics",
             "manifest-intrinsics-bad", "manifest-view-relative-pose",
-            "manifest-view-missing-keys", "manifest-camera-inside-scene"])
+            "manifest-view-missing-keys", "manifest-camera-inside-scene",
+            "config-fov-190", "config-fov-0", "config-nested-fov-180", "config-sigma-negative",
+            "config-sigma-nan"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name

@@ -2,7 +2,9 @@
 bilinear sampler they replaced: byte-identical on epipolar sample grids
 (two taps), within 1e-12 on arbitrary positions (four taps). The one-take
 gather against a frozen copy of the per-tap gather it replaced:
-byte-identical on both."""
+byte-identical on both. Plans gather from a channel-major (C, H*W) grid
+and return (C, *positions); the oracles keep the row-major layout, so
+results are compared channel-last."""
 
 import numpy as np
 import pytest
@@ -87,10 +89,11 @@ def test_two_tap_plan_is_byte_identical_on_sample_grids(width, height):
         k = FeatureMap(rng.standard_normal((height, width, 5)))
         v = FeatureMap(rng.standard_normal((height, width, 3)))
         plan = BilinearPlan.build(samples.uv, width, height)
-        assert plan.index.shape[0] == 2 and plan.index.dtype == np.int32
-        for field in ("index", "frac", "valid"):   # the set's own plan is the same plan
-            assert getattr(samples.plan, field).tobytes() == getattr(plan, field).tobytes()
-        kv = plan.gather(np.concatenate([k.flat(), v.flat()], axis=1))
+        assert plan.index.shape[0] == 2 and plan.index.dtype == np.intp
+        slot_major = BilinearPlan.build(samples.uv.swapaxes(0, 1), width, height)
+        for field in ("index", "frac", "valid"):   # the set's own plan is the slot-major plan
+            assert getattr(samples.plan, field).tobytes() == getattr(slot_major, field).tobytes()
+        kv = np.moveaxis(plan.gather(np.concatenate([k.flat(), v.flat()], axis=1).T), 0, -1)
         for got, fm in ((kv[..., :5], k), (kv[..., 5:], v)):
             want, ok = bilinear_oracle(fm, samples.uv)
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
@@ -99,6 +102,20 @@ def test_two_tap_plan_is_byte_identical_on_sample_grids(width, height):
         reached_v |= bool(np.any(samples.uv[..., 1] == height - 1))
     # the clamp at w-2 / h-2, where the whole weight moves onto tap +1
     assert reached_u and reached_v
+
+
+def test_a_sample_sets_plan_is_slot_major_with_intp_indices():
+    for samples in random_sample_sets(5, 3, 11, 7):
+        n, s = samples.valid.shape
+        query_major = BilinearPlan.build(samples.uv, 11, 7)
+        plan = samples.plan
+        assert plan.index.dtype == np.intp and plan.index.flags.c_contiguous
+        assert plan.index.shape == (2, s * n) and plan.valid.shape == (s, n)
+        # position m = slot * N + query: the query-major plan's columns, swapped
+        for got, want in ((plan.index, query_major.index), (plan.frac, query_major.frac)):
+            assert got.tobytes() == np.ascontiguousarray(
+                want.reshape(-1, n, s).swapaxes(1, 2)).tobytes()
+        assert plan.valid.tobytes() == np.ascontiguousarray(query_major.valid.T).tobytes()
 
 
 def test_similarity_through_the_plan_matches_the_oracle_route():
@@ -115,15 +132,17 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
         np.testing.assert_array_equal(valid, samples.valid & k_ok)
         q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64).reshape(144, 2, 2)
         k = k_want.reshape(144, -1, 2, 2)
-        # the same heads-major product as the attention core, on the oracle's keys
-        q_h, k_h = np.moveaxis(q, 1, 0), np.moveaxis(k, 2, 0)
-        want = (q_h[:, :, None] @ np.swapaxes(k_h, -1, -2))[:, :, 0] / np.sqrt(2)
+        # the attention core's products, summed in head-channel order, on
+        # the oracle's keys
+        want = q[:, None, :, 0] * k[..., 0] + q[:, None, :, 1] * k[..., 1]
+        want = np.moveaxis(want, 2, 0) / np.sqrt(2)
         assert np.ascontiguousarray(logits).tobytes() == want.tobytes()
         # an independent formula; BLAS may fuse multiply-adds differently
         np.testing.assert_allclose(
             logits, np.einsum("qhd,qshd->hqs", q, k) / np.sqrt(2), rtol=0, atol=1e-12)
-        # the set's own plan has the bytes of a plan built from its positions
-        plan = BilinearPlan.build(samples.uv, 12, 12)
+        # the set's own plan has the bytes of a plan built from its positions,
+        # slot-major
+        plan = BilinearPlan.build(samples.uv.swapaxes(0, 1), 12, 12)
         for field in ("index", "frac", "valid"):
             assert getattr(samples.plan, field).tobytes() == getattr(plan, field).tobytes()
         assert (samples.plan.width, samples.plan.height) == (12, 12)
@@ -143,7 +162,7 @@ def test_four_tap_plan_matches_the_oracle_on_fractional_positions():
     uv[0, 1] = (6.0, 2.5)
     plan = BilinearPlan.build(uv, 7, 5)
     assert plan.index.shape[0] == 4 and plan.frac.shape[0] == 2
-    got = plan.gather(fm.flat())
+    got = np.moveaxis(plan.gather(fm.flat().T), 0, -1)
     want, ok = bilinear_oracle(fm, uv)
     assert got.shape == want.shape == (40, 6, 3)
     np.testing.assert_array_equal(plan.valid, ok)
@@ -155,7 +174,7 @@ def test_four_tap_plan_matches_the_oracle_on_fractional_positions():
 def test_plan_rejects_a_grid_of_another_size():
     plan = BilinearPlan.build(np.zeros((3, 2)), 4, 4)
     with pytest.raises(ValueError):
-        plan.gather(np.zeros((15, 2)))
+        plan.gather(np.zeros((2, 15)))
 
 
 def test_similarity_rejects_a_sample_set_of_another_grid():
@@ -186,7 +205,7 @@ def test_one_take_gather_is_byte_identical_to_the_per_tap_gather(taps):
     assert 0 < plan.valid.sum() < plan.valid.size   # out-of-grid positions included
     grid = rng.standard_normal((width * height, 5))
     kept = grid.copy()
-    got = plan.gather(grid)
+    got = np.moveaxis(plan.gather(grid.T), 0, -1)
     assert grid.tobytes() == kept.tobytes()   # the input grid is not written
     want = gather_oracle(plan, grid)
     assert got.shape == want.shape == (50, 7, 5)

@@ -226,6 +226,27 @@ class TestSoftmaxDualRoute:
             assert w.tobytes() == w_copy.tobytes() == w_want.tobytes(), name
             assert scaled.tobytes() == before, name
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_axis_is_the_last_axis_softmax_of_the_transposed_view(self, dtype):
+        """A slot-major softmax over axis -2 has the bytes of the softmax over
+        the last axis of the swapped view: the same operations in the same
+        memory order."""
+        for name, logits, mask in _softmax_cases():
+            if logits.ndim < 2:
+                continue
+            x = np.ascontiguousarray(logits.swapaxes(-1, -2), dtype=dtype)
+            m = None if mask is None else np.ascontiguousarray(mask.swapaxes(-1, -2))
+            before = x.tobytes()
+            with np.errstate(invalid="ignore"):
+                w = masked_softmax(x, m, axis=-2)
+                want = masked_softmax(x.swapaxes(-1, -2), None if m is None else m.swapaxes(-1, -2))
+                buf = np.full_like(x, 7.0)
+                w_out = masked_softmax(x, m, out=buf, axis=-2)
+            assert w.dtype == want.dtype == dtype, name
+            assert w.swapaxes(-1, -2).tobytes() == want.tobytes(), name
+            assert w_out is buf and w_out.tobytes() == w.tobytes(), name
+            assert x.tobytes() == before, name
+
     def test_full_similarity_logits_do_not_alias_its_weights(self):
         rng = np.random.default_rng(12)
         fm = FeatureMap(rng.standard_normal((6, 5, 4)))

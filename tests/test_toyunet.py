@@ -236,6 +236,42 @@ class TestTrainer:
         assert np.array_equal(runs[0][1], runs[1][1])
 
 
+class TestAttentionBlock:
+    """The bottleneck block is built once per parameter dict."""
+
+    def test_repeated_predicts_reuse_one_block(self):
+        net = ToyUNet(seed=4, c1=4, c2=6, heads=2)
+        x = np.random.default_rng(4).standard_normal((8, 8, 3))
+        sched = NoiseSchedule.linear_beta(8)
+        blocks = []
+        for t in (2, 5, 8):
+            net.predict(x, t, Condition.reference(), sched, stage_cb=blocks.append)
+        assert len(blocks) == 3
+        assert all(stage.params is net.attention_params() for stage in blocks)
+
+    def test_a_new_params_dict_rebuilds_the_block(self):
+        net = ToyUNet(seed=4, c1=4, c2=6, heads=2)
+        before = net.attention_params()
+        net.params = dict(net.params, **{"attn.q.w": net.params["attn.q.w"] * 2})
+        after = net.attention_params()
+        assert after is not before
+        assert np.array_equal(after.q_proj.weight, before.q_proj.weight * 2)
+
+    def test_predict_after_training_matches_a_fresh_net(self):
+        net = ToyUNet(seed=5, c1=4, c2=6, heads=2)
+        rng = np.random.default_rng(5)
+        views = [rng.random((8, 8, 3)) for _ in range(2)]
+        sched = NoiseSchedule.linear_beta(8)
+        cond = Condition.reference()
+        x = rng.standard_normal((8, 8, 3))
+        untrained = net.predict(x, 4, cond, sched)
+        train_overfit(net, views, [cond] * 2, sched, steps=3, lr=1e-2, seed=5)
+        got = net.predict(x, 4, cond, sched)
+        fresh = ToyUNet(params=net.params, c1=4, c2=6, heads=2).predict(x, 4, cond, sched)
+        assert got.tobytes() == fresh.tobytes()
+        assert not np.array_equal(got, untrained)
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         net = ToyUNet(seed=9)
