@@ -5,8 +5,8 @@ All three are one computation: heads-major queries, keys and values,
 scaled dot-product logits, their softmax (``masked_softmax``), and the
 weighted value sum merged back onto the target grid (``_merge``). Full
 cross attention retrieves from all of a stage's context views in one
-batched product (``_heads``, ``_logits``); self attention is full cross
-attention with the map as its only context. Epipolar attention restricts
+batched product (``_heads``, ``_full_logits``); self attention is full
+cross attention with the map as its only context. Epipolar attention restricts
 each query's keys to its own S bilinearly sampled epipolar positions,
 masking the invalid ones, one context at a time. It is slot-major: its
 sampled keys and values, logits and weights are laid out (..., S, N), so
@@ -16,11 +16,11 @@ the N queries. Both reuse the block's Q/K/V/out projections with no new
 parameters.
 
 The core computes in the block's own precision,
-:attr:`AttentionParams.dtype`. It is float64 by default: the reference
-route of every oracle, the localization study and the toy trainer. The
-backends give the blocks they expose float32, the precision their
-features are stored in, so that the gather and the softmax move half the
-bytes.
+:attr:`AttentionParams.dtype`, and only that field chooses it. It is
+float64 by default: the reference route of every oracle and the
+localization study. The backends give the blocks they expose float32,
+the precision their features are stored in, so that the gather and the
+softmax move half the bytes.
 
 Every attention call records how many similarity-buffer elements it
 allocates into an optional :class:`AttentionCounters`, which is what the
@@ -142,18 +142,10 @@ def project_context(f_ref: FeatureMap, params: AttentionParams) -> ContextFeatur
                            value=apply_linear(params.v_proj, f_ref))
 
 
-def _heads(x: np.ndarray, heads: int, dtype=np.float64) -> np.ndarray:
-    """(..., C) -> heads-major (heads, ..., C // heads), cast to ``dtype``."""
-    x = np.asarray(x, dtype=dtype)
-    return np.moveaxis(x.reshape(x.shape[:-1] + (heads, -1)), -2, 0)
-
-
-def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Scaled dot-product logits (h, ..., n, m) of heads-major queries
-    (h, ..., n, d) against keys (h, ..., m, d), scaled in place."""
-    logits = q @ np.swapaxes(k, -1, -2)
-    logits /= math.sqrt(q.shape[-1])   # a Python float keeps float32 logits in float32
-    return logits
+def _heads(x: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """(..., C) -> heads-major (heads, ..., C // heads) in the block's dtype."""
+    x = np.asarray(x, dtype=params.dtype)
+    return np.moveaxis(x.reshape(x.shape[:-1] + (params.heads, -1)), -2, 0)
 
 
 def _merge(mixed: np.ndarray, f_tgt: FeatureMap, params: AttentionParams) -> FeatureMap:
@@ -172,15 +164,17 @@ def self_attention(fm: FeatureMap, params: AttentionParams,
 
 def _full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
                  counters: AttentionCounters | None) -> np.ndarray:
-    """Logits (heads, V, N, M) of the target queries, projected once, against
-    every key of the V context maps in one batched product; one counter
-    record per context."""
-    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params.heads, params.dtype)[:, None]
-    k = _heads(np.stack([c.k.flat() for c in contexts]), params.heads, params.dtype)
+    """Scaled dot-product logits (heads, V, N, M) of the target queries,
+    projected once, against every key of the V context maps in one batched
+    product, scaled in place; one counter record per context."""
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params)[:, None]
+    k = _heads(np.stack([c.k.flat() for c in contexts]), params)
     if counters is not None:
         for _ in contexts:
             counters.record(params.heads * q.shape[2] * k.shape[2])
-    return _logits(q, k)
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits /= math.sqrt(q.shape[-1])   # a Python float keeps float32 logits in float32
+    return logits
 
 
 def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
@@ -211,8 +205,7 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
         raise ValueError("context resolution does not match the target map")
     logits = _full_logits(f_tgt, contexts, params, counters)
     weights = masked_softmax(logits, None, out=logits)
-    mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params.heads,
-                             params.dtype)
+    mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params)
     return [(_merge(mixed[:, i], f_tgt, params), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
             for i in range(len(contexts))]
 

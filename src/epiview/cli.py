@@ -1,6 +1,5 @@
 """Operator surface: fixture generation, trajectories, inversion,
-synthesis, similarity-map dumps, benchmarking, evaluation, and the toy
-trainer.
+synthesis, similarity-map dumps, benchmarking and evaluation.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 internal. Errors print a
 single machine-parsable line ``error: <code> <message>`` to stderr.
@@ -49,7 +48,7 @@ from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean
 from .pipeline import GenerationConfig, TrajectorySynthesizer
 from .scenegen import make_scene, make_trajectory, render
-from .toyunet import ToyUNet, train_overfit
+from .toyunet import ToyUNet
 
 __all__ = ["main", "entry"]
 
@@ -151,7 +150,7 @@ def _render_trajectory(scene, traj, K, where: str = "trajectory") -> list:
     return views
 
 
-def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ckpt):
+def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir):
     """Targets for oracle-style backends come from rendering the fixture
     scene at every trajectory camera; the reference target is the input
     image itself."""
@@ -169,8 +168,6 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir, ck
         return AnalyticAttentionDenoiser(targets, sigma=merged["sigma"],
                                          seed=merged["seed"])
     if backend == "toyunet":
-        if ckpt is not None:
-            return ToyUNet.load(ckpt)
         return ToyUNet(seed=merged["seed"])
     raise DataError(f"unknown backend {backend!r}")
 
@@ -201,7 +198,7 @@ def _cmd_invert(args) -> int:
     merged, _ = _merged(args)
     sched = _schedule(merged["steps"])
     image = read_ppm(args.input)
-    denoiser = _build_denoiser(args.backend, merged, image, [], args.scene, args.ckpt)
+    denoiser = _build_denoiser(args.backend, merged, image, [], args.scene)
     x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
     write_f32(args.out, x_ref.data, sidecar={"timestep": sched.steps})
     write_json(str(args.out) + ".manifest.json", {
@@ -237,7 +234,7 @@ def _cmd_synth(args) -> int:
         input_cam = SphericalCamera(30.0, 0.0, 2.0)
     h, w = image.shape[:2]
     K = CameraIntrinsics.from_fov(w, h, merged["fov"])
-    denoiser = _build_denoiser(merged["backend"], merged, image, traj, args.scene, args.ckpt)
+    denoiser = _build_denoiser(merged["backend"], merged, image, traj, args.scene)
     counters = AttentionCounters()
     synth = TrajectorySynthesizer(image, input_cam, K, denoiser, sched, config, counters)
     images, manifest = synth.synthesize_trajectory(traj)
@@ -343,23 +340,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_train_toy(args) -> int:
-    for flag, value in (("--steps", args.steps), ("--diffusion-steps", args.diffusion_steps)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
-    if not (math.isfinite(args.lr) and args.lr > 0):
-        raise UsageError(f"--lr must be a finite number > 0, got {args.lr}")
-    scene, cams, K, views = read_fixture(args.scene)
-    net = ToyUNet(seed=args.seed)
-    sched = NoiseSchedule.linear_beta(args.diffusion_steps)
-    conds = [Condition.reference() for _ in views]  # zero-pose overfit on renders
-    losses = train_overfit(net, [v.rgb.data for v in views], conds, sched,
-                           steps=args.steps, lr=args.lr, seed=args.seed)
-    net.save(args.out)
-    print(f"checkpoint written to {args.out} (final loss {losses[-1]:.5f})")
-    return 0
-
-
 # --- wiring ----------------------------------------------------------------
 
 
@@ -392,7 +372,6 @@ def _build_parser() -> _Parser:
     iv.add_argument("--backend", choices=["oracle", "analytic", "toyunet"], required=True)
     iv.add_argument("--out", required=True)
     iv.add_argument("--scene")
-    iv.add_argument("--ckpt")
     iv.add_argument("--steps", type=int)
     iv.add_argument("--seed", type=int)
     iv.add_argument("--sigma", type=float)
@@ -412,7 +391,6 @@ def _build_parser() -> _Parser:
     sy.add_argument("--sigma", type=float)
     sy.add_argument("--fov", type=float)
     sy.add_argument("--scene")
-    sy.add_argument("--ckpt")
     sy.add_argument("--input-cam", dest="input_cam",
                     help="input view camera as pose JSON")
     sy.add_argument("--input-view", dest="input_view", type=int,
@@ -442,14 +420,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--out", required=True)
     ev.set_defaults(fn=_cmd_eval)
 
-    tt = sub.add_parser("train-toy", help="overfit the toy denoiser on a fixture")
-    tt.add_argument("--scene", required=True)
-    tt.add_argument("--steps", type=int, default=200)
-    tt.add_argument("--diffusion-steps", dest="diffusion_steps", type=int, default=50)
-    tt.add_argument("--lr", type=float, default=2e-3)
-    tt.add_argument("--seed", type=int, default=0)
-    tt.add_argument("--out", required=True)
-    tt.set_defaults(fn=_cmd_train_toy)
     return p
 
 

@@ -1,5 +1,5 @@
 """File formats: PPM/PGM images, raw float32 blobs, pose and scene JSON,
-fixture directories, and the checkpoint container.
+fixture directories, trajectories and run manifests.
 
 All binary formats are little-endian and dependency-free so golden files
 stay stable across machines.
@@ -20,7 +20,6 @@ from .scenegen import RenderedView, Scene, render, scene_from_json, scene_to_jso
 __all__ = [
     "write_ppm", "read_ppm", "write_pgm",
     "write_f32", "read_f32",
-    "write_checkpoint", "read_checkpoint",
     "write_fixture", "read_fixture",
     "write_trajectory", "read_trajectory", "camera_from_json", "read_intrinsics",
     "write_json", "read_json",
@@ -101,42 +100,6 @@ def read_f32(path) -> np.ndarray:
     meta = read_json(str(path) + ".json")
     data = np.frombuffer(Path(path).read_bytes(), dtype="<f4")
     return data.reshape(meta["shape"]).copy()
-
-
-def write_checkpoint(path, arrays: dict[str, np.ndarray], header_extra: dict | None = None) -> None:
-    """Checkpoint container: one JSON header line, then the arrays as
-    flat little-endian float32 in header order."""
-    names = list(arrays)
-    header = {"layers": [{"name": n, "shape": list(np.asarray(arrays[n]).shape)} for n in names]}
-    if header_extra:
-        header.update(header_extra)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f4").tobytes())
-
-
-def read_checkpoint(path):
-    """Returns (arrays dict, header dict). A header that is not the JSON
-    layer list, or data shorter than it declares, is a DataError naming
-    the path."""
-    raw = Path(path).read_bytes()
-    try:
-        nl = raw.index(b"\n")
-        header = json.loads(raw[:nl].decode())
-        layers = [(lay["name"], tuple(int(d) for d in lay["shape"])) for lay in header["layers"]]
-    except (ValueError, KeyError, TypeError) as e:   # incl. JSON and UTF-8 decode errors
-        raise DataError(f"{path}: bad checkpoint header ({type(e).__name__}: {e})") from None
-    arrays: dict[str, np.ndarray] = {}
-    off = nl + 1
-    for name, shape in layers:
-        count = int(np.prod(shape)) if shape else 1
-        if min(shape, default=0) < 0 or count > (len(raw) - off) // 4:
-            raise DataError(f"{path}: layer {name!r} {list(shape)} does not fit the checkpoint data")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        arrays[name] = arr.reshape(shape).copy()
-        off += count * 4
-    return arrays, header
 
 
 def write_json(path, obj) -> None:

@@ -111,6 +111,8 @@ class SphericalCamera:
     radius: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.elevation_deg, self.azimuth_deg, self.radius))):
+            raise ValueError("elevation, azimuth and radius must be finite")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if not -90.0 <= self.elevation_deg <= 90.0:

@@ -50,12 +50,35 @@ OCCLUSION_TOL = 1e-4
 
 BACKGROUND = -1
 
+_SHADINGS = ("voronoi", "normal")
+
+
+def _check_array(name: str, value, rows: bool = False) -> None:
+    """Reject a primitive's point or color that is not a finite (3,) array,
+    or, with ``rows``, a finite (m, 3) array of m >= 1 rows."""
+    a = np.asarray(value, dtype=np.float64)
+    want = "(m, 3)" if rows else "(3,)"
+    if not ((a.ndim == 2 and len(a) >= 1 and a.shape[1] == 3) if rows else a.shape == (3,)):
+        raise ValueError(f"{name} must have shape {want}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+
+
+def _check_radius(radius) -> None:
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be a finite number > 0, got {radius}")
+
 
 @dataclass(frozen=True)
 class Sphere:
     center: np.ndarray
     radius: float
     color: np.ndarray
+
+    def __post_init__(self):
+        _check_array("center", self.center)
+        _check_radius(self.radius)
+        _check_array("color", self.color)
 
     @property
     def id_count(self) -> int:
@@ -67,6 +90,10 @@ class Box:
     lo: np.ndarray
     hi: np.ndarray
     color: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lo", "hi", "color"):
+            _check_array(name, getattr(self, name))
 
     @property
     def id_count(self) -> int:
@@ -89,6 +116,18 @@ class PaintedBall:
     seeds: np.ndarray | None = None     # (m, 3) unit directions, voronoi only
     colors: np.ndarray | None = None    # (m, 3), voronoi only
     shading: str = "voronoi"
+
+    def __post_init__(self):
+        if self.shading not in _SHADINGS:
+            raise ValueError(f"shading must be one of {_SHADINGS}, got {self.shading!r}")
+        _check_array("center", self.center)
+        _check_radius(self.radius)
+        if self.shading == "voronoi":
+            _check_array("seeds", self.seeds, rows=True)
+            _check_array("colors", self.colors, rows=True)
+            if len(self.seeds) != len(self.colors):
+                raise ValueError(f"seeds and colors must have as many rows, got "
+                                 f"{len(self.seeds)} and {len(self.colors)}")
 
     @property
     def id_count(self) -> int:

@@ -82,9 +82,10 @@ class TestSynth:
             pb = (b / f"{i:03d}.ppm").read_bytes()
             assert pa == pb
 
-    def test_manifest_rerun_byte_identical(self, tmp_path, traj_file, fixture_dir):
+    @pytest.mark.parametrize("backend", ["analytic", "toyunet"])
+    def test_manifest_rerun_byte_identical(self, backend, tmp_path, traj_file, fixture_dir):
         first = tmp_path / "first"
-        assert synth(first, traj_file, fixture_dir, "--mode", "epipolar") == 0
+        assert synth(first, traj_file, fixture_dir, "--mode", "epipolar", "--backend", backend) == 0
         rerun = tmp_path / "rerun"
         assert main(["synth",
                      "--input", str(fixture_dir / "views" / "000.ppm"),
@@ -198,15 +199,6 @@ class TestEval:
         assert {"psnr", "ssim", "reprojection", "reprojection_mean"} <= metrics
 
 
-class TestTrainToy:
-    def test_checkpoint_written(self, tmp_path, fixture_dir):
-        out = tmp_path / "ckpt.bin"
-        assert main(["train-toy", "--scene", str(fixture_dir), "--steps", "5",
-                     "--out", str(out)]) == 0
-        from epiview.toyunet import ToyUNet
-        ToyUNet.load(out)  # parses and reconstructs
-
-
 class TestConfigPrecedence:
     def test_flags_beat_config_file(self, tmp_path, traj_file, fixture_dir):
         cfg = tmp_path / "cfg.json"
@@ -229,13 +221,18 @@ class TestConfigPrecedence:
         sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         dests = {a.dest for a in sub.choices["synth"]._actions} - {"help"}
-        io = {"input", "traj", "scene", "ckpt", "input_cam", "input_view", "config", "out"}
+        io = {"input", "traj", "scene", "input_cam", "input_view", "config", "out"}
         allowed = set(GenerationConfig.__dataclass_fields__) | set(_RUN_SETTINGS) | io
         assert dests <= allowed, dests - allowed
 
 
 # The start of a run manifest with the intrinsics of a 32 px fixture.
 INTRINSICS32 = b'{"intrinsics": {"f": 34.3, "cx": 15.5, "cy": 15.5, "width": 32, "height": 32}, '
+
+
+def scene_json(primitive: bytes) -> bytes:
+    """A fixture scene.json holding the one primitive."""
+    return b'{"seed": 0, "bounding_radius": 1.0, "primitives": [' + primitive + b']}'
 
 
 class TestExitCodes:
@@ -271,11 +268,6 @@ class TestExitCodes:
         ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "16,8", "--out", out]),
         ("--sizes", lambda fx, tj, out: ["bench", "--sizes", "8,x", "--out", out]),
         ("--reps", lambda fx, tj, out: ["bench", "--reps", "1", "--out", out]),
-        *[(flag, lambda fx, tj, out, flag=flag, n=n: ["train-toy", "--scene", str(fx),
-                                                      flag, n, "--out", out])
-          for flag, n in (("--steps", "0"), ("--diffusion-steps", "0"),
-                          ("--diffusion-steps", "-1"), ("--lr", "0"), ("--lr", "-5"),
-                          ("--lr", "nan"), ("--lr", "inf"))],
         ("--input-view", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
                                                "--traj", str(tj), "--backend", "toyunet",
                                                "--input-view", "7", "--out", out]),
@@ -284,7 +276,8 @@ class TestExitCodes:
             "--backend", "toyunet", "--input-cam", cam, "--out", out])
           for cam in ['{', '{"elevation_deg": 100, "azimuth_deg": 0, "radius": 2}',
                       '{"elevation_deg": 10}',
-                      '{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}']],
+                      '{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}',
+                      '{"elevation_deg": 10, "azimuth_deg": NaN, "radius": 2}']],
         *[(flag, lambda fx, tj, out, flag=flag, v=v: ["scene", "gen", flag, v, "--out", out])
           for flag, v in (("--size", "0"), ("--size", "-4"), ("--fov", "0"), ("--fov", "190"),
                           ("--radius", "0.1"))],
@@ -301,12 +294,10 @@ class TestExitCodes:
                                           "--sigma", "-1", "--out", out]),
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
-            "bench-sizes-not-int", "bench-reps-1", "train-toy-steps-0",
-            "train-toy-diffusion-steps-0", "train-toy-diffusion-steps-negative",
-            "train-toy-lr-0", "train-toy-lr-negative", "train-toy-lr-nan", "train-toy-lr-inf",
-            "synth-input-view-without-scene",
+            "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene",
             "input-cam-not-json", "input-cam-elevation-100", "input-cam-missing-keys",
-            "input-cam-relative-pose", "scene-size-0", "scene-size-negative", "scene-fov-0",
+            "input-cam-relative-pose", "input-cam-azimuth-nan", "scene-size-0",
+            "scene-size-negative", "scene-fov-0",
             "scene-fov-190", "scene-radius-inside-the-scene", "traj-radius-0",
             "traj-radius-negative", "traj-radius-inf", "synth-fov-0", "synth-fov-180",
             "synth-fov-nan", "synth-sigma-nan", "synth-sigma-inf", "synth-sigma-negative",
@@ -322,16 +313,9 @@ class TestExitCodes:
         ("bad.ppm", b"P6\n32 32\n255\n" + bytes(100)),
         ("bad.ppm", b"P3\n1 1\n255\n0 0 0"),
         ("bad.ppm", b"P6\n2 2\n65535\n" + bytes(24)),
-        ("bad.ckpt", b"{not json\n" + bytes(16)),
-        ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [4, 4]}], "c1": 1}\n' + bytes(8)),
         ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
                       b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.1}]}',
          "trajectory view 1"),
-        ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [1]}]}\n' + bytes(4)),
-        ("bad.ckpt", b'{"layers": [{"name": "x", "shape": [1]}], "c1": 8, "c2": 16,'
-                     b' "heads": 2}\n' + bytes(4)),
-        ("bad.ckpt", b'{"layers": [{"name": "enc1.w", "shape": [8, 26]}], "c1": 8, "c2": 16,'
-                     b' "heads": 2}\n' + bytes(8 * 26 * 4)),
         ("bad.json", b'{"views": ['),
         ("bad.json", b'{"x": 1}'),
         ("bad.json", b'{"views": [{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}]}'),
@@ -364,9 +348,25 @@ class TestExitCodes:
         ("cfg.json", b'{"config": {"fov": 180.0}}', "cfg.json: 'fov' must be"),
         ("cfg.json", b'{"sigma": -1}', "cfg.json: 'sigma' must be"),
         ("cfg.json", b'{"sigma": NaN}', "cfg.json: 'sigma' must be"),
-    ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ckpt-corrupt-header",
-            "ckpt-short-data", "traj-camera-inside-scene", "ckpt-without-sizes",
-            "ckpt-without-layer", "ckpt-layer-misshapen", "traj-not-json", "traj-without-views",
+        ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": NaN, "radius": 2.0}]}',
+         "traj.json view 0 is not a camera"),
+        ("bad.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": NaN, "radius": 2.0}]}',
+         "bad.json view 0 is not a camera"),
+        ("bad.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": Infinity}]}',
+         "bad.json view 0 is not a camera"),
+        ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0], "radius": 0.7,'
+                                  b' "shading": "phong"}'), "scene.json: ValueError: shading"),
+        ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0], "radius": -0.7,'
+                                  b' "shading": "normal"}'), "scene.json: ValueError: radius"),
+        ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0], "radius": 0.7,'
+                                  b' "seeds": [[1, 0, 0], [0, 1, 0]], "colors": [[1, 0, 0]]}'),
+         "scene.json: ValueError: seeds and colors"),
+        ("scene.json", scene_json(b'{"kind": "sphere", "center": [0, 0], "radius": 0.1,'
+                                  b' "color": [1, 0, 0]}'), "scene.json: ValueError: center"),
+        ("scene.json", scene_json(b'{"kind": "box", "lo": [0, 0, 0], "hi": [1, 1, Infinity],'
+                                  b' "color": [1, 0, 0]}'), "scene.json: ValueError: hi"),
+    ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
+            "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
             "config-not-an-object", "config-unknown-key", "config-unknown-nested-key",
             "config-alpha-not-a-number", "config-steps-not-an-int",
@@ -378,7 +378,10 @@ class TestExitCodes:
             "manifest-intrinsics-bad", "manifest-view-relative-pose",
             "manifest-view-missing-keys", "manifest-camera-inside-scene",
             "config-fov-190", "config-fov-0", "config-nested-fov-180", "config-sigma-negative",
-            "config-sigma-nan"])
+            "config-sigma-nan", "traj-view-azimuth-nan-analytic",
+            "traj-view-azimuth-nan-toyunet", "traj-view-radius-inf-toyunet",
+            "scene-shading-unknown", "scene-radius-negative", "scene-colors-short-of-seeds",
+            "scene-center-2d", "scene-box-hi-inf"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
@@ -389,9 +392,6 @@ class TestExitCodes:
         argv = {
             "bad.ppm": ["synth", "--input", str(bad), "--traj", str(traj_file),
                         "--backend", "toyunet", "--out", str(out)],
-            "bad.ckpt": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
-                         "--traj", str(traj_file), "--backend", "toyunet",
-                         "--ckpt", str(bad), "--out", str(out)],
             "traj.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
                           "--traj", str(bad), "--scene", str(fixture_dir), "--out", str(out)],
             "bad.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
@@ -426,6 +426,23 @@ class TestExitCodes:
         assert err.startswith(f"error: 3 {tmp_path / 'manifest.json'}: 'intrinsics' are 16x16")
         assert "000.ppm is 32x32" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("named,argv", [
+        ("'train-toy'", lambda fx, tj, out: ["train-toy", "--scene", str(fx), "--out", out]),
+        ("--ckpt", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
+                                        "--traj", str(tj), "--backend", "toyunet",
+                                        "--ckpt", "x", "--out", out]),
+        ("--ckpt", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
+                                        "--backend", "toyunet", "--ckpt", "x", "--out", out]),
+    ], ids=["train-toy", "synth-ckpt", "invert-ckpt"])
+    def test_removed_trainer_surface_is_2(self, named, argv, tmp_path, traj_file, fixture_dir,
+                                          capsys):
+        """The toy trainer and its checkpoints are gone: the command and the
+        flag are usage errors, so no run falls back to the seeded net."""
+        assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 ") and named in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_command_is_2(self):
         assert main(["frobnicate"]) == 2

@@ -21,7 +21,7 @@ from epiview.diffusion import (
 from epiview.geometry import RelativePose
 from epiview.numerics import apply_linear
 from epiview.scenegen import make_scene, make_trajectory, render
-from epiview.toyunet import ToyUNet
+from epiview.toyunet import C2, ToyUNet
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +255,7 @@ class TestDenoiseAndHooks:
         e2 = net.predict(x, x_t.t, Condition.reference(), sched)
         assert set(caps) == {"bottleneck"}
         assert np.array_equal(e1, e2)
-        assert caps["bottleneck"].feature.channels == net.c2
+        assert caps["bottleneck"].feature.channels == C2
 
     def test_per_view_perturbations_are_stable_and_distinct(self, oracle_setup):
         _, targets = oracle_setup

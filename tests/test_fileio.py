@@ -1,11 +1,10 @@
-"""File formats: PPM/PGM, raw float32 blobs, checkpoints, fixtures."""
+"""File formats: PPM/PGM, raw float32 blobs, trajectories, fixtures."""
 
 import numpy as np
 import pytest
 
 from epiview.errors import DataError
 from epiview.fileio import (
-    read_checkpoint,
     read_f32,
     read_fixture,
     read_intrinsics,
@@ -13,7 +12,6 @@ from epiview.fileio import (
     read_ppm,
     read_trajectory,
     to_u8,
-    write_checkpoint,
     write_f32,
     write_fixture,
     write_pgm,
@@ -93,42 +91,6 @@ class TestF32:
         import json
         meta = json.loads((tmp_path / "depth.f32.json").read_text())
         assert meta["shape"] == [4, 5] and meta["background"] == 0.0
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        arrays = {"a.w": rng.standard_normal((3, 4)).astype(np.float32),
-                  "b.b": rng.standard_normal(7).astype(np.float32)}
-        p = tmp_path / "ckpt.bin"
-        write_checkpoint(p, arrays, header_extra={"seed": 11})
-        back, header = read_checkpoint(p)
-        assert header["seed"] == 11
-        assert [l["name"] for l in header["layers"]] == ["a.w", "b.b"]
-        for k in arrays:
-            assert np.array_equal(back[k], arrays[k])
-
-    def test_layout_json_line_then_floats(self, tmp_path):
-        p = tmp_path / "ckpt.bin"
-        write_checkpoint(p, {"x": np.ones(2, dtype=np.float32)})
-        raw = p.read_bytes()
-        nl = raw.index(b"\n")
-        import json
-        json.loads(raw[:nl])  # header parses
-        assert np.array_equal(np.frombuffer(raw[nl + 1:], dtype="<f4"), [1.0, 1.0])
-
-    @pytest.mark.parametrize("payload", [
-        b"{not json\n" + bytes(8),                                       # corrupt header
-        b'{"layers": [{"name": "x"}]}\n' + bytes(8),                     # layer without shape
-        b'{"layers": [{"name": "x", "shape": [2]}]}',                    # no header line end
-        b'{"layers": [{"name": "x", "shape": [4, 4]}]}\n' + bytes(60),   # data cut short
-        b'{"layers": [{"name": "x", "shape": [-2, -2]}]}\n' + bytes(16), # negative sizes
-    ], ids=["corrupt-header", "no-shape", "no-newline", "short-data", "negative-shape"])
-    def test_bad_data_is_a_data_error_naming_the_path(self, tmp_path, payload):
-        p = tmp_path / "bad.ckpt"
-        p.write_bytes(payload)
-        with pytest.raises(DataError, match="bad.ckpt"):
-            read_checkpoint(p)
 
 
 class TestTrajectoryFile:
