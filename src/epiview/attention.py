@@ -216,11 +216,10 @@ def _gather_heads(plan, fm: FeatureMap, params: AttentionParams) -> np.ndarray:
     return x.reshape(params.heads, -1, *x.shape[1:])
 
 
-def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
-                     params: AttentionParams, counters: AttentionCounters | None):
-    """Slot-major similarity of each target query against its epipolar
-    samples: logits (h, S, N), weights (h, S, N), sampled values
-    (h, d, S, N) and valid (S, N), each a contiguous vector of queries."""
+def _epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
+                     params: AttentionParams, counters: AttentionCounters | None) -> np.ndarray:
+    """Slot-major similarity logits (h, S, N) of each target query against
+    its epipolar key samples, each a contiguous vector of queries."""
     n = f_tgt.height * f_tgt.width
     if samples.uv.ndim != 3 or samples.uv.shape[0] != n:
         raise ValueError("sample set is not (N, S, 2) for the target grid")
@@ -235,9 +234,7 @@ def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarS
     logits = k.sum(axis=1)       # summed in head-channel order: (h, S, N)
     del k                        # its taps are freed before the values are gathered
     logits /= math.sqrt(q.shape[1])   # a Python float keeps float32 logits in float32
-    valid = samples.valid.T & samples.plan.valid
-    weights = masked_softmax(logits, valid, axis=-2)
-    return logits, weights, _gather_heads(samples.plan, ctx.value, params), valid
+    return logits
 
 
 def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -253,12 +250,14 @@ def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipol
     ``samples`` is a batched (N, S, 2) set with one row per target query,
     on the context's grid. Returns (logits (h, N, S), weights (h, N, S),
     sampled values (N, S, C), valid (N, S)), transposed views of the
-    slot-major arrays the core computes in. Queries are raster-ordered;
-    invalid sample slots carry zero weight.
+    slot-major arrays the core computes in (``valid`` is the set's own
+    read-only mask). Queries are raster-ordered; invalid slots carry zero weight.
     """
-    logits, weights, v, valid = _epipolar_scores(f_tgt, ctx, samples, params, counters)
-    v = v.reshape(-1, *v.shape[2:])
-    return logits.swapaxes(-1, -2), weights.swapaxes(-1, -2), v.transpose(2, 1, 0), valid.T
+    logits = _epipolar_logits(f_tgt, ctx, samples, params, counters)
+    weights = masked_softmax(logits, samples.slot_valid, axis=-2)
+    v = samples.plan.gather(ctx.value.flat().T, dtype=params.dtype)   # (C, S, N)
+    return (logits.swapaxes(-1, -2), weights.swapaxes(-1, -2), v.transpose(2, 1, 0),
+            samples.slot_valid.T)
 
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -268,18 +267,20 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
 
     For each query: similarity of its query feature against the key
     features bilinearly sampled at the valid epipolar positions, a masked
-    softmax, and the weighted sum of the sampled value features. Queries
-    whose sample set is empty contribute nothing and are marked False in
-    the returned mask.
+    softmax (in place), and the weighted sum of the sampled value
+    features. Queries whose sample set is empty contribute nothing and are
+    marked False in the returned mask, a view of the set's read-only one.
 
     Returns (FeatureMap, contributed (H, W) bool).
     """
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
-    _, weights, v, valid = _epipolar_scores(f_tgt, ctx, samples, params, counters)
+    logits = _epipolar_logits(f_tgt, ctx, samples, params, counters)
+    weights = masked_softmax(logits, samples.slot_valid, out=logits, axis=-2)
+    v = _gather_heads(samples.plan, ctx.value, params)
     v *= weights[:, None]
     fm = _merge(v.sum(axis=2).swapaxes(1, 2), f_tgt, params)   # summed over the S slots
-    return fm, valid.any(axis=0).reshape(f_tgt.height, f_tgt.width)
+    return fm, samples.contributed.reshape(f_tgt.height, f_tgt.width)
 
 
 def fuse(f_hat: FeatureMap, f_src_hat: FeatureMap, contributed: np.ndarray,

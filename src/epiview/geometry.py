@@ -202,11 +202,11 @@ class EpipolarSampleSet:
     ``valid`` (N, S). Invalid slots are placeholders and must be masked by
     every consumer.
 
-    A set depends only on the relative pose and the grid, and its
-    bilinear tap plan (:attr:`plan`) only on the set, so the synthesizer
-    builds one set per (context, target) pair once per target view, reuses
-    it with its plan at every step and layer, and frees both when that
-    view ends.
+    A set depends only on the relative pose and the grid, and its tap
+    plan (:attr:`plan`) and masks (:attr:`slot_valid`, :attr:`contributed`),
+    read-only and built on first use, only on the set. The synthesizer
+    builds one set per (context, target) pair per target view, reuses it
+    with them at every step and layer, and frees all when that view ends.
     """
 
     uv: np.ndarray
@@ -220,6 +220,20 @@ class EpipolarSampleSet:
         use. It is slot-major, the N queries within each of the S slots:
         ``plan.valid`` is (S, N), and a gather returns (C, S, N)."""
         return BilinearPlan.build(self.uv.swapaxes(0, 1), self.width, self.height)
+
+    @cached_property
+    def slot_valid(self) -> np.ndarray:
+        """(S, N) mask of the slots retrieval reads: valid and on the grid."""
+        mask = self.valid.T & self.plan.valid
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def contributed(self) -> np.ndarray:
+        """(N,) mask of the queries with at least one slot to read."""
+        mask = self.slot_valid.any(axis=0)
+        mask.setflags(write=False)
+        return mask
 
     @classmethod
     def full_grid(cls, width: int, height: int, queries: int) -> "EpipolarSampleSet":

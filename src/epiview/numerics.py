@@ -104,15 +104,6 @@ class LinearMap:
                          bias=None if self.bias is None else self.bias.copy())
 
 
-def _axis_taps(x: np.ndarray, n: int):
-    """Lower and upper lattice index and the fraction between them along
-    one axis of length ``n``. The lower index is clamped to ``n - 2`` so
-    that ``x = n - 1`` lands on the upper tap with fraction 1."""
-    x0 = np.floor(x).astype(np.int64)
-    x0 = np.minimum(x0, n - 2) if n > 1 else x0 * 0
-    return x0, np.minimum(x0 + 1, n - 1), x - x0
-
-
 @dataclass(frozen=True)
 class BilinearPlan:
     """Bilinear sampling at fixed sub-pixel positions of an H x W grid,
@@ -127,6 +118,10 @@ class BilinearPlan:
     only the two taps along its other axis; T is 2 when every position has
     one (as on every epipolar sample grid), else 4. ``valid`` is the
     in-grid mask, shaped like the positions.
+
+    A plan freezes its arrays and keeps, while it lives, all its gathers
+    share: the index, checked once to lie on the grid, whether every
+    position does (``in_grid``), and each dtype's blend weights.
     """
 
     index: np.ndarray
@@ -135,38 +130,64 @@ class BilinearPlan:
     width: int
     height: int
 
+    def __post_init__(self):
+        index = self.index
+        if index.size and not (index.min() >= 0 and index.max() < self.width * self.height):
+            raise ValueError(f"plan taps must index a {self.width}x{self.height} grid")
+        for a in (index, self.frac, self.valid):
+            a.setflags(write=False)
+        object.__setattr__(self, "in_grid", bool(self.valid.all()))
+        object.__setattr__(self, "_blends", {})
+
     @classmethod
     def build(cls, uv, width: int, height: int) -> "BilinearPlan":
         """Plan for positions ``uv`` (..., 2), in pixel-center (u, v)
         coordinates, on a ``width`` x ``height`` grid."""
         uv = np.asarray(uv, dtype=np.float64)
-        u, v = uv[..., 0].ravel(), uv[..., 1].ravel()
+        xy = np.array(np.moveaxis(uv, -1, 0), order="C").reshape(2, -1)   # our own u and v
+        u, v = xy
         valid = (u >= 0.0) & (u <= width - 1) & (v >= 0.0) & (v <= height - 1)
-        u = np.where(valid, u, 0.0)
-        v = np.where(valid, v, 0.0)
-        u0, u1, du = _axis_taps(u, width)
-        v0, v1, dv = _axis_taps(v, height)
+        np.copyto(xy, 0.0, where=~valid)
+        # the lower tap, clamped to n - 2 so that x = n - 1 lands on the
+        # upper tap with fraction 1; truncation floors x >= 0
+        lo = xy.astype(np.intp)
+        np.minimum(lo, [[max(width - 2, 0)], [max(height - 2, 0)]], out=lo)
+        du, dv = d = np.subtract(xy, lo, out=xy)
+        step_u, step_v = int(width > 1), width * int(height > 1)   # to the upper tap
         u_int = (du == 0.0) | (du == 1.0)
-        v_int = (dv == 0.0) | (dv == 1.0)
-        if np.all(u_int | v_int):
+        two = bool(np.all(u_int | (dv == 0.0) | (dv == 1.0)))
+        if two:
             # along v where u is integral, else along u; the integral
             # coordinate is its own tap (clamped or not)
-            col = u.astype(np.int64)
-            row = v.astype(np.int64)
-            index = [np.where(u_int, v0 * width + col, row * width + u0),
-                     np.where(u_int, v1 * width + col, row * width + u1)]
-            frac = [np.where(u_int, dv, du)]
+            d = np.where(u_int, dv, du)[None]
+            np.add(lo[0], du == 1.0, out=lo[0], where=u_int)
+            np.add(lo[1], dv == 1.0, out=lo[1], where=~u_int)
+        index = np.empty((2 if two else 4, xy.shape[1]), dtype=np.intp)
+        np.multiply(lo[1], width, out=index[0])
+        index[0] += lo[0]
+        np.add(index[0], step_u, out=index[1])
+        if two:
+            np.add(index[0], step_v, out=index[1], where=u_int)
         else:
-            index = [v0 * width + u0, v0 * width + u1, v1 * width + u0, v1 * width + u1]
-            frac = [du, dv]
-        return cls(index=np.array(index, dtype=np.intp), frac=np.array(frac),
-                   valid=valid.reshape(uv.shape[:-1]), width=width, height=height)
+            np.add(index[:2], step_v, out=index[2:])
+        return cls(index=index, frac=d, valid=valid.reshape(uv.shape[:-1]),
+                   width=width, height=height)
+
+    def _blend(self, dtype: np.dtype) -> list:
+        """(1 - f, f) per fraction row, in ``dtype`` (``1 - f`` too)."""
+        if dtype not in self._blends:
+            f = self.frac.astype(dtype, copy=False)
+            g = 1 - f
+            for a in (f, g):
+                a.setflags(write=False)
+            self._blends[dtype] = list(zip(g, f))
+        return self._blends[dtype]
 
     def gather(self, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
         """Sample a channel-major (C, H*W) raster-order grid at the planned
         positions: (C, *valid.shape) blends in ``dtype``, zero outside the
         grid. One take of every tap fills a (C, T, M) array, whose tap pairs
-        are blended in place as ``a * (1 - f) + b * f``, each fraction a
+        are blended in place as ``a * (1 - f) + b * f``, each weight a
         contiguous vector over the M positions: the operations (and so, in
         float64, the bits) of the four-neighbor formula wherever only two of
         its weights are nonzero. Grid and fractions are cast to ``dtype``.
@@ -175,16 +196,18 @@ class BilinearPlan:
         if grid.ndim != 2 or grid.shape[1] != self.width * self.height:
             raise ValueError(f"plan expects a (C, {self.width * self.height}) grid, "
                              f"got shape {grid.shape}")
-        taps = np.take(grid, self.index, axis=1)
-        for f in self.frac:
-            f = f.astype(dtype, copy=False)
+        # the index lies on the grid (checked when built), so wrapping
+        # never moves a tap; it only skips the per-tap bounds check
+        taps = np.take(grid, self.index, axis=1, mode="wrap")
+        for g, f in self._blend(grid.dtype):
             a, b = taps[:, 0::2], taps[:, 1::2]
-            a *= 1 - f
+            a *= g
             b *= f
             a += b
             taps = a
         out = taps[:, 0]
-        np.copyto(out, 0.0, where=~self.valid.ravel())
+        if not self.in_grid:
+            np.copyto(out, 0.0, where=~self.valid.ravel())
         return out.reshape(grid.shape[:1] + self.valid.shape)
 
 
@@ -231,8 +254,9 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
     ``logits``, which may be ``logits`` itself, for fresh logits the
     caller no longer needs), else a new one. With ``out=None`` the
     caller's ``logits`` are never written to, and without a mask the copy
-    is the subtraction of the row peak. Rows that all carry weight take a
-    plain divide. Either way the weights have the same bytes.
+    is the subtraction of the row peak. Every row is divided by its sum,
+    and rows whose sum is not positive (all masked, or NaN) are zeroed
+    afterwards. The weights have the same bytes with or without ``out``.
     """
     x = np.asarray(logits)
     if x.dtype != np.float32:
@@ -246,11 +270,10 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
     ex = np.subtract(x, peak, out=out)
     np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
     denom = ex.sum(axis=axis, keepdims=True)
-    live = denom > 0
-    if live.all():
+    with np.errstate(invalid="ignore", divide="ignore"):
         ex /= denom
-    else:
-        np.divide(ex, denom, out=ex, where=live)
+    live = denom > 0
+    if not live.all():
         np.copyto(ex, 0.0, where=~live)   # all-masked and NaN rows
     return ex
 

@@ -9,9 +9,9 @@ later views can retrieve from them.
 
 A (context, target) pair's epipolar sample set depends only on the two
 cameras and the feature grid, so it is built once per pair on first use
-within the target's view and reused at every step and layer, together with
-the bilinear tap plan it builds and keeps on its first gather; both are
-freed when the view ends, since no later view shares its target camera.
+within the target's view and reused at every step and layer, with its tap
+plan, blend weights and slot masks, each read-only and made on first use;
+all are freed when the view ends, since no later view shares its camera.
 """
 
 from __future__ import annotations

@@ -64,9 +64,9 @@ def _check_array(name: str, value, rows: bool = False) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-def _check_radius(radius) -> None:
+def _check_radius(radius, name: str = "radius") -> None:
     if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be a finite number > 0, got {radius}")
+        raise ValueError(f"{name} must be a finite number > 0, got {radius}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,9 @@ class Box:
     def __post_init__(self):
         for name in ("lo", "hi", "color"):
             _check_array(name, getattr(self, name))
+        lo, hi = np.asarray(self.lo, dtype=np.float64), np.asarray(self.hi, dtype=np.float64)
+        if np.any(lo > hi):
+            raise ValueError(f"box lo {lo.tolist()} lies above hi {hi.tolist()} on an axis")
 
     @property
     def id_count(self) -> int:
@@ -150,6 +153,9 @@ class Scene:
     primitives: tuple
     bounding_radius: float
     mode: str = "distinctive"
+
+    def __post_init__(self):
+        _check_radius(self.bounding_radius, "bounding_radius")
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,12 @@ class TestExitCodes:
                                   b' "color": [1, 0, 0]}'), "scene.json: ValueError: center"),
         ("scene.json", scene_json(b'{"kind": "box", "lo": [0, 0, 0], "hi": [1, 1, Infinity],'
                                   b' "color": [1, 0, 0]}'), "scene.json: ValueError: hi"),
+        ("scene.json", scene_json(b'{"kind": "box", "lo": [0.5, 0.5, 0.5], "hi": [0.1, 0.1, 0.1],'
+                                  b' "color": [1, 0, 0]}'), "scene.json: ValueError: box lo"),
+        ("scene.json", scene_json(b'{"kind": "box", "lo": [0, 0, 0.5], "hi": [1, 1, 0.1],'
+                                  b' "color": [1, 0, 0]}'), "scene.json: ValueError: box lo"),
+        *[("scene.json", b'{"seed": 0, "bounding_radius": ' + r + b', "primitives": []}',
+           "scene.json: ValueError: bounding_radius") for r in (b"NaN", b"0", b"-1", b"Infinity")],
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -381,7 +387,10 @@ class TestExitCodes:
             "config-sigma-nan", "traj-view-azimuth-nan-analytic",
             "traj-view-azimuth-nan-toyunet", "traj-view-radius-inf-toyunet",
             "scene-shading-unknown", "scene-radius-negative", "scene-colors-short-of-seeds",
-            "scene-center-2d", "scene-box-hi-inf"])
+            "scene-center-2d", "scene-box-hi-inf", "scene-box-lo-above-hi",
+            "scene-box-lo-above-hi-on-z", "scene-bounding-radius-nan",
+            "scene-bounding-radius-0", "scene-bounding-radius-negative",
+            "scene-bounding-radius-inf"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name

@@ -2,14 +2,25 @@
 bilinear sampler they replaced: byte-identical on epipolar sample grids
 (two taps), within 1e-12 on arbitrary positions (four taps). The one-take
 gather against a frozen copy of the per-tap gather it replaced:
-byte-identical on both. Plans gather from a channel-major (C, H*W) grid
-and return (C, *positions); the oracles keep the row-major layout, so
-results are compared channel-last."""
+byte-identical on both, in float64 and float32, with the blend weights a
+plan keeps across gathers. The build against a frozen copy of the build
+that assembled its taps from temporaries: byte-identical plans. Plans
+gather from a channel-major (C, H*W) grid and return (C, *positions); the
+oracles keep the row-major layout, so results are compared channel-last."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from epiview.attention import AttentionParams, epipolar_similarity, project_context
+from epiview.attention import (
+    AttentionParams,
+    epipolar_attention,
+    epipolar_similarity,
+    fuse,
+    multi_view_aggregate,
+    project_context,
+)
 from epiview.geometry import (
     CameraIntrinsics,
     EpipolarSampleSet,
@@ -53,13 +64,14 @@ def bilinear_oracle(fm: FeatureMap, uv: np.ndarray):
     return values, valid
 
 
-def gather_oracle(plan: BilinearPlan, grid: np.ndarray) -> np.ndarray:
+def gather_oracle(plan: BilinearPlan, grid: np.ndarray, dtype=np.float64) -> np.ndarray:
     """``BilinearPlan.gather`` as it was before the one take: a fresh array
-    per tap, blended pairwise. Kept verbatim as the oracle."""
-    grid = np.asarray(grid, dtype=np.float64)
+    per tap, blended pairwise. Kept verbatim as the oracle, save that it
+    computes in ``dtype`` (float64, its only precision then, by default)."""
+    grid = np.asarray(grid, dtype=dtype)
     taps = [np.take(grid, i, axis=0) for i in plan.index]
     for f in plan.frac:
-        f = f[:, None]
+        f = f.astype(dtype, copy=False)[:, None]
         g = 1 - f
         for a, b in zip(taps[0::2], taps[1::2]):   # fresh arrays from take
             a *= g
@@ -69,6 +81,36 @@ def gather_oracle(plan: BilinearPlan, grid: np.ndarray) -> np.ndarray:
     out = taps[0]
     out[~plan.valid.ravel()] = 0.0
     return out.reshape(plan.valid.shape + grid.shape[1:])
+
+
+def build_oracle(uv, width: int, height: int):
+    """``BilinearPlan.build`` as it was before it wrote its taps and
+    fractions straight into their final arrays: (index, frac, valid).
+    Kept verbatim as the oracle."""
+    def axis_taps(x, n):
+        x0 = np.floor(x).astype(np.int64)
+        x0 = np.minimum(x0, n - 2) if n > 1 else x0 * 0
+        return x0, np.minimum(x0 + 1, n - 1), x - x0
+
+    uv = np.asarray(uv, dtype=np.float64)
+    u, v = uv[..., 0].ravel(), uv[..., 1].ravel()
+    valid = (u >= 0.0) & (u <= width - 1) & (v >= 0.0) & (v <= height - 1)
+    u = np.where(valid, u, 0.0)
+    v = np.where(valid, v, 0.0)
+    u0, u1, du = axis_taps(u, width)
+    v0, v1, dv = axis_taps(v, height)
+    u_int = (du == 0.0) | (du == 1.0)
+    v_int = (dv == 0.0) | (dv == 1.0)
+    if np.all(u_int | v_int):
+        col = u.astype(np.int64)
+        row = v.astype(np.int64)
+        index = [np.where(u_int, v0 * width + col, row * width + u0),
+                 np.where(u_int, v1 * width + col, row * width + u1)]
+        frac = [np.where(u_int, dv, du)]
+    else:
+        index = [v0 * width + u0, v0 * width + u1, v1 * width + u0, v1 * width + u1]
+        frac = [du, dv]
+    return np.array(index, dtype=np.intp), np.array(frac), valid.reshape(uv.shape[:-1])
 
 
 def random_sample_sets(seed: int, count: int, width: int, height: int):
@@ -210,3 +252,108 @@ def test_one_take_gather_is_byte_identical_to_the_per_tap_gather(taps):
     want = gather_oracle(plan, grid)
     assert got.shape == want.shape == (50, 7, 5)
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width,height", [(32, 32), (11, 7), (1, 6), (6, 1), (1, 1)])
+def test_build_is_byte_identical_to_the_old_build(width, height):
+    rng = np.random.default_rng(width * 10 + height)
+    cases = []
+    for samples in random_sample_sets(width + 7 * height, 6, width, height):
+        cases += [samples.uv, samples.uv.swapaxes(0, 1)]   # query-major, slot-major
+    for _ in range(6):
+        uv = rng.uniform(-2.0, max(width, height) + 1.0, (30, 4, 2))
+        uv[0] = [(width - 1, height - 1), (np.nan, 0.5), (-0.0, 0.0), (np.inf, 0.0)]
+        on_u = rng.random((30, 4)) < 0.5   # one integral coordinate: two taps
+        two = uv.copy()
+        two[..., 0] = np.where(on_u, np.round(uv[..., 0]), uv[..., 0])
+        two[..., 1] = np.where(on_u, uv[..., 1], np.round(uv[..., 1]))
+        cases += [uv, two]
+    cases += [np.zeros((0, 2)), np.array([-0.0, 0.0])]
+    for uv in cases:
+        plan = BilinearPlan.build(uv, width, height)
+        for got, want in zip((plan.index, plan.frac, plan.valid), build_oracle(uv, width, height)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def cached_plan_cases():
+    """(name, plan, in_grid): a plan of an epipolar set, a four-tap plan,
+    and a two-tap plan with positions off the grid."""
+    rng = np.random.default_rng(21)
+    yield "epipolar", next(random_sample_sets(21, 1, 12, 10)).plan, True
+    uv = rng.uniform(0.0, 9.0, (60, 5, 2))
+    yield "four-tap", BilinearPlan.build(uv, 12, 10), True
+    uv[..., 0] = np.round(uv[..., 0])
+    uv[:4, 0] = [(-1.0, 2.5), (3.0, 9.5), (12.0, 0.5), (np.nan, 1.0)]
+    yield "off-grid", BilinearPlan.build(uv, 12, 10), False
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cached_gather_matches_the_per_tap_gather(dtype):
+    """A plan keeps its blend weights and its in-grid flag across gathers;
+    every gather keeps the bytes of the per-tap oracle in that dtype."""
+    rng = np.random.default_rng(22)
+    for name, plan, in_grid in cached_plan_cases():
+        assert plan.in_grid is in_grid, name
+        assert plan.index.shape[0] == (4 if name == "four-tap" else 2), name
+        for _ in range(2):   # the second gather reads the weights the first one made
+            grid = rng.standard_normal((120, 3))
+            got = np.moveaxis(plan.gather(grid.T, dtype=dtype), 0, -1)
+            want = gather_oracle(plan, grid, dtype)
+            assert got.dtype == want.dtype == dtype, name
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+        if not in_grid:
+            assert np.all(got[~plan.valid] == 0.0)
+
+
+def test_a_plan_and_a_sets_masks_are_read_only():
+    samples = next(random_sample_sets(23, 1, 9, 8))
+    plan = samples.plan
+    grid = np.ones((2, 72))
+    plan.gather(grid)
+    plan.gather(grid, dtype=np.float32)
+    blends = [w for pairs in plan._blends.values() for pair in pairs for w in pair]
+    assert len(blends) == 4   # (1 - f, f) in float64 and in float32
+    for a in [plan.index, plan.frac, plan.valid, samples.slot_valid, samples.contributed,
+              *blends]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_a_plan_rejects_an_index_off_its_grid():
+    frac, valid = np.zeros((1, 3)), np.ones(3, dtype=bool)
+    BilinearPlan(index=np.array([[0, 5, 11], [1, 6, 11]]), frac=frac, valid=valid,
+                 width=4, height=3)
+    for bad in (-1, 12):
+        with pytest.raises(ValueError, match="4x3 grid"):
+            BilinearPlan(index=np.array([[0, 5, bad], [1, 6, 11]]), frac=frac, valid=valid,
+                         width=4, height=3)
+
+
+def test_a_sets_masks_are_the_expressions_they_replace():
+    for samples in random_sample_sets(24, 4, 11, 7):
+        slot_valid = samples.valid.T & samples.plan.valid
+        assert samples.slot_valid.tobytes() == slot_valid.tobytes()
+        assert samples.slot_valid.shape == slot_valid.shape == samples.valid.shape[::-1]
+        assert samples.contributed.tobytes() == slot_valid.any(axis=0).tobytes()
+        assert samples.slot_valid is samples.slot_valid   # built once, then kept
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_attention_repeats_on_one_set_and_its_mask_stays_unwritten(dtype):
+    rng = np.random.default_rng(25)
+    f_tgt = FeatureMap(rng.standard_normal((7, 11, 4)))
+    params = replace(AttentionParams.seeded(4, 2, rng), dtype=dtype)
+    ctx = project_context(FeatureMap(rng.standard_normal((7, 11, 4))), params)
+    samples = next(random_sample_sets(25, 1, 11, 7))
+    first, mask = epipolar_attention(f_tgt, ctx, samples, params)
+    kept = mask.tobytes()
+    again, mask_again = epipolar_attention(f_tgt, ctx, samples, params)
+    assert first.data.tobytes() == again.data.tobytes()
+    assert mask_again.tobytes() == kept and 0 < mask.sum() < mask.size
+    assert not mask.flags.writeable
+    agg, contributed = multi_view_aggregate([(first, mask), (again, mask_again)])
+    fuse(f_tgt, agg, contributed, 0.5)
+    fuse(f_tgt, first, mask, 0.5)
+    assert mask.tobytes() == kept and samples.contributed.tobytes() == kept

@@ -195,6 +195,31 @@ def _softmax_cases():
         yield f"special-masked {shape}", special.reshape(shape), special_mask.reshape(shape)
 
 
+def where_divide_softmax(logits, mask, out=None, axis=-1):
+    """``masked_softmax`` as it was while it divided only the live rows
+    (``where=live``) and then zeroed the dead ones. Kept verbatim as the
+    oracle."""
+    x = np.asarray(logits)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    if mask is not None:
+        if x is not out:
+            out = x = np.positive(x, out=out)   # a copy to mask in
+        np.copyto(x, -np.inf, where=~np.asarray(mask, dtype=bool))
+    peak = np.max(x, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    ex = np.subtract(x, peak, out=out)
+    np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
+    denom = ex.sum(axis=axis, keepdims=True)
+    live = denom > 0
+    if live.all():
+        ex /= denom
+    else:
+        np.divide(ex, denom, out=ex, where=live)
+        np.copyto(ex, 0.0, where=~live)   # all-masked and NaN rows
+    return ex
+
+
 class TestSoftmaxDualRoute:
     """The in-place softmax against its out-of-place oracle, byte for byte."""
 
@@ -246,6 +271,35 @@ class TestSoftmaxDualRoute:
             assert w.swapaxes(-1, -2).tobytes() == want.tobytes(), name
             assert w_out is buf and w_out.tobytes() == w.tobytes(), name
             assert x.tobytes() == before, name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_divide_all_rows_is_byte_identical_to_the_live_row_divide(self, dtype, axis):
+        """Every row divided, then the dead ones zeroed: all-live, partly
+        masked, all-masked and NaN rows keep the bytes of the divide
+        restricted to the live rows."""
+        rng = np.random.default_rng(13)
+        logits = rng.standard_normal((1, 32, 1024)) * 4.0   # slot-major (h, S, N)
+        mask = rng.random((32, 1024)) > 0.3
+        mask[:, :4] = False                                # 4 dead queries
+        logits[0, 5, 6], mask[5, 6] = np.nan, True         # and a NaN one
+        cases = [("epipolar", logits, mask), ("epipolar-live", logits, None)]
+        cases += [(name, x, m) for name, x, m in _softmax_cases() if x.ndim > 1]
+        for name, x, m in cases:
+            if axis == -1:
+                x = x.swapaxes(-1, -2)
+                m = None if m is None else m.swapaxes(-1, -2)
+            x = np.ascontiguousarray(x, dtype=dtype)
+            for in_place in (False, True):
+                old, new = x.copy(), x.copy()
+                with np.errstate(invalid="ignore"):
+                    want = where_divide_softmax(old, m, axis=axis, out=old if in_place else None)
+                    got = masked_softmax(new, m, axis=axis, out=new if in_place else None)
+                assert got.dtype == want.dtype == dtype, name
+                assert got.tobytes() == want.tobytes(), name
+        dead = masked_softmax(np.ascontiguousarray(logits, dtype=dtype), mask, axis=-2)
+        assert np.all(dead[..., :4] == 0.0) and np.all(dead[..., 6] == 0.0)
+        assert np.isfinite(dead).all()
 
     def test_full_similarity_logits_do_not_alias_its_weights(self):
         rng = np.random.default_rng(12)
