@@ -8,7 +8,10 @@ Three small experiments on random feature maps and on a rendered pair:
 2. restricting the samples to the epipolar line shrinks the similarity
    buffer from (H*W)^2 to H*W*max(W,H) entries;
 3. similarity maps for one query, dumped as PGM images: the epipolar map
-   is concentrated on the line, the full map spreads over the image.
+   is concentrated on the line, the full map spreads over the image. The
+   weights are the attention core's own logits (``epipolar_logits``,
+   slot-major (heads, S, N), and ``full_logits``) softmaxed with
+   ``masked_softmax``, as the core does.
 
 Run:  python demos/02_attention_retrieval.py
 """
@@ -22,9 +25,9 @@ from epiview.attention import (
     AttentionParams,
     duplicate_params,
     epipolar_attention,
-    epipolar_similarity,
+    epipolar_logits,
     full_cross_attention,
-    full_similarity,
+    full_logits,
     project_context,
 )
 from epiview.fileio import write_pgm
@@ -37,7 +40,7 @@ out.mkdir(parents=True, exist_ok=True)
 
 # --- 1. equivalence ---------------------------------------------------------
 rng = np.random.default_rng(0)
-from epiview.numerics import FeatureMap
+from epiview.numerics import FeatureMap, masked_softmax
 
 f_tgt = FeatureMap(rng.standard_normal((8, 8, 16)))
 f_ref = FeatureMap(rng.standard_normal((8, 8, 16)))
@@ -71,19 +74,20 @@ print(f"2. similarity-buffer elements: epipolar {ce.peak_elems:,} "
 
 # --- 3. similarity maps for one query ---------------------------------------
 q = 17 * 32 + 15  # a pixel on the ball
-logits_e, weights_e, _, valid_e = epipolar_similarity(fa, ctx_ab, samples, idp)
+valid_e = samples.slot_valid    # (S, N): slot s of query q
+weights_e = masked_softmax(epipolar_logits(fa, ctx_ab, samples, idp), valid_e, axis=-2)[0]
 epi_map = np.zeros((32, 32))
 for s in range(samples.uv.shape[1]):
-    if valid_e[q, s]:
+    if valid_e[s, q]:
         u, v = np.round(samples.uv[q, s]).astype(int)
-        epi_map[v, u] = max(epi_map[v, u], weights_e[0, q, s])
+        epi_map[v, u] = max(epi_map[v, u], weights_e[s, q])
 
-_, weights_f = full_similarity(fa, ctx_ab, idp)
-full_map = weights_f[0, q].reshape(32, 32)
+weights_f = masked_softmax(full_logits(fa, [ctx_ab], idp)[0, 0], None)   # (N, M)
+full_map = weights_f[q].reshape(32, 32)
 
 write_pgm(out / "epipolar_weights.pgm", epi_map / epi_map.max())
 write_pgm(out / "full_weights.pgm", full_map / full_map.max())
 print(f"3. wrote {out}/epipolar_weights.pgm and {out}/full_weights.pgm")
-print(f"   peak epipolar weight {weights_e[0, q].max():.3f} over "
-      f"{int(valid_e[q].sum())} line samples; "
-      f"peak full weight {weights_f[0, q].max():.3f} over 1024 positions")
+print(f"   peak epipolar weight {weights_e[:, q].max():.3f} over "
+      f"{int(valid_e[:, q].sum())} line samples; "
+      f"peak full weight {weights_f[q].max():.3f} over 1024 positions")

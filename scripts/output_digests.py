@@ -27,6 +27,14 @@ over those renders, per scene mode: first on the clean renders, then on
 a noisy copy (Gaussian, sigma 0.05, one generator seeded 0 for both
 modes).
 
+The ``readers`` line hashes what reads the attention core's logits
+outside the pipeline: the two PGMs ``simmap`` writes (epipolar, then
+full) for each of three (pair, query) cases, on a ``scene gen --traj
+free16`` fixture written to a temporary directory; then the result dict
+of ``localization_study`` for ``make_scene(0, m)``, m in distinctive and
+plain, over three free16 (seed 100) view pairs at 32 px, as sorted-key
+JSON.
+
 ``EXPECTED`` is the record of every line's prefix. ``--check`` marks each
 line whose prefix differs from it as MOVED, names the moved lines last,
 and exits 1 if any moved.
@@ -54,6 +62,7 @@ EXPECTED = {
     "toyunet-epipolar": "ab6a38ea5d0fa068",
     "scene-renders": "c138a3add59b2d1c",
     "reprojection": "9efc96be45eadda3",
+    "readers": "6ae5c449acdd22f4",
 }
 
 
@@ -91,6 +100,7 @@ def main() -> int:
     renders, reprojection = scene_digests()
     report("scene-renders", renders)
     report("reprojection", reprojection)
+    report("readers", readers_digest())
     if check:
         print(f"moved: {', '.join(moved)}" if moved else "check: every prefix as expected")
     return 1 if failed or moved else 0
@@ -120,6 +130,38 @@ def scene_digests() -> tuple[str, str]:
             rows = [(p.view_a, p.view_b, p.pixels, p.error) for p in pairs]
             reprojection.update(np.array([mean, *np.ravel(rows)], dtype=np.float64).tobytes())
     return renders.hexdigest()[:16], reprojection.hexdigest()[:16]
+
+
+def readers_digest() -> str:
+    """The ``readers`` prefix."""
+    import contextlib
+    import io
+    import tempfile
+    from epiview.cli import main as cli
+    from epiview.geometry import CameraIntrinsics
+    from epiview.metrics import localization_study
+    from epiview.scenegen import make_scene, make_trajectory, render
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        fixture, maps = Path(tmp) / "fix", Path(tmp) / "maps"
+        if cli(["scene", "gen", "--traj", "free16", "--out", str(fixture)]):
+            raise RuntimeError("scene gen failed")
+        for pair, query in (("0,1", "8,8"), ("3,7", "5,10"), ("12,4", "11,6")):
+            if cli(["simmap", "--query", query, "--pair", pair, "--scene", str(fixture),
+                    "--out", str(maps)]):
+                raise RuntimeError(f"simmap --pair {pair} --query {query} failed")
+            x, y = query.split(",")
+            for kind in ("epipolar", "full"):
+                digest.update((maps / f"{kind}_q{x}_{y}.pgm").read_bytes())
+    K = CameraIntrinsics.from_fov(32, 32)
+    cams = make_trajectory("free16", 100)
+    for mode in ("distinctive", "plain"):
+        scene = make_scene(0, mode)
+        for a, b in ((0, 1), (3, 7), (12, 13)):
+            result = localization_study(scene, render(scene, cams[a], K), render(scene, cams[b], K))
+            digest.update(json.dumps(result, sort_keys=True).encode())
+    return digest.hexdigest()[:16]
 
 
 if __name__ == "__main__":

@@ -5,15 +5,16 @@ All three are one computation: heads-major queries, keys and values,
 scaled dot-product logits, their softmax (``masked_softmax``), and the
 weighted value sum merged back onto the target grid (``_merge``). Full
 cross attention retrieves from all of a stage's context views in one
-batched product (``_heads``, ``_full_logits``); self attention is full
-cross attention with the map as its only context. Epipolar attention restricts
+batched product (``_heads``, :func:`full_logits`); self attention is
+full cross attention with the map as its only context. Epipolar attention restricts
 each query's keys to its own S bilinearly sampled epipolar positions,
 masking the invalid ones, one context at a time. It is slot-major: its
 sampled keys and values, logits and weights are laid out (..., S, N), so
 that the blend, the logits (a sum over the head channels), the softmax
 over the slots and the value mix each run along a contiguous vector of
 the N queries. Both reuse the block's Q/K/V/out projections with no new
-parameters.
+parameters. Readers of similarities (``simmap``, the localization study)
+softmax the core's own :func:`full_logits` and :func:`epipolar_logits`.
 
 The core computes in the block's own precision,
 :attr:`AttentionParams.dtype`, and only that field chooses it. It is
@@ -49,8 +50,8 @@ __all__ = [
     "full_cross_attention",
     "fuse",
     "multi_view_aggregate",
-    "epipolar_similarity",
-    "full_similarity",
+    "epipolar_logits",
+    "full_logits",
     "bilinear_sample",
 ]
 
@@ -162,11 +163,12 @@ def self_attention(fm: FeatureMap, params: AttentionParams,
     return full_cross_attention(fm, [project_context(fm, params)], params, counters)[0][0]
 
 
-def _full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
-                 counters: AttentionCounters | None) -> np.ndarray:
+def full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
+                counters: AttentionCounters | None = None) -> np.ndarray:
     """Scaled dot-product logits (heads, V, N, M) of the target queries,
     projected once, against every key of the V context maps in one batched
-    product, scaled in place; one counter record per context."""
+    product, scaled in place; one counter record per context. Context i's
+    weights are ``masked_softmax(logits[:, i], None)``."""
     q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params)[:, None]
     k = _heads(np.stack([c.k.flat() for c in contexts]), params)
     if counters is not None:
@@ -175,15 +177,6 @@ def _full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= math.sqrt(q.shape[-1])   # a Python float keeps float32 logits in float32
     return logits
-
-
-def full_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, params: AttentionParams,
-                    counters: AttentionCounters | None = None):
-    """Per-head similarity logits of every target query against every
-    reference position, on full attention's route, with the softmax kept
-    apart. Returns (logits (h, N, N_ref), weights)."""
-    logits = _full_logits(f_tgt, [ctx], params, counters)[:, 0]
-    return logits, masked_softmax(logits, None)
 
 
 def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
@@ -203,7 +196,7 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
         raise ValueError("need at least one context view")
     if any(c.f.height != f_tgt.height or c.f.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
-    logits = _full_logits(f_tgt, contexts, params, counters)
+    logits = full_logits(f_tgt, contexts, params, counters)
     weights = masked_softmax(logits, None, out=logits)
     mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params)
     return [(_merge(mixed[:, i], f_tgt, params), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
@@ -216,10 +209,13 @@ def _gather_heads(plan, fm: FeatureMap, params: AttentionParams) -> np.ndarray:
     return x.reshape(params.heads, -1, *x.shape[1:])
 
 
-def _epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
-                     params: AttentionParams, counters: AttentionCounters | None) -> np.ndarray:
+def epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
+                    params: AttentionParams,
+                    counters: AttentionCounters | None = None) -> np.ndarray:
     """Slot-major similarity logits (h, S, N) of each target query against
-    its epipolar key samples, each a contiguous vector of queries."""
+    its epipolar key samples, each a contiguous vector of queries.
+    ``samples`` must be an (N, S, 2) set on the context's grid. The weights
+    are ``masked_softmax(logits, samples.slot_valid, axis=-2)``."""
     n = f_tgt.height * f_tgt.width
     if samples.uv.ndim != 3 or samples.uv.shape[0] != n:
         raise ValueError("sample set is not (N, S, 2) for the target grid")
@@ -237,29 +233,6 @@ def _epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarS
     return logits
 
 
-def epipolar_similarity(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
-                        params: AttentionParams,
-                        counters: AttentionCounters | None = None):
-    """Similarity of each target query against its epipolar samples.
-
-    K and V are gathered from their channel-major (C, H*W) grids through
-    the sample set's own bilinear plan (:attr:`EpipolarSampleSet.plan`,
-    built on its first use and kept with the set), the values only once
-    the keys' taps are spent.
-
-    ``samples`` is a batched (N, S, 2) set with one row per target query,
-    on the context's grid. Returns (logits (h, N, S), weights (h, N, S),
-    sampled values (N, S, C), valid (N, S)), transposed views of the
-    slot-major arrays the core computes in (``valid`` is the set's own
-    read-only mask). Queries are raster-ordered; invalid slots carry zero weight.
-    """
-    logits = _epipolar_logits(f_tgt, ctx, samples, params, counters)
-    weights = masked_softmax(logits, samples.slot_valid, axis=-2)
-    v = samples.plan.gather(ctx.value.flat().T, dtype=params.dtype)   # (C, S, N)
-    return (logits.swapaxes(-1, -2), weights.swapaxes(-1, -2), v.transpose(2, 1, 0),
-            samples.slot_valid.T)
-
-
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
                        params: AttentionParams,
                        counters: AttentionCounters | None = None):
@@ -275,7 +248,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     """
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
-    logits = _epipolar_logits(f_tgt, ctx, samples, params, counters)
+    logits = epipolar_logits(f_tgt, ctx, samples, params, counters)
     weights = masked_softmax(logits, samples.slot_valid, out=logits, axis=-2)
     v = _gather_heads(samples.plan, ctx.value, params)
     v *= weights[:, None]

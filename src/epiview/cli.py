@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import AttentionCounters, AttentionParams, epipolar_similarity, full_similarity, project_context
+from .attention import AttentionCounters, AttentionParams, epipolar_logits, full_logits, project_context
 from .bench import bench_csv_rows, run_scaling_bench
 from .diffusion import (
     AnalyticAttentionDenoiser,
@@ -45,7 +45,7 @@ from .fileio import (
 )
 from .geometry import CameraIntrinsics, SphericalCamera, epipolar_sample_grid, relative_pose
 from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
-from .numerics import downsample_mean
+from .numerics import downsample_mean, masked_softmax
 from .pipeline import GenerationConfig, TrajectorySynthesizer
 from .scenegen import make_scene, make_trajectory, render
 from .toyunet import ToyUNet
@@ -84,7 +84,7 @@ _KNOBS = {
     "fov": (lambda x: 0 < x < 180, "a field of view in (0, 180) degrees"),
     "size": (lambda x: x > 0, "a positive integer"),
     "radius": (lambda x: 0 < x < math.inf, "a finite number > 0"),
-    "sigma": (lambda x: 0 <= x < math.inf, "a finite number >= 0"),
+    "sigma": (lambda x: 0 <= x <= 1e6, "a number in [0, 1e6]"),
 }
 
 
@@ -138,16 +138,19 @@ def _schedule(steps: int) -> NoiseSchedule:
     return NoiseSchedule.linear_beta(steps)
 
 
+def _render_view(scene, cam, K, where: str):
+    """The scene rendered at ``cam``; a camera inside the scene's bounding
+    sphere is a data error naming ``where``."""
+    try:
+        return render(scene, cam, K)
+    except ValueError as e:
+        raise DataError(f"{where}: {e}") from None
+
+
 def _render_trajectory(scene, traj, K, where: str = "trajectory") -> list:
-    """Renders of the scene at every camera of ``traj``; a camera inside
-    the scene's bounding sphere is a data error naming ``where`` and the view."""
-    views = []
-    for i, cam in enumerate(traj):
-        try:
-            views.append(render(scene, cam, K))
-        except ValueError as e:
-            raise DataError(f"{where} view {i}: {e}") from None
-    return views
+    """Renders of the scene at every camera of ``traj``, each named as
+    ``where`` and its view index."""
+    return [_render_view(scene, cam, K, f"{where} view {i}") for i, cam in enumerate(traj)]
 
 
 def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir):
@@ -157,7 +160,7 @@ def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir):
     if backend in ("oracle", "analytic"):
         if scene_dir is None:
             raise DataError(f"backend {backend!r} needs --scene (fixture directory)")
-        scene, _, _, _ = read_fixture(scene_dir)
+        scene, _, _ = read_fixture(scene_dir)
         h, w = input_image.shape[:2]
         K = CameraIntrinsics.from_fov(w, h, merged["fov"])
         targets = {None: input_image}
@@ -182,7 +185,7 @@ def _cmd_scene(args) -> int:
                          f"{scene.bounding_radius:.4g}, got {args.radius}")
     cams = make_trajectory(args.traj, args.seed, radius=args.radius)
     K = CameraIntrinsics.from_fov(args.size, args.size, args.fov)
-    write_fixture(args.out, scene, cams, K)
+    write_fixture(args.out, scene, K, [render(scene, cam, K) for cam in cams])
     print(f"fixture written to {args.out} ({len(cams)} views, {args.size}x{args.size})")
     return 0
 
@@ -252,44 +255,46 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simmap(args) -> int:
-    scene, cams, K, views = read_fixture(args.scene)
+    scene, cams, K = read_fixture(args.scene)
     try:
         a, b = (int(x) for x in args.pair.split(","))
         qx, qy = (int(x) for x in args.query.split(","))
     except ValueError:
         raise UsageError("--pair wants A,B and --query wants x,y integers")
-    if not (0 <= a < len(views) and 0 <= b < len(views)):
-        raise DataError(f"pair {a},{b} outside the fixture's {len(views)} views")
-    scale, rgb = args.feature_scale, views[a].rgb
-    if scale < 1 or rgb.height % scale or rgb.width % scale:
+    if not (0 <= a < len(cams) and 0 <= b < len(cams)):
+        raise DataError(f"pair {a},{b} outside the fixture's {len(cams)} views")
+    scale = args.feature_scale
+    if scale < 1 or K.height % scale or K.width % scale:
         raise UsageError(f"--feature-scale {scale} must be a positive divisor of the "
-                         f"fixture's {rgb.width}x{rgb.height} size")
-    f_tgt = downsample_mean(views[a].rgb, args.feature_scale)
-    f_ref = downsample_mean(views[b].rgb, args.feature_scale)
+                         f"fixture's {K.width}x{K.height} size")
+    where = Path(args.scene) / "cameras.json"
+    view_a, view_b = (_render_view(scene, cams[i], K, f"{where} view {i}") for i in (a, b))
+    f_tgt = downsample_mean(view_a.rgb, scale)
+    f_ref = downsample_mean(view_b.rgb, scale)
     wf, hf = f_tgt.width, f_tgt.height
     if not (0 <= qx < wf and 0 <= qy < hf):
         raise DataError(f"query {qx},{qy} outside the {wf}x{hf} feature grid")
     params = AttentionParams.identity(f_tgt.channels)
     ctx = project_context(f_ref, params)
-    k_feat = K.scaled(1.0 / args.feature_scale)
-    pose = relative_pose(views[b].extrinsics, views[a].extrinsics)
-    samples = epipolar_sample_grid(pose, k_feat, wf, hf)
+    pose = relative_pose(view_b.extrinsics, view_a.extrinsics)
+    samples = epipolar_sample_grid(pose, K.scaled(1.0 / scale), wf, hf)
     q = qy * wf + qx
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, weights, _, valid = epipolar_similarity(f_tgt, ctx, samples, params)
+    weights = masked_softmax(epipolar_logits(f_tgt, ctx, samples, params),
+                             samples.slot_valid, axis=-2)[0]
     epi = np.zeros((hf, wf))
     uv = np.round(samples.uv[q]).astype(int)
     for s in range(uv.shape[0]):
-        if valid[q, s]:
+        if samples.slot_valid[s, q]:
             u = min(max(uv[s, 0], 0), wf - 1)
             v = min(max(uv[s, 1], 0), hf - 1)
-            epi[v, u] = max(epi[v, u], weights[0, q, s])
+            epi[v, u] = max(epi[v, u], weights[s, q])
     peak = epi.max()
     write_pgm(out / f"epipolar_q{qx}_{qy}.pgm", epi / peak if peak > 0 else epi)
 
-    _, wfull = full_similarity(f_tgt, ctx, params)
+    wfull = masked_softmax(full_logits(f_tgt, [ctx], params)[:, 0], None)
     dense = wfull[0, q].reshape(hf, wf)
     write_pgm(out / f"full_q{qx}_{qy}.pgm", dense / dense.max())
     print(f"similarity maps written to {out}")
@@ -314,7 +319,7 @@ def _cmd_bench(args) -> int:
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
     manifest = run_dir / "manifest.json"
-    scene, _, _, _ = read_fixture(args.fixtures)
+    scene, _, _ = read_fixture(args.fixtures)
     K = read_intrinsics(manifest)
     traj = read_trajectory(manifest, "trajectory")
     gt_views = _render_trajectory(scene, traj, K, f"{manifest} trajectory")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import CameraIntrinsics, SphericalCamera, pose_from_json, pose_to_json
-from .scenegen import RenderedView, Scene, render, scene_from_json, scene_to_json
+from .scenegen import RenderedView, Scene, scene_from_json, scene_to_json
 
 __all__ = [
     "write_ppm", "read_ppm", "write_pgm",
@@ -151,9 +151,8 @@ def read_intrinsics(path) -> CameraIntrinsics:
         raise DataError(f"{path}: bad 'intrinsics' ({type(e).__name__}: {e})") from None
 
 
-def write_fixture(out_dir, scene: Scene, cams: list[SphericalCamera],
-                  K: CameraIntrinsics) -> list[RenderedView]:
-    """Render and persist a full fixture directory:
+def write_fixture(out_dir, scene: Scene, K: CameraIntrinsics, views: list[RenderedView]) -> None:
+    """Persist a fixture directory of ``views``, rendered from ``scene`` at ``K``:
 
     scene.json, cameras.json, views/NNN.ppm, depth/NNN.f32 (+ sidecars).
     """
@@ -162,15 +161,11 @@ def write_fixture(out_dir, scene: Scene, cams: list[SphericalCamera],
     (out / "depth").mkdir(parents=True, exist_ok=True)
     write_json(out / "scene.json", scene_to_json(scene))
     write_json(out / "cameras.json",
-               {"intrinsics": asdict(K), "views": [pose_to_json(c) for c in cams]})
-    views = []
-    for i, cam in enumerate(cams):
-        view = render(scene, cam, K)
+               {"intrinsics": asdict(K), "views": [pose_to_json(v.camera) for v in views]})
+    for i, view in enumerate(views):
         write_ppm(out / "views" / f"{i:03d}.ppm", view.rgb.data)
         write_f32(out / "depth" / f"{i:03d}.f32", np.where(np.isfinite(view.depth), view.depth, 0.0),
                   sidecar={"background": 0.0})
-        views.append(view)
-    return views
 
 
 def _parse(parse, path):
@@ -186,11 +181,10 @@ def _parse(parse, path):
 
 
 def read_fixture(fixture_dir):
-    """Load a fixture directory; views are re-rendered from the scene so
-    depth/prim buffers are exact. Returns (scene, cams, K, views)."""
+    """Load a fixture directory's scene and cameras, rendering nothing: a
+    caller renders the views it needs from the scene, so depth and prim
+    buffers are exact. Returns (scene, cams, K)."""
     fix = Path(fixture_dir)
     scene = _parse(scene_from_json, fix / "scene.json")
     K = read_intrinsics(fix / "cameras.json")
-    cams = read_trajectory(fix / "cameras.json")
-    views = [render(scene, c, K) for c in cams]
-    return scene, cams, K, views
+    return scene, read_trajectory(fix / "cameras.json"), K

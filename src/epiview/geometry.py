@@ -57,10 +57,16 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError(f"focal length must be positive, got {self.f}")
+        for name in ("width", "height"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+        if not 0 < self.f < math.inf:
+            raise ValueError(f"focal length f must be a finite number > 0, got {self.f}")
+        # a NaN or infinite principal point fails these comparisons too
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
-            raise ValueError("principal point outside image bounds")
+            raise ValueError(f"principal point (cx, cy) = ({self.cx}, {self.cy}) "
+                             f"outside image bounds")
 
     @classmethod
     def from_fov(cls, width: int, height: int, fov_deg: float = 50.0) -> "CameraIntrinsics":

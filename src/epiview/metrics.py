@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionParams, epipolar_similarity, full_similarity, project_context
+from .attention import AttentionParams, epipolar_logits, full_logits, project_context
 from .geometry import epipolar_sample_grid, pixel_grid, relative_pose
 from .scenegen import (
     RenderedView,
@@ -177,15 +177,14 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
 
     pose = relative_pose(view_ref.extrinsics, view_tgt.extrinsics)
     samples = epipolar_sample_grid(pose, k_feat, wf, hf)
-    logits_e, _, _, valid_e = epipolar_similarity(f_tgt, ctx, samples, params)
-    # invalid slots excluded; exact ties go to the lowest sample index
-    best = np.argmax(np.where(valid_e, logits_e[0], -np.inf), axis=-1)
+    # slot-major (S, N); invalid slots excluded, exact ties go to the lowest slot
+    logits_e = epipolar_logits(f_tgt, ctx, samples, params)[0]
+    best = np.argmax(np.where(samples.slot_valid, logits_e, -np.inf), axis=0)
     epi_uv = samples.uv[np.arange(wf * hf), best]
-    usable = valid_e.any(axis=1)[queries]
+    usable = samples.contributed[queries]
     epi_acc = localization_accuracy(epi_uv[queries][usable], gt_feat[queries][usable], k)
 
-    logits_f, _ = full_similarity(f_tgt, ctx, params)
-    best_f = np.argmax(logits_f[0], axis=-1)
+    best_f = np.argmax(full_logits(f_tgt, [ctx], params)[0, 0], axis=-1)
     full_uv = np.stack([best_f % wf, best_f // wf], axis=-1).astype(np.float64)
     full_acc = localization_accuracy(full_uv[queries], gt_feat[queries], k)
 

@@ -53,15 +53,18 @@ BACKGROUND = -1
 _SHADINGS = ("voronoi", "normal")
 
 
-def _check_array(name: str, value, rows: bool = False) -> None:
+def _check_array(name: str, value, rows: bool = False, unit: bool = False) -> None:
     """Reject a primitive's point or color that is not a finite (3,) array,
-    or, with ``rows``, a finite (m, 3) array of m >= 1 rows."""
+    or, with ``rows``, a finite (m, 3) array of m >= 1 rows; with ``unit``
+    (a color), also one with an entry outside [0, 1]."""
     a = np.asarray(value, dtype=np.float64)
     want = "(m, 3)" if rows else "(3,)"
     if not ((a.ndim == 2 and len(a) >= 1 and a.shape[1] == 3) if rows else a.shape == (3,)):
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
+    if unit and not ((a >= 0.0) & (a <= 1.0)).all():
+        raise ValueError(f"{name} has entries outside [0, 1]")
 
 
 def _check_radius(radius, name: str = "radius") -> None:
@@ -78,7 +81,7 @@ class Sphere:
     def __post_init__(self):
         _check_array("center", self.center)
         _check_radius(self.radius)
-        _check_array("color", self.color)
+        _check_array("color", self.color, unit=True)
 
     @property
     def id_count(self) -> int:
@@ -93,7 +96,7 @@ class Box:
 
     def __post_init__(self):
         for name in ("lo", "hi", "color"):
-            _check_array(name, getattr(self, name))
+            _check_array(name, getattr(self, name), unit=name == "color")
         lo, hi = np.asarray(self.lo, dtype=np.float64), np.asarray(self.hi, dtype=np.float64)
         if np.any(lo > hi):
             raise ValueError(f"box lo {lo.tolist()} lies above hi {hi.tolist()} on an axis")
@@ -127,7 +130,7 @@ class PaintedBall:
         _check_radius(self.radius)
         if self.shading == "voronoi":
             _check_array("seeds", self.seeds, rows=True)
-            _check_array("colors", self.colors, rows=True)
+            _check_array("colors", self.colors, rows=True, unit=True)
             if len(self.seeds) != len(self.colors):
                 raise ValueError(f"seeds and colors must have as many rows, got "
                                  f"{len(self.seeds)} and {len(self.colors)}")

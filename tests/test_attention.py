@@ -12,9 +12,9 @@ from epiview.attention import (
     AttentionParams,
     duplicate_params,
     epipolar_attention,
-    epipolar_similarity,
+    epipolar_logits,
     full_cross_attention,
-    full_similarity,
+    full_logits,
     fuse,
     multi_view_aggregate,
     project_context,
@@ -202,8 +202,8 @@ def oracle_row_major_gather(plan, grid, dtype):
 
 
 def oracle_query_major_attention(f_tgt, ctx, samples, params):
-    """``epipolar_similarity`` and ``epipolar_attention`` as they were
-    before retrieval was slot-major, with the core's helpers inlined: a
+    """Epipolar retrieval, its similarities and its attention output, as
+    it was before it was slot-major, with the core's helpers inlined: a
     query-major plan, one (1, d) @ (d, S) product per (head, query) for
     the logits and for the value mix, and the softmax over the last axis.
     Kept as the oracle. Returns (logits (h, N, S), weights, sampled values
@@ -231,7 +231,8 @@ def oracle_query_major_attention(f_tgt, ctx, samples, params):
 
 class TestSlotMajorDualRoute:
     """Slot-major epipolar retrieval against a frozen copy of the
-    query-major route it replaced. The sampled values and masks keep their
+    query-major route it replaced, each slot-major array against the
+    oracle's transposed. The sampled values and masks keep their
     bytes. In float64 the logits, weights and mixed values agree to 1e-12
     of each array's largest magnitude: the logits now sum the head
     channels in order where the oracle's matrix product may fuse them, and
@@ -255,13 +256,26 @@ class TestSlotMajorDualRoute:
     @pytest.mark.parametrize("case", ["camera-pair", "four-tap"])
     def test_matches_the_query_major_route(self, case, heads, monkeypatch):
         import epiview.attention as attention
-        merged = []
+        gathered, softmaxed, merged = [], [], []
+
+        def gathering(*args):
+            out = gather_heads(*args)
+            gathered.append(out.copy())
+            return out
+
+        def keeping(logits, *args, **kwargs):
+            softmaxed.append(np.array(logits))
+            out = masked_softmax(logits, *args, **kwargs)
+            softmaxed.append(out.copy())
+            return out
 
         def recording(mixed, *args):
             merged.append(np.array(mixed))
             return merge(mixed, *args)
 
-        merge = attention._merge
+        gather_heads, merge = attention._gather_heads, attention._merge
+        monkeypatch.setattr(attention, "_gather_heads", gathering)
+        monkeypatch.setattr(attention, "masked_softmax", keeping)
         monkeypatch.setattr(attention, "_merge", recording)
         rng = np.random.default_rng(80 + heads)
         w, h, c = 12, 10, 8
@@ -271,15 +285,21 @@ class TestSlotMajorDualRoute:
             f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
             params = AttentionParams.seeded(c, heads, rng)
             ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
-            logits, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params)
             fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+            logits_seen, weights = softmaxed[-2:]
+            v_samp = gathered[-1].reshape(c, *samples.slot_valid.shape)   # (C, S, N)
+            valid = samples.slot_valid
+            # the public logits are the ones the core softmaxes
+            logits = epipolar_logits(f_tgt, ctx, samples, params)
+            assert logits.tobytes() == logits_seen.tobytes()
             (want_logits, want_weights, want_v, want_valid, want_mixed, want_fm,
              want_contributed) = oracle_query_major_attention(f_tgt, ctx, samples, params)
-            assert np.ascontiguousarray(v_samp).tobytes() == want_v.tobytes()
-            assert np.ascontiguousarray(valid).tobytes() == want_valid.tobytes()
+            assert v_samp.tobytes() == np.ascontiguousarray(want_v.transpose(2, 1, 0)).tobytes()
+            assert valid.tobytes() == np.ascontiguousarray(want_valid.T).tobytes()
             assert contributed.tobytes() == want_contributed.tobytes()
             assert 0 < valid.sum() < valid.size
-            for got, want in ((logits, want_logits), (weights, want_weights),
+            for got, want in ((logits, want_logits.swapaxes(-1, -2)),
+                              (weights, want_weights.swapaxes(-1, -2)),
                               (merged.pop(), want_mixed)):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -406,8 +426,9 @@ class TestBatchedFullAttentionDualRoute:
 
 
 def oracle_full_similarity(f_tgt, ctx, params, counters=None):
-    """``full_similarity`` as it was before it shared full attention's
-    logits, with the core's helpers inlined. Kept as the oracle."""
+    """One context's full-attention logits and weights as they were
+    computed before they shared full attention's batched logits, with the
+    core's helpers inlined. Kept as the oracle."""
     def heads_major(x):
         x = np.asarray(x, dtype=np.float64)
         return np.moveaxis(x.reshape(x.shape[:-1] + (params.heads, -1)), -2, 0)
@@ -423,6 +444,9 @@ def oracle_full_similarity(f_tgt, ctx, params, counters=None):
 
 
 class TestFullSimilarityDualRoute:
+    """What a reader of one context's similarities takes, ``full_logits``
+    softmaxed with ``masked_softmax``, against the frozen oracle."""
+
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("shape", [(5, 7), (6, 6)])
     def test_byte_identical_to_the_old_body(self, heads, shape):
@@ -431,7 +455,8 @@ class TestFullSimilarityDualRoute:
         params = AttentionParams.seeded(8, heads, rng)
         ctx = project_context(FeatureMap(rng.standard_normal(shape + (8,))), params)
         got_counters, want_counters = AttentionCounters(), AttentionCounters()
-        logits, weights = full_similarity(f_tgt, ctx, params, got_counters)
+        logits = full_logits(f_tgt, [ctx], params, got_counters)[:, 0]
+        weights = masked_softmax(logits, None)
         want_logits, want_weights = oracle_full_similarity(f_tgt, ctx, params, want_counters)
         n = shape[0] * shape[1]
         assert logits.shape == weights.shape == (heads, n, n)
@@ -485,7 +510,7 @@ class TestEpipolarAttention:
         single = EpipolarSampleSet(uv=np.zeros((3, 2)), valid=np.ones(3, dtype=bool),
                                    width=2, height=2)
         with pytest.raises(ValueError):
-            epipolar_similarity(f, project_context(f, params), single, params)
+            epipolar_logits(f, project_context(f, params), single, params)
 
     def test_weights_sum_to_one_over_valid(self):
         rng = np.random.default_rng(7)
@@ -496,10 +521,12 @@ class TestEpipolarAttention:
         uv = rng.uniform(-1, 4.5, (16, 4, 2))
         valid = rng.random((16, 4)) > 0.4
         samples = EpipolarSampleSet(uv=uv, valid=valid, width=4, height=4)
-        _, weights, _, eff_valid = epipolar_similarity(f_tgt, ctx, samples, params)
-        sums = weights.sum(axis=-1)
+        eff_valid = samples.slot_valid   # (S, N)
+        weights = masked_softmax(epipolar_logits(f_tgt, ctx, samples, params), eff_valid,
+                                 axis=-2)
+        sums = weights.sum(axis=-2)
         for q in range(16):
-            expect = 1.0 if eff_valid[q].any() else 0.0
+            expect = 1.0 if eff_valid[:, q].any() else 0.0
             np.testing.assert_allclose(sums[:, q], expect, atol=1e-12)
         assert np.all(weights[:, ~eff_valid] == 0.0)
 

@@ -288,7 +288,8 @@ class TestExitCodes:
             "synth", "--input", str(fx / "views" / "000.ppm"), "--traj", str(tj),
             "--backend", "analytic", "--scene", str(fx), flag, v, "--out", out])
           for flag, v in (("--fov", "0"), ("--fov", "180"), ("--fov", "nan"),
-                          ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "-1"))],
+                          ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "-1"),
+                          ("--sigma", "1e308"))],
         ("--sigma", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
                                           "--backend", "analytic", "--scene", str(fx),
                                           "--sigma", "-1", "--out", out]),
@@ -301,7 +302,7 @@ class TestExitCodes:
             "scene-fov-190", "scene-radius-inside-the-scene", "traj-radius-0",
             "traj-radius-negative", "traj-radius-inf", "synth-fov-0", "synth-fov-180",
             "synth-fov-nan", "synth-sigma-nan", "synth-sigma-inf", "synth-sigma-negative",
-            "invert-sigma-negative"])
+            "synth-sigma-1e308", "invert-sigma-negative"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
@@ -371,6 +372,28 @@ class TestExitCodes:
                                   b' "color": [1, 0, 0]}'), "scene.json: ValueError: box lo"),
         *[("scene.json", b'{"seed": 0, "bounding_radius": ' + r + b', "primitives": []}',
            "scene.json: ValueError: bounding_radius") for r in (b"NaN", b"0", b"-1", b"Infinity")],
+        *[("cameras.json", b'{"intrinsics": {' + fields + b'}, "views": []}',
+           "cameras.json: bad 'intrinsics' (ValueError: " + named)
+          for fields, named in (
+              (b'"f": 34.3, "cx": 15.5, "cy": 15.5, "width": 32.0, "height": 32', "width"),
+              (b'"f": 34.3, "cx": 15.5, "cy": 15.5, "width": 1e308, "height": 32', "width"),
+              (b'"f": 34.3, "cx": 15.5, "cy": 15.5, "width": 32, "height": true', "height"),
+              (b'"f": NaN, "cx": 15.5, "cy": 15.5, "width": 32, "height": 32', "focal length f"),
+              (b'"f": 34.3, "cx": 15.5, "cy": NaN, "width": 32, "height": 32',
+               "principal point"))],
+        ("scene.json", scene_json(b'{"kind": "sphere", "center": [0, 0, 0], "radius": 0.1,'
+                                  b' "color": [1e308, 0, 0]}'), "scene.json: ValueError: color"),
+        ("scene.json", scene_json(b'{"kind": "box", "lo": [0, 0, 0], "hi": [0.1, 0.1, 0.1],'
+                                  b' "color": [0, 1.5, 0]}'), "scene.json: ValueError: color"),
+        ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0], "radius": 0.7,'
+                                  b' "seeds": [[1, 0, 0], [0, 1, 0]],'
+                                  b' "colors": [[0, 0, 1], [-0.1, 0, 0]]}'),
+         "scene.json: ValueError: colors"),
+        ("cfg.json", b'{"sigma": 1e308}', "cfg.json: 'sigma' must be"),
+        ("pair/cameras.json", INTRINSICS32 + b'"views": [{"elevation_deg": 20, "azimuth_deg": 0,'
+                              b' "radius": 2.0}, {"elevation_deg": 20, "azimuth_deg": 90,'
+                              b' "radius": 0.1}]}',
+         "pair/cameras.json view 1: camera must stay outside"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -390,13 +413,17 @@ class TestExitCodes:
             "scene-center-2d", "scene-box-hi-inf", "scene-box-lo-above-hi",
             "scene-box-lo-above-hi-on-z", "scene-bounding-radius-nan",
             "scene-bounding-radius-0", "scene-bounding-radius-negative",
-            "scene-bounding-radius-inf"])
+            "scene-bounding-radius-inf", "cameras-width-float", "cameras-width-1e308",
+            "cameras-height-bool", "cameras-f-nan", "cameras-cy-nan",
+            "scene-sphere-color-1e308", "scene-box-color-above-1",
+            "scene-ball-colors-negative", "config-sigma-1e308", "simmap-camera-inside-scene"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
+        bad.parent.mkdir(exist_ok=True)
         bad.write_bytes(payload)
-        if name == "cameras.json":   # a fixture whose scene reads, but whose cameras do not
-            (tmp_path / "scene.json").write_bytes((fixture_dir / "scene.json").read_bytes())
+        if bad.name == "cameras.json":   # a fixture whose scene reads, but whose cameras do not
+            (bad.parent / "scene.json").write_bytes((fixture_dir / "scene.json").read_bytes())
         out = tmp_path / "out"
         argv = {
             "bad.ppm": ["synth", "--input", str(bad), "--traj", str(traj_file),
@@ -415,6 +442,8 @@ class TestExitCodes:
                          "--config", str(bad), "--out", str(out)],
             "manifest.json": ["eval", "--run", str(tmp_path), "--fixtures", str(fixture_dir),
                               "--out", str(out)],
+            "pair/cameras.json": ["simmap", "--query", "1,1", "--pair", "0,1",
+                                  "--scene", str(bad.parent), "--out", str(out)],
         }[name]
         named = named[0] if named else str(bad)
         assert main(argv) == 3

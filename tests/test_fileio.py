@@ -19,8 +19,8 @@ from epiview.fileio import (
     write_json,
     write_trajectory,
 )
-from epiview.geometry import CameraIntrinsics
-from epiview.scenegen import make_scene, make_trajectory
+from epiview.geometry import CameraIntrinsics, SphericalCamera, pose_to_json
+from epiview.scenegen import make_scene, make_trajectory, render
 
 
 class TestPpm:
@@ -113,8 +113,7 @@ class TestTrajectoryFile:
 class TestIntrinsicsRecord:
     def test_reads_the_record_a_fixture_writes(self, tmp_path):
         K = CameraIntrinsics.from_fov(16, 12)
-        write_fixture(tmp_path / "fix", make_scene(4, "plain"),
-                      make_trajectory("fixed16", 0)[:1], K)
+        write_fixture(tmp_path / "fix", make_scene(4, "plain"), K, [])
         assert read_intrinsics(tmp_path / "fix" / "cameras.json") == K
 
     @pytest.mark.parametrize("obj, match", [
@@ -135,23 +134,41 @@ class TestFixture:
         scene = make_scene(4, "plain")
         cams = make_trajectory("fixed16", 0)[:3]
         K = CameraIntrinsics.from_fov(16, 16)
-        views = write_fixture(tmp_path / "fix", scene, cams, K)
+        views = [render(scene, cam, K) for cam in cams]
+        write_fixture(tmp_path / "fix", scene, K, views)
         for name in ("scene.json", "cameras.json"):
             assert (tmp_path / "fix" / name).exists()
         for i in range(3):
             assert (tmp_path / "fix" / "views" / f"{i:03d}.ppm").exists()
             assert (tmp_path / "fix" / "depth" / f"{i:03d}.f32").exists()
-        scene2, cams2, K2, views2 = read_fixture(tmp_path / "fix")
+        scene2, cams2, K2 = read_fixture(tmp_path / "fix")
         assert cams2 == cams and K2 == K
-        for a, b in zip(views, views2):
-            assert np.array_equal(a.rgb.data, b.rgb.data)
-            assert np.array_equal(a.prim_id, b.prim_id)
+        # the written views are renders of what was read
+        for i, (cam, written) in enumerate(zip(cams2, views)):
+            view = render(scene2, cam, K2)
+            assert np.array_equal(written.rgb.data, view.rgb.data)
+            assert np.array_equal(written.prim_id, view.prim_id)
+            stored = read_ppm(tmp_path / "fix" / "views" / f"{i:03d}.ppm")
+            assert np.array_equal(to_u8(stored), to_u8(view.rgb.data))
+
+    def test_reading_renders_nothing(self, tmp_path):
+        # a camera inside the scene's bounding sphere reads; only its render fails
+        scene, K = make_scene(4, "plain"), CameraIntrinsics.from_fov(16, 16)
+        write_fixture(tmp_path / "fix", scene, K, [])
+        inside = SphericalCamera(20.0, 0.0, 0.5)
+        write_json(tmp_path / "fix" / "cameras.json",
+                   {"intrinsics": read_json(tmp_path / "fix" / "cameras.json")["intrinsics"],
+                    "views": [pose_to_json(inside)]})
+        assert read_fixture(tmp_path / "fix")[1:] == ([inside], K)
+        with pytest.raises(ValueError, match="bounding sphere"):
+            render(scene, inside, K)
 
     def test_depth_files_match_renders(self, tmp_path):
         scene = make_scene(4, "plain")
         cams = make_trajectory("fixed16", 0)[:1]
         K = CameraIntrinsics.from_fov(16, 16)
-        views = write_fixture(tmp_path / "fix", scene, cams, K)
+        views = [render(scene, cam, K) for cam in cams]
+        write_fixture(tmp_path / "fix", scene, K, views)
         stored = read_f32(tmp_path / "fix" / "depth" / "000.f32")
         want = np.where(np.isfinite(views[0].depth), views[0].depth, 0.0).astype(np.float32)
         assert np.array_equal(stored, want)

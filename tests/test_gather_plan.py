@@ -16,7 +16,7 @@ import pytest
 from epiview.attention import (
     AttentionParams,
     epipolar_attention,
-    epipolar_similarity,
+    epipolar_logits,
     fuse,
     multi_view_aggregate,
     project_context,
@@ -29,7 +29,7 @@ from epiview.geometry import (
     epipolar_sample_grid,
     relative_pose,
 )
-from epiview.numerics import BilinearPlan, FeatureMap, apply_linear
+from epiview.numerics import BilinearPlan, FeatureMap, apply_linear, masked_softmax
 
 
 def bilinear_oracle(fm: FeatureMap, uv: np.ndarray):
@@ -167,21 +167,25 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
     params = AttentionParams.seeded(4, 2, rng)
     ctx = project_context(f_ref, params)
     for samples in random_sample_sets(4, 4, 12, 12):
-        logits, weights, v_samp, valid = epipolar_similarity(f_tgt, ctx, samples, params)
+        # slot-major (h, S, N) logits and weights, (C, S, N) values, (S, N) mask
+        logits = epipolar_logits(f_tgt, ctx, samples, params)
+        weights = masked_softmax(logits, samples.slot_valid, axis=-2)
+        v_samp = samples.plan.gather(ctx.value.flat().T, dtype=params.dtype)
+        valid = samples.slot_valid
         k_want, k_ok = bilinear_oracle(ctx.k, samples.uv)
         v_want, _ = bilinear_oracle(ctx.value, samples.uv)
-        assert np.ascontiguousarray(v_samp).tobytes() == v_want.tobytes()
-        np.testing.assert_array_equal(valid, samples.valid & k_ok)
+        assert v_samp.tobytes() == np.ascontiguousarray(v_want.transpose(2, 1, 0)).tobytes()
+        np.testing.assert_array_equal(valid, (samples.valid & k_ok).T)
         q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64).reshape(144, 2, 2)
         k = k_want.reshape(144, -1, 2, 2)
         # the attention core's products, summed in head-channel order, on
         # the oracle's keys
         want = q[:, None, :, 0] * k[..., 0] + q[:, None, :, 1] * k[..., 1]
-        want = np.moveaxis(want, 2, 0) / np.sqrt(2)
-        assert np.ascontiguousarray(logits).tobytes() == want.tobytes()
+        want = np.moveaxis(want, (2, 1), (0, 1)) / np.sqrt(2)
+        assert logits.tobytes() == np.ascontiguousarray(want).tobytes()
         # an independent formula; BLAS may fuse multiply-adds differently
         np.testing.assert_allclose(
-            logits, np.einsum("qhd,qshd->hqs", q, k) / np.sqrt(2), rtol=0, atol=1e-12)
+            logits, np.einsum("qhd,qshd->hsq", q, k) / np.sqrt(2), rtol=0, atol=1e-12)
         # the set's own plan has the bytes of a plan built from its positions,
         # slot-major
         plan = BilinearPlan.build(samples.uv.swapaxes(0, 1), 12, 12)
@@ -190,10 +194,11 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
         assert (samples.plan.width, samples.plan.height) == (12, 12)
         # a second call reuses that plan and gives the same bytes
         kept = samples.plan
-        again = epipolar_similarity(f_tgt, ctx, samples, params)
+        again = epipolar_logits(f_tgt, ctx, samples, params)
         assert samples.plan is kept
-        for a, b in zip((logits, weights, v_samp, valid), again):
-            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+        assert again.tobytes() == logits.tobytes()
+        assert masked_softmax(again, valid, axis=-2).tobytes() == weights.tobytes()
+        assert samples.plan.gather(ctx.value.flat().T).tobytes() == v_samp.tobytes()
 
 
 def test_four_tap_plan_matches_the_oracle_on_fractional_positions():
@@ -229,7 +234,7 @@ def test_similarity_rejects_a_sample_set_of_another_grid():
     samples = EpipolarSampleSet(uv=on_grid.uv, valid=on_grid.valid, width=8, height=8)
     assert samples.uv.shape[:1] == (36,)
     with pytest.raises(ValueError, match="context grid"):
-        epipolar_similarity(fm, ctx, samples, params)
+        epipolar_logits(fm, ctx, samples, params)
 
 
 @pytest.mark.parametrize("taps", [2, 4])

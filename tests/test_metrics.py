@@ -14,13 +14,16 @@ from epiview.metrics import (
     reprojection_consistency,
     ssim,
 )
-from epiview.geometry import SphericalCamera, pixel_grid
+from epiview.attention import AttentionParams, project_context
+from epiview.geometry import SphericalCamera, epipolar_sample_grid, pixel_grid, relative_pose
 from epiview.scenegen import (
     BACKGROUND,
     OCCLUSION_TOL,
     Box,
     Scene,
+    correspondence_grid,
     make_scene,
+    positional_features,
     raycast,
     render,
 )
@@ -263,6 +266,45 @@ class TestLocalization:
         epi, full = tot_e / tot_u, tot_f / tot_q
         assert abs(epi - cfg["epipolar"]) <= cfg["drift_tolerance"]
         assert abs(full - cfg["full"]) <= cfg["drift_tolerance"]
+
+    def test_argmaxes_match_the_frozen_oracles(self, distinctive_fixture, monkeypatch):
+        # the study's per-query argmax positions, as it scores them
+        import epiview.metrics as metrics
+        from test_attention import oracle_full_similarity, oracle_query_major_attention
+        scene, _, views = distinctive_fixture
+        va, vb, size = views[0], views[1], 24
+        seen = []
+
+        def scoring(argmax_uv, gt_uv, k):
+            seen.append(np.asarray(argmax_uv))
+            return localization_accuracy(argmax_uv, gt_uv, k)
+
+        monkeypatch.setattr(metrics, "localization_accuracy", scoring)
+        r = localization_study(scene, va, vb, feature_size=size)
+        epi_uv, full_uv = seen
+        # the study's queries, features and sample set, through the frozen oracles
+        f_tgt = positional_features(scene, va, size, size)
+        params = AttentionParams.identity(f_tgt.channels)
+        ctx = project_context(positional_features(scene, vb, size, size), params)
+        scale = size / va.intrinsics.width
+        uv_img = (pixel_grid(size, size) + 0.5) / scale - 0.5
+        _, visible, prim_a, _ = correspondence_grid(scene, va, vb, uv_img)
+        queries = np.flatnonzero((prim_a >= 0) & visible)
+        samples = epipolar_sample_grid(relative_pose(vb.extrinsics, va.extrinsics),
+                                       va.intrinsics.scaled(scale), size, size)
+        logits_e, _, _, valid_e = oracle_query_major_attention(f_tgt, ctx, samples, params)[:4]
+        usable = queries[valid_e[queries].any(axis=1)]
+        assert (r["queries"], r["epipolar_usable"]) == (queries.size, usable.size)
+        masked_e = np.where(valid_e, logits_e[0], -np.inf)[usable]          # (Q, S)
+        want_e = samples.uv[usable, np.argmax(masked_e, axis=1)]
+        logits_f = oracle_full_similarity(f_tgt, ctx, params)[0][0, queries]   # (Q, M)
+        best_f = np.argmax(logits_f, axis=1)
+        want_f = np.stack([best_f % size, best_f // size], axis=-1)
+        for got, logits, want in ((epi_uv, masked_e, want_e), (full_uv, logits_f, want_f)):
+            top2 = np.sort(logits, axis=1)[:, -2:]
+            clear = top2[:, 1] - top2[:, 0] >= 1e-9   # one valid slot: an infinite margin
+            assert clear.mean() > 0.9, clear.mean()
+            assert np.array_equal(got[clear], want[clear])
 
     def test_occluded_queries_excluded(self, distinctive_fixture):
         from epiview.scenegen import correspondence_grid

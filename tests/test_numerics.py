@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epiview.attention import AttentionParams, full_similarity, project_context
+from epiview.attention import AttentionParams, full_logits, project_context
 from epiview.numerics import (
     FeatureMap,
     LinearMap,
@@ -305,7 +305,9 @@ class TestSoftmaxDualRoute:
         rng = np.random.default_rng(12)
         fm = FeatureMap(rng.standard_normal((6, 5, 4)))
         params = AttentionParams.seeded(4, 2, rng)
-        logits, weights = full_similarity(fm, project_context(fm, params), params)
+        # a reader's full-attention weights, softmaxed apart from the core's logits
+        logits = full_logits(fm, [project_context(fm, params)], params)[:, 0]
+        weights = masked_softmax(logits, None)
         kept = logits.copy()
         assert not np.shares_memory(logits, weights)
         weights[...] = -1.0
