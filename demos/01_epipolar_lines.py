@@ -21,7 +21,7 @@ from epiview.geometry import (
     epipolar_sample_grid,
     relative_pose,
 )
-from epiview.scenegen import gt_correspondence, make_scene, make_trajectory, render
+from epiview.scenegen import correspondence_grid, make_scene, make_trajectory, render
 
 out = Path("demo_out/epipolar_lines")
 out.mkdir(parents=True, exist_ok=True)
@@ -44,25 +44,26 @@ samples = epipolar_sample_grid(pose, K, K.width, K.height)
 canvas = reference.rgb.data.copy()
 ys, xs = np.nonzero(target.prim_id >= 0)
 picks = np.linspace(0, len(xs) - 1, 5).astype(int)
+uv_t = np.stack([xs[picks], ys[picks]], axis=-1).astype(float)
+uv_r, visible, _, _ = correspondence_grid(scene, target, reference, uv_t)
 
 for n, i in enumerate(picks):
     p = (float(xs[i]), float(ys[i]))
     line = epipolar_line(p, pose, K)
-    corr = gt_correspondence(scene, target, reference, p)
 
     # every valid sample along the line, one per pixel column/row
     q = int(ys[i]) * K.width + int(xs[i])
     for u, v in samples.uv[q][samples.valid[q]]:
         canvas[int(round(v)), int(round(u))] = [1.0, 1.0, 1.0]
 
-    if corr.visible:
-        d = line.distance(K.normalize(corr.uv))
-        u, v = corr.uv
+    if visible[n]:
+        d = line.distance(K.normalize(uv_r[n]))
+        u, v = uv_r[n]
         canvas[int(round(v)), int(round(u))] = [1.0, 0.0, 0.0]
         print(f"pixel {p}: correspondence at ({u:.2f}, {v:.2f}), "
               f"distance to line {d:.2e} (normalized units)")
     else:
-        print(f"pixel {p}: correspondence {corr.status} in the reference view")
+        print(f"pixel {p}: correspondence hidden in the reference view (occluded or out of frame)")
 
 write_ppm(out / "target.ppm", target.rgb.data)
 write_ppm(out / "reference_with_lines.ppm", canvas)

@@ -153,14 +153,13 @@ def _render_trajectory(scene, traj, K, where: str = "trajectory") -> list:
     return [_render_view(scene, cam, K, f"{where} view {i}") for i, cam in enumerate(traj)]
 
 
-def _build_denoiser(backend: str, merged: dict, input_image, traj, scene_dir):
+def _build_denoiser(backend: str, merged: dict, input_image, traj, scene):
     """Targets for oracle-style backends come from rendering the fixture
-    scene at every trajectory camera; the reference target is the input
-    image itself."""
+    ``scene`` (None without --scene) at every trajectory camera; the
+    reference target is the input image itself."""
     if backend in ("oracle", "analytic"):
-        if scene_dir is None:
+        if scene is None:
             raise DataError(f"backend {backend!r} needs --scene (fixture directory)")
-        scene, _, _ = read_fixture(scene_dir)
         h, w = input_image.shape[:2]
         K = CameraIntrinsics.from_fov(w, h, merged["fov"])
         targets = {None: input_image}
@@ -201,7 +200,8 @@ def _cmd_invert(args) -> int:
     merged, _ = _merged(args)
     sched = _schedule(merged["steps"])
     image = read_ppm(args.input)
-    denoiser = _build_denoiser(args.backend, merged, image, [], args.scene)
+    scene = None if args.scene is None else read_fixture(args.scene)[0]
+    denoiser = _build_denoiser(args.backend, merged, image, [], scene)
     x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
     write_f32(args.out, x_ref.data, sidecar={"timestep": sched.steps})
     write_json(str(args.out) + ".manifest.json", {
@@ -220,24 +220,36 @@ def _cmd_synth(args) -> int:
     sched = _schedule(merged["steps"])
     image = read_ppm(args.input)
     traj = read_trajectory(args.traj)
+    # the input camera, and the error class and name that a bad one is reported with
     if args.input_cam is not None:
+        bad, where = UsageError, f"--input-cam {args.input_cam!r}"
         try:
             input_cam = camera_from_json(json.loads(args.input_cam), "the pose")
         except (ValueError, DataError) as e:   # ValueError: not JSON
-            raise UsageError(f"--input-cam {args.input_cam!r}: {e}") from None
+            raise bad(f"{where}: {e}") from None
     elif args.input_view is not None:
-        cams = read_trajectory(Path(args.scene) / "cameras.json")
+        cameras = Path(args.scene) / "cameras.json"
+        bad, where = DataError, f"{cameras} view {args.input_view}"
+        cams = read_trajectory(cameras)
         if not 0 <= args.input_view < len(cams):
             raise UsageError(f"--input-view {args.input_view} outside the fixture's "
                              f"{len(cams)} cameras")
         input_cam = cams[args.input_view]
     elif "input_view" in recorded:
-        input_cam = camera_from_json(recorded["input_view"], f"{args.config} input_view")
+        bad, where = DataError, f"{args.config} input_view"
+        input_cam = camera_from_json(recorded["input_view"], where)
     else:
+        bad, where = DataError, "the default input camera"
         input_cam = SphericalCamera(30.0, 0.0, 2.0)
+    scene = None if args.scene is None else read_fixture(args.scene)[0]
+    if scene is not None:
+        try:
+            scene.check_camera(input_cam)
+        except ValueError as e:
+            raise bad(f"{where}: {e}") from None
     h, w = image.shape[:2]
     K = CameraIntrinsics.from_fov(w, h, merged["fov"])
-    denoiser = _build_denoiser(merged["backend"], merged, image, traj, args.scene)
+    denoiser = _build_denoiser(merged["backend"], merged, image, traj, scene)
     counters = AttentionCounters()
     synth = TrajectorySynthesizer(image, input_cam, K, denoiser, sched, config, counters)
     images, manifest = synth.synthesize_trajectory(traj)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import AttentionParams
-from .geometry import RelativePose
 from .numerics import FeatureMap
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "Denoiser",
     "OracleDenoiser",
     "AnalyticAttentionDenoiser",
-    "forward_diffuse",
     "ddim_step",
     "ddim_invert_step",
     "ddim_sample",
@@ -87,23 +85,17 @@ class LatentImage:
 
 @dataclass(frozen=True)
 class Condition:
-    """What a prediction is conditioned on: the reference image, the
-    relative pose from the reference view to the view being generated,
-    the same pose in spherical deltas (for embeddings), and an optional
-    view key that oracle-style backends use to look up their target.
+    """What a prediction is conditioned on: the pose of the view being
+    generated relative to the input view, as spherical deltas (which the
+    toy UNet embeds), and a view key that oracle-style backends use to
+    look up their target. The reference branch has zero deltas and no key."""
 
-    The reference branch uses the identity pose (zero transformation)
-    with the input image as its own reference."""
-
-    rel_pose: RelativePose
-    ref_image: np.ndarray | None = None
     d_spherical: tuple = (0.0, 0.0, 0.0)
     view_key: int | None = None
 
     @classmethod
-    def reference(cls, ref_image: np.ndarray | None = None) -> "Condition":
-        return cls(rel_pose=RelativePose.identity(), ref_image=ref_image,
-                   d_spherical=(0.0, 0.0, 0.0), view_key=None)
+    def reference(cls) -> "Condition":
+        return cls()
 
 
 @dataclass
@@ -123,17 +115,6 @@ class Denoiser:
     def predict(self, x_t: np.ndarray, t: int, cond: Condition,
                 sched: NoiseSchedule, stage_cb=None) -> np.ndarray:
         raise NotImplementedError
-
-
-def forward_diffuse(x0: LatentImage, t: int, z: np.ndarray, sched: NoiseSchedule) -> LatentImage:
-    """Noising step: sqrt(a_t) x0 + sqrt(1 - a_t) z."""
-    if not 0 <= t <= sched.steps:
-        raise ValueError(f"t={t} outside schedule")
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != x0.data.shape:
-        raise ValueError("noise shape does not match the latent")
-    a = sched.alphas[t]
-    return LatentImage(data=np.sqrt(a) * x0.data.astype(np.float64) + np.sqrt(1.0 - a) * z, t=t)
 
 
 def x0_from_eps(x_t: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:

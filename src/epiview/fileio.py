@@ -120,12 +120,9 @@ def read_json(path) -> dict:
 def camera_from_json(obj, where: str) -> SphericalCamera:
     """The SphericalCamera of a pose record; anything else is a DataError naming ``where``."""
     try:
-        cam = pose_from_json(obj)
+        return pose_from_json(obj)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{where} is not a camera ({type(e).__name__}: {e})") from None
-    if not isinstance(cam, SphericalCamera):
-        raise DataError(f"{where} is not a camera but a relative pose")
-    return cam
 
 
 def write_trajectory(path, cams: list[SphericalCamera]) -> None:

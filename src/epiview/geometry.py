@@ -168,10 +168,6 @@ class RelativePose:
     def baseline(self) -> float:
         return float(np.linalg.norm(self.t))
 
-    @classmethod
-    def identity(cls) -> "RelativePose":
-        return cls(R=np.eye(3), t=np.zeros(3))
-
 
 @dataclass(frozen=True)
 class EpipolarLine:
@@ -340,22 +336,16 @@ def _sample_lines(lines: np.ndarray, width: int, height: int) -> EpipolarSampleS
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
 
-    ix = finite & along_x              # so b != 0: |a| <= |b| = 0 fails finite
-    if np.any(ix):
-        v = -(a[ix, None] * xs[None, :] + c[ix, None]) / b[ix, None]
-        rows = np.flatnonzero(ix)[:, None]
-        cols = np.arange(width)[None, :]
-        uv[rows, cols, 0] = xs[None, :]
-        uv[rows, cols, 1] = np.clip(v, 0.0, height - 1)
-        valid[rows, cols] = (v >= -EDGE_EPS) & (v <= height - 1 + EDGE_EPS)
-    iy = finite & ~along_x
-    if np.any(iy):
-        u = -(b[iy, None] * ys[None, :] + c[iy, None]) / a[iy, None]
-        rows = np.flatnonzero(iy)[:, None]
-        cols = np.arange(height)[None, :]
-        uv[rows, cols, 0] = np.clip(u, 0.0, width - 1)
-        uv[rows, cols, 1] = ys[None, :]
-        valid[rows, cols] = (u >= -EDGE_EPS) & (u <= width - 1 + EDGE_EPS)
+    # step along x solving for v, or along y solving for u; along x, b != 0
+    # (|a| <= |b| = 0 fails finite), and along y, |a| > |b| >= 0
+    for sel, p, q, axis, steps, span in ((finite & along_x, a, b, 0, xs, height),
+                                         (finite & ~along_x, b, a, 1, ys, width)):
+        if np.any(sel):
+            solved = -(p[sel, None] * steps[None, :] + c[sel, None]) / q[sel, None]
+            rows, cols = np.flatnonzero(sel)[:, None], np.arange(steps.size)[None, :]
+            uv[rows, cols, axis] = steps[None, :]
+            uv[rows, cols, 1 - axis] = np.clip(solved, 0.0, span - 1)
+            valid[rows, cols] = (solved >= -EDGE_EPS) & (solved <= span - 1 + EDGE_EPS)
     return EpipolarSampleSet(uv=uv, valid=valid, width=width, height=height)
 
 
@@ -376,25 +366,16 @@ def epipolar_sample_grid(pose: RelativePose, K_feat: CameraIntrinsics,
     return _sample_lines(lines, width, height)
 
 
-def pose_to_json(pose) -> dict:
-    """Serialize a SphericalCamera or RelativePose to a plain dict."""
-    if isinstance(pose, SphericalCamera):
-        return {"elevation_deg": pose.elevation_deg,
-                "azimuth_deg": pose.azimuth_deg,
-                "radius": pose.radius}
-    if isinstance(pose, RelativePose):
-        return {"R": [float(x) for x in pose.R.ravel()],
-                "t": [float(x) for x in pose.t]}
-    raise TypeError(f"cannot serialize {type(pose).__name__}")
+def pose_to_json(cam: SphericalCamera) -> dict:
+    """A camera as the pose record of trajectories, fixtures and manifests."""
+    return {"elevation_deg": cam.elevation_deg,
+            "azimuth_deg": cam.azimuth_deg,
+            "radius": cam.radius}
 
 
-def pose_from_json(obj: dict):
-    """Inverse of :func:`pose_to_json`."""
-    if "elevation_deg" in obj:
-        return SphericalCamera(elevation_deg=float(obj["elevation_deg"]),
-                               azimuth_deg=float(obj["azimuth_deg"]),
-                               radius=float(obj["radius"]))
-    if "R" in obj:
-        return RelativePose(R=np.array(obj["R"], dtype=np.float64).reshape(3, 3),
-                            t=np.array(obj["t"], dtype=np.float64))
-    raise ValueError("unrecognized pose JSON")
+def pose_from_json(obj: dict) -> SphericalCamera:
+    """Inverse of :func:`pose_to_json`; a record that is not a camera's
+    raises KeyError, TypeError or ValueError."""
+    return SphericalCamera(elevation_deg=float(obj["elevation_deg"]),
+                           azimuth_deg=float(obj["azimuth_deg"]),
+                           radius=float(obj["radius"]))

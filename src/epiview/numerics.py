@@ -40,9 +40,10 @@ class FeatureMap:
             data = data[:, :, None]
         if data.ndim != 3:
             raise ValueError(f"feature map must be HxWxC, got shape {data.shape}")
+        with np.errstate(over="ignore"):   # a float64 too large for float32 becomes inf
+            src, data = data, np.ascontiguousarray(data, dtype=np.float32)
         if not np.all(np.isfinite(data)):
             raise ValueError("feature map contains non-finite entries")
-        src, data = data, np.ascontiguousarray(data, dtype=np.float32)
         if data.flags.writeable and np.may_share_memory(data, src):
             data = data.copy()   # freeze our own copy, never the caller's array
         data.setflags(write=False)

@@ -183,8 +183,7 @@ class TrajectorySynthesizer:
         """Shared initial noise from DDIM inversion of the input image."""
         if self._x_ref is None:
             self._x_ref = ddim_invert(LatentImage(self.input_image, t=0),
-                                      self.denoiser,
-                                      Condition.reference(self.input_image), self.sched)
+                                      self.denoiser, Condition.reference(), self.sched)
         return self._x_ref
 
     def _branch(self, cam: SphericalCamera, key, cond: Condition, context: list):
@@ -227,20 +226,15 @@ class TrajectorySynthesizer:
         features for retrieval. Never injected into."""
         if self._input_cache is None:
             self._ref_image, self._input_cache = self._branch(
-                self.input_cam, INPUT_VIEW, Condition.reference(self.input_image), [])
+                self.input_cam, INPUT_VIEW, Condition.reference(), [])
         return self._ref_image, self._input_cache
 
     def synthesize_view(self, target_cam: SphericalCamera, view_index: int):
         """Generate one target view using the current context set; caches
         its own features for the views that follow."""
         _, input_cache = self.reference_branch()
-        cond = Condition(
-            rel_pose=relative_pose(camera_on_sphere(self.input_cam),
-                                   camera_on_sphere(target_cam)),
-            ref_image=self.input_image,
-            d_spherical=_spherical_delta(self.input_cam, target_cam),
-            view_key=view_index,
-        )
+        cond = Condition(d_spherical=_spherical_delta(self.input_cam, target_cam),
+                         view_key=view_index)
         context = select_context_views(target_cam, self.generated, input_cache,
                                        self.config.context_views)
         image, cache = self._branch(target_cam, view_index, cond, context)

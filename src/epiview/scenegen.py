@@ -11,7 +11,7 @@ which is what the geometric and consistency tests lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,11 @@ __all__ = [
     "PaintedBall",
     "Scene",
     "RenderedView",
-    "Correspondence",
     "make_scene",
     "render",
     "raycast",
     "surface_table",
     "surface_palette",
-    "gt_correspondence",
     "correspondence_grid",
     "positional_features",
     "make_trajectory",
@@ -160,6 +158,11 @@ class Scene:
     def __post_init__(self):
         _check_radius(self.bounding_radius, "bounding_radius")
 
+    def check_camera(self, cam: SphericalCamera) -> None:
+        """Reject a camera that does not stay outside the bounding sphere."""
+        if cam.radius <= self.bounding_radius:
+            raise ValueError("camera must stay outside the scene bounding sphere")
+
 
 @dataclass(frozen=True)
 class RenderedView:
@@ -173,22 +176,6 @@ class RenderedView:
     @property
     def extrinsics(self) -> Extrinsics:
         return camera_on_sphere(self.camera)
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """Where a pixel of view A lands in view B. ``status`` is one of
-    'ok', 'occluded', 'out_of_frame', 'behind'."""
-
-    status: str
-    uv: np.ndarray | None
-    prim_a: int
-    prim_b: int = BACKGROUND
-    depth_b: float = math.inf
-
-    @property
-    def visible(self) -> bool:
-        return self.status == "ok"
 
 
 def _equal_norm_colors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -359,8 +346,7 @@ def raycast(scene: Scene, ext: Extrinsics, K: CameraIntrinsics, uv: np.ndarray):
 
 def render(scene: Scene, cam: SphericalCamera, K: CameraIntrinsics) -> RenderedView:
     """Z-buffered pinhole render. Deterministic for a fixed scene."""
-    if cam.radius <= scene.bounding_radius:
-        raise ValueError("camera must stay outside the scene bounding sphere")
+    scene.check_camera(cam)
     h, w = K.height, K.width
     depth, surf, points = raycast(scene, camera_on_sphere(cam), K, pixel_grid(w, h))
     rgb = np.zeros((h * w, 3), dtype=np.float64)
@@ -387,41 +373,24 @@ def _correspond(scene: Scene, prim_a: np.ndarray, x_world: np.ndarray, view_b: R
     """The one correspondence kernel: given the surface ids ``prim_a`` (N,)
     and world hit points ``x_world`` (N, 3) of view A's rays, as
     :func:`raycast` returns them, project the hit points into view B and
-    cast B's rays at those in B's frame; a point is visible ('ok') when
-    the two depths agree within ``OCCLUSION_TOL``. Returns (status, uv_b,
-    prim_b, depth_b), one row per ray: status is 'background' (in A),
-    'behind', 'out_of_frame', 'occluded' or 'ok'; uv_b is zero where A is
-    background or behind B; B's hit is BACKGROUND and inf where not cast."""
+    cast B's rays at those in B's frame. Returns (visible, uv_b, prim_b),
+    one row per ray: a point is visible when it is foreground in A, in
+    front of B, inside B's frame, and B's cast depth agrees with its own
+    within ``OCCLUSION_TOL``; uv_b is zero where A is background or the
+    point is behind B; prim_b is B's hit, BACKGROUND where not cast."""
     ext_b, K_b = view_b.extrinsics, view_b.intrinsics
     x_b = ext_b.apply(x_world)
     n = prim_a.shape[0]
-    status = np.where(prim_a >= 0, "behind", "background").astype("<U12")
+    visible = np.zeros(n, dtype=bool)
     uv_b = np.zeros((n, 2))
     prim_b = np.full(n, BACKGROUND, dtype=np.int64)
-    depth_b = np.full(n, np.inf)
     front = np.flatnonzero((prim_a >= 0) & (x_b[:, 2] > 0))
-    status[front] = "out_of_frame"
     uv_b[front] = K_b.project(x_b[front])
     u, v = uv_b[front, 0], uv_b[front, 1]
     check = front[(u >= 0) & (u <= K_b.width - 1) & (v >= 0) & (v <= K_b.height - 1)]
-    depth_b[check], prim_b[check], _ = raycast(scene, ext_b, K_b, uv_b[check])
-    seen = np.abs(depth_b[check] - x_b[check, 2]) <= OCCLUSION_TOL
-    status[check] = np.where(seen, "ok", "occluded")
-    return status, uv_b, prim_b, depth_b
-
-
-def gt_correspondence(scene: Scene, view_a: RenderedView, view_b: RenderedView,
-                      p: np.ndarray) -> Correspondence:
-    """Exact correspondence of (sub-)pixel ``p`` of view A in view B.
-    Background pixels are an error (no surface to correspond)."""
-    p = np.asarray(p, dtype=np.float64).reshape(1, 2)
-    _, prim_a, x_world = raycast(scene, view_a.extrinsics, view_a.intrinsics, p)
-    status, uv_b, prim_b, depth_b = (x[0] for x in _correspond(scene, prim_a, x_world, view_b))
-    if status == "background":
-        raise ValueError(f"pixel {p[0]} is background in view A")
-    return Correspondence(status=str(status),
-                          uv=uv_b if status in ("ok", "occluded") else None,
-                          prim_a=int(prim_a[0]), prim_b=int(prim_b), depth_b=float(depth_b))
+    depth_b, prim_b[check], _ = raycast(scene, ext_b, K_b, uv_b[check])
+    visible[check] = np.abs(depth_b - x_b[check, 2]) <= OCCLUSION_TOL
+    return visible, uv_b, prim_b
 
 
 def correspondence_grid(scene: Scene, view_a: RenderedView, view_b: RenderedView,
@@ -431,8 +400,8 @@ def correspondence_grid(scene: Scene, view_a: RenderedView, view_b: RenderedView
     rows that are background in A come back with prim_a == BACKGROUND and
     visible False."""
     _, prim_a, x_world = raycast(scene, view_a.extrinsics, view_a.intrinsics, uv_a)
-    status, uv_b, prim_b, _ = _correspond(scene, prim_a, x_world, view_b)
-    return uv_b, status == "ok", prim_a, prim_b
+    visible, uv_b, prim_b = _correspond(scene, prim_a, x_world, view_b)
+    return uv_b, visible, prim_a, prim_b
 
 
 def positional_features(scene: Scene, view: RenderedView, width: int, height: int) -> FeatureMap:

@@ -293,6 +293,10 @@ class TestExitCodes:
         ("--sigma", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
                                           "--backend", "analytic", "--scene", str(fx),
                                           "--sigma", "-1", "--out", out]),
+        ("--input-cam", lambda fx, tj, out: [
+            "synth", "--input", str(fx / "views" / "000.ppm"), "--traj", str(tj),
+            "--backend", "analytic", "--scene", str(fx), "--steps", "2",
+            "--input-cam", '{"elevation_deg": 20, "azimuth_deg": 0, "radius": 0.5}', "--out", out]),
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
             "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene",
@@ -302,7 +306,7 @@ class TestExitCodes:
             "scene-fov-190", "scene-radius-inside-the-scene", "traj-radius-0",
             "traj-radius-negative", "traj-radius-inf", "synth-fov-0", "synth-fov-180",
             "synth-fov-nan", "synth-sigma-nan", "synth-sigma-inf", "synth-sigma-negative",
-            "synth-sigma-1e308", "invert-sigma-negative"])
+            "synth-sigma-1e308", "invert-sigma-negative", "input-cam-inside-the-scene"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
@@ -394,6 +398,13 @@ class TestExitCodes:
                               b' "radius": 2.0}, {"elevation_deg": 20, "azimuth_deg": 90,'
                               b' "radius": 0.1}]}',
          "pair/cameras.json view 1: camera must stay outside"),
+        ("input/cameras.json", INTRINSICS32 + b'"views": [{"elevation_deg": 20, "azimuth_deg": 0,'
+                               b' "radius": 2.0}, {"elevation_deg": 20, "azimuth_deg": 0,'
+                               b' "radius": 0.5}]}',
+         "input/cameras.json view 1: camera must stay outside"),
+        ("scene/cfg.json", b'{"input_view": {"elevation_deg": 20, "azimuth_deg": 0,'
+                           b' "radius": 0.5}}',
+         "scene/cfg.json input_view: camera must stay outside"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -416,7 +427,8 @@ class TestExitCodes:
             "scene-bounding-radius-inf", "cameras-width-float", "cameras-width-1e308",
             "cameras-height-bool", "cameras-f-nan", "cameras-cy-nan",
             "scene-sphere-color-1e308", "scene-box-color-above-1",
-            "scene-ball-colors-negative", "config-sigma-1e308", "simmap-camera-inside-scene"])
+            "scene-ball-colors-negative", "config-sigma-1e308", "simmap-camera-inside-scene",
+            "synth-input-view-inside-scene", "config-input-view-inside-scene"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
@@ -444,6 +456,14 @@ class TestExitCodes:
                               "--out", str(out)],
             "pair/cameras.json": ["simmap", "--query", "1,1", "--pair", "0,1",
                                   "--scene", str(bad.parent), "--out", str(out)],
+            "input/cameras.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                                   "--traj", str(traj_file), "--backend", "analytic",
+                                   "--scene", str(bad.parent), "--input-view", "1",
+                                   "--steps", "2", "--out", str(out)],
+            "scene/cfg.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                               "--traj", str(traj_file), "--backend", "analytic",
+                               "--scene", str(fixture_dir), "--config", str(bad),
+                               "--steps", "2", "--out", str(out)],
         }[name]
         named = named[0] if named else str(bad)
         assert main(argv) == 3

@@ -1,5 +1,5 @@
-"""Diffusion core: schedules, the forward process, DDIM stepping and
-inversion, attention-stage callbacks, and the analytic backends."""
+"""Diffusion core: schedules, DDIM stepping and inversion,
+attention-stage callbacks, and the analytic backends."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,8 @@ from epiview.diffusion import (
     ddim_sample,
     ddim_step,
     eps_from_x0,
-    forward_diffuse,
     x0_from_eps,
 )
-from epiview.geometry import RelativePose
 from epiview.numerics import apply_linear
 from epiview.scenegen import make_scene, make_trajectory, render
 from epiview.toyunet import C2, ToyUNet
@@ -55,46 +53,6 @@ class TestNoiseSchedule:
             NoiseSchedule(alphas=np.array([1.0, 0.0]))
 
 
-class TestForwardDiffuse:
-    def test_clean_endpoint(self):
-        rng = np.random.default_rng(0)
-        x0 = LatentImage(rng.random((4, 4, 3)), t=0)
-        z = rng.standard_normal((4, 4, 3))
-        out = forward_diffuse(x0, 0, z, NoiseSchedule.linear_beta(10))
-        np.testing.assert_allclose(out.data, x0.data, atol=1e-7)
-
-    def test_near_pure_noise_endpoint(self):
-        rng = np.random.default_rng(1)
-        x0 = LatentImage(rng.random((4, 4, 3)), t=0)
-        z = rng.standard_normal((4, 4, 3))
-        sched = NoiseSchedule(alphas=np.array([1.0, 1e-10]))
-        out = forward_diffuse(x0, 1, z, sched)
-        np.testing.assert_allclose(out.data, z, atol=1e-4)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(2)
-        x0 = LatentImage(rng.random((5, 3, 3)), t=0)
-        z = rng.standard_normal((5, 3, 3))
-        sched = NoiseSchedule.linear_beta(20)
-        t = 7
-        out = forward_diffuse(x0, t, z, sched)
-        a = sched.alphas[t]
-        want = np.sqrt(a) * x0.data.astype(np.float64) + np.sqrt(1 - a) * z
-        np.testing.assert_allclose(out.data, want, atol=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            forward_diffuse(LatentImage(np.zeros((2, 2, 3))), 1,
-                            np.zeros((3, 3, 3)), NoiseSchedule.linear_beta(5))
-
-    def test_preserves_finiteness(self):
-        rng = np.random.default_rng(3)
-        sched = NoiseSchedule.linear_beta(10)
-        out = forward_diffuse(LatentImage(rng.random((4, 4, 3))), 10,
-                              rng.standard_normal((4, 4, 3)), sched)
-        assert np.all(np.isfinite(out.data))
-
-
 class TestDdimStep:
     def test_near_noop_with_equal_alphas(self):
         # adjacent alphas separated only by float epsilon: the update is
@@ -123,9 +81,10 @@ class TestDdimStep:
         den = OracleDenoiser(targets)
         rng = np.random.default_rng(6)
         z = rng.standard_normal(input_image.shape)
-        x1 = forward_diffuse(LatentImage(input_image), 1, z, sched)
-        eps = den.predict(x1.data.astype(np.float64), 1, Condition.reference(), sched)
-        x0 = ddim_step(x1.data.astype(np.float64), eps, 1, sched)
+        a = sched.alphas[1]   # the forward process: sqrt(a) x0 + sqrt(1 - a) z, at float32
+        x1 = np.float32(np.sqrt(a) * input_image.astype(np.float64) + np.sqrt(1 - a) * z)
+        eps = den.predict(x1.astype(np.float64), 1, Condition.reference(), sched)
+        x0 = ddim_step(x1.astype(np.float64), eps, 1, sched)
         np.testing.assert_allclose(x0, input_image.astype(np.float64), atol=1e-6)
 
     def test_deterministic(self):
@@ -233,7 +192,7 @@ class TestDenoiseAndHooks:
         den = AnalyticAttentionDenoiser(targets, sigma=0.05, seed=1)
         rng = np.random.default_rng(11)
         x_t = LatentImage(rng.standard_normal(input_image.shape), t=6)
-        cond = Condition(rel_pose=RelativePose.identity(), view_key=0)
+        cond = Condition(view_key=0)
         captures, cb = recorder({"stage0"})
         x = x_t.data.astype(np.float64)
         eps_hooked = den.predict(x, x_t.t, cond, sched, stage_cb=cb)
@@ -262,9 +221,9 @@ class TestDenoiseAndHooks:
         targets = dict(targets)
         targets[1] = targets[0]
         den = AnalyticAttentionDenoiser(targets, sigma=0.1, seed=4)
-        y0a = den.target_for(Condition(rel_pose=RelativePose.identity(), view_key=0))
-        y0b = den.target_for(Condition(rel_pose=RelativePose.identity(), view_key=0))
-        y1 = den.target_for(Condition(rel_pose=RelativePose.identity(), view_key=1))
+        y0a = den.target_for(Condition(view_key=0))
+        y0b = den.target_for(Condition(view_key=0))
+        y1 = den.target_for(Condition(view_key=1))
         assert np.array_equal(y0a, y0b)
         assert not np.array_equal(y0a, y1)
 

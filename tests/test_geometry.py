@@ -318,10 +318,3 @@ class TestPoseJson:
     def test_spherical_roundtrip(self):
         cam = SphericalCamera(12.5, 270.0, 1.8)
         assert pose_from_json(pose_to_json(cam)) == cam
-
-    def test_matrix_roundtrip(self):
-        rng = np.random.default_rng(10)
-        _, _, pose = random_pose_pair(rng)
-        back = pose_from_json(pose_to_json(pose))
-        np.testing.assert_allclose(back.R, pose.R, atol=1e-12)
-        np.testing.assert_allclose(back.t, pose.t, atol=1e-12)

@@ -19,6 +19,12 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(np.array([[[np.nan]]]))
 
+    def test_rejects_what_overflows_float32(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureMap(np.full((2, 2, 3), 1e308))
+        fits = np.array([[[3.0e38, -1e-30, 0.1]]])   # float64 values within float32 range
+        assert FeatureMap(fits).data.tobytes() == fits.astype(np.float32).tobytes()
+
     def test_promotes_2d(self):
         fm = FeatureMap(np.zeros((4, 5)))
         assert fm.channels == 1 and fm.height == 4 and fm.width == 5

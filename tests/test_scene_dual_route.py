@@ -2,10 +2,9 @@
 kernel, against frozen copies of the routes they replaced: ``raycast``
 without hit points, ``render`` and ``positional_features`` that cast
 again, ``_unproject`` (the hit point as R^T (d z - t)), and the two
-hand-written correspondence routes. Renders and features are byte-equal;
+hand-written correspondence routes (the per-pixel one classified each
+pixel by a status string). Renders and features are byte-equal;
 correspondences agree in every mask and id, and in position to 1e-12 px."""
-
-import math
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from epiview.scenegen import (
     BACKGROUND,
     OCCLUSION_TOL,
     Box,
-    Correspondence,
     PaintedBall,
     RenderedView,
     Scene,
@@ -24,7 +22,6 @@ from epiview.scenegen import (
     _ray_box,
     _ray_sphere,
     correspondence_grid,
-    gt_correspondence,
     make_scene,
     make_trajectory,
     positional_features,
@@ -120,6 +117,7 @@ def oracle_unproject(scene, view, uv):
 
 
 def oracle_gt_correspondence(scene, view_a, view_b, p):
+    """(status, uv_b or None, prim_b) of one pixel of view A."""
     p = np.asarray(p, dtype=np.float64).reshape(2)
     x_world, depth_a, prim_a = oracle_unproject(scene, view_a, p[None, :])
     if prim_a[0] < 0:
@@ -128,16 +126,14 @@ def oracle_gt_correspondence(scene, view_a, view_b, p):
     K_b = view_b.intrinsics
     x_b = ext_b.apply(x_world)[0]
     if x_b[2] <= 0:
-        return Correspondence(status="behind", uv=None, prim_a=int(prim_a[0]))
+        return "behind", None, BACKGROUND
     uv_b = K_b.project(x_b)
     if not (0 <= uv_b[0] <= K_b.width - 1 and 0 <= uv_b[1] <= K_b.height - 1):
-        return Correspondence(status="out_of_frame", uv=None, prim_a=int(prim_a[0]))
+        return "out_of_frame", None, BACKGROUND
     hit_depth, hit_prim = oracle_raycast(scene, ext_b, K_b, uv_b[None, :])
     if abs(hit_depth[0] - x_b[2]) > OCCLUSION_TOL:
-        return Correspondence(status="occluded", uv=uv_b, prim_a=int(prim_a[0]),
-                              prim_b=int(hit_prim[0]), depth_b=float(hit_depth[0]))
-    return Correspondence(status="ok", uv=uv_b, prim_a=int(prim_a[0]),
-                          prim_b=int(hit_prim[0]), depth_b=float(hit_depth[0]))
+        return "occluded", uv_b, int(hit_prim[0])
+    return "ok", uv_b, int(hit_prim[0])
 
 
 def oracle_correspondence_grid(scene, view_a, view_b, uv_a):
@@ -274,16 +270,21 @@ def test_correspondence_grid_matches_the_old_route(name):
     assert seen > 0 and invisible_in_frame > 0   # both visible and occluded rows ran
 
 
-def assert_same_correspondence(got: Correspondence, want: Correspondence):
-    assert got.status == want.status
-    assert (got.prim_a, got.prim_b) == (want.prim_a, want.prim_b)
-    assert (got.uv is None) == (want.uv is None)
-    if want.uv is not None:
-        np.testing.assert_allclose(got.uv, want.uv, rtol=0, atol=1e-12)
-    if math.isinf(want.depth_b):
-        assert got.depth_b == want.depth_b
-    else:
-        assert abs(got.depth_b - want.depth_b) <= 1e-12
+def assert_row_matches_the_oracle(scene, va, vb, p, row):
+    """One row of ``correspondence_grid``, (uv_b, visible, prim_a, prim_b),
+    against the per-pixel oracle; returns the oracle's status."""
+    uv_b, visible, prim_a, prim_b = row
+    try:
+        status, want_uv, want_prim_b = oracle_gt_correspondence(scene, va, vb, p)
+    except ValueError:   # background in A: nothing to correspond
+        assert prim_a == BACKGROUND and not visible and prim_b == BACKGROUND
+        return "background"
+    assert prim_a >= 0
+    assert visible == (status == "ok")
+    assert prim_b == want_prim_b
+    if want_uv is not None:
+        np.testing.assert_allclose(uv_b, want_uv, rtol=0, atol=1e-12)
+    return status
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
@@ -300,16 +301,10 @@ def test_gt_correspondence_matches_the_old_route(name):
         for j, vb in enumerate(views):
             if i == j:
                 continue
-            for p in uv:
-                try:
-                    want = oracle_gt_correspondence(scene, va, vb, p)
-                except ValueError:   # a sub-pixel step off the silhouette
-                    with pytest.raises(ValueError):
-                        gt_correspondence(scene, va, vb, p)
-                    continue
-                got = gt_correspondence(scene, va, vb, p)
-                assert_same_correspondence(got, want)
-                statuses.add(got.status)
+            rows = correspondence_grid(scene, va, vb, uv)
+            for k, p in enumerate(uv):
+                statuses.add(assert_row_matches_the_oracle(
+                    scene, va, vb, p, [x[k] for x in rows]))
     assert {"ok", "occluded", "out_of_frame"} <= statuses
 
 
@@ -321,10 +316,8 @@ def test_gt_correspondence_behind_the_other_view():
     va, vb = (render(scene, SphericalCamera(0.0, az, 2.0), K) for az in (0.0, 180.0))
     ys, xs = np.nonzero(va.prim_id >= 0)
     assert xs.size > 0
-    for x, y in zip(xs, ys):
-        got = gt_correspondence(scene, va, vb, (float(x), float(y)))
-        want = oracle_gt_correspondence(scene, va, vb, (float(x), float(y)))
-        assert got.status == "behind"
-        assert_same_correspondence(got, want)
-    with pytest.raises(ValueError):
-        gt_correspondence(scene, va, vb, (0.0, 0.0))
+    uv = np.concatenate([np.stack([xs, ys], axis=-1), [[0, 0]]]).astype(float)
+    rows = correspondence_grid(scene, va, vb, uv)
+    statuses = [assert_row_matches_the_oracle(scene, va, vb, p, [x[k] for x in rows])
+                for k, p in enumerate(uv)]
+    assert statuses == ["behind"] * xs.size + ["background"]   # (0, 0) is background in A

@@ -6,11 +6,11 @@ import pytest
 
 from epiview.geometry import CameraIntrinsics, SphericalCamera, camera_on_sphere
 from epiview.scenegen import (
+    BACKGROUND,
     Box,
     Scene,
     Sphere,
     correspondence_grid,
-    gt_correspondence,
     make_scene,
     make_trajectory,
     positional_features,
@@ -72,17 +72,20 @@ class TestCorrespondence:
         scene, _, views = distinctive_fixture
         v = views[0]
         ys, xs = np.nonzero(v.prim_id >= 0)
-        for x, y in list(zip(xs, ys))[:20]:
-            c = gt_correspondence(scene, v, v, (float(x), float(y)))
-            assert c.visible
-            np.testing.assert_allclose(c.uv, [x, y], atol=1e-9)
+        uv_a = np.stack([xs, ys], axis=-1)[:20].astype(float)
+        uv_b, vis, _, _ = correspondence_grid(scene, v, v, uv_a)
+        assert vis.all()
+        np.testing.assert_allclose(uv_b, uv_a, atol=1e-9)
 
     def test_background_pixel_rejected(self, distinctive_fixture):
+        # a background pixel has no surface to correspond: never visible
         scene, _, views = distinctive_fixture
         v = views[0]
         ys, xs = np.nonzero(v.prim_id < 0)
-        with pytest.raises(ValueError):
-            gt_correspondence(scene, v, v, (float(xs[0]), float(ys[0])))
+        uv_a = np.stack([xs, ys], axis=-1)[:20].astype(float)
+        _, vis, prim_a, prim_b = correspondence_grid(scene, v, v, uv_a)
+        assert np.all(prim_a == BACKGROUND) and not vis.any()
+        assert np.all(prim_b == BACKGROUND)
 
     def test_symmetry(self, distinctive_fixture):
         scene, _, views = distinctive_fixture
@@ -109,14 +112,9 @@ class TestCorrespondence:
         side = render(scene, SphericalCamera(0.0, 20.0, 2.5), intrinsics32)
         bases, _ = surface_table(scene)
         ys, xs = np.nonzero(front.prim_id == bases[1])  # back slab in front view
-        statuses = set()
-        occluded_by_front = 0
-        for x, y in zip(xs, ys):
-            c = gt_correspondence(scene, front, side, (float(x), float(y)))
-            statuses.add(c.status)
-            if c.status == "occluded" and c.prim_b == bases[0]:
-                occluded_by_front += 1
-        assert occluded_by_front > 0
+        uv_a = np.stack([xs, ys], axis=-1).astype(float)
+        _, vis, _, prim_b = correspondence_grid(scene, front, side, uv_a)
+        assert np.sum(~vis & (prim_b == bases[0])) > 0   # hidden behind the front slab
 
     def test_correspondence_same_surface_color(self, distinctive_fixture):
         # corresponding points on the smooth ball carry identical colors
