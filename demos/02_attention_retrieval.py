@@ -10,8 +10,8 @@ Three small experiments on random feature maps and on a rendered pair:
 3. similarity maps for one query, dumped as PGM images: the epipolar map
    is concentrated on the line, the full map spreads over the image. The
    weights are the attention core's own logits (``epipolar_logits``,
-   slot-major (heads, S, N), and ``full_logits``) softmaxed with
-   ``masked_softmax``, as the core does.
+   slot-major (heads, S, N), and ``full_logits``, key-major (heads, V, M,
+   N)) softmaxed over their keys with ``masked_softmax``, as the core does.
 
 Run:  python demos/02_attention_retrieval.py
 """
@@ -82,12 +82,12 @@ for s in range(samples.uv.shape[1]):
         u, v = np.round(samples.uv[q, s]).astype(int)
         epi_map[v, u] = max(epi_map[v, u], weights_e[s, q])
 
-weights_f = masked_softmax(full_logits(fa, [ctx_ab], idp)[0, 0], None)   # (N, M)
-full_map = weights_f[q].reshape(32, 32)
+weights_f = masked_softmax(full_logits(fa, [ctx_ab], idp)[0, 0], None, axis=-2)   # (M, N)
+full_map = weights_f[:, q].reshape(32, 32)
 
 write_pgm(out / "epipolar_weights.pgm", epi_map / epi_map.max())
 write_pgm(out / "full_weights.pgm", full_map / full_map.max())
 print(f"3. wrote {out}/epipolar_weights.pgm and {out}/full_weights.pgm")
 print(f"   peak epipolar weight {weights_e[:, q].max():.3f} over "
       f"{int(valid_e[:, q].sum())} line samples; "
-      f"peak full weight {weights_f[q].max():.3f} over 1024 positions")
+      f"peak full weight {weights_f[:, q].max():.3f} over 1024 positions")

@@ -3,18 +3,19 @@ duplicated parameters.
 
 All three are one computation: heads-major queries, keys and values,
 scaled dot-product logits, their softmax (``masked_softmax``), and the
-weighted value sum merged back onto the target grid (``_merge``). Full
-cross attention retrieves from all of a stage's context views in one
-batched product (``_heads``, :func:`full_logits`); self attention is
-full cross attention with the map as its only context. Epipolar attention restricts
-each query's keys to its own S bilinearly sampled epipolar positions,
-masking the invalid ones, one context at a time. It is slot-major: its
-sampled keys and values, logits and weights are laid out (..., S, N), so
-that the blend, the logits (a sum over the head channels), the softmax
-over the slots and the value mix each run along a contiguous vector of
-the N queries. Both reuse the block's Q/K/V/out projections with no new
-parameters. Readers of similarities (``simmap``, the localization study)
-softmax the core's own :func:`full_logits` and :func:`epipolar_logits`.
+weighted value sum merged back onto the target grid (``_merge``). Both
+retrieval modes are key-major: the softmax over the keys and the value
+mix run along contiguous vectors of the N target queries. Full cross
+attention takes a stage's V context views in one batched product, logits
+(heads, V, M, N) (:func:`full_logits`) scaled through the N*d queries;
+self attention is full cross attention with the map as its only context.
+Epipolar attention restricts each query's keys to its own S bilinearly
+sampled epipolar positions, masked where invalid, one context at a time,
+laid out (..., S, N), and scales its S*N logits: moving that scale would
+re-base every analytic output for about 1% of a call. Both reuse the
+block's Q/K/V/out projections with no new parameters. Readers of
+similarities (``simmap``, the localization study) softmax the core's own
+:func:`full_logits` and :func:`epipolar_logits`.
 
 The core computes in the block's own precision,
 :attr:`AttentionParams.dtype`, and only that field chooses it. It is
@@ -150,10 +151,12 @@ def _heads(x: np.ndarray, params: AttentionParams) -> np.ndarray:
 
 
 def _merge(mixed: np.ndarray, f_tgt: FeatureMap, params: AttentionParams) -> FeatureMap:
-    """Heads-major weighted values (h, N, ..., d) merged back onto the
-    target grid, with the output projection applied."""
-    out = np.moveaxis(mixed, 0, -2)
-    return apply_linear(params.out_proj, FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1)))
+    """Heads-major weighted values (h, ..., N, d) merged back onto the
+    target grid, with the output projection applied once: a leading axis
+    of V stacks V grids along the rows, (V*H, W, C), and each keeps the
+    bytes of its own projection (float64 rows do not depend on the count)."""
+    out = np.moveaxis(mixed, 0, -2).reshape(-1, f_tgt.width, params.out_proj.in_dim)
+    return apply_linear(params.out_proj, FeatureMap(out))
 
 
 def self_attention(fm: FeatureMap, params: AttentionParams,
@@ -165,18 +168,19 @@ def self_attention(fm: FeatureMap, params: AttentionParams,
 
 def full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
                 counters: AttentionCounters | None = None) -> np.ndarray:
-    """Scaled dot-product logits (heads, V, N, M) of the target queries,
-    projected once, against every key of the V context maps in one batched
-    product, scaled in place; one counter record per context. Context i's
-    weights are ``masked_softmax(logits[:, i], None)``."""
-    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params)[:, None]
+    """Key-major logits (heads, V, M, N) of the target queries, each column
+    against every key of the V context maps, in one batched product
+    ``k @ (q / sqrt(d)).T``: the scale touches the N*d queries, not the N*M
+    logits (epipolar logits keep theirs, which would re-base every analytic
+    output to move). One counter record per context. Context i's weights
+    are ``masked_softmax(logits[:, i], None, axis=-2)``."""
+    q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params)
+    q = q / math.sqrt(q.shape[-1])   # a Python float keeps float32 queries in float32
     k = _heads(np.stack([c.k.flat() for c in contexts]), params)
     if counters is not None:
         for _ in contexts:
-            counters.record(params.heads * q.shape[2] * k.shape[2])
-    logits = q @ np.swapaxes(k, -1, -2)
-    logits /= math.sqrt(q.shape[-1])   # a Python float keeps float32 logits in float32
-    return logits
+            counters.record(params.heads * q.shape[1] * k.shape[2])
+    return k @ np.swapaxes(q, -1, -2)[:, None]
 
 
 def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
@@ -184,10 +188,11 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
     """Retrieval over every position of each context map, in one call.
 
     The target queries are projected once. The logits of all V contexts
-    are one batched product (heads, V, N, M), softmaxed in place in one
-    call, and mixed with their values in one more batched product; the
-    output projection is then applied per context, in context order. Each
-    context's result has the bytes of a call with that context alone.
+    are one batched key-major product (heads, V, M, N), softmaxed in place
+    over the keys in one call, and mixed with their values through the
+    transposed weights in one more batched product; one output projection
+    then serves all V contexts. Each context's result has the bytes of a
+    call with that context alone.
 
     Returns one (FeatureMap, contributed mask) per context, in order; the
     masks are all-True since every query sees the whole context grid.
@@ -197,10 +202,12 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
     if any(c.f.height != f_tgt.height or c.f.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
     logits = full_logits(f_tgt, contexts, params, counters)
-    weights = masked_softmax(logits, None, out=logits)
-    mixed = weights @ _heads(np.stack([c.value.flat() for c in contexts]), params)
-    return [(_merge(mixed[:, i], f_tgt, params), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
-            for i in range(len(contexts))]
+    weights = masked_softmax(logits, None, out=logits, axis=-2)
+    mixed = np.swapaxes(weights, -1, -2) @ _heads(np.stack([c.value.flat() for c in contexts]),
+                                                  params)
+    del logits, weights   # the heap reuses their bytes for the merge
+    return [(FeatureMap(x), np.ones((f_tgt.height, f_tgt.width), dtype=bool))
+            for x in np.split(_merge(mixed, f_tgt, params).data, len(contexts))]
 
 
 def _gather_heads(plan, fm: FeatureMap, params: AttentionParams) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -78,13 +79,15 @@ _JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
 # The declared type of every setting, by name.
 _SETTING_TYPES = {**{k: type(v).__name__ for k, v in _RUN_SETTINGS.items()},
                   **{f.name: f.type for f in fields(GenerationConfig)}}
-# The geometry and noise knobs, by flag and setting name: the test a value
-# must pass, and what it must be.
+# The geometry, noise, schedule and backend knobs, by flag and setting name:
+# the test a value must pass, and what it must be.
 _KNOBS = {
     "fov": (lambda x: 0 < x < 180, "a field of view in (0, 180) degrees"),
     "size": (lambda x: x > 0, "a positive integer"),
     "radius": (lambda x: 0 < x < math.inf, "a finite number > 0"),
     "sigma": (lambda x: 0 <= x <= 1e6, "a number in [0, 1e6]"),
+    "steps": (lambda x: x >= 0, "an integer >= 0"),
+    "backend": (lambda x: x in ("oracle", "analytic", "toyunet"), "oracle, analytic or toyunet"),
 }
 
 
@@ -101,7 +104,7 @@ def _check_knobs(values: dict, path=None) -> None:
 
 
 def _check_config(path, obj: dict) -> None:
-    """Reject a config file's unknown keys, wrong-typed settings and changed retired keys."""
+    """Reject a config file's unknown keys, wrong-typed or bad settings and changed retired keys."""
     for key, value in obj.items():
         if key in ("config", *_MANIFEST_RECORDS):
             continue
@@ -116,6 +119,10 @@ def _check_config(path, obj: dict) -> None:
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise DataError(f"{path}: {key!r} must be {name}, got {value!r}")
     _check_knobs(obj, path)
+    try:
+        GenerationConfig.from_json(obj)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def _merged(args) -> tuple[dict, dict]:
@@ -132,12 +139,6 @@ def _merged(args) -> tuple[dict, dict]:
     return {k: merged[k] for k in _SETTING_TYPES if k in merged}, recorded
 
 
-def _schedule(steps: int) -> NoiseSchedule:
-    if steps < 0:
-        raise UsageError(f"--steps must be >= 0, got {steps}")
-    return NoiseSchedule.linear_beta(steps)
-
-
 def _render_view(scene, cam, K, where: str):
     """The scene rendered at ``cam``; a camera inside the scene's bounding
     sphere is a data error naming ``where``."""
@@ -147,31 +148,24 @@ def _render_view(scene, cam, K, where: str):
         raise DataError(f"{where}: {e}") from None
 
 
-def _render_trajectory(scene, traj, K, where: str = "trajectory") -> list:
-    """Renders of the scene at every camera of ``traj``, each named as
-    ``where`` and its view index."""
-    return [_render_view(scene, cam, K, f"{where} view {i}") for i, cam in enumerate(traj)]
-
-
 def _build_denoiser(backend: str, merged: dict, input_image, traj, scene):
     """Targets for oracle-style backends come from rendering the fixture
-    ``scene`` (None without --scene) at every trajectory camera; the
-    reference target is the input image itself."""
+    ``scene`` (None without --scene) at every trajectory camera, which the
+    caller has checked against it; the reference target is the input
+    image itself."""
     if backend in ("oracle", "analytic"):
         if scene is None:
             raise DataError(f"backend {backend!r} needs --scene (fixture directory)")
         h, w = input_image.shape[:2]
         K = CameraIntrinsics.from_fov(w, h, merged["fov"])
         targets = {None: input_image}
-        for i, view in enumerate(_render_trajectory(scene, traj, K)):
-            targets[i] = view.rgb.data
+        for i, cam in enumerate(traj):
+            targets[i] = render(scene, cam, K).rgb.data
         if backend == "oracle":
             return OracleDenoiser(targets)
         return AnalyticAttentionDenoiser(targets, sigma=merged["sigma"],
                                          seed=merged["seed"])
-    if backend == "toyunet":
-        return ToyUNet(seed=merged["seed"])
-    raise DataError(f"unknown backend {backend!r}")
+    return ToyUNet(seed=merged["seed"])   # the backend was checked with the knobs
 
 
 # --- subcommands ----------------------------------------------------------
@@ -198,7 +192,7 @@ def _cmd_traj(args) -> int:
 
 def _cmd_invert(args) -> int:
     merged, _ = _merged(args)
-    sched = _schedule(merged["steps"])
+    sched = NoiseSchedule.linear_beta(merged["steps"])
     image = read_ppm(args.input)
     scene = None if args.scene is None else read_fixture(args.scene)[0]
     denoiser = _build_denoiser(args.backend, merged, image, [], scene)
@@ -217,7 +211,7 @@ def _cmd_synth(args) -> int:
         raise UsageError("--input-view needs --scene, whose fixture cameras it indexes")
     merged, recorded = _merged(args)
     config = GenerationConfig.from_json(merged)
-    sched = _schedule(merged["steps"])
+    sched = NoiseSchedule.linear_beta(merged["steps"])
     image = read_ppm(args.input)
     traj = read_trajectory(args.traj)
     # the input camera, and the error class and name that a bad one is reported with
@@ -242,11 +236,14 @@ def _cmd_synth(args) -> int:
         bad, where = DataError, "the default input camera"
         input_cam = SphericalCamera(30.0, 0.0, 2.0)
     scene = None if args.scene is None else read_fixture(args.scene)[0]
-    if scene is not None:
-        try:
-            scene.check_camera(input_cam)
-        except ValueError as e:
-            raise bad(f"{where}: {e}") from None
+    if scene is not None:   # every camera, before any backend is built
+        named = [(input_cam, bad, where)] + [
+            (cam, DataError, f"{args.traj} trajectory view {i}") for i, cam in enumerate(traj)]
+        for cam, error, name in named:
+            try:
+                scene.check_camera(cam)
+            except ValueError as e:
+                raise error(f"{name}: {e}") from None
     h, w = image.shape[:2]
     K = CameraIntrinsics.from_fov(w, h, merged["fov"])
     denoiser = _build_denoiser(merged["backend"], merged, image, traj, scene)
@@ -306,8 +303,8 @@ def _cmd_simmap(args) -> int:
     peak = epi.max()
     write_pgm(out / f"epipolar_q{qx}_{qy}.pgm", epi / peak if peak > 0 else epi)
 
-    wfull = masked_softmax(full_logits(f_tgt, [ctx], params)[:, 0], None)
-    dense = wfull[0, q].reshape(hf, wf)
+    wfull = masked_softmax(full_logits(f_tgt, [ctx], params)[:, 0], None, axis=-2)   # key-major
+    dense = wfull[0, :, q].reshape(hf, wf)
     write_pgm(out / f"full_q{qx}_{qy}.pgm", dense / dense.max())
     print(f"similarity maps written to {out}")
     return 0
@@ -334,7 +331,8 @@ def _cmd_eval(args) -> int:
     scene, _, _ = read_fixture(args.fixtures)
     K = read_intrinsics(manifest)
     traj = read_trajectory(manifest, "trajectory")
-    gt_views = _render_trajectory(scene, traj, K, f"{manifest} trajectory")
+    gt_views = [_render_view(scene, cam, K, f"{manifest} trajectory view {i}")
+                for i, cam in enumerate(traj)]
     images = []
     for i in range(len(traj)):
         path = run_dir / f"{i:03d}.ppm"
@@ -360,6 +358,7 @@ def _cmd_eval(args) -> int:
 # --- wiring ----------------------------------------------------------------
 
 
+@cache   # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="epiview", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)

@@ -173,7 +173,7 @@ def _parse(parse, path):
         return parse(obj)
     except KeyError as e:
         raise DataError(f"{path}: missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:   # OverflowError: int() of an infinity
         raise DataError(f"{path}: {type(e).__name__}: {e}") from None
 
 

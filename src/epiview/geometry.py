@@ -119,8 +119,8 @@ class SphericalCamera:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.elevation_deg, self.azimuth_deg, self.radius))):
             raise ValueError("elevation, azimuth and radius must be finite")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius * self.radius)):
+            raise ValueError("radius must be positive, with a finite square")
         if not -90.0 <= self.elevation_deg <= 90.0:
             raise ValueError("elevation must lie in [-90, 90] degrees")
 

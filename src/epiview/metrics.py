@@ -187,7 +187,7 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
     usable = samples.contributed[queries]
     epi_acc = localization_accuracy(epi_uv[queries][usable], gt_feat[queries][usable], k)
 
-    best_f = np.argmax(full_logits(f_tgt, [ctx], params)[0, 0], axis=-1)
+    best_f = np.argmax(full_logits(f_tgt, [ctx], params)[0, 0], axis=0)   # key-major (M, N)
     full_uv = np.stack([best_f % wf, best_f // wf], axis=-1).astype(np.float64)
     full_acc = localization_accuracy(full_uv[queries], gt_feat[queries], k)
 

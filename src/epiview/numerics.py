@@ -237,8 +237,11 @@ def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
 def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
                    out: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax over the valid entries of ``axis`` of
-    ``logits`` (the last, or -2 where the keys of a slot-major caller run
-    along it), which the caller has already scaled.
+    ``logits`` (the last, or -2 for the attention core's key-major logits:
+    full (heads, V, M, N), epipolar (h, S, N)), which the caller has already
+    scaled: full attention through its queries, epipolar attention on its
+    S*N logits, as moving that scale would re-base every analytic output
+    for about 1% of a call.
 
     Valid logits must be finite (a valid ``+inf`` gives NaN weights);
     masked entries may hold anything. Masked entries get weight 0; rows

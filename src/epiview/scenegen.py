@@ -66,8 +66,8 @@ def _check_array(name: str, value, rows: bool = False, unit: bool = False) -> No
 
 
 def _check_radius(radius, name: str = "radius") -> None:
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"{name} must be a finite number > 0, got {radius}")
+    if not (radius > 0 and math.isfinite(radius * radius)):   # ray casts square it
+        raise ValueError(f"{name} must be a number > 0 with a finite square, got {radius}")
 
 
 @dataclass(frozen=True)

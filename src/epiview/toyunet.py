@@ -9,7 +9,7 @@ trainer, and the seed is its one knob.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .attention import AttentionParams, self_attention
 from .diffusion import AttentionStage, Condition, Denoiser, NoiseSchedule
@@ -54,14 +54,15 @@ def _sinusoidal(values: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, stride: int):
-    """(H, W, C) -> (Hout*Wout, C*9) patches of a padded 3x3 window: one
-    zero-padded buffer, and one copy of its strided window view."""
+    """(H, W, C) -> (Hout*Wout, 9*C) patches of a padded 3x3 window: one
+    zero-padded buffer, and one copy of its (ho, wo, 3, 3, C) strided view."""
     h, w, c = x.shape
     xp = np.zeros((h + 2, w + 2, c), dtype=x.dtype)
     xp[1:-1, 1:-1] = x
-    win = sliding_window_view(xp, (3, 3), axis=(0, 1))[::stride, ::stride]   # (ho, wo, C, 3, 3)
-    ho, wo = win.shape[:2]
-    return win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, 9 * c), (ho, wo)
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    sh, sw, sc = xp.strides
+    win = as_strided(xp, (ho, wo, 3, 3, c), (stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    return win.reshape(ho * wo, 9 * c), (ho, wo)
 
 
 def _conv(x, w, b, stride):

@@ -372,19 +372,65 @@ def oracle_full_cross_attention(f_tgt, ctx, params, counters=None):
     return (fm, np.ones((f_tgt.height, f_tgt.width), dtype=bool)), weights
 
 
+def query_major_bounds(f_tgt, ctx, params):
+    """How far the key-major core may lie from the query-major oracles.
+
+    The two routes differ only in summation order and in where the scale
+    falls: the core computes ``k @ (q / sqrt(d)).T`` in the block's dtype
+    (unit roundoff u), reduces the softmax across rows, and projects the
+    outputs of every context at once; the oracle computes ``(q @ k.T) /
+    sqrt(d)`` in float64 (unit roundoff e) and reduces along rows. With d
+    the head width, M the keys per query, Q the largest l1 norm of a query
+    head, K and V the largest key and value entries, C the channels and W
+    the largest absolute row sum of the output projection:
+    - a logit differs by at most dl = (d + 2)(u + e) Q K / sqrt(d): d
+      roundings in each dot product, one in each scaling;
+    - subtracting the column peak adds 2 (u + e) Q K / sqrt(d), so the
+      weights of a query, which sum to 1, differ by at most
+      dw = expm1(2 (dl + 2 (u + e) Q K / sqrt(d)) + 2 (M + 4)(u + e)) in l1
+      (exp, an M-term sum and a divide in each route);
+    - the value mix adds M (u + e) V to what the weights move, V dw, and
+      each route stores its mix as a float32 map (u32 V each);
+    - the float64 output projection multiplies that by W, adds 2 (C + 1) e
+      W V of its own rounding, and each float32 output rounds once more.
+    Returns (dl, dw, the output bound less its last term): the outputs may
+    differ by that plus 2 u32 max|out|.
+    """
+    u, e, u32 = (np.finfo(params.dtype).eps / 2, np.finfo(np.float64).eps / 2,
+                 np.finfo(np.float32).eps / 2)
+    d = params.q_proj.out_dim // params.heads
+    m = ctx.k.height * ctx.k.width
+    q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64)
+    qk = (np.abs(q.reshape(-1, params.heads, d)).sum(axis=-1).max()
+          * np.abs(ctx.k.data).max() / math.sqrt(d))
+    v_max = np.abs(ctx.value.data).max()
+    w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
+    dl = (d + 2) * (u + e) * qk
+    dw = math.expm1(2 * (dl + 2 * (u + e) * qk) + 2 * (m + 4) * (u + e))
+    mix = v_max * (dw + m * (u + e) + 2 * u32)
+    return dl, dw, w_row * (mix + 2 * (params.out_proj.in_dim + 1) * e * v_max)
+
+
+@pytest.fixture
+def softmaxed(monkeypatch):
+    """A copy of every weight array the attention core's softmax returns,
+    in call order."""
+    import epiview.attention as attention
+    seen = []
+
+    def keeping(*args, **kwargs):
+        out = masked_softmax(*args, **kwargs)
+        seen.append(out.copy())
+        return out
+
+    monkeypatch.setattr(attention, "masked_softmax", keeping)
+    return seen
+
+
 class TestBatchedFullAttentionDualRoute:
     @pytest.mark.parametrize("views", [1, 2, 3])
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_byte_identical_to_per_context_calls(self, views, heads, monkeypatch):
-        import epiview.attention as attention
-        softmaxed = []
-
-        def keeping(*args, **kwargs):
-            out = masked_softmax(*args, **kwargs)
-            softmaxed.append(out.copy())
-            return out
-
-        monkeypatch.setattr(attention, "masked_softmax", keeping)
+    def test_byte_identical_to_per_context_calls(self, views, heads, softmaxed):
         rng = np.random.default_rng(views * 10 + heads)
         h, w, c = 5, 7, 8
         f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
@@ -393,24 +439,76 @@ class TestBatchedFullAttentionDualRoute:
                     for _ in range(views)]
         got_counters, want_counters = AttentionCounters(), AttentionCounters()
         got = full_cross_attention(f_tgt, contexts, params, got_counters)
-        want, want_weights = zip(*(oracle_full_cross_attention(f_tgt, ctx, params, want_counters)
-                                   for ctx in contexts))
+        want = [full_cross_attention(f_tgt, [ctx], params, want_counters)[0] for ctx in contexts]
         # the float64 weights too: a last-bit change rarely survives the
         # float32 outputs
-        (weights,) = softmaxed
+        weights, *want_weights = softmaxed
         assert weights.shape == (heads, views, h * w, h * w)
         for i, ww in enumerate(want_weights):
+            assert ww.shape == (heads, 1, h * w, h * w)
             assert weights[:, i].tobytes() == ww.tobytes()
         assert len(got) == views
         for (fm, mask), (fm_want, mask_want) in zip(got, want):
             assert fm.data.tobytes() == fm_want.data.tobytes()
             assert mask.tobytes() == mask_want.tobytes()
         agg, contributed = multi_view_aggregate(got)
-        agg_want, contributed_want = multi_view_aggregate(list(want))
+        agg_want, contributed_want = multi_view_aggregate(want)
         assert agg.data.tobytes() == agg_want.data.tobytes()
         assert contributed.tobytes() == contributed_want.tobytes()
         assert vars(got_counters) == vars(want_counters)
         assert got_counters.calls == views and got_counters.peak_elems == heads * (h * w) ** 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("views", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_near_the_oracle(self, heads, views, dtype, softmaxed):
+        rng = np.random.default_rng(300 + views * 10 + heads)
+        h, w, c = 6, 7, 8
+        f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+        params = replace(AttentionParams.seeded(c, heads, rng), dtype=dtype)
+        contexts = [project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
+                    for _ in range(views)]
+        got_counters, want_counters = AttentionCounters(), AttentionCounters()
+        got = full_cross_attention(f_tgt, contexts, params, got_counters)
+        (weights,) = softmaxed
+        assert weights.dtype == dtype
+        for i, ctx in enumerate(contexts):
+            (fm_want, mask_want), w_want = oracle_full_cross_attention(f_tgt, ctx, params,
+                                                                       want_counters)
+            _, dw, out_bound = query_major_bounds(f_tgt, ctx, params)
+            dweights = np.abs(weights[:, i].swapaxes(-1, -2) - w_want).sum(axis=-1).max()
+            assert dweights <= dw
+            out = got[i][0].data.astype(np.float64)
+            want = fm_want.data.astype(np.float64)
+            assert np.abs(out - want).max() <= out_bound + 2 * 2.0 ** -24 * np.abs(want).max()
+            assert out_bound < 1e-3 * np.abs(want).max()   # and the bound is far below them
+            assert got[i][1].tobytes() == mask_want.tobytes()
+        assert vars(got_counters) == vars(want_counters)
+
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(16, 16, 16, 2), (32, 32, 3, 1)],
+                             ids=["unet", "rgb"])
+    def test_one_out_projection(self, shape, views):
+        """``_merge`` projects every context's mix at once, stacked along the
+        rows; each context's rows have the bytes of the merge of that
+        context alone, as it was before."""
+        from epiview.attention import _merge
+
+        def oracle_merge(mixed, f_tgt, params):
+            out = np.moveaxis(mixed, 0, -2)
+            return apply_linear(params.out_proj,
+                                FeatureMap(out.reshape(f_tgt.height, f_tgt.width, -1)))
+
+        h, w, c, heads = shape
+        rng = np.random.default_rng(views + c)
+        f_tgt = FeatureMap(np.zeros((h, w, c)))
+        for dtype in (np.float64, np.float32):
+            params = replace(AttentionParams.seeded(c, heads, rng), dtype=dtype)
+            mixed = rng.standard_normal((heads, views, h * w, c // heads)).astype(dtype)
+            got = _merge(mixed, f_tgt, params).data
+            assert got.shape == (views * h, w, c)
+            for i, rows in enumerate(np.split(got, views)):
+                assert rows.tobytes() == oracle_merge(mixed[:, i], f_tgt, params).data.tobytes()
 
     def test_no_context_rejected(self):
         fm = FeatureMap(np.zeros((2, 2, 3)))
@@ -428,7 +526,8 @@ class TestBatchedFullAttentionDualRoute:
 def oracle_full_similarity(f_tgt, ctx, params, counters=None):
     """One context's full-attention logits and weights as they were
     computed before they shared full attention's batched logits, with the
-    core's helpers inlined. Kept as the oracle."""
+    core's helpers inlined: query-major (heads, N, M), in float64. Kept as
+    the oracle."""
     def heads_major(x):
         x = np.asarray(x, dtype=np.float64)
         return np.moveaxis(x.reshape(x.shape[:-1] + (params.heads, -1)), -2, 0)
@@ -444,26 +543,33 @@ def oracle_full_similarity(f_tgt, ctx, params, counters=None):
 
 
 class TestFullSimilarityDualRoute:
-    """What a reader of one context's similarities takes, ``full_logits``
-    softmaxed with ``masked_softmax``, against the frozen oracle."""
+    """What a reader of one context's similarities takes, the key-major
+    ``full_logits`` softmaxed over its keys with ``masked_softmax``,
+    against the frozen query-major oracle."""
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("shape", [(5, 7), (6, 6)])
-    def test_byte_identical_to_the_old_body(self, heads, shape):
+    def test_within_a_bound_of_the_old_body(self, heads, shape):
         rng = np.random.default_rng(heads * 100 + shape[1])
         f_tgt = FeatureMap(rng.standard_normal(shape + (8,)))
-        params = AttentionParams.seeded(8, heads, rng)
-        ctx = project_context(FeatureMap(rng.standard_normal(shape + (8,))), params)
-        got_counters, want_counters = AttentionCounters(), AttentionCounters()
-        logits = full_logits(f_tgt, [ctx], params, got_counters)[:, 0]
-        weights = masked_softmax(logits, None)
-        want_logits, want_weights = oracle_full_similarity(f_tgt, ctx, params, want_counters)
+        params64 = AttentionParams.seeded(8, heads, rng)
+        ctx = project_context(FeatureMap(rng.standard_normal(shape + (8,))), params64)
+        want_counters = AttentionCounters()
+        want_logits, want_weights = oracle_full_similarity(f_tgt, ctx, params64, want_counters)
         n = shape[0] * shape[1]
-        assert logits.shape == weights.shape == (heads, n, n)
-        assert np.ascontiguousarray(logits).tobytes() == want_logits.tobytes()
-        assert weights.tobytes() == want_weights.tobytes()
-        assert vars(got_counters) == vars(want_counters)
-        assert not np.shares_memory(logits, weights)
+        for dtype in (np.float64, np.float32):
+            params = replace(params64, dtype=dtype)
+            got_counters = AttentionCounters()
+            logits = full_logits(f_tgt, [ctx], params, got_counters)[:, 0]
+            weights = masked_softmax(logits, None, axis=-2)
+            assert logits.shape == weights.shape == (heads, n, n)
+            assert logits.dtype == weights.dtype == dtype
+            dl, dw, _ = query_major_bounds(f_tgt, ctx, params)
+            assert np.abs(logits.swapaxes(-1, -2) - want_logits).max() <= dl
+            assert np.abs(weights.swapaxes(-1, -2) - want_weights).sum(axis=-1).max() <= dw
+            assert dw < 1e-3
+            assert vars(got_counters) == vars(want_counters)
+            assert not np.shares_memory(logits, weights)
 
 
 class TestEpipolarAttention:

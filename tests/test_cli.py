@@ -405,6 +405,9 @@ class TestExitCodes:
         ("scene/cfg.json", b'{"input_view": {"elevation_deg": 20, "azimuth_deg": 0,'
                            b' "radius": 0.5}}',
          "scene/cfg.json input_view: camera must stay outside"),
+        ("toyunet/traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
+                              b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.5}]}',
+         "toyunet/traj.json trajectory view 1: camera must stay outside"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -428,7 +431,8 @@ class TestExitCodes:
             "cameras-height-bool", "cameras-f-nan", "cameras-cy-nan",
             "scene-sphere-color-1e308", "scene-box-color-above-1",
             "scene-ball-colors-negative", "config-sigma-1e308", "simmap-camera-inside-scene",
-            "synth-input-view-inside-scene", "config-input-view-inside-scene"])
+            "synth-input-view-inside-scene", "config-input-view-inside-scene",
+            "traj-camera-inside-scene-toyunet"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
@@ -464,6 +468,9 @@ class TestExitCodes:
                                "--traj", str(traj_file), "--backend", "analytic",
                                "--scene", str(fixture_dir), "--config", str(bad),
                                "--steps", "2", "--out", str(out)],
+            "toyunet/traj.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
+                                  "--traj", str(bad), "--backend", "toyunet",
+                                  "--scene", str(fixture_dir), "--steps", "2", "--out", str(out)],
         }[name]
         named = named[0] if named else str(bad)
         assert main(argv) == 3

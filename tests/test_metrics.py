@@ -306,6 +306,39 @@ class TestLocalization:
             assert clear.mean() > 0.9, clear.mean()
             assert np.array_equal(got[clear], want[clear])
 
+    def test_full_argmax_equals_the_oracle_on_the_criterion_6_pairs(
+            self, distinctive_fixture, frozen, monkeypatch):
+        """The study takes its full argmax down the key axis of key-major
+        logits; at every query of every criterion-6 pair it is the argmax
+        along the rows of the frozen query-major oracle's logits."""
+        import epiview.metrics as metrics
+        from test_attention import oracle_full_similarity
+        scene, _, views = distinctive_fixture
+        size = frozen["localization"]["feature_size"]
+        seen = []
+
+        def scoring(argmax_uv, gt_uv, k):
+            seen.append(np.asarray(argmax_uv))
+            return localization_accuracy(argmax_uv, gt_uv, k)
+
+        monkeypatch.setattr(metrics, "localization_accuracy", scoring)
+        for i in range(16):
+            va, vb = views[i], views[(i + 1) % 16]
+            seen.clear()
+            r = localization_study(scene, va, vb, feature_size=size, k=1.0)
+            full_uv = seen[-1]
+            f_tgt = positional_features(scene, va, size, size)
+            params = AttentionParams.identity(f_tgt.channels)
+            ctx = project_context(positional_features(scene, vb, size, size), params)
+            scale = size / va.intrinsics.width
+            uv_img = (pixel_grid(size, size) + 0.5) / scale - 0.5
+            _, visible, prim_a, _ = correspondence_grid(scene, va, vb, uv_img)
+            queries = np.flatnonzero((prim_a >= 0) & visible)
+            assert r["queries"] == queries.size > 0
+            best = np.argmax(oracle_full_similarity(f_tgt, ctx, params)[0][0, queries], axis=1)
+            want = np.stack([best % size, best // size], axis=-1)
+            assert np.array_equal(full_uv, want), i
+
     def test_occluded_queries_excluded(self, distinctive_fixture):
         from epiview.scenegen import correspondence_grid
         scene, _, views = distinctive_fixture

@@ -313,7 +313,7 @@ class TestSoftmaxDualRoute:
         params = AttentionParams.seeded(4, 2, rng)
         # a reader's full-attention weights, softmaxed apart from the core's logits
         logits = full_logits(fm, [project_context(fm, params)], params)[:, 0]
-        weights = masked_softmax(logits, None)
+        weights = masked_softmax(logits, None, axis=-2)   # key-major: over the keys
         kept = logits.copy()
         assert not np.shares_memory(logits, weights)
         weights[...] = -1.0

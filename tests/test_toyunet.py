@@ -56,6 +56,19 @@ def oracle_im2col(x, stride):
     return cols.reshape(ho * wo, 9 * c), (ho, wo)
 
 
+def oracle_window_view_im2col(x, stride):
+    """``_im2col`` as it was before it built its window with one
+    ``as_strided`` view: a ``sliding_window_view`` of the padded buffer,
+    transposed. Kept verbatim as the oracle."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    h, w, c = x.shape
+    xp = np.zeros((h + 2, w + 2, c), dtype=x.dtype)
+    xp[1:-1, 1:-1] = x
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))[::stride, ::stride]   # (ho, wo, C, 3, 3)
+    ho, wo = win.shape[:2]
+    return win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, 9 * c), (ho, wo)
+
+
 class TestIm2colDualRoute:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("c", [1, 3, 8])
@@ -71,6 +84,23 @@ class TestIm2colDualRoute:
             assert cols.shape == want.shape and cols.dtype == want.dtype
             assert cols.tobytes() == want.tobytes()
             assert x.tobytes() == before
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", [(32, 32, 3), (32, 32, 8), (32, 32, 16), (16, 16, 16),
+                                       (7, 5, 8), (9, 13, 3), (1, 1, 2)],
+                             ids=["enc1", "enc2-dec2", "dec1", "bottleneck", "odd-7x5",
+                                  "odd-9x13", "one-pixel"])
+    def test_byte_identical_to_the_window_view_body(self, shape, stride):
+        """The four conv inputs of a predict (enc1, enc2 at stride 2, dec1
+        after the upsample, dec2), a bottleneck-sized map and odd sizes."""
+        rng = np.random.default_rng(sum(shape) + stride)
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal(shape).astype(dtype)
+            cols, size = _im2col(x, stride)
+            want, want_size = oracle_window_view_im2col(x, stride)
+            assert size == want_size
+            assert cols.shape == want.shape and cols.dtype == want.dtype
+            assert cols.tobytes() == want.tobytes()
 
 
 class TestSharedForwardDualRoute:
