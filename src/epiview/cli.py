@@ -2,7 +2,9 @@
 synthesis, similarity-map dumps, benchmarking and evaluation.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 internal. Errors print a
-single machine-parsable line ``error: <code> <message>`` to stderr.
+single machine-parsable line ``error: <code> <message>`` to stderr. Each
+setting has one flag and one rule, which it must pass as a flag (else exit
+2, naming the flag) or in a config file (else exit 3, naming the file and key).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from .fileio import (
 from .geometry import CameraIntrinsics, SphericalCamera, epipolar_sample_grid, relative_pose
 from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean, masked_softmax
-from .pipeline import GenerationConfig, TrajectorySynthesizer
+from .pipeline import CONFIG_RULES, GenerationConfig, TrajectorySynthesizer
 from .scenegen import make_scene, make_trajectory, render
 from .toyunet import ToyUNet
 
@@ -64,7 +65,12 @@ def _write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-# Run settings besides the GenerationConfig fields, whose defaults the dataclass holds.
+# Every invert/synth setting: its flag and its type.
+_SETTINGS = {"alpha": ("--alpha", float), "context_views": ("--context", int),
+             "inject_after_step": ("--inject-step", int), "mode": ("--mode", str),
+             "seed": ("--seed", int), "backend": ("--backend", str), "steps": ("--steps", int),
+             "sigma": ("--sigma", float), "fov": ("--fov", float)}
+# The defaults of the settings that GenerationConfig does not hold, and of its seed.
 _RUN_SETTINGS = {"backend": "analytic", "steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0}
 # What a manifest records besides the settings (older manifests also carry
 # "timings"); a config file may carry them.
@@ -72,19 +78,16 @@ _MANIFEST_RECORDS = ("version", "schedule", "input_view", "intrinsics", "traject
                      "timings", "buffer_counters", "input", "scene")
 # Removed GenerationConfig fields, at the one value that older manifests may hold.
 _RETIRED = {"inject_layers": [], "sample_axis": "dominant", "value_source": "value_projection"}
-# The JSON values a setting's declared type accepts, and their name; a bool is
-# never a number.
-_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-               "float": ((int, float), "a number")}
-# The declared type of every setting, by name.
-_SETTING_TYPES = {**{k: type(v).__name__ for k, v in _RUN_SETTINGS.items()},
-                  **{f.name: f.type for f in fields(GenerationConfig)}}
-# The geometry, noise, schedule and backend knobs, by flag and setting name:
-# the test a value must pass, and what it must be.
+# The JSON values a setting's type accepts, and their name; a bool is never a number.
+_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+# The rule of every knob, by setting name or flag dest: GenerationConfig's
+# own, and the seed, geometry, noise, schedule and backend knobs.
 _KNOBS = {
+    **CONFIG_RULES,
+    "seed": (lambda x: x >= 0, "an integer >= 0"),
     "fov": (lambda x: 0 < x < 180, "a field of view in (0, 180) degrees"),
     "size": (lambda x: x > 0, "a positive integer"),
-    "radius": (lambda x: 0 < x < math.inf, "a finite number > 0"),
+    "radius": (lambda x: x > 0 and math.isfinite(x * x), "a number > 0 with a finite square"),
     "sigma": (lambda x: 0 <= x <= 1e6, "a number in [0, 1e6]"),
     "steps": (lambda x: x >= 0, "an integer >= 0"),
     "backend": (lambda x: x in ("oracle", "analytic", "toyunet"), "oracle, analytic or toyunet"),
@@ -92,14 +95,15 @@ _KNOBS = {
 
 
 def _check_knobs(values: dict, path=None) -> None:
-    """Reject a bad geometry or noise knob: a flag (a usage error naming
-    it) or, given the ``path`` it was read from, a config file's setting (a
-    data error naming the file and the key)."""
+    """Reject a knob that breaks its rule: a flag (a usage error naming it
+    as spelled) or, given the ``path`` it was read from, a config file's
+    setting (a data error naming the file and the key)."""
     for key, value in values.items():
         if key in _KNOBS and value is not None and not _KNOBS[key][0](value):
             want = _KNOBS[key][1]
             if path is None:
-                raise UsageError(f"--{key} must be {want}, got {value}")
+                flag = _SETTINGS[key][0] if key in _SETTINGS else f"--{key}"
+                raise UsageError(f"{flag} must be {want}, got {value}")
             raise DataError(f"{path}: {key!r} must be {want}, got {value!r}")
 
 
@@ -113,16 +117,12 @@ def _check_config(path, obj: dict) -> None:
                 raise DataError(f"{path}: key {key!r} was removed; it may only hold "
                                 f"{_RETIRED[key]!r}, got {value!r}")
             continue
-        if key not in _SETTING_TYPES:
+        if key not in _SETTINGS:
             raise DataError(f"{path}: unknown key {key!r}")
-        accepted, name = _JSON_TYPES[_SETTING_TYPES[key]]
+        accepted, name = _JSON_TYPES[_SETTINGS[key][1]]
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise DataError(f"{path}: {key!r} must be {name}, got {value!r}")
     _check_knobs(obj, path)
-    try:
-        GenerationConfig.from_json(obj)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 def _merged(args) -> tuple[dict, dict]:
@@ -136,7 +136,7 @@ def _merged(args) -> tuple[dict, dict]:
     _check_config(args.config, nested)
     flags = {k: v for k, v in vars(args).items() if v is not None}
     merged = {**_RUN_SETTINGS, **nested, **recorded, **flags}
-    return {k: merged[k] for k in _SETTING_TYPES if k in merged}, recorded
+    return {k: merged[k] for k in _SETTINGS if k in merged}, recorded
 
 
 def _render_view(scene, cam, K, where: str):
@@ -148,31 +148,31 @@ def _render_view(scene, cam, K, where: str):
         raise DataError(f"{where}: {e}") from None
 
 
-def _build_denoiser(backend: str, merged: dict, input_image, traj, scene):
-    """Targets for oracle-style backends come from rendering the fixture
-    ``scene`` (None without --scene) at every trajectory camera, which the
-    caller has checked against it; the reference target is the input
-    image itself."""
-    if backend in ("oracle", "analytic"):
-        if scene is None:
-            raise DataError(f"backend {backend!r} needs --scene (fixture directory)")
-        h, w = input_image.shape[:2]
-        K = CameraIntrinsics.from_fov(w, h, merged["fov"])
-        targets = {None: input_image}
-        for i, cam in enumerate(traj):
-            targets[i] = render(scene, cam, K).rgb.data
-        if backend == "oracle":
-            return OracleDenoiser(targets)
-        return AnalyticAttentionDenoiser(targets, sigma=merged["sigma"],
-                                         seed=merged["seed"])
-    return ToyUNet(seed=merged["seed"])   # the backend was checked with the knobs
+def _build_denoiser(merged: dict, path, input_image, traj, scene):
+    """The run's backend for the input image read from ``path``. An oracle-style
+    backend's targets are that image for the reference and, rendered from the
+    fixture ``scene`` (None without --scene), each trajectory view."""
+    h, w = input_image.shape[:2]
+    backend = merged["backend"]   # checked with the knobs
+    if backend == "toyunet":
+        if h % 2 or w % 2:   # the net halves the grid, then doubles it
+            raise DataError(f"{path} is {w}x{h}, but toyunet wants an even width and height")
+        return ToyUNet(seed=merged["seed"])
+    if traj and scene is None:
+        raise DataError(f"backend {backend!r} needs --scene (fixture directory)")
+    K = CameraIntrinsics.from_fov(w, h, merged["fov"])
+    targets = {None: input_image}
+    targets.update((i, render(scene, cam, K).rgb.data) for i, cam in enumerate(traj))
+    if backend == "oracle":
+        return OracleDenoiser(targets)
+    return AnalyticAttentionDenoiser(targets, sigma=merged["sigma"], seed=merged["seed"])
 
 
 # --- subcommands ----------------------------------------------------------
 
 
 def _cmd_scene(args) -> int:
-    scene = make_scene(args.seed, mode=args.mode)
+    scene = make_scene(args.seed, mode=args.kind)
     if args.radius <= scene.bounding_radius:
         raise UsageError(f"--radius must exceed the scene's bounding radius "
                          f"{scene.bounding_radius:.4g}, got {args.radius}")
@@ -184,9 +184,9 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_traj(args) -> int:
-    cams = make_trajectory(args.mode, args.seed, radius=args.radius)
+    cams = make_trajectory(args.kind, args.seed, radius=args.radius)
     write_trajectory(args.out, cams)
-    print(f"trajectory ({args.mode}) written to {args.out}")
+    print(f"trajectory ({args.kind}) written to {args.out}")
     return 0
 
 
@@ -194,12 +194,11 @@ def _cmd_invert(args) -> int:
     merged, _ = _merged(args)
     sched = NoiseSchedule.linear_beta(merged["steps"])
     image = read_ppm(args.input)
-    scene = None if args.scene is None else read_fixture(args.scene)[0]
-    denoiser = _build_denoiser(args.backend, merged, image, [], scene)
+    denoiser = _build_denoiser(merged, args.input, image, [], None)
     x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
     write_f32(args.out, x_ref.data, sidecar={"timestep": sched.steps})
     write_json(str(args.out) + ".manifest.json", {
-        "version": __version__, "backend": args.backend,
+        "version": __version__, "backend": merged["backend"],
         "steps": merged["steps"], "seed": merged["seed"], "input": str(args.input),
     })
     print(f"inverted noise written to {args.out}")
@@ -246,7 +245,7 @@ def _cmd_synth(args) -> int:
                 raise error(f"{name}: {e}") from None
     h, w = image.shape[:2]
     K = CameraIntrinsics.from_fov(w, h, merged["fov"])
-    denoiser = _build_denoiser(merged["backend"], merged, image, traj, scene)
+    denoiser = _build_denoiser(merged, args.input, image, traj, scene)
     counters = AttentionCounters()
     synth = TrajectorySynthesizer(image, input_cam, K, denoiser, sched, config, counters)
     images, manifest = synth.synthesize_trajectory(traj)
@@ -358,6 +357,14 @@ def _cmd_eval(args) -> int:
 # --- wiring ----------------------------------------------------------------
 
 
+def _add_settings(parser, *names) -> None:
+    """Add the named settings' flags and --config, which a flag not given defers to."""
+    for name in names:
+        flag, kind = _SETTINGS[name]
+        parser.add_argument(flag, dest=name, type=kind)
+    parser.add_argument("--config", help="JSON config file (flags win)")
+
+
 @cache   # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="epiview", description=__doc__)
@@ -367,7 +374,7 @@ def _build_parser() -> _Parser:
     sc = sub.add_parser("scene", help="fixture generation")
     sc.add_argument("action", choices=["gen"])
     sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--mode", choices=["distinctive", "plain"], default="distinctive")
+    sc.add_argument("--mode", dest="kind", choices=["distinctive", "plain"], default="distinctive")
     sc.add_argument("--out", required=True)
     sc.add_argument("--size", type=int, default=32)
     sc.add_argument("--fov", type=float, default=50.0)
@@ -377,7 +384,7 @@ def _build_parser() -> _Parser:
 
     tj = sub.add_parser("traj", help="trajectory files")
     tj.add_argument("action", choices=["make"])
-    tj.add_argument("--mode", choices=["free16", "fixed16", "free32"], required=True)
+    tj.add_argument("--mode", dest="kind", choices=["free16", "fixed16", "free32"], required=True)
     tj.add_argument("--seed", type=int, default=0)
     tj.add_argument("--radius", type=float, default=2.0)
     tj.add_argument("--out", required=True)
@@ -385,33 +392,19 @@ def _build_parser() -> _Parser:
 
     iv = sub.add_parser("invert", help="DDIM inversion of an input image")
     iv.add_argument("--input", required=True)
-    iv.add_argument("--backend", choices=["oracle", "analytic", "toyunet"], required=True)
     iv.add_argument("--out", required=True)
-    iv.add_argument("--scene")
-    iv.add_argument("--steps", type=int)
-    iv.add_argument("--seed", type=int)
-    iv.add_argument("--sigma", type=float)
-    iv.add_argument("--config")
+    _add_settings(iv, "backend", "steps", "seed")   # the settings that change its output
     iv.set_defaults(fn=_cmd_invert)
 
     sy = sub.add_parser("synth", help="multi-view synthesis")
     sy.add_argument("--input", required=True)
     sy.add_argument("--traj", required=True)
-    sy.add_argument("--mode", choices=["epipolar", "full", "off"])
-    sy.add_argument("--alpha", type=float)
-    sy.add_argument("--context", dest="context_views", type=int)
-    sy.add_argument("--inject-step", dest="inject_after_step", type=int)
-    sy.add_argument("--backend", choices=["oracle", "analytic", "toyunet"])
-    sy.add_argument("--steps", type=int)
-    sy.add_argument("--seed", type=int)
-    sy.add_argument("--sigma", type=float)
-    sy.add_argument("--fov", type=float)
+    _add_settings(sy, *_SETTINGS)
     sy.add_argument("--scene")
     sy.add_argument("--input-cam", dest="input_cam",
                     help="input view camera as pose JSON")
     sy.add_argument("--input-view", dest="input_view", type=int,
                     help="index of the input view in --scene's cameras")
-    sy.add_argument("--config", help="JSON config file (flags win)")
     sy.add_argument("--out", required=True)
     sy.set_defaults(fn=_cmd_synth)
 

@@ -49,6 +49,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "CONFIG_RULES",
     "GenerationConfig",
     "ViewCache",
     "TrajectorySynthesizer",
@@ -59,13 +60,22 @@ __all__ = [
 INPUT_VIEW = "input"
 
 
+# Each checked field's rule: the test its value must pass, and what it must be.
+CONFIG_RULES = {
+    "alpha": (lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
+    "context_views": (lambda x: x >= 0, "an integer >= 0"),
+    "inject_after_step": (lambda x: x >= 0, "an integer >= 0"),
+    "mode": (lambda x: x in ("epipolar", "full", "off"), "epipolar, full or off"),
+}
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Knobs of the synthesis run. ``context_views`` is the number of
     previously generated views retrieved from alongside the input view;
     ``inject_after_step`` counts denoising iterations from the noise end.
     Unless ``mode`` is ``"off"``, every attention stage the denoiser
-    exposes is injected into."""
+    exposes is injected into. A field breaking its CONFIG_RULES rule is a DataError."""
 
     alpha: float = 0.5
     context_views: int = 2
@@ -74,14 +84,10 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DataError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.context_views < 0:
-            raise DataError("context_views must be >= 0")
-        if self.inject_after_step < 0:
-            raise DataError(f"inject_after_step must be >= 0, got {self.inject_after_step}")
-        if self.mode not in ("epipolar", "full", "off"):
-            raise DataError(f"unknown mode {self.mode!r}")
+        for name, (ok, want) in CONFIG_RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise DataError(f"{name} must be {want}, got {value!r}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -157,12 +157,24 @@ class TestInvert:
     def test_blob_and_manifest(self, tmp_path, fixture_dir):
         out = tmp_path / "noise.bin"
         assert main(["invert", "--input", str(fixture_dir / "views" / "000.ppm"),
-                     "--backend", "oracle", "--scene", str(fixture_dir),
-                     "--steps", "8", "--out", str(out)]) == 0
+                     "--backend", "oracle", "--steps", "8", "--out", str(out)]) == 0
         blob = read_f32(out)
         assert blob.shape == (32, 32, 3)
         man = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert man["backend"] == "oracle" and man["steps"] == 8
+
+    def test_oracle_and_analytic_write_the_same_blob(self, tmp_path, fixture_dir):
+        """Inversion runs only the reference branch, whose target is the
+        input image and which the analytic backend never perturbs."""
+        blobs = []
+        for backend, sigma in (("oracle", 0.0), ("analytic", 0.0), ("analytic", 0.5)):
+            cfg, out = tmp_path / f"{backend}{sigma}.json", tmp_path / f"{backend}{sigma}.bin"
+            cfg.write_text(json.dumps({"sigma": sigma, "seed": 7}))
+            assert main(["invert", "--input", str(fixture_dir / "views" / "000.ppm"),
+                         "--backend", backend, "--steps", "10", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
 class TestSimmap:
@@ -225,6 +237,20 @@ class TestConfigPrecedence:
         allowed = set(GenerationConfig.__dataclass_fields__) | set(_RUN_SETTINGS) | io
         assert dests <= allowed, dests - allowed
 
+    def test_every_invert_flag_is_recorded_in_its_manifest(self, tmp_path, fixture_dir):
+        """An invert flag is a setting its manifest records or an
+        input/output path, so no knob can bypass the manifest."""
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["invert"]._actions} - {"help"}
+        out = tmp_path / "noise.bin"
+        assert main(["invert", "--input", str(fixture_dir / "views" / "000.ppm"),
+                     "--backend", "toyunet", "--steps", "2", "--out", str(out)]) == 0
+        recorded = json.loads(Path(str(out) + ".manifest.json").read_text())
+        allowed = (set(recorded) & (set(GenerationConfig.__dataclass_fields__)
+                                    | set(_RUN_SETTINGS))) | {"input", "config", "out"}
+        assert dests <= allowed, dests - allowed
+
 
 # The start of a run manifest with the intrinsics of a 32 px fixture.
 INTRINSICS32 = b'{"intrinsics": {"f": 34.3, "cx": 15.5, "cy": 15.5, "width": 32, "height": 32}, '
@@ -246,9 +272,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: 3")
 
     def test_config_violation_is_3(self, tmp_path, traj_file, fixture_dir, capsys):
-        rc = synth(tmp_path / "x", traj_file, fixture_dir, "--alpha", "1.5")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5}))
+        rc = synth(tmp_path / "x", traj_file, fixture_dir, "--config", str(cfg))
         assert rc == 3
-        assert capsys.readouterr().err.startswith("error: 3")
+        assert capsys.readouterr().err.startswith(f"error: 3 {cfg}: 'alpha' must be")
 
     @pytest.mark.parametrize("flag,argv", [
         ("--input-view", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
@@ -257,8 +285,7 @@ class TestExitCodes:
         ("--steps", lambda fx, tj, out: ["synth", "--input", str(fx / "views" / "000.ppm"),
                                           "--traj", str(tj), "--steps", "-1", "--out", out]),
         ("--steps", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
-                                          "--backend", "oracle", "--scene", str(fx),
-                                          "--steps", "-1", "--out", out]),
+                                          "--backend", "oracle", "--steps", "-1", "--out", out]),
         ("--feature-scale", lambda fx, tj, out: ["simmap", "--query", "1,1", "--pair", "0,1",
                                                   "--scene", str(fx), "--feature-scale", "0",
                                                   "--out", out]),
@@ -289,10 +316,16 @@ class TestExitCodes:
             "--backend", "analytic", "--scene", str(fx), flag, v, "--out", out])
           for flag, v in (("--fov", "0"), ("--fov", "180"), ("--fov", "nan"),
                           ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "-1"),
-                          ("--sigma", "1e308"))],
-        ("--sigma", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
-                                          "--backend", "analytic", "--scene", str(fx),
-                                          "--sigma", "-1", "--out", out]),
+                          ("--sigma", "1e308"), ("--alpha", "1.5"), ("--context", "-1"),
+                          ("--inject-step", "-1"), ("--mode", "x"), ("--backend", "x"),
+                          ("--seed", "-1"))],
+        ("--seed", lambda fx, tj, out: ["scene", "gen", "--seed", "-1", "--out", out]),
+        ("--seed", lambda fx, tj, out: ["traj", "make", "--mode", "free16", "--seed", "-1",
+                                         "--out", out]),
+        ("--seed", lambda fx, tj, out: ["bench", "--sizes", "8", "--seed", "-1", "--out", out]),
+        ("--radius", lambda fx, tj, out: ["scene", "gen", "--radius", "1e200", "--out", out]),
+        ("--radius", lambda fx, tj, out: ["traj", "make", "--mode", "free16", "--radius", "1e200",
+                                           "--out", out]),
         ("--input-cam", lambda fx, tj, out: [
             "synth", "--input", str(fx / "views" / "000.ppm"), "--traj", str(tj),
             "--backend", "analytic", "--scene", str(fx), "--steps", "2",
@@ -306,7 +339,10 @@ class TestExitCodes:
             "scene-fov-190", "scene-radius-inside-the-scene", "traj-radius-0",
             "traj-radius-negative", "traj-radius-inf", "synth-fov-0", "synth-fov-180",
             "synth-fov-nan", "synth-sigma-nan", "synth-sigma-inf", "synth-sigma-negative",
-            "synth-sigma-1e308", "invert-sigma-negative", "input-cam-inside-the-scene"])
+            "synth-sigma-1e308", "synth-alpha-1.5", "synth-context-negative",
+            "synth-inject-step-negative", "synth-mode-x", "synth-backend-x", "synth-seed-negative",
+            "scene-seed-negative", "traj-seed-negative", "bench-seed-negative",
+            "scene-radius-1e200", "traj-radius-1e200", "input-cam-inside-the-scene"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
@@ -408,6 +444,8 @@ class TestExitCodes:
         ("toyunet/traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
                               b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.5}]}',
          "toyunet/traj.json trajectory view 1: camera must stay outside"),
+        *[(name, b"P6\n33 33\n255\n" + bytes(33 * 33 * 3), f"{name} is 33x33")
+          for name in ("odd.ppm", "invert/odd.ppm")],
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -432,7 +470,8 @@ class TestExitCodes:
             "scene-sphere-color-1e308", "scene-box-color-above-1",
             "scene-ball-colors-negative", "config-sigma-1e308", "simmap-camera-inside-scene",
             "synth-input-view-inside-scene", "config-input-view-inside-scene",
-            "traj-camera-inside-scene-toyunet"])
+            "traj-camera-inside-scene-toyunet", "toyunet-synth-odd-size",
+            "toyunet-invert-odd-size"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
@@ -471,6 +510,10 @@ class TestExitCodes:
             "toyunet/traj.json": ["synth", "--input", str(fixture_dir / "views" / "000.ppm"),
                                   "--traj", str(bad), "--backend", "toyunet",
                                   "--scene", str(fixture_dir), "--steps", "2", "--out", str(out)],
+            "odd.ppm": ["synth", "--input", str(bad), "--traj", str(traj_file),
+                        "--backend", "toyunet", "--steps", "2", "--out", str(out)],
+            "invert/odd.ppm": ["invert", "--input", str(bad), "--backend", "toyunet",
+                               "--steps", "2", "--out", str(out)],
         }[name]
         named = named[0] if named else str(bad)
         assert main(argv) == 3

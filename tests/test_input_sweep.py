@@ -1,4 +1,4 @@
-"""A bounded sweep of bad JSON inputs: bad input is the caller's error.
+"""Bounded sweeps of bad inputs and bad flags: bad input is the caller's error.
 
 Every leaf of the README fixture's ``scene.json`` and ``cameras.json``,
 of a 2-view trajectory and of a run manifest is set to each of twelve bad
@@ -8,8 +8,14 @@ given to a 1-step, 2-view analytic ``synth`` (the manifest as its
 ``DataError`` naming the file; ``synth`` exits 0, 2 or 3, a 3 names the
 file, and a run that fails writes nothing. An internal error (exit 4) is
 a check missing where the value is built.
+
+Every flag that takes a value other than a file path, of every command
+but ``eval`` (whose flags are all paths), is set to each of six bad
+values on a small run of its command. The run exits 0 or 2, a 2 names
+the flag, and a run that fails writes nothing.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -19,7 +25,7 @@ import shutil
 
 import pytest
 
-from epiview.cli import main
+from epiview.cli import _build_parser, main
 from epiview.errors import DataError
 from epiview.fileio import read_fixture, read_intrinsics, read_trajectory, write_trajectory
 from epiview.scenegen import make_trajectory
@@ -62,8 +68,9 @@ def mutated(obj, path, value):
     return obj
 
 
-# The 1-step, 2-view analytic run of the sweep, where the manifest does not set it.
-RUN = ["--backend", "analytic", "--steps", "1", "--input-view", "0"]
+# The 1-step, 2-view analytic run of the sweep, where the manifest does not set it;
+# its sigma makes the backend draw from its seeded generator.
+RUN = ["--backend", "analytic", "--steps", "1", "--sigma", "0.05", "--input-view", "0"]
 
 
 def synth_argv(fix, scene, traj, out, *extra):
@@ -139,3 +146,60 @@ def test_every_bad_leaf_exits_0_2_or_3_and_a_3_names_the_file(name, inputs):
                           "manifest.json": 30}[name]
     assert sum(codes.values()) == len(paths) * (len(VALUES) + 1)
     assert codes[0] > 0 and codes[3] > 0
+
+
+# What every value-taking flag is set to.
+FLAG_VALUES = ["-1", "0", "1e308", "nan", "inf", "x"]
+
+
+def remove(out):
+    """Delete a run's output file or directory, if any."""
+    if out.is_dir():
+        shutil.rmtree(out)
+    else:
+        out.unlink(missing_ok=True)
+
+
+def test_every_bad_flag_exits_0_or_2_and_a_2_names_the_flag(inputs):
+    root, fix, traj, _ = inputs
+    image = str(fix / "views" / "000.ppm")
+    # each command's small run that succeeds, and its flags that name a file
+    # (what a file holds is the JSON sweep's)
+    commands = {
+        ("scene", "gen"): (["--size", "8"], {"--out"}),
+        ("traj", "make"): (["--mode", "free16"], {"--out"}),
+        ("invert",): (["--input", image, "--backend", "toyunet", "--steps", "1"],
+                      {"--input", "--config", "--out"}),
+        ("synth",): (["--input", image, "--traj", str(traj), "--scene", str(fix), *RUN],
+                     {"--input", "--traj", "--scene", "--config", "--out"}),
+        ("simmap",): (["--query", "1,1", "--pair", "0,1", "--scene", str(fix)],
+                      {"--scene", "--out"}),
+        ("bench",): (["--sizes", "8"], {"--out"}),
+    }
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    out = root / "flag-out"
+    faults, codes, flags = [], {0: 0, 2: 0}, 0
+    for command, (base, paths) in commands.items():
+        rc, err = quiet_main([*command, *base, "--out", str(out)])
+        assert rc == 0, f"{command}: {err}"
+        remove(out)
+        swept = [a.option_strings[0] for a in sub.choices[command[0]]._actions
+                 if a.option_strings and a.nargs != 0 and a.option_strings[0] not in paths]
+        flags += len(swept)
+        for flag in swept:
+            for value in FLAG_VALUES:
+                what = f"{' '.join(command)} {flag} {value}"
+                rc, err = quiet_main([*command, *base, flag, value, "--out", str(out)])
+                if rc not in codes:
+                    faults.append(f"{what}: exited {rc}: {err.strip()}")
+                    continue
+                codes[rc] += 1
+                if rc == 2 and flag not in err:
+                    faults.append(f"{what}: exit 2 does not name the flag: {err.strip()}")
+                if rc and out.exists():
+                    faults.append(f"{what}: exit {rc} left outputs")
+                remove(out)
+    assert not faults, "\n".join(faults)
+    # every command's value flags ran, and the sweep both caught bad values and let some through
+    assert flags >= 29
+    assert codes[0] > 0 and codes[2] > 0
