@@ -53,7 +53,7 @@ for n, i in enumerate(picks):
 
     # every valid sample along the line, one per pixel column/row
     q = int(ys[i]) * K.width + int(xs[i])
-    for u, v in samples.uv[q][samples.valid[q]]:
+    for u, v in samples.uv[samples.valid[:, q], q]:
         canvas[int(round(v)), int(round(u))] = [1.0, 1.0, 1.0]
 
     if visible[n]:

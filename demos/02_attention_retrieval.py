@@ -74,12 +74,12 @@ print(f"2. similarity-buffer elements: epipolar {ce.peak_elems:,} "
 
 # --- 3. similarity maps for one query ---------------------------------------
 q = 17 * 32 + 15  # a pixel on the ball
-valid_e = samples.slot_valid    # (S, N): slot s of query q
+valid_e = samples.valid    # (S, N): slot s of query q
 weights_e = masked_softmax(epipolar_logits(fa, ctx_ab, samples, idp), valid_e, axis=-2)[0]
 epi_map = np.zeros((32, 32))
-for s in range(samples.uv.shape[1]):
+for s in range(samples.uv.shape[0]):
     if valid_e[s, q]:
-        u, v = np.round(samples.uv[q, s]).astype(int)
+        u, v = np.round(samples.uv[s, q]).astype(int)
         epi_map[v, u] = max(epi_map[v, u], weights_e[s, q])
 
 weights_f = masked_softmax(full_logits(fa, [ctx_ab], idp)[0, 0], None, axis=-2)   # (M, N)

@@ -221,15 +221,15 @@ def epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSa
                     counters: AttentionCounters | None = None) -> np.ndarray:
     """Slot-major similarity logits (h, S, N) of each target query against
     its epipolar key samples, each a contiguous vector of queries.
-    ``samples`` must be an (N, S, 2) set on the context's grid. The weights
-    are ``masked_softmax(logits, samples.slot_valid, axis=-2)``."""
+    ``samples`` must be an (S, N, 2) set on the context's grid. The weights
+    are ``masked_softmax(logits, samples.valid, axis=-2)``."""
     n = f_tgt.height * f_tgt.width
-    if samples.uv.ndim != 3 or samples.uv.shape[0] != n:
-        raise ValueError("sample set is not (N, S, 2) for the target grid")
+    if samples.uv.ndim != 3 or samples.uv.shape[1] != n:
+        raise ValueError("sample set is not (S, N, 2) for the target grid")
     if (samples.width, samples.height) != (ctx.k.width, ctx.k.height):
         raise ValueError("sample set is not on the context grid")
     if counters is not None:
-        counters.record(params.heads * n * samples.uv.shape[1])
+        counters.record(params.heads * n * samples.uv.shape[0])
     q = np.ascontiguousarray(apply_linear(params.q_proj, f_tgt).flat().T, dtype=params.dtype)
     q = q.reshape(params.heads, -1, 1, n)                                        # (h, d, 1, N)
     k = _gather_heads(samples.plan, ctx.k, params)
@@ -256,7 +256,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     logits = epipolar_logits(f_tgt, ctx, samples, params, counters)
-    weights = masked_softmax(logits, samples.slot_valid, out=logits, axis=-2)
+    weights = masked_softmax(logits, samples.valid, out=logits, axis=-2)
     v = _gather_heads(samples.plan, ctx.value, params)
     v *= weights[:, None]
     fm = _merge(v.sum(axis=2).swapaxes(1, 2), f_tgt, params)   # summed over the S slots

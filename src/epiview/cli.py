@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -45,7 +44,8 @@ from .fileio import (
     write_ppm,
     write_trajectory,
 )
-from .geometry import CameraIntrinsics, SphericalCamera, epipolar_sample_grid, relative_pose
+from .geometry import (CAMERA_RADIUS, CameraIntrinsics, SphericalCamera, epipolar_sample_grid,
+                       relative_pose)
 from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean, masked_softmax
 from .pipeline import CONFIG_RULES, GenerationConfig, TrajectorySynthesizer
@@ -87,7 +87,7 @@ _KNOBS = {
     "seed": (lambda x: x >= 0, "an integer >= 0"),
     "fov": (lambda x: 0 < x < 180, "a field of view in (0, 180) degrees"),
     "size": (lambda x: x > 0, "a positive integer"),
-    "radius": (lambda x: x > 0 and math.isfinite(x * x), "a number > 0 with a finite square"),
+    "radius": CAMERA_RADIUS,
     "sigma": (lambda x: 0 <= x <= 1e6, "a number in [0, 1e6]"),
     "steps": (lambda x: x >= 0, "an integer >= 0"),
     "backend": (lambda x: x in ("oracle", "analytic", "toyunet"), "oracle, analytic or toyunet"),
@@ -151,15 +151,13 @@ def _render_view(scene, cam, K, where: str):
 def _build_denoiser(merged: dict, path, input_image, traj, scene):
     """The run's backend for the input image read from ``path``. An oracle-style
     backend's targets are that image for the reference and, rendered from the
-    fixture ``scene`` (None without --scene), each trajectory view."""
+    fixture ``scene`` (None when ``traj`` is empty), each trajectory view."""
     h, w = input_image.shape[:2]
     backend = merged["backend"]   # checked with the knobs
     if backend == "toyunet":
         if h % 2 or w % 2:   # the net halves the grid, then doubles it
             raise DataError(f"{path} is {w}x{h}, but toyunet wants an even width and height")
         return ToyUNet(seed=merged["seed"])
-    if traj and scene is None:
-        raise DataError(f"backend {backend!r} needs --scene (fixture directory)")
     K = CameraIntrinsics.from_fov(w, h, merged["fov"])
     targets = {None: input_image}
     targets.update((i, render(scene, cam, K).rgb.data) for i, cam in enumerate(traj))
@@ -209,6 +207,8 @@ def _cmd_synth(args) -> int:
     if args.input_view is not None and args.scene is None:
         raise UsageError("--input-view needs --scene, whose fixture cameras it indexes")
     merged, recorded = _merged(args)
+    if merged["backend"] != "toyunet" and args.scene is None:
+        raise UsageError(f"--scene (fixture directory) is needed by backend {merged['backend']!r}")
     config = GenerationConfig.from_json(merged)
     sched = NoiseSchedule.linear_beta(merged["steps"])
     image = read_ppm(args.input)
@@ -291,14 +291,11 @@ def _cmd_simmap(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     weights = masked_softmax(epipolar_logits(f_tgt, ctx, samples, params),
-                             samples.slot_valid, axis=-2)[0]
+                             samples.valid, axis=-2)[0]
     epi = np.zeros((hf, wf))
-    uv = np.round(samples.uv[q]).astype(int)
-    for s in range(uv.shape[0]):
-        if samples.slot_valid[s, q]:
-            u = min(max(uv[s, 0], 0), wf - 1)
-            v = min(max(uv[s, 1], 0), hf - 1)
-            epi[v, u] = max(epi[v, u], weights[s, q])
+    read = samples.valid[:, q]   # slots on the grid, so rounding stays on it
+    u, v = np.round(samples.uv[read, q]).astype(int).T
+    np.maximum.at(epi, (v, u), weights[read, q])
     peak = epi.max()
     write_pgm(out / f"epipolar_q{qx}_{qy}.pgm", epi / peak if peak > 0 else epi)
 

@@ -19,7 +19,7 @@ from .scenegen import RenderedView, Scene, scene_from_json, scene_to_json
 
 __all__ = [
     "write_ppm", "read_ppm", "write_pgm",
-    "write_f32", "read_f32",
+    "write_f32",
     "write_fixture", "read_fixture",
     "write_trajectory", "read_trajectory", "camera_from_json", "read_intrinsics",
     "write_json", "read_json",
@@ -94,12 +94,6 @@ def write_f32(path, data: np.ndarray, sidecar: dict | None = None) -> None:
     if sidecar:
         meta.update(sidecar)
     Path(str(path) + ".json").write_text(json.dumps(meta, indent=1))
-
-
-def read_f32(path) -> np.ndarray:
-    meta = read_json(str(path) + ".json")
-    data = np.frombuffer(Path(path).read_bytes(), dtype="<f4")
-    return data.reshape(meta["shape"]).copy()
 
 
 def write_json(path, obj) -> None:

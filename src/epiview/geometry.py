@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .numerics import BilinearPlan
 
 __all__ = [
+    "CAMERA_RADIUS",
     "CameraIntrinsics",
     "SphericalCamera",
     "Extrinsics",
@@ -40,6 +40,10 @@ __all__ = [
     "pose_to_json",
     "pose_from_json",
 ]
+
+# The one camera-radius rule (scene units), as a (test, description) pair:
+# at 1e6 the scene is far below one pixel, and a ray cast's squares stay finite.
+CAMERA_RADIUS = (lambda r: 0 < r <= 1e6, "a number in (0, 1e6]")
 
 # Translations shorter than this (scene units) give an undefined epipole;
 # the pair is treated as degenerate and all samples are masked.
@@ -117,10 +121,10 @@ class SphericalCamera:
     radius: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.elevation_deg, self.azimuth_deg, self.radius))):
-            raise ValueError("elevation, azimuth and radius must be finite")
-        if not (self.radius > 0 and math.isfinite(self.radius * self.radius)):
-            raise ValueError("radius must be positive, with a finite square")
+        if not (math.isfinite(self.elevation_deg) and math.isfinite(self.azimuth_deg)):
+            raise ValueError("elevation and azimuth must be finite")
+        if not CAMERA_RADIUS[0](self.radius):
+            raise ValueError(f"radius must be {CAMERA_RADIUS[1]}, got {self.radius}")
         if not -90.0 <= self.elevation_deg <= 90.0:
             raise ValueError("elevation must lie in [-90, 90] degrees")
 
@@ -171,11 +175,10 @@ class RelativePose:
 
 @dataclass(frozen=True)
 class EpipolarLine:
-    """Line (a, b, c) in reference normalized coordinates; degenerate lines
-    (undefined epipolar geometry) carry an explicit flag."""
+    """Line (a, b, c) in reference normalized coordinates; undefined
+    epipolar geometry gives the all-zero line."""
 
     coeffs: np.ndarray
-    degenerate: bool = False
 
     def normalized(self) -> np.ndarray:
         """Scale so that ||(a, b)|| = 1 with a deterministic sign, making
@@ -200,13 +203,15 @@ class EpipolarLine:
 class EpipolarSampleSet:
     """Sub-pixel sample coordinates along epipolar lines on a feature grid.
 
-    ``uv`` has shape (N, S, 2), one row of S slots per target query, and
-    ``valid`` (N, S). Invalid slots are placeholders and must be masked by
-    every consumer.
+    Slot-major, the layout of the logits and weights read from it: ``uv``
+    is (S, N, 2), slot s of each of the N target queries, and ``valid``
+    (S, N) masks the slots retrieval reads. Building a set builds its
+    bilinear tap plan of ``uv`` on the grid, :attr:`plan` (whose gathers
+    are (C, S, N)), and folds the plan's in-grid mask into ``valid``,
+    once; ``contributed`` (N,) marks the queries with a slot to read. Both
+    masks are read-only, and the slots they clear are placeholders.
 
-    A set depends only on the relative pose and the grid, and its tap
-    plan (:attr:`plan`) and masks (:attr:`slot_valid`, :attr:`contributed`),
-    read-only and built on first use, only on the set. The synthesizer
+    A set depends only on the relative pose and the grid. The synthesizer
     builds one set per (context, target) pair per target view, reuses it
     with them at every step and layer, and frees all when that view ends.
     """
@@ -216,32 +221,19 @@ class EpipolarSampleSet:
     width: int
     height: int
 
-    @cached_property
-    def plan(self) -> BilinearPlan:
-        """Bilinear tap plan of ``uv`` on this set's grid, built on first
-        use. It is slot-major, the N queries within each of the S slots:
-        ``plan.valid`` is (S, N), and a gather returns (C, S, N)."""
-        return BilinearPlan.build(self.uv.swapaxes(0, 1), self.width, self.height)
-
-    @cached_property
-    def slot_valid(self) -> np.ndarray:
-        """(S, N) mask of the slots retrieval reads: valid and on the grid."""
-        mask = self.valid.T & self.plan.valid
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def contributed(self) -> np.ndarray:
-        """(N,) mask of the queries with at least one slot to read."""
-        mask = self.slot_valid.any(axis=0)
-        mask.setflags(write=False)
-        return mask
+    def __post_init__(self):
+        plan = BilinearPlan.build(self.uv, self.width, self.height)
+        valid = np.asarray(self.valid, dtype=bool) & plan.valid
+        object.__setattr__(self, "plan", plan)
+        for name, mask in (("valid", valid), ("contributed", valid.any(axis=0))):
+            mask.setflags(write=False)
+            object.__setattr__(self, name, mask)
 
     @classmethod
     def full_grid(cls, width: int, height: int, queries: int) -> "EpipolarSampleSet":
         """Sample set covering every pixel of the reference grid, for every
         query; turns epipolar attention into full cross attention."""
-        uv = np.broadcast_to(pixel_grid(width, height), (queries, width * height, 2))
+        uv = np.broadcast_to(pixel_grid(width, height)[:, None], (width * height, queries, 2))
         return cls(uv=uv, valid=np.ones(uv.shape[:2], dtype=bool), width=width, height=height)
 
 
@@ -302,13 +294,13 @@ def epipolar_line(p: np.ndarray, pose: RelativePose, K: CameraIntrinsics) -> Epi
     The pixel is normalized with ``K`` and multiplied by the essential
     matrix; the resulting line lives in reference normalized coordinates
     (:func:`epipolar_sample_grid` samples the pixel-frame lines of a whole
-    grid). A near-zero baseline yields a degenerate, flagged line.
+    grid). A near-zero baseline yields the all-zero line.
     """
     p = np.asarray(p, dtype=np.float64).reshape(-1)[:2]
     if not (0 <= p[0] <= K.width - 1 and 0 <= p[1] <= K.height - 1):
         raise ValueError(f"pixel {p} outside image bounds")
     if pose.baseline() < DEGENERATE_BASELINE:
-        return EpipolarLine(coeffs=np.zeros(3), degenerate=True)
+        return EpipolarLine(coeffs=np.zeros(3))
     x = np.append(K.normalize(p), 1.0)
     return EpipolarLine(coeffs=essential_matrix(pose) @ x)
 
@@ -323,13 +315,14 @@ def _sample_lines(lines: np.ndarray, width: int, height: int) -> EpipolarSampleS
     (an (n, 3) array of a*u + b*v + c = 0) on a ``width`` x ``height`` grid.
 
     Each line steps one pixel along the axis it is most aligned with, so
-    near-vertical lines are sampled as densely as horizontal ones. max(W, H)
-    slots per line; unused, out-of-grid and degenerate (a = b = 0) slots are
-    masked, and valid samples are clamped onto the grid.
+    near-vertical lines are sampled as densely as horizontal ones. The set
+    is slot-major, S = max(W, H) slots of each line; unused, out-of-grid and
+    degenerate (a = b = 0) slots are masked, and valid samples are clamped
+    onto the grid.
     """
-    n, slots = lines.shape[0], max(width, height)
-    uv = np.zeros((n, slots, 2))
-    valid = np.zeros((n, slots), dtype=bool)
+    slots, n = max(width, height), lines.shape[0]
+    uv = np.zeros((slots, n, 2))
+    valid = np.zeros((slots, n), dtype=bool)
     a, b, c = lines[:, 0], lines[:, 1], lines[:, 2]
     finite = np.hypot(a, b) >= 1e-12
     along_x = np.abs(a) <= np.abs(b)
@@ -341,11 +334,10 @@ def _sample_lines(lines: np.ndarray, width: int, height: int) -> EpipolarSampleS
     for sel, p, q, axis, steps, span in ((finite & along_x, a, b, 0, xs, height),
                                          (finite & ~along_x, b, a, 1, ys, width)):
         if np.any(sel):
-            solved = -(p[sel, None] * steps[None, :] + c[sel, None]) / q[sel, None]
-            rows, cols = np.flatnonzero(sel)[:, None], np.arange(steps.size)[None, :]
-            uv[rows, cols, axis] = steps[None, :]
-            uv[rows, cols, 1 - axis] = np.clip(solved, 0.0, span - 1)
-            valid[rows, cols] = (solved >= -EDGE_EPS) & (solved <= span - 1 + EDGE_EPS)
+            solved = -(steps[:, None] * p[sel] + c[sel]) / q[sel]   # (steps, lines)
+            uv[:steps.size, sel, axis] = steps[:, None]
+            uv[:steps.size, sel, 1 - axis] = np.clip(solved, 0.0, span - 1)
+            valid[:steps.size, sel] = (solved >= -EDGE_EPS) & (solved <= span - 1 + EDGE_EPS)
     return EpipolarSampleSet(uv=uv, valid=valid, width=width, height=height)
 
 

@@ -182,8 +182,8 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
     samples = epipolar_sample_grid(pose, k_feat, wf, hf)
     # slot-major (S, N); invalid slots excluded, exact ties go to the lowest slot
     logits_e = epipolar_logits(f_tgt, ctx, samples, params)[0]
-    best = np.argmax(np.where(samples.slot_valid, logits_e, -np.inf), axis=0)
-    epi_uv = samples.uv[np.arange(wf * hf), best]
+    best = np.argmax(np.where(samples.valid, logits_e, -np.inf), axis=0)
+    epi_uv = samples.uv[best, np.arange(wf * hf)]
     usable = samples.contributed[queries]
     epi_acc = localization_accuracy(epi_uv[queries][usable], gt_feat[queries][usable], k)
 

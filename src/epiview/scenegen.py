@@ -477,5 +477,15 @@ def scene_from_json(obj: dict) -> Scene:
                              color=np.array(p["color"])))
         else:
             raise ValueError(f"unknown primitive kind {p['kind']!r}")
-    return Scene(seed=int(obj["seed"]), primitives=tuple(prims),
-                 bounding_radius=float(obj["bounding_radius"]), mode=obj.get("mode", "distinctive"))
+    scene = Scene(seed=int(obj["seed"]), primitives=tuple(prims),
+                  bounding_radius=float(obj["bounding_radius"]), mode=obj.get("mode", "distinctive"))
+    # every primitive inside the bounding sphere: in front of every camera check_camera admits
+    for i, (p, record) in enumerate(zip(prims, obj["primitives"])):
+        if isinstance(p, Box):   # the corner farthest from the origin
+            reach = math.hypot(*np.maximum(np.abs(p.lo), np.abs(p.hi)))
+        else:
+            reach = math.hypot(*p.center) + p.radius
+        if reach > scene.bounding_radius:
+            raise ValueError(f"primitive {i} ({record['kind']}) reaches {reach:.6g} from the "
+                             f"origin, outside the bounding radius {scene.bounding_radius:g}")
+    return scene

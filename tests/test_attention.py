@@ -168,14 +168,14 @@ class TestFloat32RouteDualRoute:
                                      camera_on_sphere(SphericalCamera(35.0, 40.0, 2.0)))
                 samples = epipolar_sample_grid(pose, K, w, h)
             else:                    # fractional in both axes: four taps per sample
-                samples = EpipolarSampleSet(uv=rng.uniform(-0.5, w - 0.5, (h * w, 9, 2)),
-                                            valid=rng.random((h * w, 9)) > 0.2,
-                                            width=w, height=h)
+                samples = EpipolarSampleSet(
+                    uv=rng.uniform(-0.5, w - 0.5, (h * w, 9, 2)).swapaxes(0, 1),
+                    valid=(rng.random((h * w, 9)) > 0.2).T, width=w, height=h)
             assert samples.plan.index.shape[0] == (2 if mode == "epipolar" else 4)
 
             def run(params):
                 return epipolar_attention(f_tgt, ctx, samples, params)[0].data
-            keys = samples.uv.shape[1]
+            keys = samples.uv.shape[0]
         out64, out32 = run(params64), run(params32)
         bound = self.bound(f_tgt, ctx, params64, keys, out64)
         err = np.abs(out32.astype(np.float64) - out64).max()
@@ -212,12 +212,12 @@ def oracle_query_major_attention(f_tgt, ctx, samples, params):
         x = np.asarray(x, dtype=params.dtype)
         return np.moveaxis(x.reshape(x.shape[:-1] + (params.heads, -1)), -2, 0)
 
-    plan = BilinearPlan.build(samples.uv, samples.width, samples.height)
+    plan = BilinearPlan.build(samples.uv.swapaxes(0, 1), samples.width, samples.height)
     q = heads_major(apply_linear(params.q_proj, f_tgt).flat())
     c = ctx.k.channels
     kv_samp = oracle_row_major_gather(
         plan, np.concatenate([ctx.k.flat(), ctx.value.flat()], axis=1), params.dtype)
-    valid = samples.valid & plan.valid
+    valid = samples.valid.T & plan.valid
     logits = q[:, :, None] @ np.swapaxes(heads_major(kv_samp[..., :c]), -1, -2)
     logits /= math.sqrt(q.shape[-1])
     weights = masked_softmax(logits, valid[None, :, None])
@@ -249,8 +249,9 @@ class TestSlotMajorDualRoute:
                     for _ in range(2))
             return epipolar_sample_grid(relative_pose(camera_on_sphere(a), camera_on_sphere(b)),
                                         K, w, h)
-        return EpipolarSampleSet(uv=rng.uniform(-1.0, w, (h * w, 9, 2)),   # four taps
-                                 valid=rng.random((h * w, 9)) > 0.2, width=w, height=h)
+        return EpipolarSampleSet(uv=rng.uniform(-1.0, w, (h * w, 9, 2)).swapaxes(0, 1),
+                                 valid=(rng.random((h * w, 9)) > 0.2).T,   # four taps
+                                 width=w, height=h)
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("case", ["camera-pair", "four-tap"])
@@ -287,8 +288,8 @@ class TestSlotMajorDualRoute:
             ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
             fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
             logits_seen, weights = softmaxed[-2:]
-            v_samp = gathered[-1].reshape(c, *samples.slot_valid.shape)   # (C, S, N)
-            valid = samples.slot_valid
+            v_samp = gathered[-1].reshape(c, *samples.valid.shape)   # (C, S, N)
+            valid = samples.valid
             # the public logits are the ones the core softmaxes
             logits = epipolar_logits(f_tgt, ctx, samples, params)
             assert logits.tobytes() == logits_seen.tobytes()
@@ -322,7 +323,7 @@ class TestSlotMajorDualRoute:
         ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params64)
         out64 = oracle_query_major_attention(f_tgt, ctx, samples, params64)[5].data
         out32 = epipolar_attention(f_tgt, ctx, samples, replace(params64, dtype=np.float32))[0]
-        bound = TestFloat32RouteDualRoute.bound(f_tgt, ctx, params64, samples.uv.shape[1], out64)
+        bound = TestFloat32RouteDualRoute.bound(f_tgt, ctx, params64, samples.uv.shape[0], out64)
         err = np.abs(out32.data.astype(np.float64) - out64).max()
         assert 0 < err <= bound
 
@@ -579,8 +580,8 @@ class TestEpipolarAttention:
         f_ref = FeatureMap(rng.standard_normal((2, 2, 4)))
         params = AttentionParams.seeded(4, 1, rng)
         ctx = project_context(f_ref, params)
-        uv = np.tile(np.array([[1.0, 1.0], [0, 0]]), (4, 1, 1))
-        valid = np.tile(np.array([True, False]), (4, 1))
+        uv = np.tile(np.array([[[1.0, 1.0]], [[0, 0]]]), (1, 4, 1))
+        valid = np.tile(np.array([[True], [False]]), (1, 4))
         samples = EpipolarSampleSet(uv=uv, valid=valid, width=2, height=2)
         out, mask = epipolar_attention(f_tgt, ctx, samples, params)
         assert mask.all()
@@ -592,8 +593,8 @@ class TestEpipolarAttention:
         rng = np.random.default_rng(6)
         f = FeatureMap(rng.standard_normal((3, 3, 4)))
         params = AttentionParams.identity(4)
-        samples = EpipolarSampleSet(uv=np.zeros((9, 3, 2)),
-                                    valid=np.zeros((9, 3), dtype=bool),
+        samples = EpipolarSampleSet(uv=np.zeros((3, 9, 2)),
+                                    valid=np.zeros((3, 9), dtype=bool),
                                     width=3, height=3)
         out, mask = epipolar_attention(f, project_context(f, params), samples, params)
         assert not mask.any()
@@ -624,10 +625,10 @@ class TestEpipolarAttention:
         f_ref = FeatureMap(rng.standard_normal((4, 4, 4)))
         params = AttentionParams.seeded(4, 2, rng)
         ctx = project_context(f_ref, params)
-        uv = rng.uniform(-1, 4.5, (16, 4, 2))
-        valid = rng.random((16, 4)) > 0.4
+        uv = rng.uniform(-1, 4.5, (16, 4, 2)).swapaxes(0, 1)
+        valid = (rng.random((16, 4)) > 0.4).T
         samples = EpipolarSampleSet(uv=uv, valid=valid, width=4, height=4)
-        eff_valid = samples.slot_valid   # (S, N)
+        eff_valid = samples.valid   # (S, N)
         weights = masked_softmax(epipolar_logits(f_tgt, ctx, samples, params), eff_valid,
                                  axis=-2)
         sums = weights.sum(axis=-2)
@@ -642,8 +643,8 @@ class TestEpipolarAttention:
         rng = np.random.default_rng(8)
         f_tgt = rng.standard_normal((3, 3, 4))
         f_ref = rng.standard_normal((3, 3, 4))
-        uv = rng.uniform(0, 2.9, (9, 5, 2))
-        valid = np.ones((9, 5), dtype=bool)
+        uv = rng.uniform(0, 2.9, (9, 5, 2)).swapaxes(0, 1)
+        valid = np.ones((5, 9), dtype=bool)
 
         def run(extra_key):
             ft = FeatureMap(np.concatenate([f_tgt, np.ones((3, 3, 1))], axis=2))
@@ -743,8 +744,8 @@ class TestCounters:
         fm = FeatureMap(rng.standard_normal((4, 6, 4)))
         params = AttentionParams.identity(4)
         counters = AttentionCounters()
-        uv = rng.uniform(0, 3, (24, 6, 2))
-        valid = np.ones((24, 6), dtype=bool)
+        uv = rng.uniform(0, 3, (24, 6, 2)).swapaxes(0, 1)
+        valid = np.ones((6, 24), dtype=bool)
         samples = EpipolarSampleSet(uv=uv, valid=valid, width=6, height=4)
         epipolar_attention(fm, project_context(fm, params), samples, params, counters)
         assert counters.peak_elems == 24 * 6
@@ -777,7 +778,7 @@ class TestSoftmaxHook:
         elif call == "full-3":
             full_cross_attention(fm, [ctx] * 3, params)
         else:
-            samples = EpipolarSampleSet(uv=rng.uniform(0, 3, (20, 6, 2)),
-                                        valid=np.ones((20, 6), dtype=bool), width=5, height=4)
+            samples = EpipolarSampleSet(uv=rng.uniform(0, 3, (20, 6, 2)).swapaxes(0, 1),
+                                        valid=np.ones((6, 20), dtype=bool), width=5, height=4)
             epipolar_attention(fm, ctx, samples, params)
         assert len(calls) == 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from epiview.cli import _RUN_SETTINGS, _build_parser, main
-from epiview.fileio import read_f32, read_ppm
+from epiview.fileio import read_ppm
 from epiview.pipeline import GenerationConfig
 
 
@@ -158,7 +158,8 @@ class TestInvert:
         out = tmp_path / "noise.bin"
         assert main(["invert", "--input", str(fixture_dir / "views" / "000.ppm"),
                      "--backend", "oracle", "--steps", "8", "--out", str(out)]) == 0
-        blob = read_f32(out)
+        shape = json.loads(Path(f"{out}.json").read_text())["shape"]
+        blob = np.fromfile(out, dtype="<f4").reshape(shape)
         assert blob.shape == (32, 32, 3)
         man = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert man["backend"] == "oracle" and man["steps"] == 8
@@ -330,6 +331,11 @@ class TestExitCodes:
             "synth", "--input", str(fx / "views" / "000.ppm"), "--traj", str(tj),
             "--backend", "analytic", "--scene", str(fx), "--steps", "2",
             "--input-cam", '{"elevation_deg": 20, "azimuth_deg": 0, "radius": 0.5}', "--out", out]),
+        *[("--scene", lambda fx, tj, out, b=b: ["synth", "--input", str(fx / "views" / "000.ppm"),
+                                                "--traj", str(tj), "--backend", b, "--out", out])
+          for b in ("analytic", "oracle")],
+        ("--radius", lambda fx, tj, out: ["scene", "gen", "--radius", "1e154", "--size", "8",
+                                           "--out", out]),
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
             "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene",
@@ -342,7 +348,8 @@ class TestExitCodes:
             "synth-sigma-1e308", "synth-alpha-1.5", "synth-context-negative",
             "synth-inject-step-negative", "synth-mode-x", "synth-backend-x", "synth-seed-negative",
             "scene-seed-negative", "traj-seed-negative", "bench-seed-negative",
-            "scene-radius-1e200", "traj-radius-1e200", "input-cam-inside-the-scene"])
+            "scene-radius-1e200", "traj-radius-1e200", "input-cam-inside-the-scene",
+            "synth-analytic-without-scene", "synth-oracle-without-scene", "scene-radius-1e154"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
@@ -446,6 +453,17 @@ class TestExitCodes:
          "toyunet/traj.json trajectory view 1: camera must stay outside"),
         *[(name, b"P6\n33 33\n255\n" + bytes(33 * 33 * 3), f"{name} is 33x33")
           for name in ("odd.ppm", "invert/odd.ppm")],
+        ("scene.json", scene_json(b'{"kind": "sphere", "center": [1e308, 0, 0], "radius": 0.1,'
+                                  b' "color": [1, 0, 0]}'), "scene.json: ValueError: primitive 0"),
+        ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0.4], "radius": 0.7,'
+                                  b' "shading": "normal"}'), "scene.json: ValueError: primitive 0"),
+        ("scene.json", scene_json(b'{"kind": "box", "lo": [-0.6, -0.6, -0.6], "hi": [0, 0, 0],'
+                                  b' "color": [1, 0, 0]}'), "scene.json: ValueError: primitive 0"),
+        ("cameras.json", INTRINSICS32 + b'"views": [{"elevation_deg": 20, "azimuth_deg": 0,'
+                         b' "radius": 2.0}, {"elevation_deg": 20, "azimuth_deg": 0,'
+                         b' "radius": 1e7}]}', "cameras.json view 1 is not a camera"),
+        ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 1e7}]}',
+         "traj.json view 0 is not a camera"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -471,7 +489,8 @@ class TestExitCodes:
             "scene-ball-colors-negative", "config-sigma-1e308", "simmap-camera-inside-scene",
             "synth-input-view-inside-scene", "config-input-view-inside-scene",
             "traj-camera-inside-scene-toyunet", "toyunet-synth-odd-size",
-            "toyunet-invert-odd-size"])
+            "toyunet-invert-odd-size", "scene-sphere-center-1e308", "scene-ball-past-the-bound",
+            "scene-box-corner-past-the-bound", "cameras-radius-1e7", "traj-radius-1e7"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name

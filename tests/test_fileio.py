@@ -1,11 +1,12 @@
 """File formats: PPM/PGM, raw float32 blobs, trajectories, fixtures."""
 
+import json
+
 import numpy as np
 import pytest
 
 from epiview.errors import DataError
 from epiview.fileio import (
-    read_f32,
     read_fixture,
     read_intrinsics,
     read_json,
@@ -86,11 +87,10 @@ class TestF32:
         data = rng.standard_normal((4, 5)).astype(np.float32)
         p = tmp_path / "depth.f32"
         write_f32(p, data, sidecar={"background": 0.0})
-        back = read_f32(p)
-        assert np.array_equal(back, data)
-        import json
         meta = json.loads((tmp_path / "depth.f32.json").read_text())
         assert meta["shape"] == [4, 5] and meta["background"] == 0.0
+        back = np.fromfile(p, dtype="<f4").reshape(meta["shape"])
+        assert np.array_equal(back, data)
 
 
 class TestTrajectoryFile:
@@ -169,6 +169,8 @@ class TestFixture:
         K = CameraIntrinsics.from_fov(16, 16)
         views = [render(scene, cam, K) for cam in cams]
         write_fixture(tmp_path / "fix", scene, K, views)
-        stored = read_f32(tmp_path / "fix" / "depth" / "000.f32")
+        blob = tmp_path / "fix" / "depth" / "000.f32"
+        shape = json.loads(blob.with_name("000.f32.json").read_text())["shape"]
+        stored = np.fromfile(blob, dtype="<f4").reshape(shape)
         want = np.where(np.isfinite(views[0].depth), views[0].depth, 0.0).astype(np.float32)
         assert np.array_equal(stored, want)

@@ -8,6 +8,7 @@ that assembled its taps from temporaries: byte-identical plans. Plans
 gather from a channel-major (C, H*W) grid and return (C, *positions); the
 oracles keep the row-major layout, so results are compared channel-last."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from epiview.attention import (
 from epiview.geometry import (
     CameraIntrinsics,
     EpipolarSampleSet,
+    RelativePose,
     SphericalCamera,
     camera_on_sphere,
     epipolar_sample_grid,
@@ -132,9 +134,8 @@ def test_two_tap_plan_is_byte_identical_on_sample_grids(width, height):
         v = FeatureMap(rng.standard_normal((height, width, 3)))
         plan = BilinearPlan.build(samples.uv, width, height)
         assert plan.index.shape[0] == 2 and plan.index.dtype == np.intp
-        slot_major = BilinearPlan.build(samples.uv.swapaxes(0, 1), width, height)
-        for field in ("index", "frac", "valid"):   # the set's own plan is the slot-major plan
-            assert getattr(samples.plan, field).tobytes() == getattr(slot_major, field).tobytes()
+        for field in ("index", "frac", "valid"):   # the set's own plan is this plan
+            assert getattr(samples.plan, field).tobytes() == getattr(plan, field).tobytes()
         kv = np.moveaxis(plan.gather(np.concatenate([k.flat(), v.flat()], axis=1).T), 0, -1)
         for got, fm in ((kv[..., :5], k), (kv[..., 5:], v)):
             want, ok = bilinear_oracle(fm, samples.uv)
@@ -148,8 +149,8 @@ def test_two_tap_plan_is_byte_identical_on_sample_grids(width, height):
 
 def test_a_sample_sets_plan_is_slot_major_with_intp_indices():
     for samples in random_sample_sets(5, 3, 11, 7):
-        n, s = samples.valid.shape
-        query_major = BilinearPlan.build(samples.uv, 11, 7)
+        s, n = samples.valid.shape
+        query_major = BilinearPlan.build(samples.uv.swapaxes(0, 1), 11, 7)
         plan = samples.plan
         assert plan.index.dtype == np.intp and plan.index.flags.c_contiguous
         assert plan.index.shape == (2, s * n) and plan.valid.shape == (s, n)
@@ -169,15 +170,15 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
     for samples in random_sample_sets(4, 4, 12, 12):
         # slot-major (h, S, N) logits and weights, (C, S, N) values, (S, N) mask
         logits = epipolar_logits(f_tgt, ctx, samples, params)
-        weights = masked_softmax(logits, samples.slot_valid, axis=-2)
+        weights = masked_softmax(logits, samples.valid, axis=-2)
         v_samp = samples.plan.gather(ctx.value.flat().T, dtype=params.dtype)
-        valid = samples.slot_valid
+        valid = samples.valid
         k_want, k_ok = bilinear_oracle(ctx.k, samples.uv)
         v_want, _ = bilinear_oracle(ctx.value, samples.uv)
-        assert v_samp.tobytes() == np.ascontiguousarray(v_want.transpose(2, 1, 0)).tobytes()
-        np.testing.assert_array_equal(valid, (samples.valid & k_ok).T)
+        assert v_samp.tobytes() == np.ascontiguousarray(v_want.transpose(2, 0, 1)).tobytes()
+        np.testing.assert_array_equal(valid, samples.valid & k_ok)
         q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64).reshape(144, 2, 2)
-        k = k_want.reshape(144, -1, 2, 2)
+        k = k_want.swapaxes(0, 1).reshape(144, -1, 2, 2)
         # the attention core's products, summed in head-channel order, on
         # the oracle's keys
         want = q[:, None, :, 0] * k[..., 0] + q[:, None, :, 1] * k[..., 1]
@@ -186,9 +187,8 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
         # an independent formula; BLAS may fuse multiply-adds differently
         np.testing.assert_allclose(
             logits, np.einsum("qhd,qshd->hsq", q, k) / np.sqrt(2), rtol=0, atol=1e-12)
-        # the set's own plan has the bytes of a plan built from its positions,
-        # slot-major
-        plan = BilinearPlan.build(samples.uv.swapaxes(0, 1), 12, 12)
+        # the set's own plan has the bytes of a plan built from its positions
+        plan = BilinearPlan.build(samples.uv, 12, 12)
         for field in ("index", "frac", "valid"):
             assert getattr(samples.plan, field).tobytes() == getattr(plan, field).tobytes()
         assert (samples.plan.width, samples.plan.height) == (12, 12)
@@ -230,9 +230,9 @@ def test_similarity_rejects_a_sample_set_of_another_grid():
     params = AttentionParams.identity(2)
     ctx = project_context(fm, params)
     on_grid = next(random_sample_sets(1, 1, 6, 6))
-    # one row per query of the 6x6 target, but labelled for an 8x8 grid
+    # one column per query of the 6x6 target, but labelled for an 8x8 grid
     samples = EpipolarSampleSet(uv=on_grid.uv, valid=on_grid.valid, width=8, height=8)
-    assert samples.uv.shape[:1] == (36,)
+    assert samples.uv.shape[1:2] == (36,)
     with pytest.raises(ValueError, match="context grid"):
         epipolar_logits(fm, ctx, samples, params)
 
@@ -264,7 +264,7 @@ def test_build_is_byte_identical_to_the_old_build(width, height):
     rng = np.random.default_rng(width * 10 + height)
     cases = []
     for samples in random_sample_sets(width + 7 * height, 6, width, height):
-        cases += [samples.uv, samples.uv.swapaxes(0, 1)]   # query-major, slot-major
+        cases += [samples.uv, samples.uv.swapaxes(0, 1)]   # slot-major, query-major
     for _ in range(6):
         uv = rng.uniform(-2.0, max(width, height) + 1.0, (30, 4, 2))
         uv[0] = [(width - 1, height - 1), (np.nan, 0.5), (-0.0, 0.0), (np.inf, 0.0)]
@@ -319,7 +319,7 @@ def test_a_plan_and_a_sets_masks_are_read_only():
     plan.gather(grid, dtype=np.float32)
     blends = [w for pairs in plan._blends.values() for pair in pairs for w in pair]
     assert len(blends) == 4   # (1 - f, f) in float64 and in float32
-    for a in [plan.index, plan.frac, plan.valid, samples.slot_valid, samples.contributed,
+    for a in [plan.index, plan.frac, plan.valid, samples.valid, samples.contributed,
               *blends]:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -338,11 +338,78 @@ def test_a_plan_rejects_an_index_off_its_grid():
 
 def test_a_sets_masks_are_the_expressions_they_replace():
     for samples in random_sample_sets(24, 4, 11, 7):
-        slot_valid = samples.valid.T & samples.plan.valid
-        assert samples.slot_valid.tobytes() == slot_valid.tobytes()
-        assert samples.slot_valid.shape == slot_valid.shape == samples.valid.shape[::-1]
-        assert samples.contributed.tobytes() == slot_valid.any(axis=0).tobytes()
-        assert samples.slot_valid is samples.slot_valid   # built once, then kept
+        valid = samples.valid & samples.plan.valid
+        assert samples.valid.tobytes() == valid.tobytes()
+        assert samples.valid.shape == valid.shape == samples.uv.shape[:2]
+        assert samples.contributed.tobytes() == valid.any(axis=0).tobytes()
+        assert samples.contributed is samples.contributed   # built once, then kept
+
+
+@pytest.mark.parametrize("width,height", [(16, 16), (2, 2), (11, 7), (5, 13), (39, 20),
+                                          (1, 9), (9, 1), (1, 1)])
+def test_every_set_of_the_kernel_lies_on_its_grid(width, height):
+    """The kernel clamps every valid slot onto the grid, so a set's fold of
+    its plan's in-grid mask clears nothing on a program path: at random
+    poses, at a zero baseline, and for the full grid."""
+    rng = np.random.default_rng(width * 40 + height)
+    K = CameraIntrinsics.from_fov(width, height)
+    sets = [EpipolarSampleSet.full_grid(width, height, width * height),
+            epipolar_sample_grid(RelativePose(np.eye(3), np.zeros(3)), K, width, height)]
+    for _ in range(25):
+        a, b = (SphericalCamera(rng.uniform(-90, 90), rng.uniform(0, 360), rng.uniform(1.1, 20))
+                for _ in range(2))
+        sets.append(epipolar_sample_grid(relative_pose(camera_on_sphere(a), camera_on_sphere(b)),
+                                         K, width, height))
+    for samples in sets:
+        assert samples.plan.in_grid
+        assert samples.uv.shape[:2] == samples.valid.shape == samples.plan.valid.shape
+    assert any(s.valid.any() for s in sets[2:])   # the poses' sets read some slots
+
+
+def oracle_two_mask_attention(f_tgt, ctx, uv, valid, params):
+    """Epipolar retrieval as it was when a set kept the query-major ``uv``
+    (N, S, 2) and ``valid`` (N, S) it was given and retrieval read the
+    second mask ``valid.T & plan.valid``: the core's steps, inlined. Kept
+    as the oracle. Returns (output map, contributed (H, W))."""
+    plan = BilinearPlan.build(uv.swapaxes(0, 1), ctx.k.width, ctx.k.height)
+    mask = valid.T & plan.valid
+    n = f_tgt.height * f_tgt.width
+    q = np.ascontiguousarray(apply_linear(params.q_proj, f_tgt).flat().T, dtype=params.dtype)
+    q = q.reshape(params.heads, -1, 1, n)
+    k = plan.gather(ctx.k.flat().T, dtype=params.dtype)
+    k = k.reshape(params.heads, -1, *k.shape[1:])
+    k *= q
+    logits = k.sum(axis=1)
+    logits /= math.sqrt(q.shape[1])
+    weights = masked_softmax(logits, mask, axis=-2)
+    v = plan.gather(ctx.value.flat().T, dtype=params.dtype)
+    v = v.reshape(params.heads, -1, *v.shape[1:])
+    v *= weights[:, None]
+    mixed = v.sum(axis=2).swapaxes(1, 2)
+    out = np.moveaxis(mixed, 0, -2).reshape(-1, f_tgt.width, params.out_proj.in_dim)
+    fm = apply_linear(params.out_proj, FeatureMap(out))
+    return fm, mask.any(axis=0).reshape(f_tgt.height, f_tgt.width)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_set_clears_its_off_grid_slots_and_retrieves_as_the_two_masks_did(seed, dtype):
+    rng = np.random.default_rng(30 + seed)
+    w, h, c = 7, 5, 4
+    uv = rng.uniform(-1.0, w, (h * w, 6, 2))   # query-major, four taps, some off the grid
+    given = rng.random((h * w, 6)) > 0.2
+    samples = EpipolarSampleSet(uv=uv.swapaxes(0, 1), valid=given.T, width=w, height=h)
+    on_grid = (uv[..., 0] >= 0) & (uv[..., 0] <= w - 1) & (uv[..., 1] >= 0) & (uv[..., 1] <= h - 1)
+    assert np.any(given & ~on_grid)   # valid slots off the grid, which the set clears
+    assert samples.valid.tobytes() == np.ascontiguousarray((given & on_grid).T).tobytes()
+    assert not samples.valid.flags.writeable
+    params = replace(AttentionParams.seeded(c, 2, rng), dtype=dtype)
+    f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+    ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
+    fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+    want_fm, want_contributed = oracle_two_mask_attention(f_tgt, ctx, uv, given, params)
+    assert fm.data.tobytes() == want_fm.data.tobytes()
+    assert contributed.tobytes() == want_contributed.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from epiview.geometry import (
+    CAMERA_RADIUS,
     EDGE_EPS,
     CameraIntrinsics,
     RelativePose,
@@ -52,6 +53,16 @@ class TestSkewSymmetric:
         rng = np.random.default_rng(1)
         m = skew_symmetric(rng.standard_normal(3))
         np.testing.assert_allclose(m, -m.T, atol=0)
+
+
+class TestSphericalCamera:
+    def test_one_radius_rule_bounds_the_camera_and_the_radius_flags(self):
+        from epiview.cli import _KNOBS
+        assert _KNOBS["radius"] is CAMERA_RADIUS
+        assert SphericalCamera(0.0, 0.0, 1e6).radius == 1e6
+        for bad in (0.0, -1.0, np.nextafter(1e6, np.inf), 1e154, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"radius must be a number in \(0, 1e6\]"):
+                SphericalCamera(0.0, 0.0, bad)
 
 
 class TestCameraOnSphere:
@@ -189,10 +200,10 @@ class TestEpipolarLine:
                 scaled = epipolar_line(pk, pose, Kk).normalized()
                 np.testing.assert_allclose(scaled, base, atol=1e-9)
 
-    def test_degenerate_pose_flagged(self, intrinsics32):
+    def test_degenerate_pose_gives_the_zero_line(self, intrinsics32):
         pose = RelativePose(R=np.eye(3), t=np.zeros(3))
         line = epipolar_line([10, 10], pose, intrinsics32)
-        assert line.degenerate
+        assert line.coeffs.tobytes() == np.zeros(3).tobytes()
 
     def test_out_of_bounds_pixel_rejected(self, intrinsics32):
         pose = RelativePose(R=np.eye(3), t=np.array([1.0, 0, 0]))
@@ -202,12 +213,12 @@ class TestEpipolarLine:
 
 def sample_line(coeffs, width, height):
     """One pixel-frame line a*u + b*v + c = 0 through the stepping kernel,
-    as the single row of a batch. Returns (uv (S, 2), valid (S,))."""
+    as the single column of a batch. Returns (uv (S, 2), valid (S,))."""
     s = _sample_lines(np.asarray(coeffs, dtype=np.float64)[None], width, height)
-    return s.uv[0], s.valid[0]
+    return s.uv[:, 0], s.valid[:, 0]
 
 
-# An independent scalar stepper, one line at a time: the oracle that a row
+# An independent scalar stepper, one line at a time: the oracle that a column
 # of the batched kernel must match byte for byte.
 def _step_line(coeffs: np.ndarray, width: int, height: int, along_x: bool, slots: int):
     """One sample per integer step along the chosen axis; out-of-grid
@@ -283,8 +294,8 @@ class TestSampleLines:
             y, x = divmod(q, 16)
             line = epipolar_line([float(x), float(y)], pose, k_feat)
             uv, valid = sample_line(k_feat.inverse().T @ line.coeffs, 16, 16)
-            np.testing.assert_array_equal(batch.valid[q], valid)
-            np.testing.assert_allclose(batch.uv[q][batch.valid[q]], uv[valid], atol=1e-9)
+            np.testing.assert_array_equal(batch.valid[:, q], valid)
+            np.testing.assert_allclose(batch.uv[:, q][batch.valid[:, q]], uv[valid], atol=1e-9)
 
     @pytest.mark.parametrize("width,height", [(8, 6), (11, 7)])
     def test_single_line_matches_the_stepper_oracle(self, width, height):
@@ -310,7 +321,7 @@ class TestSampleLines:
         k_feat = intrinsics32.scaled(0.25)
         for t in (np.zeros(3), np.array([1e-7, 0.0, 0.0])):
             s = epipolar_sample_grid(RelativePose(R=np.eye(3), t=t), k_feat, 8, 8)
-            assert s.uv.shape == (64, 8, 2) and not s.valid.any() and not s.uv.any()
+            assert s.uv.shape == (8, 64, 2) and not s.valid.any() and not s.uv.any()
 
 
 

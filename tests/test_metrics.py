@@ -296,7 +296,7 @@ class TestLocalization:
         usable = queries[valid_e[queries].any(axis=1)]
         assert (r["queries"], r["epipolar_usable"]) == (queries.size, usable.size)
         masked_e = np.where(valid_e, logits_e[0], -np.inf)[usable]          # (Q, S)
-        want_e = samples.uv[usable, np.argmax(masked_e, axis=1)]
+        want_e = samples.uv[np.argmax(masked_e, axis=1), usable]
         logits_f = oracle_full_similarity(f_tgt, ctx, params)[0][0, queries]   # (Q, M)
         best_f = np.argmax(logits_f, axis=1)
         want_f = np.stack([best_f % size, best_f // size], axis=-1)

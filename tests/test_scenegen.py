@@ -176,6 +176,26 @@ class TestSceneJson:
                               render(back, cam, intrinsics32).rgb.data)
 
 
+    def test_every_primitive_must_lie_inside_the_bounding_sphere(self):
+        # generated scenes meet the contract; a primitive that touches the
+        # bounding sphere is kept, and one just past it is named, by kind
+        for seed in range(50):
+            for mode in ("distinctive", "plain"):
+                scene_from_json(scene_to_json(make_scene(seed, mode)))
+        base = {"seed": 0, "bounding_radius": 1.0}
+        touching = [{"kind": "sphere", "center": [0.6, 0, 0], "radius": 0.4, "color": [1, 0, 0]},
+                    {"kind": "box", "lo": [-0.6, 0, 0], "hi": [0, 0.8, 0], "color": [1, 0, 0]}]
+        assert len(scene_from_json({**base, "primitives": touching}).primitives) == 2
+        for past in ({"kind": "sphere", "center": [0.6, 0, 0], "radius": 0.41, "color": [1, 0, 0]},
+                     {"kind": "painted_ball", "center": [0, 0, -0.5], "radius": 0.7,
+                      "shading": "normal"},
+                     {"kind": "box", "lo": [-0.6, 0, 0], "hi": [0, 0.81, 0], "color": [1, 0, 0]},
+                     {"kind": "sphere", "center": [1e308, 0, 0], "radius": 0.1,
+                      "color": [1, 0, 0]}):
+            with pytest.raises(ValueError, match=rf"primitive 1 \({past['kind']}\) reaches"):
+                scene_from_json({**base, "primitives": [touching[0], past]})
+
+
 class TestPositionalFeatures:
     def test_constant_norm_on_foreground(self, distinctive_fixture):
         scene, _, views = distinctive_fixture
