@@ -40,7 +40,7 @@ pose = relative_pose(camera_on_sphere(reference.camera),
 print(f"baseline between the two cameras: {pose.baseline():.3f} scene units")
 
 # one sampled epipolar line per target pixel, in raster order
-samples = epipolar_sample_grid(pose, K, K.width, K.height)
+samples = epipolar_sample_grid(pose, K)
 canvas = reference.rgb.data.copy()
 ys, xs = np.nonzero(target.prim_id >= 0)
 picks = np.linspace(0, len(xs) - 1, 5).astype(int)

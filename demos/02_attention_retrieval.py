@@ -63,7 +63,7 @@ fb = positional_features(scene, vb, 32, 32)
 idp = AttentionParams.identity(fa.channels)
 ctx_ab = project_context(fb, idp)
 pose = relative_pose(vb.extrinsics, va.extrinsics)
-samples = epipolar_sample_grid(pose, K, 32, 32)
+samples = epipolar_sample_grid(pose, K)
 
 ce, cf = AttentionCounters(), AttentionCounters()
 epipolar_attention(fa, ctx_ab, samples, idp, ce)

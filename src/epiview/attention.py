@@ -24,7 +24,7 @@ localization study. The backends give the blocks they expose float32,
 the precision their features are stored in, so that the gather and the
 softmax move half the bytes.
 
-Every attention call records how many similarity-buffer elements it
+Every retrieval call records how many similarity-buffer elements it
 allocates into an optional :class:`AttentionCounters`, which is what the
 complexity bench and the memory-bound invariants read. Counts are exact
 integer accounting (heads x queries x keys), independent of the machine.
@@ -159,11 +159,10 @@ def _merge(mixed: np.ndarray, f_tgt: FeatureMap, params: AttentionParams) -> Fea
     return apply_linear(params.out_proj, FeatureMap(out))
 
 
-def self_attention(fm: FeatureMap, params: AttentionParams,
-                   counters: AttentionCounters | None = None) -> FeatureMap:
+def self_attention(fm: FeatureMap, params: AttentionParams) -> FeatureMap:
     """Scaled dot-product attention of a map over its own H*W positions:
     full cross attention with the map as its only context."""
-    return full_cross_attention(fm, [project_context(fm, params)], params, counters)[0][0]
+    return full_cross_attention(fm, [project_context(fm, params)], params)[0][0]
 
 
 def full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
@@ -199,7 +198,7 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
     """
     if not contexts:
         raise ValueError("need at least one context view")
-    if any(c.f.height != f_tgt.height or c.f.width != f_tgt.width for c in contexts):
+    if any(c.k.height != f_tgt.height or c.k.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
     logits = full_logits(f_tgt, contexts, params, counters)
     weights = masked_softmax(logits, None, out=logits, axis=-2)
@@ -253,7 +252,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
 
     Returns (FeatureMap, contributed (H, W) bool).
     """
-    if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
+    if ctx.k.height != f_tgt.height or ctx.k.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     logits = epipolar_logits(f_tgt, ctx, samples, params, counters)
     weights = masked_softmax(logits, samples.valid, out=logits, axis=-2)

@@ -66,7 +66,7 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), reps: int = 3, seed: int = 0) -> li
         f_ref = FeatureMap(rng.standard_normal((L, L, 4)))
         params = AttentionParams.seeded(4, 1, rng)
         ctx = project_context(f_ref, params)
-        samples = epipolar_sample_grid(pose, k_feat, L, L)
+        samples = epipolar_sample_grid(pose, k_feat)
         for mode in ("epipolar", "full"):
             counters = AttentionCounters()
             times = []

@@ -49,7 +49,7 @@ from .geometry import (CAMERA_RADIUS, CameraIntrinsics, SphericalCamera, epipola
 from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean, masked_softmax
 from .pipeline import CONFIG_RULES, GenerationConfig, TrajectorySynthesizer
-from .scenegen import make_scene, make_trajectory, render
+from .scenegen import SCENE_MODES, TRAJECTORIES, make_scene, make_trajectory, render
 from .toyunet import ToyUNet
 
 __all__ = ["main", "entry"]
@@ -81,7 +81,7 @@ _RETIRED = {"inject_layers": [], "sample_axis": "dominant", "value_source": "val
 # The JSON values a setting's type accepts, and their name; a bool is never a number.
 _JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
 # The rule of every knob, by setting name or flag dest: GenerationConfig's
-# own, and the seed, geometry, noise, schedule and backend knobs.
+# own, and the seed, geometry, noise, schedule, backend and bench knobs.
 _KNOBS = {
     **CONFIG_RULES,
     "seed": (lambda x: x >= 0, "an integer >= 0"),
@@ -91,6 +91,7 @@ _KNOBS = {
     "sigma": (lambda x: 0 <= x <= 1e6, "a number in [0, 1e6]"),
     "steps": (lambda x: x >= 0, "an integer >= 0"),
     "backend": (lambda x: x in ("oracle", "analytic", "toyunet"), "oracle, analytic or toyunet"),
+    "reps": (lambda x: x >= 3, "an integer >= 3"),
 }
 
 
@@ -285,7 +286,7 @@ def _cmd_simmap(args) -> int:
     params = AttentionParams.identity(f_tgt.channels)
     ctx = project_context(f_ref, params)
     pose = relative_pose(view_b.extrinsics, view_a.extrinsics)
-    samples = epipolar_sample_grid(pose, K.scaled(1.0 / scale), wf, hf)
+    samples = epipolar_sample_grid(pose, K.scaled(1.0 / scale))
     q = qy * wf + qx
 
     out = Path(args.out)
@@ -313,8 +314,6 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--sizes wants comma-separated integers, got {args.sizes!r}")
     if min(sizes) < 1 or list(sizes) != sorted(sizes):
         raise UsageError(f"--sizes must be positive and ascending, got {args.sizes}")
-    if args.reps < 3:
-        raise UsageError(f"--reps must be >= 3, got {args.reps}")
     rows = run_scaling_bench(sizes=sizes, reps=args.reps, seed=args.seed)
     _write_csv(args.out, bench_csv_rows(rows))
     print(f"bench CSV written to {args.out}")
@@ -371,17 +370,17 @@ def _build_parser() -> _Parser:
     sc = sub.add_parser("scene", help="fixture generation")
     sc.add_argument("action", choices=["gen"])
     sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--mode", dest="kind", choices=["distinctive", "plain"], default="distinctive")
+    sc.add_argument("--mode", dest="kind", choices=SCENE_MODES, default="distinctive")
     sc.add_argument("--out", required=True)
     sc.add_argument("--size", type=int, default=32)
     sc.add_argument("--fov", type=float, default=50.0)
-    sc.add_argument("--traj", choices=["fixed16", "free16", "free32"], default="fixed16")
+    sc.add_argument("--traj", choices=TRAJECTORIES, default="fixed16")
     sc.add_argument("--radius", type=float, default=2.0)
     sc.set_defaults(fn=_cmd_scene)
 
     tj = sub.add_parser("traj", help="trajectory files")
     tj.add_argument("action", choices=["make"])
-    tj.add_argument("--mode", dest="kind", choices=["free16", "fixed16", "free32"], required=True)
+    tj.add_argument("--mode", dest="kind", choices=TRAJECTORIES, required=True)
     tj.add_argument("--seed", type=int, default=0)
     tj.add_argument("--radius", type=float, default=2.0)
     tj.add_argument("--out", required=True)

@@ -1,5 +1,6 @@
-"""Noise schedule, deterministic DDIM sampling and inversion, and the
-pose-conditioned denoiser interface with attention-stage callbacks.
+"""Noise schedule, one deterministic DDIM walk that samples (T down to 0)
+and inverts (0 up to T), and the pose-conditioned denoiser interface with
+attention-stage callbacks.
 
 Denoisers expose zero or more *attention stages*: the oracle none, the
 analytic backend one (``stage0``), the toy UNet one (``bottleneck``).
@@ -28,7 +29,6 @@ __all__ = [
     "OracleDenoiser",
     "AnalyticAttentionDenoiser",
     "ddim_step",
-    "ddim_invert_step",
     "ddim_sample",
     "ddim_invert",
     "x0_from_eps",
@@ -132,22 +132,31 @@ def eps_from_x0(x_t: np.ndarray, x0: np.ndarray, t: int, sched: NoiseSchedule) -
     return (np.asarray(x_t, dtype=np.float64) - np.sqrt(a) * np.asarray(x0, dtype=np.float64)) / np.sqrt(1.0 - a)
 
 
-def ddim_step(x_t: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """Deterministic update t -> t-1 (eta = 0)."""
-    if not 1 <= t <= sched.steps:
-        raise ValueError(f"t={t} has no previous step")
-    a_prev = sched.alphas[t - 1]
+def ddim_step(x_t: np.ndarray, eps: np.ndarray, t: int, t_to: int,
+              sched: NoiseSchedule) -> np.ndarray:
+    """Deterministic update (eta = 0) from step t to the adjacent step
+    ``t_to``, using the prediction at t: t_to = t - 1 denoises, t_to =
+    t + 1 is the first-order inverted update."""
+    if abs(t - t_to) != 1 or not (0 <= t <= sched.steps and 0 <= t_to <= sched.steps):
+        raise ValueError(f"no DDIM step from t={t} to t={t_to} in a {sched.steps}-step schedule")
+    a_to = sched.alphas[t_to]
     x0_hat = x0_from_eps(x_t, eps, t, sched)
-    return np.sqrt(a_prev) * x0_hat + np.sqrt(1.0 - a_prev) * np.asarray(eps, dtype=np.float64)
+    return np.sqrt(a_to) * x0_hat + np.sqrt(1.0 - a_to) * np.asarray(eps, dtype=np.float64)
 
 
-def ddim_invert_step(x_t: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """First-order inverted update t -> t+1 using the prediction at t."""
-    if not 0 <= t < sched.steps:
-        raise ValueError(f"t={t} has no next step")
-    a_next = sched.alphas[t + 1]
-    x0_hat = x0_from_eps(x_t, eps, t, sched)
-    return np.sqrt(a_next) * x0_hat + np.sqrt(1.0 - a_next) * np.asarray(eps, dtype=np.float64)
+def _ddim_walk(x: LatentImage, timesteps: range, denoiser: Denoiser, cond: Condition,
+               sched: NoiseSchedule, stage_cb) -> LatentImage:
+    """A prediction at each timestep of ``timesteps`` and a step to the
+    next; ``stage_cb(i, stage)`` sees step i counted from the first."""
+    data = x.data.astype(np.float64)
+    for i, (t, t_to) in enumerate(zip(timesteps, timesteps[1:])):
+        cb = None
+        if stage_cb is not None:
+            def cb(stage, _i=i):
+                return stage_cb(_i, stage)
+        eps = denoiser.predict(data, t, cond, sched, stage_cb=cb)
+        data = ddim_step(data, eps, t, t_to, sched)
+    return LatentImage(data=data, t=timesteps[-1])
 
 
 def ddim_sample(x_start: LatentImage, denoiser: Denoiser, cond: Condition,
@@ -157,25 +166,14 @@ def ddim_sample(x_start: LatentImage, denoiser: Denoiser, cond: Condition,
     ``stage_cb(step_index, stage)`` is forwarded to the denoiser with the
     iteration index counted from the noise end (0 = first denoising step).
     """
-    x = x_start.data.astype(np.float64)
-    for i, t in enumerate(range(sched.steps, 0, -1)):
-        cb = None
-        if stage_cb is not None:
-            def cb(stage, _i=i):
-                return stage_cb(_i, stage)
-        eps = denoiser.predict(x, t, cond, sched, stage_cb=cb)
-        x = ddim_step(x, eps, t, sched)
-    return LatentImage(data=x, t=0)
+    return _ddim_walk(x_start, range(sched.steps, -1, -1), denoiser, cond, sched, stage_cb)
 
 
 def ddim_invert(x0: LatentImage, denoiser: Denoiser, cond: Condition,
                 sched: NoiseSchedule) -> LatentImage:
-    """Map a clean image to the initial noise that regenerates it."""
-    x = x0.data.astype(np.float64)
-    for t in range(0, sched.steps):
-        eps = denoiser.predict(x, t, cond, sched)
-        x = ddim_invert_step(x, eps, t, sched)
-    return LatentImage(data=x, t=sched.steps)
+    """Map a clean image to the initial noise that regenerates it: the
+    sampling walk run from t = 0 up to T."""
+    return _ddim_walk(x0, range(sched.steps + 1), denoiser, cond, sched, None)
 
 
 class OracleDenoiser(Denoiser):
@@ -211,8 +209,9 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
     clean. The exposed stage's feature map is the current clean-image
     estimate with identity projections, so injecting retrieved features
     directly mixes corresponding pixel estimates across views and the
-    consistency effect becomes measurable. The block computes in float32,
-    the precision of its features, and is built once per channel count.
+    consistency effect becomes measurable. Targets are RGB, so one 3-channel
+    identity block serves every view; it computes in float32, the precision
+    of its features.
     """
 
     def __init__(self, targets: dict, sigma: float = 0.0, seed: int = 0):
@@ -220,13 +219,7 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
         self.sigma = float(sigma)
         self.seed = int(seed)
         self._perturbed: dict = {}
-        self._blocks: dict = {}   # channel count -> identity block
-
-    def _block(self, channels: int) -> AttentionParams:
-        if channels not in self._blocks:
-            self._blocks[channels] = replace(AttentionParams.identity(channels),
-                                             dtype=np.float32)
-        return self._blocks[channels]
+        self._block = replace(AttentionParams.identity(3), dtype=np.float32)
 
     def target_for(self, cond: Condition) -> np.ndarray:
         clean = super().target_for(cond)
@@ -247,7 +240,7 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
         if stage_cb is not None:
             fm = FeatureMap(y)
             stage = AttentionStage(layer="stage0", feature=fm,
-                                   params=self._block(y.shape[2]),
+                                   params=self._block,
                                    baseline=fm)
             replacement = stage_cb(stage)
             if replacement is not None:

@@ -30,15 +30,20 @@ def to_u8(data: np.ndarray) -> np.ndarray:
     return np.round(np.clip(np.asarray(data, dtype=np.float64), 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
+def _write_pnm(path, img: np.ndarray, magic: str) -> None:
+    """A binary PNM file (maxval 255) of a u8 image: header, then raster."""
+    h, w = img.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
+        fh.write(img.tobytes())
+
+
 def write_ppm(path, image: np.ndarray) -> None:
     """Binary PPM (P6, maxval 255) from an (H, W, 3) array in [0, 1]."""
     img = to_u8(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("PPM wants an HxWx3 image")
-    h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(img.tobytes())
+    _write_pnm(path, img, "P6")
 
 
 def read_ppm(path) -> np.ndarray:
@@ -79,20 +84,15 @@ def write_pgm(path, image: np.ndarray) -> None:
     img = to_u8(image)
     if img.ndim != 2:
         raise ValueError("PGM wants an HxW image")
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(img.tobytes())
+    _write_pnm(path, img, "P5")
 
 
-def write_f32(path, data: np.ndarray, sidecar: dict | None = None) -> None:
+def write_f32(path, data: np.ndarray, sidecar: dict) -> None:
     """Raw little-endian float32 blob, row-major, with a JSON sidecar
-    describing the shape."""
+    describing the shape and holding the ``sidecar`` fields."""
     arr = np.ascontiguousarray(data, dtype="<f4")
     Path(path).write_bytes(arr.tobytes())
-    meta = {"shape": list(arr.shape), "dtype": "float32-le", "order": "row-major"}
-    if sidecar:
-        meta.update(sidecar)
+    meta = {"shape": list(arr.shape), "dtype": "float32-le", "order": "row-major", **sidecar}
     Path(str(path) + ".json").write_text(json.dumps(meta, indent=1))
 
 

@@ -341,15 +341,15 @@ def _sample_lines(lines: np.ndarray, width: int, height: int) -> EpipolarSampleS
     return EpipolarSampleSet(uv=uv, valid=valid, width=width, height=height)
 
 
-def epipolar_sample_grid(pose: RelativePose, K_feat: CameraIntrinsics,
-                         width: int, height: int) -> EpipolarSampleSet:
+def epipolar_sample_grid(pose: RelativePose, K_feat: CameraIntrinsics) -> EpipolarSampleSet:
     """Batched sample set: one epipolar line per target feature pixel,
     built in one product and sampled by the stepping kernel.
 
-    Queries are in raster order (row-major over the target grid). The
-    reference and target grids share ``K_feat``. A degenerate baseline
+    Queries are the pixels of ``K_feat``'s grid in raster order (row-major),
+    and the lines are sampled on that same grid. A degenerate baseline
     gives all-zero lines, so every slot comes back masked.
     """
+    width, height = K_feat.width, K_feat.height
     n = width * height
     E = np.zeros((3, 3)) if pose.baseline() < DEGENERATE_BASELINE else essential_matrix(pose)
     xn = np.concatenate([K_feat.normalize(pixel_grid(width, height)), np.ones((n, 1))], axis=1)

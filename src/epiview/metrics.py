@@ -179,7 +179,7 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
         return {"epipolar": float("nan"), "full": float("nan"), "queries": 0}
 
     pose = relative_pose(view_ref.extrinsics, view_tgt.extrinsics)
-    samples = epipolar_sample_grid(pose, k_feat, wf, hf)
+    samples = epipolar_sample_grid(pose, k_feat)
     # slot-major (S, N); invalid slots excluded, exact ties go to the lowest slot
     logits_e = epipolar_logits(f_tgt, ctx, samples, params)[0]
     best = np.argmax(np.where(samples.valid, logits_e, -np.inf), axis=0)

@@ -176,12 +176,11 @@ class TrajectorySynthesizer:
             self._dup_params[layer] = duplicate_params(params)
         return self._dup_params[layer]
 
-    def _pair_geometry(self, ctx_cam: SphericalCamera, tgt_cam: SphericalCamera,
-                       width: int, height: int):
-        """Epipolar sample set of a (context, target) pair on a feature grid."""
+    def _pair_geometry(self, ctx_cam: SphericalCamera, tgt_cam: SphericalCamera, width: int):
+        """Epipolar sample set of a (context, target) pair on the feature
+        grid ``width`` pixels wide: the image intrinsics scaled to it."""
         pose = relative_pose(camera_on_sphere(ctx_cam), camera_on_sphere(tgt_cam))
-        k_feat = self.intrinsics.scaled(width / self.intrinsics.width)
-        return epipolar_sample_grid(pose, k_feat, width, height)
+        return epipolar_sample_grid(pose, self.intrinsics.scaled(width / self.intrinsics.width))
 
     # --- the run ---------------------------------------------------------
 
@@ -216,7 +215,7 @@ class TrajectorySynthesizer:
                 for vc, entry in zip(context, entries):
                     pair = (vc.camera, stage.feature.width, stage.feature.height)
                     if pair not in pairs:
-                        pairs[pair] = self._pair_geometry(vc.camera, cam, *pair[1:])
+                        pairs[pair] = self._pair_geometry(vc.camera, cam, pair[1])
                     outs.append(epipolar_attention(stage.feature, entry, pairs[pair], dup,
                                                    self.counters))
             agg, contributed = multi_view_aggregate(outs)

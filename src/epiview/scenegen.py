@@ -38,6 +38,8 @@ __all__ = [
     "correspondence_grid",
     "positional_features",
     "make_trajectory",
+    "SCENE_MODES",
+    "TRAJECTORIES",
     "scene_to_json",
     "scene_from_json",
 ]
@@ -49,6 +51,11 @@ OCCLUSION_TOL = 1e-4
 BACKGROUND = -1
 
 _SHADINGS = ("voronoi", "normal")
+
+# make_scene's scene kinds, and make_trajectory's trajectories: name -> (view
+# count, elevation in degrees shared by every view, or None to draw one per view).
+SCENE_MODES = ("distinctive", "plain")
+TRAJECTORIES = {"fixed16": (16, 30.0), "free16": (16, None), "free32": (32, None)}
 
 
 def _check_array(name: str, value, rows: bool = False, unit: bool = False) -> None:
@@ -221,6 +228,8 @@ def make_scene(seed: int, mode: str = "distinctive") -> Scene:
     near-gray colors, plus 2 satellites from the same narrow palette,
     stressing soft matching under ambiguity.
     """
+    if mode not in SCENE_MODES:
+        raise ValueError(f"unknown scene mode {mode!r}")
     rng = np.random.default_rng(seed)
     prims: list = []
     if mode == "distinctive":
@@ -229,8 +238,8 @@ def make_scene(seed: int, mode: str = "distinctive") -> Scene:
         for k in range(3):
             prims.append(Sphere(center=_satellite_center(rng),
                                 radius=float(rng.uniform(0.08, 0.11)), color=colors[k]))
-    elif mode == "plain":
-        # flat fills and a deliberately narrow palette: exact-zero
+    else:
+        # plain: flat fills and a deliberately narrow palette: exact-zero
         # self-consistency, ambiguous matching
         base = rng.uniform(0.45, 0.6, 3)
         jitter = rng.uniform(-0.06, 0.06, (24, 3))
@@ -242,8 +251,6 @@ def make_scene(seed: int, mode: str = "distinctive") -> Scene:
             prims.append(Sphere(center=_satellite_center(rng),
                                 radius=float(rng.uniform(0.09, 0.12)),
                                 color=np.clip(base + rng.uniform(-0.06, 0.06, 3), 0, 1)))
-    else:
-        raise ValueError(f"unknown scene mode {mode!r}")
     return Scene(seed=seed, primitives=tuple(prims), bounding_radius=1.0, mode=mode)
 
 
@@ -293,12 +300,10 @@ def surface_palette(scene: Scene) -> np.ndarray:
     bases, total = surface_table(scene)
     pal = np.zeros((total, 3))
     for p, base in zip(scene.primitives, bases):
-        if isinstance(p, PaintedBall) and p.shading == "voronoi":
-            pal[base:base + p.id_count] = p.colors
-        elif isinstance(p, PaintedBall):
-            pal[base] = 0.0
-        else:
+        if not isinstance(p, PaintedBall):
             pal[base] = p.color
+        elif p.shading == "voronoi":
+            pal[base:base + p.id_count] = p.colors
     return pal
 
 
@@ -428,15 +433,13 @@ def make_trajectory(mode: str, seed: int, radius: float = 2.0) -> list[Spherical
     degrees. ``free16``/``free32``: azimuths evenly spaced over
     [0, 360), per-view elevations drawn uniformly from [-10, 40] degrees.
     """
+    if mode not in TRAJECTORIES:
+        raise ValueError(f"unknown trajectory mode {mode!r}")
+    n, elevation = TRAJECTORIES[mode]
+    step = 360.0 / n
     rng = np.random.default_rng(seed)
-    if mode == "fixed16":
-        return [SphericalCamera(30.0, k * 22.5, radius) for k in range(16)]
-    if mode in ("free16", "free32"):
-        n = 16 if mode == "free16" else 32
-        step = 360.0 / n
-        elevs = rng.uniform(-10.0, 40.0, n)
-        return [SphericalCamera(float(elevs[k]), k * step, radius) for k in range(n)]
-    raise ValueError(f"unknown trajectory mode {mode!r}")
+    elevs = rng.uniform(-10.0, 40.0, n) if elevation is None else np.full(n, elevation)
+    return [SphericalCamera(float(elevs[k]), k * step, radius) for k in range(n)]
 
 
 def scene_to_json(scene: Scene) -> dict:

@@ -166,7 +166,7 @@ class TestFloat32RouteDualRoute:
                 K = CameraIntrinsics.from_fov(w, h)
                 pose = relative_pose(camera_on_sphere(SphericalCamera(20.0, 0.0, 2.0)),
                                      camera_on_sphere(SphericalCamera(35.0, 40.0, 2.0)))
-                samples = epipolar_sample_grid(pose, K, w, h)
+                samples = epipolar_sample_grid(pose, K)
             else:                    # fractional in both axes: four taps per sample
                 samples = EpipolarSampleSet(
                     uv=rng.uniform(-0.5, w - 0.5, (h * w, 9, 2)).swapaxes(0, 1),
@@ -248,7 +248,7 @@ class TestSlotMajorDualRoute:
             a, b = (SphericalCamera(rng.uniform(-10, 40), rng.uniform(0, 360), 2.0)
                     for _ in range(2))
             return epipolar_sample_grid(relative_pose(camera_on_sphere(a), camera_on_sphere(b)),
-                                        K, w, h)
+                                        K)
         return EpipolarSampleSet(uv=rng.uniform(-1.0, w, (h * w, 9, 2)).swapaxes(0, 1),
                                  valid=(rng.random((h * w, 9)) > 0.2).T,   # four taps
                                  width=w, height=h)

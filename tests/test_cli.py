@@ -11,6 +11,7 @@ import pytest
 from epiview.cli import _RUN_SETTINGS, _build_parser, main
 from epiview.fileio import read_ppm
 from epiview.pipeline import GenerationConfig
+from epiview.scenegen import SCENE_MODES, TRAJECTORIES
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,15 @@ class TestSceneAndTraj:
                      "--out", str(p)]) == 0
         views = json.loads(p.read_text())["views"]
         assert all(v["elevation_deg"] == 30.0 for v in views)
+
+    def test_kind_choices_are_the_scenegen_tables(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {(cmd, a.dest): list(a.choices) for cmd in ("scene", "traj")
+                   for a in sub.choices[cmd]._actions if a.dest in ("kind", "traj")}
+        assert choices == {("scene", "kind"): list(SCENE_MODES),
+                           ("scene", "traj"): list(TRAJECTORIES),
+                           ("traj", "kind"): list(TRAJECTORIES)}
 
 
 class TestSynth:

@@ -65,11 +65,11 @@ def wrong_camera(monkeypatch):
     that a pipeline which itself samples the wrong lines cannot move the
     control along with it."""
 
-    def turned(self, ctx_cam, tgt_cam, width, height):
+    def turned(self, ctx_cam, tgt_cam, width):
         ctx_cam = replace(ctx_cam, azimuth_deg=ctx_cam.azimuth_deg + 40.0)
         pose = relative_pose(camera_on_sphere(ctx_cam), camera_on_sphere(tgt_cam))
         k_feat = self.intrinsics.scaled(width / self.intrinsics.width)
-        return epipolar_sample_grid(pose, k_feat, width, height)
+        return epipolar_sample_grid(pose, k_feat)
 
     monkeypatch.setattr(TrajectorySynthesizer, "_pair_geometry", turned)
 

@@ -11,7 +11,6 @@ from epiview.diffusion import (
     NoiseSchedule,
     OracleDenoiser,
     ddim_invert,
-    ddim_invert_step,
     ddim_sample,
     ddim_step,
     eps_from_x0,
@@ -60,7 +59,7 @@ class TestDdimStep:
         sched = NoiseSchedule(alphas=np.array([1.0, 0.5, 0.5 * (1 - 1e-14)]))
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 3, 3))
-        out = ddim_step(x, np.zeros_like(x), 2, sched)
+        out = ddim_step(x, np.zeros_like(x), 2, 1, sched)
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_oracle_estimate_is_target(self, oracle_setup):
@@ -84,7 +83,7 @@ class TestDdimStep:
         a = sched.alphas[1]   # the forward process: sqrt(a) x0 + sqrt(1 - a) z, at float32
         x1 = np.float32(np.sqrt(a) * input_image.astype(np.float64) + np.sqrt(1 - a) * z)
         eps = den.predict(x1.astype(np.float64), 1, Condition.reference(), sched)
-        x0 = ddim_step(x1.astype(np.float64), eps, 1, sched)
+        x0 = ddim_step(x1.astype(np.float64), eps, 1, 0, sched)
         np.testing.assert_allclose(x0, input_image.astype(np.float64), atol=1e-6)
 
     def test_deterministic(self):
@@ -92,13 +91,13 @@ class TestDdimStep:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 4, 3))
         e = rng.standard_normal((4, 4, 3))
-        a = ddim_step(x, e, 5, sched)
-        b = ddim_step(x, e, 5, sched)
+        a = ddim_step(x, e, 5, 4, sched)
+        b = ddim_step(x, e, 5, 4, sched)
         assert np.array_equal(a, b)
 
     def test_invalid_timestep(self):
         with pytest.raises(ValueError):
-            ddim_step(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), 0,
+            ddim_step(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), 0, -1,
                       NoiseSchedule.linear_beta(5))
 
 
@@ -143,8 +142,8 @@ class TestDdimInversion:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 3, 3))
         eps = rng.standard_normal((3, 3, 3))
-        up = ddim_invert_step(x, eps, 4, sched)
-        back = ddim_step(up, eps, 5, sched)
+        up = ddim_step(x, eps, 4, 5, sched)
+        back = ddim_step(up, eps, 5, 4, sched)
         np.testing.assert_allclose(back, x, atol=1e-10)
 
 

@@ -122,7 +122,7 @@ def random_sample_sets(seed: int, count: int, width: int, height: int):
         a, b = (SphericalCamera(rng.uniform(-10, 40), rng.uniform(0, 360), rng.uniform(1.8, 2.4))
                 for _ in range(2))
         pose = relative_pose(camera_on_sphere(a), camera_on_sphere(b))
-        yield epipolar_sample_grid(pose, K, width, height)
+        yield epipolar_sample_grid(pose, K)
 
 
 @pytest.mark.parametrize("width,height", [(32, 32), (11, 7)])
@@ -235,6 +235,19 @@ def test_similarity_rejects_a_sample_set_of_another_grid():
     assert samples.uv.shape[1:2] == (36,)
     with pytest.raises(ValueError, match="context grid"):
         epipolar_logits(fm, ctx, samples, params)
+
+
+@pytest.mark.parametrize("width,height", [(8, 8), (4, 9)])
+def test_attention_rejects_a_set_from_intrinsics_of_another_grid(width, height):
+    """A 6x6 stage given the set of other intrinsics: 8x8 has other query
+    counts, and 4x9 has the 36 queries of 6x6 but another context grid."""
+    rng = np.random.default_rng(width)
+    fm = FeatureMap(rng.standard_normal((6, 6, 2)))
+    params = AttentionParams.identity(2)
+    ctx = project_context(fm, params)
+    samples = next(random_sample_sets(2, 1, width, height))
+    with pytest.raises(ValueError, match="grid"):
+        epipolar_attention(fm, ctx, samples, params)
 
 
 @pytest.mark.parametrize("taps", [2, 4])
@@ -354,12 +367,12 @@ def test_every_set_of_the_kernel_lies_on_its_grid(width, height):
     rng = np.random.default_rng(width * 40 + height)
     K = CameraIntrinsics.from_fov(width, height)
     sets = [EpipolarSampleSet.full_grid(width, height, width * height),
-            epipolar_sample_grid(RelativePose(np.eye(3), np.zeros(3)), K, width, height)]
+            epipolar_sample_grid(RelativePose(np.eye(3), np.zeros(3)), K)]
     for _ in range(25):
         a, b = (SphericalCamera(rng.uniform(-90, 90), rng.uniform(0, 360), rng.uniform(1.1, 20))
                 for _ in range(2))
         sets.append(epipolar_sample_grid(relative_pose(camera_on_sphere(a), camera_on_sphere(b)),
-                                         K, width, height))
+                                         K))
     for samples in sets:
         assert samples.plan.in_grid
         assert samples.uv.shape[:2] == samples.valid.shape == samples.plan.valid.shape

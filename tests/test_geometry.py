@@ -289,7 +289,7 @@ class TestSampleLines:
         rng = np.random.default_rng(9)
         _, _, pose = random_pose_pair(rng)
         k_feat = intrinsics32.scaled(0.5)
-        batch = epipolar_sample_grid(pose, k_feat, 16, 16)
+        batch = epipolar_sample_grid(pose, k_feat)
         for q in (0, 37, 135, 255):
             y, x = divmod(q, 16)
             line = epipolar_line([float(x), float(y)], pose, k_feat)
@@ -317,10 +317,19 @@ class TestSampleLines:
             got_uv, got_valid = sample_line(line, width, height)
             assert got_uv.tobytes() == uv.tobytes() and got_valid.tobytes() == valid.tobytes()
 
+    @pytest.mark.parametrize("width,height", [(11, 7), (5, 13)])
+    def test_grid_is_the_grid_of_its_intrinsics(self, width, height):
+        _, _, pose = random_pose_pair(np.random.default_rng(width * height))
+        K = CameraIntrinsics.from_fov(width, height)
+        s = epipolar_sample_grid(pose, K)
+        assert (s.width, s.height) == (K.width, K.height)
+        assert s.uv.shape == (max(width, height), width * height, 2)
+        assert s.valid.shape == s.uv.shape[:2] and s.valid.any()
+
     def test_degenerate_baseline_grid_all_masked(self, intrinsics32):
         k_feat = intrinsics32.scaled(0.25)
         for t in (np.zeros(3), np.array([1e-7, 0.0, 0.0])):
-            s = epipolar_sample_grid(RelativePose(R=np.eye(3), t=t), k_feat, 8, 8)
+            s = epipolar_sample_grid(RelativePose(R=np.eye(3), t=t), k_feat)
             assert s.uv.shape == (8, 64, 2) and not s.valid.any() and not s.uv.any()
 
 

@@ -291,7 +291,7 @@ class TestLocalization:
         _, visible, prim_a, _ = correspondence_grid(scene, va, vb, uv_img)
         queries = np.flatnonzero((prim_a >= 0) & visible)
         samples = epipolar_sample_grid(relative_pose(vb.extrinsics, va.extrinsics),
-                                       va.intrinsics.scaled(scale), size, size)
+                                       va.intrinsics.scaled(scale))
         logits_e, _, _, valid_e = oracle_query_major_attention(f_tgt, ctx, samples, params)[:4]
         usable = queries[valid_e[queries].any(axis=1)]
         assert (r["queries"], r["epipolar_usable"]) == (queries.size, usable.size)
