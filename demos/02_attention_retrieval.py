@@ -58,8 +58,8 @@ K = CameraIntrinsics.from_fov(32, 32)
 scene = make_scene(0, "distinctive")
 cams = make_trajectory("free16", 100)
 va, vb = render(scene, cams[0], K), render(scene, cams[1], K)
-fa = positional_features(scene, va, 32, 32)
-fb = positional_features(scene, vb, 32, 32)
+fa = positional_features(scene, va, 32)
+fb = positional_features(scene, vb, 32)
 idp = AttentionParams.identity(fa.channels)
 ctx_ab = project_context(fb, idp)
 pose = relative_pose(vb.extrinsics, va.extrinsics)
@@ -75,14 +75,13 @@ print(f"2. similarity-buffer elements: epipolar {ce.peak_elems:,} "
 # --- 3. similarity maps for one query ---------------------------------------
 q = 17 * 32 + 15  # a pixel on the ball
 valid_e = samples.valid    # (S, N): slot s of query q
-weights_e = masked_softmax(epipolar_logits(fa, ctx_ab, samples, idp), valid_e, axis=-2)[0]
+weights_e = masked_softmax(epipolar_logits(fa, ctx_ab, samples, idp), valid_e)[0]
 epi_map = np.zeros((32, 32))
-for s in range(samples.uv.shape[0]):
-    if valid_e[s, q]:
-        u, v = np.round(samples.uv[s, q]).astype(int)
-        epi_map[v, u] = max(epi_map[v, u], weights_e[s, q])
+read = valid_e[:, q]   # slots on the grid, so rounding stays on it
+u, v = np.round(samples.uv[read, q]).astype(int).T
+np.maximum.at(epi_map, (v, u), weights_e[read, q])
 
-weights_f = masked_softmax(full_logits(fa, [ctx_ab], idp)[0, 0], None, axis=-2)   # (M, N)
+weights_f = masked_softmax(full_logits(fa, [ctx_ab], idp)[0, 0], None)   # (M, N)
 full_map = weights_f[:, q].reshape(32, 32)
 
 write_pgm(out / "epipolar_weights.pgm", epi_map / epi_map.max())

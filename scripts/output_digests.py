@@ -124,7 +124,7 @@ def scene_digests() -> tuple[str, str]:
         views = [render(scene, cam, K) for cam in make_trajectory("free16", 100)]
         for view in views:
             for a in (view.rgb.data, view.depth, view.prim_id,
-                      positional_features(scene, view, 16, 16).data):
+                      positional_features(scene, view, 16).data):
                 renders.update(a.tobytes())
         clean = [view.rgb.data for view in views]
         noisy = [im + rng.normal(0.0, 0.05, im.shape) for im in clean]

@@ -2,10 +2,11 @@
 duplicated parameters.
 
 All three are one computation: heads-major queries, keys and values,
-scaled dot-product logits, their softmax (``masked_softmax``), and the
-weighted value sum merged back onto the target grid (``_merge``). Both
-retrieval modes are key-major: the softmax over the keys and the value
-mix run along contiguous vectors of the N target queries. Full cross
+scaled dot-product logits softmaxed in place over their keys
+(``masked_softmax``), and the weighted value sum merged back onto the
+target grid (``_merge``). Both retrieval modes are key-major: the softmax
+over the keys and the value mix run along contiguous vectors of the N
+target queries. Full cross
 attention takes a stage's V context views in one batched product, logits
 (heads, V, M, N) (:func:`full_logits`) scaled through the N*d queries;
 self attention is full cross attention with the map as its only context.
@@ -172,7 +173,7 @@ def full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
     ``k @ (q / sqrt(d)).T``: the scale touches the N*d queries, not the N*M
     logits (epipolar logits keep theirs, which would re-base every analytic
     output to move). One counter record per context. Context i's weights
-    are ``masked_softmax(logits[:, i], None, axis=-2)``."""
+    are ``masked_softmax(logits[:, i], None)``."""
     q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params)
     q = q / math.sqrt(q.shape[-1])   # a Python float keeps float32 queries in float32
     k = _heads(np.stack([c.k.flat() for c in contexts]), params)
@@ -201,7 +202,7 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
     if any(c.k.height != f_tgt.height or c.k.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
     logits = full_logits(f_tgt, contexts, params, counters)
-    weights = masked_softmax(logits, None, out=logits, axis=-2)
+    weights = masked_softmax(logits, None)
     mixed = np.swapaxes(weights, -1, -2) @ _heads(np.stack([c.value.flat() for c in contexts]),
                                                   params)
     del logits, weights   # the heap reuses their bytes for the merge
@@ -221,7 +222,7 @@ def epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSa
     """Slot-major similarity logits (h, S, N) of each target query against
     its epipolar key samples, each a contiguous vector of queries.
     ``samples`` must be an (S, N, 2) set on the context's grid. The weights
-    are ``masked_softmax(logits, samples.valid, axis=-2)``."""
+    are ``masked_softmax(logits, samples.valid)``."""
     n = f_tgt.height * f_tgt.width
     if samples.uv.ndim != 3 or samples.uv.shape[1] != n:
         raise ValueError("sample set is not (S, N, 2) for the target grid")
@@ -255,7 +256,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     if ctx.k.height != f_tgt.height or ctx.k.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
     logits = epipolar_logits(f_tgt, ctx, samples, params, counters)
-    weights = masked_softmax(logits, samples.valid, out=logits, axis=-2)
+    weights = masked_softmax(logits, samples.valid)
     v = _gather_heads(samples.plan, ctx.value, params)
     v *= weights[:, None]
     fm = _merge(v.sum(axis=2).swapaxes(1, 2), f_tgt, params)   # summed over the S slots
@@ -272,7 +273,7 @@ def fuse(f_hat: FeatureMap, f_src_hat: FeatureMap, contributed: np.ndarray,
     if f_hat.data.shape != f_src_hat.data.shape:
         raise ValueError("fused maps must share a shape")
     if alpha == 0.0:
-        return FeatureMap(f_hat.data)
+        return f_hat
     a = f_hat.data.astype(np.float64)
     b = f_src_hat.data.astype(np.float64)
     mask = np.asarray(contributed, dtype=bool)[:, :, None]

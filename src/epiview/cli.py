@@ -291,8 +291,7 @@ def _cmd_simmap(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    weights = masked_softmax(epipolar_logits(f_tgt, ctx, samples, params),
-                             samples.valid, axis=-2)[0]
+    weights = masked_softmax(epipolar_logits(f_tgt, ctx, samples, params), samples.valid)[0]
     epi = np.zeros((hf, wf))
     read = samples.valid[:, q]   # slots on the grid, so rounding stays on it
     u, v = np.round(samples.uv[read, q]).astype(int).T
@@ -300,7 +299,7 @@ def _cmd_simmap(args) -> int:
     peak = epi.max()
     write_pgm(out / f"epipolar_q{qx}_{qy}.pgm", epi / peak if peak > 0 else epi)
 
-    wfull = masked_softmax(full_logits(f_tgt, [ctx], params)[:, 0], None, axis=-2)   # key-major
+    wfull = masked_softmax(full_logits(f_tgt, [ctx], params)[:, 0], None)   # key-major
     dense = wfull[0, :, q].reshape(hf, wf)
     write_pgm(out / f"full_q{qx}_{qy}.pgm", dense / dense.max())
     print(f"similarity maps written to {out}")

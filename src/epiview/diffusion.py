@@ -61,8 +61,6 @@ class NoiseSchedule:
     def linear_beta(cls, steps: int) -> "NoiseSchedule":
         """Schedule with beta linear from 1e-4 to 0.12 over ``steps``; the
         desk-scale default is 50 steps."""
-        if steps == 0:
-            return cls(alphas=np.array([1.0]))
         betas = np.linspace(1e-4, 0.12, steps)
         return cls(alphas=np.concatenate([[1.0], np.cumprod(1.0 - betas)]))
 

@@ -288,21 +288,28 @@ def essential_matrix(pose: RelativePose) -> np.ndarray:
     return pose.R.T @ skew_symmetric(pose.t)
 
 
+def _lines(pixels: np.ndarray, pose: RelativePose, K: CameraIntrinsics) -> np.ndarray:
+    """Epipolar lines (n, 3) in reference normalized coordinates of target
+    pixels (n, 2): ``E @ x`` of each pixel normalized with ``K``, in one
+    product. A degenerate baseline gives all-zero lines."""
+    if pose.baseline() < DEGENERATE_BASELINE:
+        return np.zeros((len(pixels), 3))
+    xn = np.concatenate([K.normalize(pixels), np.ones((len(pixels), 1))], axis=1)
+    return xn @ essential_matrix(pose).T
+
+
 def epipolar_line(p: np.ndarray, pose: RelativePose, K: CameraIntrinsics) -> EpipolarLine:
     """Epipolar line in the reference view for target pixel ``p``.
 
-    The pixel is normalized with ``K`` and multiplied by the essential
-    matrix; the resulting line lives in reference normalized coordinates
-    (:func:`epipolar_sample_grid` samples the pixel-frame lines of a whole
-    grid). A near-zero baseline yields the all-zero line.
+    The line of :func:`epipolar_sample_grid`'s row for that pixel, before
+    it moves to the pixel frame: the pixel normalized with ``K`` and
+    multiplied by the essential matrix, in reference normalized
+    coordinates. A near-zero baseline yields the all-zero line.
     """
     p = np.asarray(p, dtype=np.float64).reshape(-1)[:2]
     if not (0 <= p[0] <= K.width - 1 and 0 <= p[1] <= K.height - 1):
         raise ValueError(f"pixel {p} outside image bounds")
-    if pose.baseline() < DEGENERATE_BASELINE:
-        return EpipolarLine(coeffs=np.zeros(3))
-    x = np.append(K.normalize(p), 1.0)
-    return EpipolarLine(coeffs=essential_matrix(pose) @ x)
+    return EpipolarLine(coeffs=_lines(p[None], pose, K)[0])
 
 
 # Grid-boundary slack for the in-bounds test; valid samples are then
@@ -350,12 +357,8 @@ def epipolar_sample_grid(pose: RelativePose, K_feat: CameraIntrinsics) -> Epipol
     gives all-zero lines, so every slot comes back masked.
     """
     width, height = K_feat.width, K_feat.height
-    n = width * height
-    E = np.zeros((3, 3)) if pose.baseline() < DEGENERATE_BASELINE else essential_matrix(pose)
-    xn = np.concatenate([K_feat.normalize(pixel_grid(width, height)), np.ones((n, 1))], axis=1)
-    lines = xn @ E.T                       # (n, 3) lines, normalized frame
-    lines = lines @ K_feat.inverse()       # == (K^-T @ l)^T, pixel frame
-    return _sample_lines(lines, width, height)
+    lines = _lines(pixel_grid(width, height), pose, K_feat)
+    return _sample_lines(lines @ K_feat.inverse(), width, height)   # == (K^-T @ l)^T, pixel frame
 
 
 def pose_to_json(cam: SphericalCamera) -> dict:

@@ -158,12 +158,13 @@ def localization_study(scene: Scene, view_tgt: RenderedView, view_ref: RenderedV
     features (the idealized distinctive texture). Queries are the target's
     foreground feature pixels whose ground-truth correspondence is
     visible in the reference view; occluded queries are excluded from
-    the denominator.
+    the denominator. ``feature_size`` is the feature grids' width; their
+    height follows the view's aspect.
 
     Returns a dict with per-mode accuracies and the query count.
     """
-    f_tgt = positional_features(scene, view_tgt, feature_size, feature_size)
-    f_ref = positional_features(scene, view_ref, feature_size, feature_size)
+    f_tgt = positional_features(scene, view_tgt, feature_size)
+    f_ref = positional_features(scene, view_ref, feature_size)
     wf, hf = f_tgt.width, f_tgt.height
     scale = wf / view_tgt.intrinsics.width
     k_feat = view_tgt.intrinsics.scaled(scale)

@@ -1,5 +1,5 @@
-"""Minimal tensor kernels: feature maps, linear projections, masked
-softmax over any one axis, and bilinear tap plans, which gather from
+"""Minimal tensor kernels: feature maps, linear projections, an in-place
+masked softmax over the key axis, and bilinear tap plans, which gather from
 channel-major (C, H*W) grids along contiguous vectors of positions.
 
 Feature data is stored as float32. Sampling blends and softmaxes compute
@@ -234,52 +234,44 @@ def bilinear_sample(fm: FeatureMap, uv: np.ndarray):
     return np.moveaxis(plan.gather(fm.flat().T), 0, -1), plan.valid
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray | None,
-                   out: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax over the valid entries of ``axis`` of
-    ``logits`` (the last, or -2 for the attention core's key-major logits:
-    full (heads, V, M, N), epipolar (h, S, N)), which the caller has already
-    scaled: full attention through its queries, epipolar attention on its
-    S*N logits, as moving that scale would re-base every analytic output
-    for about 1% of a call.
+def masked_softmax(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Numerically stable softmax, in place, over the valid entries of axis
+    -2 of ``logits``: the keys of the attention core's key-major logits,
+    full (heads, V, M, N) and epipolar (h, S, N), which the caller has
+    already scaled (full attention through its queries, epipolar attention
+    on its S*N logits, as moving that scale would re-base every analytic
+    output for about 1% of a call).
 
     Valid logits must be finite (a valid ``+inf`` gives NaN weights);
-    masked entries may hold anything. Masked entries get weight 0; rows
+    masked entries may hold anything. Masked entries get weight 0; columns
     with no valid entry come back all-zero (no NaNs). Weights over valid
     entries sum to 1 and are invariant to adding a constant to all valid
     logits. ``mask`` broadcasts against ``logits``; ``mask=None`` is the
     plain softmax over every entry, with the same bytes as an all-True
     mask.
 
-    Float32 logits are softmaxed in float32, and any other logits in
-    float64: the attention core hands over logits in its block's
-    precision. The weights are built in one full-size array of that dtype
-    and returned: ``out`` when given (an array of that dtype shaped like
-    ``logits``, which may be ``logits`` itself, for fresh logits the
-    caller no longer needs), else a new one. With ``out=None`` the
-    caller's ``logits`` are never written to, and without a mask the copy
-    is the subtraction of the row peak. Every row is divided by its sum,
-    and rows whose sum is not positive (all masked, or NaN) are zeroed
-    afterwards. The weights have the same bytes with or without ``out``.
+    Float32 and float64 logits are fresh logits the caller no longer
+    needs: they are overwritten with their weights and returned. Any
+    other logits become a float64 copy, which is softmaxed and returned.
+    Every column is divided by its sum, and columns whose sum is not
+    positive (all masked, or NaN) are zeroed afterwards.
     """
     x = np.asarray(logits)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
     if mask is not None:
-        if x is not out:
-            out = x = np.positive(x, out=out)   # a copy to mask in
         np.copyto(x, -np.inf, where=~np.asarray(mask, dtype=bool))
-    peak = np.max(x, axis=axis, keepdims=True)
+    peak = np.max(x, axis=-2, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
-    ex = np.subtract(x, peak, out=out)
-    np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
-    denom = ex.sum(axis=axis, keepdims=True)
+    x -= peak
+    np.exp(x, out=x)           # masked entries: exp(-inf) = 0
+    denom = x.sum(axis=-2, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ex /= denom
+        x /= denom
     live = denom > 0
     if not live.all():
-        np.copyto(ex, 0.0, where=~live)   # all-masked and NaN rows
-    return ex
+        np.copyto(x, 0.0, where=~live)   # all-masked and NaN columns
+    return x
 
 
 def apply_linear(lin: LinearMap, fm: FeatureMap) -> FeatureMap:

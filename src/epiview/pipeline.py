@@ -136,10 +136,7 @@ def select_context_views(target_cam: SphericalCamera, generated: list,
 
     ``generated`` is the list of finished ViewCaches in generation order.
     """
-    ranked = sorted(
-        (vc for vc in generated),
-        key=lambda vc: (angular_distance(target_cam, vc.camera), vc.key),
-    )
+    ranked = sorted(generated, key=lambda vc: (angular_distance(target_cam, vc.camera), vc.key))
     return [input_cache] + ranked[:m]
 
 

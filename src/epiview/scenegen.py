@@ -409,7 +409,7 @@ def correspondence_grid(scene: Scene, view_a: RenderedView, view_b: RenderedView
     return uv_b, visible, prim_a, prim_b
 
 
-def positional_features(scene: Scene, view: RenderedView, width: int, height: int) -> FeatureMap:
+def positional_features(scene: Scene, view: RenderedView, width: int) -> FeatureMap:
     """Sinusoidal position-encoded feature map of the visible surface.
 
     Its 6 channels are sin and cos of 9 times the hit point's coordinates,
@@ -417,13 +417,14 @@ def positional_features(scene: Scene, view: RenderedView, width: int, height: in
     surface point maps to the same feature in every view and to a
     constant-norm vector (sin^2 + cos^2), which makes the field an
     idealized distinctive texture with an unambiguous matching ground
-    truth; background pixels are zero.
+    truth; background pixels are zero. The grid is ``width`` pixels wide
+    and as tall as the view's intrinsics scaled to that width make it.
     """
     k_feat = view.intrinsics.scaled(width / view.intrinsics.width)
-    _, surf, pts = raycast(scene, view.extrinsics, k_feat, pixel_grid(width, height))
+    _, surf, pts = raycast(scene, view.extrinsics, k_feat, pixel_grid(k_feat.width, k_feat.height))
     feat = np.concatenate([np.sin(9.0 * pts), np.cos(9.0 * pts)], axis=1)
     feat[surf < 0] = 0.0
-    return FeatureMap(feat.reshape(height, width, -1))
+    return FeatureMap(feat.reshape(k_feat.height, k_feat.width, -1))
 
 
 def make_trajectory(mode: str, seed: int, radius: float = 2.0) -> list[SphericalCamera]:

@@ -50,11 +50,13 @@ def loop(intrinsics32):
 
 
 def uniform_weights(monkeypatch):
-    """Every valid slot weighted evenly: the real softmax of all-zero logits."""
+    """Every valid slot weighted evenly: the real softmax of all-zero logits,
+    in the caller's array, as the core's softmax works."""
     softmax = attention.masked_softmax
 
-    def even(logits, mask, out=None, axis=-1):
-        return softmax(np.zeros_like(logits), mask, out=out, axis=axis)
+    def even(logits, mask):
+        logits[...] = 0.0
+        return softmax(logits, mask)
 
     monkeypatch.setattr(attention, "masked_softmax", even)
 

@@ -170,7 +170,7 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
     for samples in random_sample_sets(4, 4, 12, 12):
         # slot-major (h, S, N) logits and weights, (C, S, N) values, (S, N) mask
         logits = epipolar_logits(f_tgt, ctx, samples, params)
-        weights = masked_softmax(logits, samples.valid, axis=-2)
+        weights = masked_softmax(logits.copy(), samples.valid)
         v_samp = samples.plan.gather(ctx.value.flat().T, dtype=params.dtype)
         valid = samples.valid
         k_want, k_ok = bilinear_oracle(ctx.k, samples.uv)
@@ -197,7 +197,7 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
         again = epipolar_logits(f_tgt, ctx, samples, params)
         assert samples.plan is kept
         assert again.tobytes() == logits.tobytes()
-        assert masked_softmax(again, valid, axis=-2).tobytes() == weights.tobytes()
+        assert masked_softmax(again, valid).tobytes() == weights.tobytes()
         assert samples.plan.gather(ctx.value.flat().T).tobytes() == v_samp.tobytes()
 
 
@@ -394,7 +394,7 @@ def oracle_two_mask_attention(f_tgt, ctx, uv, valid, params):
     k *= q
     logits = k.sum(axis=1)
     logits /= math.sqrt(q.shape[1])
-    weights = masked_softmax(logits, mask, axis=-2)
+    weights = masked_softmax(logits, mask)
     v = plan.gather(ctx.value.flat().T, dtype=params.dtype)
     v = v.reshape(params.heads, -1, *v.shape[1:])
     v *= weights[:, None]

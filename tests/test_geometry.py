@@ -6,8 +6,10 @@ import pytest
 
 from epiview.geometry import (
     CAMERA_RADIUS,
+    DEGENERATE_BASELINE,
     EDGE_EPS,
     CameraIntrinsics,
+    EpipolarLine,
     RelativePose,
     SphericalCamera,
     camera_on_sphere,
@@ -209,6 +211,70 @@ class TestEpipolarLine:
         pose = RelativePose(R=np.eye(3), t=np.array([1.0, 0, 0]))
         with pytest.raises(ValueError):
             epipolar_line([-3.0, 5.0], pose, intrinsics32)
+
+
+def oracle_epipolar_line(p, pose, K):
+    """``epipolar_line`` as it was before it shared the sample grid's line
+    route: ``E @ x`` of the one normalized pixel. Kept verbatim as the
+    oracle."""
+    p = np.asarray(p, dtype=np.float64).reshape(-1)[:2]
+    if not (0 <= p[0] <= K.width - 1 and 0 <= p[1] <= K.height - 1):
+        raise ValueError(f"pixel {p} outside image bounds")
+    if pose.baseline() < DEGENERATE_BASELINE:
+        return EpipolarLine(coeffs=np.zeros(3))
+    x = np.append(K.normalize(p), 1.0)
+    return EpipolarLine(coeffs=essential_matrix(pose) @ x)
+
+
+class TestEpipolarLineDualRoute:
+    """The one line route, which ``epipolar_line`` and the sample grid both
+    take, against the frozen single-pixel body."""
+
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        """Every array of lines the geometry module's line route returns."""
+        import epiview.geometry as geometry
+        lines, seen = geometry._lines, []
+
+        def recording(*args):
+            seen.append(lines(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(geometry, "_lines", recording)
+        return seen
+
+    @pytest.mark.parametrize("width,height", [(16, 16), (24, 14), (10, 20)])
+    def test_matches_the_old_body_and_the_grid_rows(self, width, height, routed):
+        K = CameraIntrinsics.from_fov(width, height)
+        rng = np.random.default_rng(width * 100 + height)
+        for _ in range(200):
+            _, _, pose = random_pose_pair(rng)
+            p = rng.uniform(0, [width - 1, height - 1])
+            want = oracle_epipolar_line(p, pose, K).coeffs
+            got = epipolar_line(p, pose, K).coeffs
+            assert len(routed) == 1 and routed.pop()[0].tobytes() == got.tobytes()
+            assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(want)
+            # the grid's normalized lines, row q the line of pixel q
+            epipolar_sample_grid(pose, K)
+            (rows,) = routed
+            assert rows.shape == (width * height, 3)
+            for q in rng.integers(0, width * height, 3):
+                y, x = divmod(int(q), width)
+                want = epipolar_line([x, y], pose, K).coeffs
+                assert np.abs(rows[q] - want).max() <= 1e-12 * np.linalg.norm(want)
+            routed.clear()
+
+    def test_zero_baseline_gives_zero_lines_on_both_routes(self, routed):
+        K = CameraIntrinsics.from_fov(12, 9)
+        rot = relative_pose(camera_on_sphere(SphericalCamera(20.0, 30.0, 2.0)),
+                            camera_on_sphere(SphericalCamera(-5.0, 80.0, 2.0))).R
+        pose = RelativePose(R=rot, t=np.zeros(3))
+        for p in ([0.0, 0.0], [5.5, 3.25], [11.0, 8.0]):
+            assert not epipolar_line(p, pose, K).coeffs.any()
+            assert not oracle_epipolar_line(p, pose, K).coeffs.any()
+        s = epipolar_sample_grid(pose, K)
+        assert not routed[-1].any() and routed[-1].shape == (12 * 9, 3)
+        assert not s.valid.any()
 
 
 def sample_line(coeffs, width, height):

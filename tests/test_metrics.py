@@ -15,7 +15,8 @@ from epiview.metrics import (
     ssim,
 )
 from epiview.attention import AttentionParams, project_context
-from epiview.geometry import SphericalCamera, epipolar_sample_grid, pixel_grid, relative_pose
+from epiview.geometry import (CameraIntrinsics, SphericalCamera, epipolar_sample_grid, pixel_grid,
+                              relative_pose)
 from epiview.scenegen import (
     BACKGROUND,
     OCCLUSION_TOL,
@@ -23,6 +24,7 @@ from epiview.scenegen import (
     Scene,
     correspondence_grid,
     make_scene,
+    make_trajectory,
     positional_features,
     raycast,
     render,
@@ -252,6 +254,18 @@ class TestLocalization:
         assert r["full"] == 1.0
         assert r["epipolar_usable"] == 0
 
+    @pytest.mark.parametrize("shape", [(32, 24), (24, 32)])
+    def test_non_square_views(self, shape):
+        """Feature grids take their height from the view's intrinsics, so
+        the sample set covers the target grid on either aspect."""
+        scene = make_scene(0, "distinctive")
+        K = CameraIntrinsics.from_fov(*shape)
+        va, vb = (render(scene, cam, K) for cam in make_trajectory("free16", 0)[:2])
+        r = localization_study(scene, va, vb)
+        assert r["queries"] > 0 and r["epipolar_usable"] > 0
+        assert math.isfinite(r["epipolar"]) and math.isfinite(r["full"])
+        assert positional_features(scene, va, 24).data.shape[:2] == (shape[1] * 24 // shape[0], 24)
+
     def test_frozen_thresholds(self, distinctive_fixture, frozen):
         scene, _, views = distinctive_fixture
         cfg = frozen["localization"]
@@ -283,9 +297,9 @@ class TestLocalization:
         r = localization_study(scene, va, vb, feature_size=size)
         epi_uv, full_uv = seen
         # the study's queries, features and sample set, through the frozen oracles
-        f_tgt = positional_features(scene, va, size, size)
+        f_tgt = positional_features(scene, va, size)
         params = AttentionParams.identity(f_tgt.channels)
-        ctx = project_context(positional_features(scene, vb, size, size), params)
+        ctx = project_context(positional_features(scene, vb, size), params)
         scale = size / va.intrinsics.width
         uv_img = (pixel_grid(size, size) + 0.5) / scale - 0.5
         _, visible, prim_a, _ = correspondence_grid(scene, va, vb, uv_img)
@@ -327,9 +341,9 @@ class TestLocalization:
             seen.clear()
             r = localization_study(scene, va, vb, feature_size=size, k=1.0)
             full_uv = seen[-1]
-            f_tgt = positional_features(scene, va, size, size)
+            f_tgt = positional_features(scene, va, size)
             params = AttentionParams.identity(f_tgt.channels)
-            ctx = project_context(positional_features(scene, vb, size, size), params)
+            ctx = project_context(positional_features(scene, vb, size), params)
             scale = size / va.intrinsics.width
             uv_img = (pixel_grid(size, size) + 0.5) / scale - 0.5
             _, visible, prim_a, _ = correspondence_grid(scene, va, vb, uv_img)

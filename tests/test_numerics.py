@@ -99,48 +99,59 @@ class TestBilinearSample:
 
 
 class TestMaskedSoftmax:
+    """The softmax over axis -2, the keys: single columns of S keys here."""
+
     def test_singleton(self):
-        w = masked_softmax(np.array([3.0, 5.0, -1.0]), np.array([False, True, False]))
-        np.testing.assert_allclose(w, [0, 1, 0], atol=0)
+        w = masked_softmax(np.array([[3.0], [5.0], [-1.0]]), np.array([[False], [True], [False]]))
+        np.testing.assert_allclose(w[:, 0], [0, 1, 0], atol=0)
 
     def test_uniform_over_equal_logits(self):
-        w = masked_softmax(np.full(5, 2.0), np.array([1, 1, 0, 1, 1], dtype=bool))
-        np.testing.assert_allclose(w, [0.25, 0.25, 0, 0.25, 0.25], atol=1e-15)
+        w = masked_softmax(np.full((5, 1), 2.0), np.array([1, 1, 0, 1, 1], dtype=bool)[:, None])
+        np.testing.assert_allclose(w[:, 0], [0.25, 0.25, 0, 0.25, 0.25], atol=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
         logits = rng.standard_normal((20, 9))
         mask = rng.random((20, 9)) > 0.3
         mask[:, 0] = True
-        w = masked_softmax(logits * 0.7, mask)
+        w = masked_softmax(logits.T * 0.7, mask.T)   # key-major (9, 20)
         for i in range(20):
             e = np.exp(logits[i][mask[i]] * 0.7)
             want = e / e.sum()
-            np.testing.assert_allclose(w[i][mask[i]], want, atol=1e-12)
-            assert abs(w[i].sum() - 1.0) < 1e-12
+            np.testing.assert_allclose(w[:, i][mask[i]], want, atol=1e-12)
+            assert abs(w[:, i].sum() - 1.0) < 1e-12
 
     def test_all_masked_no_nans(self):
-        w = masked_softmax(np.array([1.0, 2.0]), np.zeros(2, dtype=bool))
+        w = masked_softmax(np.array([[1.0], [2.0]]), np.zeros((2, 1), dtype=bool))
         assert np.all(w == 0.0)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
-        logits = rng.standard_normal(11)
-        mask = rng.random(11) > 0.4
-        w1 = masked_softmax(logits, mask)
+        logits = rng.standard_normal((11, 1))
+        mask = rng.random((11, 1)) > 0.4
+        w1 = masked_softmax(logits.copy(), mask)
         w2 = masked_softmax(logits + 123.456, mask)
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_extreme_logits_stable(self):
-        w = masked_softmax(np.array([1e4, -1e4, 0.0]), np.ones(3, dtype=bool))
+        w = masked_softmax(np.array([[1e4], [-1e4], [0.0]]), np.ones((3, 1), dtype=bool))
         assert np.all(np.isfinite(w)) and abs(w.sum() - 1) < 1e-12
 
-    @pytest.mark.parametrize("shape", [(7,), (2, 5, 1, 9)])
+    @pytest.mark.parametrize("shape", [(7, 1), (2, 5, 9, 1)])
     def test_no_mask_is_byte_identical_to_an_all_true_mask(self, shape):
         logits = np.random.default_rng(5).standard_normal(shape) * 30.0
         w_none = masked_softmax(logits * 0.3, None)
         w_ones = masked_softmax(logits * 0.3, np.ones(shape, dtype=bool))
         assert w_none.tobytes() == w_ones.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_other_logits_become_a_float64_copy(self, dtype):
+        logits = np.arange(12).reshape(4, 3).astype(dtype)
+        kept = logits.copy()
+        w = masked_softmax(logits, None)
+        assert w.dtype == np.float64 and not np.shares_memory(w, logits)
+        assert logits.tobytes() == kept.tobytes()
+        assert w.tobytes() == masked_softmax(kept.astype(np.float64), None).tobytes()
 
 
 def softmax_oracle(logits, mask, scale=1.0, axis=-1):
@@ -226,98 +237,132 @@ def where_divide_softmax(logits, mask, out=None, axis=-1):
     return ex
 
 
+def out_axis_softmax(logits, mask, out=None, axis=-1):
+    """``masked_softmax`` as it was while it took an ``out`` buffer and an
+    ``axis``, and copied the caller's logits unless ``out`` was them. Kept
+    verbatim as the oracle."""
+    x = np.asarray(logits)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    if mask is not None:
+        if x is not out:
+            out = x = np.positive(x, out=out)   # a copy to mask in
+        np.copyto(x, -np.inf, where=~np.asarray(mask, dtype=bool))
+    peak = np.max(x, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    ex = np.subtract(x, peak, out=out)
+    np.exp(ex, out=ex)         # masked entries: exp(-inf) = 0
+    denom = ex.sum(axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ex /= denom
+    live = denom > 0
+    if not live.all():
+        np.copyto(ex, 0.0, where=~live)   # all-masked and NaN rows
+    return ex
+
+
+def _key_major_cases():
+    """The cases of ``_softmax_cases()`` laid out for a softmax over axis
+    -2: each with two or more axes as given and with its last two axes
+    swapped, and each one-axis row as a column, so that the special rows
+    are special key columns too."""
+    def swapped(a):
+        return None if a is None else np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+    for name, logits, mask in _softmax_cases():
+        if logits.ndim == 1:
+            yield f"{name} column", logits[:, None], None if mask is None else mask[:, None]
+            continue
+        yield name, logits, mask
+        yield f"{name} swapped", swapped(logits), swapped(mask)
+
+
 class TestSoftmaxDualRoute:
-    """The in-place softmax against its out-of-place oracle, byte for byte."""
+    """The in-place key-axis softmax against its frozen predecessors, byte
+    for byte."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_weights_are_byte_identical(self, scale):
-        for name, logits, mask in _softmax_cases():
+        for name, logits, mask in _key_major_cases():
             scaled = logits * scale
-            before = scaled.tobytes()
             with np.errstate(invalid="ignore"):   # inf - inf, inf / inf
+                w_want, _ = softmax_oracle(logits, mask, scale=scale, axis=-2)
                 w = masked_softmax(scaled, mask)
-                w_want, _ = softmax_oracle(logits, mask, scale=scale)
+            assert w is scaled, f"{name}: the caller's logits were not softmaxed in place"
             assert w.shape == w_want.shape and w.dtype == w_want.dtype, name
             assert w.tobytes() == w_want.tobytes(), name
-            assert scaled.tobytes() == before, f"{name}: the caller's logits were written"
 
-    @pytest.mark.parametrize("scale", [1.0, 0.37])
-    @pytest.mark.parametrize("where", ["logits", "buffer"])
-    def test_out_is_byte_identical_to_the_copy_form(self, scale, where):
-        for name, logits, mask in _softmax_cases():
-            scaled = logits * scale
-            before = scaled.tobytes()
-            buf = scaled.copy() if where == "logits" else np.full_like(logits, 7.0)
-            src = buf if where == "logits" else scaled
-            with np.errstate(invalid="ignore"):
-                w_copy = masked_softmax(scaled, mask)
-                w_want, _ = softmax_oracle(logits, mask, scale=scale)
-                w = masked_softmax(src, mask, out=buf)
-            assert w is buf, name
-            assert w.tobytes() == w_copy.tobytes() == w_want.tobytes(), name
-            assert scaled.tobytes() == before, name
-
+    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_axis_is_the_last_axis_softmax_of_the_transposed_view(self, dtype):
-        """A slot-major softmax over axis -2 has the bytes of the softmax over
-        the last axis of the swapped view: the same operations in the same
-        memory order."""
+    def test_in_place_is_byte_identical_to_the_out_axis_form(self, dtype, masked):
+        """Over every case with two or more axes, with and without its mask:
+        the weights of the removed copy form (``axis=-2``), of its ``out=``
+        form into the logits themselves and into a fresh buffer, and of
+        the in-place call are the same bytes, and the in-place call
+        returns the caller's array."""
         for name, logits, mask in _softmax_cases():
             if logits.ndim < 2:
                 continue
-            x = np.ascontiguousarray(logits.swapaxes(-1, -2), dtype=dtype)
-            m = None if mask is None else np.ascontiguousarray(mask.swapaxes(-1, -2))
-            before = x.tobytes()
+            m = mask if masked else None
+            x = np.ascontiguousarray(logits, dtype=dtype)
+            own, buf = x.copy(), np.full_like(x, 7.0)
             with np.errstate(invalid="ignore"):
-                w = masked_softmax(x, m, axis=-2)
-                want = masked_softmax(x.swapaxes(-1, -2), None if m is None else m.swapaxes(-1, -2))
-                buf = np.full_like(x, 7.0)
-                w_out = masked_softmax(x, m, out=buf, axis=-2)
-            assert w.dtype == want.dtype == dtype, name
-            assert w.swapaxes(-1, -2).tobytes() == want.tobytes(), name
-            assert w_out is buf and w_out.tobytes() == w.tobytes(), name
-            assert x.tobytes() == before, name
+                want = out_axis_softmax(x, m, axis=-2)
+                want_own = out_axis_softmax(own, m, out=own, axis=-2)
+                want_buf = out_axis_softmax(x, m, out=buf, axis=-2)
+                w = masked_softmax(x, m)
+            assert w is x and w.dtype == dtype, name
+            for other in (want, want_own, want_buf):
+                assert w.tobytes() == other.tobytes(), name
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("axis", [-1, -2])
-    def test_divide_all_rows_is_byte_identical_to_the_live_row_divide(self, dtype, axis):
-        """Every row divided, then the dead ones zeroed: all-live, partly
-        masked, all-masked and NaN rows keep the bytes of the divide
-        restricted to the live rows."""
+    def test_key_axis_is_the_last_axis_softmax_of_the_transposed_view(self, dtype):
+        """A softmax over axis -2 has the bytes of the old softmax over the
+        last axis of the swapped view: the same operations in the same
+        memory order."""
+        for name, logits, mask in _key_major_cases():
+            x = np.ascontiguousarray(logits, dtype=dtype)
+            m = None if mask is None else mask.swapaxes(-1, -2)
+            with np.errstate(invalid="ignore"):
+                want = out_axis_softmax(x.swapaxes(-1, -2), m)
+                w = masked_softmax(x, mask)
+            assert w.dtype == want.dtype == dtype, name
+            assert w.swapaxes(-1, -2).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_divide_all_rows_is_byte_identical_to_the_live_row_divide(self, dtype):
+        """Every column divided, then the dead ones zeroed: all-live, partly
+        masked, all-masked and NaN columns keep the bytes of the divide
+        restricted to the live columns."""
         rng = np.random.default_rng(13)
         logits = rng.standard_normal((1, 32, 1024)) * 4.0   # slot-major (h, S, N)
         mask = rng.random((32, 1024)) > 0.3
         mask[:, :4] = False                                # 4 dead queries
         logits[0, 5, 6], mask[5, 6] = np.nan, True         # and a NaN one
         cases = [("epipolar", logits, mask), ("epipolar-live", logits, None)]
-        cases += [(name, x, m) for name, x, m in _softmax_cases() if x.ndim > 1]
+        cases += list(_key_major_cases())
         for name, x, m in cases:
-            if axis == -1:
-                x = x.swapaxes(-1, -2)
-                m = None if m is None else m.swapaxes(-1, -2)
             x = np.ascontiguousarray(x, dtype=dtype)
-            for in_place in (False, True):
-                old, new = x.copy(), x.copy()
-                with np.errstate(invalid="ignore"):
-                    want = where_divide_softmax(old, m, axis=axis, out=old if in_place else None)
-                    got = masked_softmax(new, m, axis=axis, out=new if in_place else None)
-                assert got.dtype == want.dtype == dtype, name
-                assert got.tobytes() == want.tobytes(), name
-        dead = masked_softmax(np.ascontiguousarray(logits, dtype=dtype), mask, axis=-2)
+            old, new = x.copy(), x.copy()
+            with np.errstate(invalid="ignore"):
+                want = where_divide_softmax(old, m, axis=-2, out=old)
+                got = masked_softmax(new, m)
+            assert got.dtype == want.dtype == dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        dead = masked_softmax(np.ascontiguousarray(logits, dtype=dtype), mask)
         assert np.all(dead[..., :4] == 0.0) and np.all(dead[..., 6] == 0.0)
         assert np.isfinite(dead).all()
 
-    def test_full_similarity_logits_do_not_alias_its_weights(self):
+    def test_full_similarity_logits_are_softmaxed_in_place(self):
         rng = np.random.default_rng(12)
         fm = FeatureMap(rng.standard_normal((6, 5, 4)))
         params = AttentionParams.seeded(4, 2, rng)
-        # a reader's full-attention weights, softmaxed apart from the core's logits
+        # a reader's full-attention weights: the core's fresh logits, softmaxed
         logits = full_logits(fm, [project_context(fm, params)], params)[:, 0]
-        weights = masked_softmax(logits, None, axis=-2)   # key-major: over the keys
         kept = logits.copy()
-        assert not np.shares_memory(logits, weights)
-        weights[...] = -1.0
-        assert logits.tobytes() == kept.tobytes()
+        weights = masked_softmax(logits, None)   # key-major: over the keys
+        assert weights is logits
+        assert weights.tobytes() == out_axis_softmax(kept, None, axis=-2).tobytes()
 
 
 class TestApplyLinear:

@@ -213,11 +213,15 @@ def test_render_and_features_are_byte_equal(name):
     for cam in make_trajectory("free16", 100):
         view = render(scene, cam, K)
         assert_same_view(view, oracle_render(scene, cam, K))
-        assert_same_view(render(scene, cam, K_wide), oracle_render(scene, cam, K_wide))
+        wide = render(scene, cam, K_wide)
+        assert_same_view(wide, oracle_render(scene, cam, K_wide))
         for size in (16, 24):
-            got = positional_features(scene, view, size, size)
+            got = positional_features(scene, view, size)
             want = oracle_positional_features(scene, view, size, size)
             assert got.data.tobytes() == want.data.tobytes()
+        # a non-square view's grid is as tall as its scaled intrinsics
+        got = positional_features(scene, wide, 12)
+        assert got.data.tobytes() == oracle_positional_features(scene, wide, 12, 10).data.tobytes()
         drawn |= set(np.unique(view.prim_id).tolist())
     assert set(surface_table(scene)[0]) <= drawn   # every primitive is seen somewhere
 

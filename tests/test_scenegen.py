@@ -199,7 +199,7 @@ class TestSceneJson:
 class TestPositionalFeatures:
     def test_constant_norm_on_foreground(self, distinctive_fixture):
         scene, _, views = distinctive_fixture
-        fm = positional_features(scene, views[0], 24, 24)
+        fm = positional_features(scene, views[0], 24)
         k_feat = views[0].intrinsics.scaled(24 / 32)
         vv, uu = np.meshgrid(np.arange(24), np.arange(24), indexing="ij")
         uv = np.stack([uu.ravel(), vv.ravel()], -1).astype(float)
@@ -214,8 +214,8 @@ class TestPositionalFeatures:
         scene, _, views = distinctive_fixture
         va, vb = views[0], views[3]
         size = 32
-        fa = positional_features(scene, va, size, size)
-        fb = positional_features(scene, vb, size, size)
+        fa = positional_features(scene, va, size)
+        fb = positional_features(scene, vb, size)
         ys, xs = np.nonzero(va.prim_id >= 0)
         stride = max(1, len(xs) // 150)
         uv_a = np.stack([xs, ys], axis=-1)[::stride].astype(float)
