@@ -4,18 +4,21 @@ duplicated parameters.
 All three are one computation: heads-major queries, keys and values,
 scaled dot-product logits softmaxed in place over their keys
 (``masked_softmax``), and the weighted value sum merged back onto the
-target grid (``_merge``). Both retrieval modes are key-major: the softmax
-over the keys and the value mix run along contiguous vectors of the N
-target queries. Full cross
-attention takes a stage's V context views in one batched product, logits
-(heads, V, M, N) (:func:`full_logits`) scaled through the N*d queries;
-self attention is full cross attention with the map as its only context.
-Epipolar attention restricts each query's keys to its own S bilinearly
-sampled epipolar positions, masked where invalid, one context at a time,
-laid out (..., S, N), and scales its S*N logits: moving that scale would
+target grid (``_merge``). Both retrieval modes are key-major: the
+softmax over the keys and the value mix run along contiguous vectors of
+the N target queries. Full cross attention takes a stage's V context
+views in one batched product, logits (heads, V, M, N)
+(:func:`full_logits`) scaled through the N*d queries; self attention is
+full cross attention with the map as its only context. Epipolar
+attention restricts each query's keys to its own S bilinearly sampled
+epipolar positions, masked where invalid, one context at a time, laid
+out (..., S, N), and scales its S*N logits: moving that scale would
 re-base every analytic output for about 1% of a call. Both reuse the
-block's Q/K/V/out projections with no new parameters. Readers of
-similarities (``simmap``, the localization study) softmax the core's own
+block's Q/K/V/out projections with no new parameters: full attention
+reads K and V, and epipolar attention gathers F once, putting the affine
+K and V projections into the query and onto the mix (sampling commutes
+with them, as bilinear weights sum to 1). Readers of similarities
+(``simmap``, the localization study) softmax the core's own
 :func:`full_logits` and :func:`epipolar_logits`.
 
 The core computes in the block's own precision,
@@ -97,9 +100,9 @@ class AttentionParams:
 
 @dataclass(frozen=True)
 class ContextFeatures:
-    """Features of one context view at one (step, layer): the raw map F
-    and its key and value projections, made with the block's own
-    parameters."""
+    """Features of one context view at one (step, layer): the raw map F,
+    which epipolar retrieval samples, and its key and value projections,
+    made with the block's own parameters, which full attention reads."""
 
     f: FeatureMap
     k: FeatureMap
@@ -210,10 +213,36 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
             for x in np.split(_merge(mixed, f_tgt, params).data, len(contexts))]
 
 
-def _gather_heads(plan, fm: FeatureMap, params: AttentionParams) -> np.ndarray:
-    """A map sampled through a slot-major plan, heads-major: (h, d, S, N)."""
-    x = plan.gather(fm.flat().T, dtype=params.dtype)
-    return x.reshape(params.heads, -1, *x.shape[1:])
+def _heads_affine(lin: LinearMap, params: AttentionParams):
+    """A projection's float64 weight (h, d, C) and bias (h, d, 1), heads-major."""
+    bias = None if lin.bias is None else lin.bias.astype(np.float64).reshape(params.heads, -1, 1)
+    return lin.weight.astype(np.float64).reshape(params.heads, -1, lin.in_dim), bias
+
+
+def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
+                     params: AttentionParams, counters: AttentionCounters | None):
+    """The logits of :func:`epipolar_logits` and the one gather of a
+    retrieval, the raw map F sampled through the set's plan (C, S, N). Each
+    head's query absorbs the key projection, ``qa = W_kᵀ q`` (h, C, N), and
+    the logits sum ``qa · F`` in channel order, plus ``q · b_k``."""
+    n = f_tgt.height * f_tgt.width
+    if samples.uv.ndim != 3 or samples.uv.shape[1] != n:
+        raise ValueError("sample set is not (S, N, 2) for the target grid")
+    if (samples.width, samples.height) != (ctx.f.width, ctx.f.height):
+        raise ValueError("sample set is not on the context grid")
+    if counters is not None:
+        counters.record(params.heads * n * samples.uv.shape[0])
+    q = apply_linear(params.q_proj, f_tgt).flat().T.reshape(params.heads, -1, n)   # (h, d, N)
+    w_k, b_k = _heads_affine(params.k_proj, params)
+    qa = (w_k.swapaxes(1, 2) @ q).astype(params.dtype)
+    f = samples.plan.gather(ctx.f.flat().T, dtype=params.dtype)
+    logits = f[0] * qa[:, 0, None]
+    for c in range(1, len(f)):
+        logits += f[c] * qa[:, c, None]
+    if b_k is not None:
+        logits += (b_k * q).sum(axis=1)[:, None]
+    logits /= math.sqrt(q.shape[1])   # a Python float keeps float32 logits in float32
+    return logits, f
 
 
 def epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -223,21 +252,7 @@ def epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSa
     its epipolar key samples, each a contiguous vector of queries.
     ``samples`` must be an (S, N, 2) set on the context's grid. The weights
     are ``masked_softmax(logits, samples.valid)``."""
-    n = f_tgt.height * f_tgt.width
-    if samples.uv.ndim != 3 or samples.uv.shape[1] != n:
-        raise ValueError("sample set is not (S, N, 2) for the target grid")
-    if (samples.width, samples.height) != (ctx.k.width, ctx.k.height):
-        raise ValueError("sample set is not on the context grid")
-    if counters is not None:
-        counters.record(params.heads * n * samples.uv.shape[0])
-    q = np.ascontiguousarray(apply_linear(params.q_proj, f_tgt).flat().T, dtype=params.dtype)
-    q = q.reshape(params.heads, -1, 1, n)                                        # (h, d, 1, N)
-    k = _gather_heads(samples.plan, ctx.k, params)
-    k *= q                       # the key samples are spent here, in place
-    logits = k.sum(axis=1)       # summed in head-channel order: (h, S, N)
-    del k                        # its taps are freed before the values are gathered
-    logits /= math.sqrt(q.shape[1])   # a Python float keeps float32 logits in float32
-    return logits
+    return _epipolar_scores(f_tgt, ctx, samples, params, counters)[0]
 
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -250,16 +265,20 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     softmax (in place), and the weighted sum of the sampled value
     features. Queries whose sample set is empty contribute nothing and are
     marked False in the returned mask, a view of the set's read-only one.
+    The weights mix the one gather of F, ``m = Σ_s w F`` channel by
+    channel, and the values are ``W_v m + b_v Σ_s w``.
 
     Returns (FeatureMap, contributed (H, W) bool).
     """
-    if ctx.k.height != f_tgt.height or ctx.k.width != f_tgt.width:
+    if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
-    logits = epipolar_logits(f_tgt, ctx, samples, params, counters)
+    logits, f = _epipolar_scores(f_tgt, ctx, samples, params, counters)
     weights = masked_softmax(logits, samples.valid)
-    v = _gather_heads(samples.plan, ctx.value, params)
-    v *= weights[:, None]
-    fm = _merge(v.sum(axis=2).swapaxes(1, 2), f_tgt, params)   # summed over the S slots
+    w_v, b_v = _heads_affine(params.v_proj, params)
+    v = w_v @ np.stack([(weights * fc).sum(axis=1) for fc in f], axis=1)      # (h, d, N)
+    if b_v is not None:
+        v += b_v * weights.sum(axis=1)[:, None]
+    fm = _merge(v.swapaxes(1, 2), f_tgt, params)
     return fm, samples.contributed.reshape(f_tgt.height, f_tgt.width)
 
 

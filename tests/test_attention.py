@@ -28,7 +28,7 @@ from epiview.geometry import (
     epipolar_sample_grid,
     relative_pose,
 )
-from epiview.numerics import BilinearPlan, FeatureMap, apply_linear, masked_softmax
+from epiview.numerics import BilinearPlan, FeatureMap, LinearMap, apply_linear, masked_softmax
 
 
 def naive_self_attention(fm, params):
@@ -112,39 +112,74 @@ class TestBlockPrecision:
             replace(AttentionParams.identity(4), dtype=np.float16)
 
 
+def reach(lin, f: FeatureMap) -> float:
+    """|W|_inf max|f| + max|b|: a bound on every entry of ``lin`` applied
+    to a map whose entries are at most those of ``f``, and on the sum of
+    its entry-wise errors carried through W when each is at most max|f|."""
+    b = 0.0 if lin.bias is None else float(np.abs(lin.bias).max())
+    return float(np.abs(lin.weight.astype(np.float64)).sum(axis=1).max()
+                 * np.abs(f.data).max()) + b
+
+
+def logit_reach(f_tgt, ctx, params) -> float:
+    """A bound P on sqrt(d) times every logit and on the sum of the
+    magnitudes of the products that make it, in either route: max over
+    queries and heads of the absorbed query's sum_c |qa_c| max|F| + |q·b_k|
+    (the route that samples F) and of |q|_1 max|K| (a route that samples
+    the stored keys)."""
+    d = params.q_proj.out_dim // params.heads
+    q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64)
+    q = q.reshape(-1, params.heads, d)                                       # (N, h, d)
+    w_k = params.k_proj.weight.astype(np.float64).reshape(params.heads, d, -1)
+    bias = (np.zeros(params.k_proj.out_dim) if params.k_proj.bias is None
+            else params.k_proj.bias.astype(np.float64))
+    absorbed = (np.abs(np.einsum("nhd,hdc->nhc", q, w_k)).sum(axis=-1) * np.abs(ctx.f.data).max()
+                + np.abs(np.einsum("nhd,hd->nh", q, bias.reshape(params.heads, d))))
+    keyed = np.abs(q).sum(axis=-1) * np.abs(ctx.k.data).max()
+    return float(max(absorbed.max(), keyed.max()))
+
+
 class TestFloat32RouteDualRoute:
     """The float32 route of the core against its float64 reference route,
     on the same float32 features and projections. Both routes round the
     mixed values to a float32 map before the float64 output projection.
 
-    The bound, with u = 2**-24 the float32 unit roundoff, d the head
-    width, S the keys per query (samples, or every context position), Q
-    the largest l1 norm of a query head, K and V the largest key and value
-    entries, and W the largest absolute row sum of the output projection:
-    - a logit differs by at most dl = (d + 7) u Q K / sqrt(d): d roundings
-      in the float32 dot product, one in the scaling, at most 4 u K per
-      entry in the float32 bilinear blend of the keys, and 2 u Q K / sqrt(d)
-      when the row peak is subtracted;
+    Epipolar retrieval samples the raw map F once, absorbs the key
+    projection into the query, ``qa = W_kᵀ q``, and applies the value
+    projection to the mix, ``W_v (Σ w F) + b_v Σ w``; full attention reads
+    the stored keys and values. With u = 2**-24 the float32 unit
+    roundoff, C the channels, d the head width, S the keys per query
+    (samples, or every context position), P = :func:`logit_reach`, V the
+    largest value entry, R_v = :func:`reach` of the value projection over
+    F, and W the largest absolute row sum of the output projection:
+    - a logit differs by at most dl = (C + 15) u P / sqrt(d): C roundings
+      in the float32 dot product over the C channels of the absorbed
+      query (full attention sums d <= C products of its keys), one in
+      rounding qa to float32, at most 8 u per entry in the float32
+      bilinear blend of F (4 u a lerp, two lerps for four taps), one in
+      adding q·b_k, one in the scaling, 2 when the row peak is subtracted,
+      and one for the float32 keys that full attention reads;
     - so the weights of a query, which sum to 1, differ by at most
-      expm1(2 dl) + (S + 4) u in l1 (exp, sum and divide in float32);
-    - the mix of the values adds S u V (float32 accumulation), the blend
-      of the values 4 u V, and the float32 map each route stores u V;
+      expm1(2 dl) + (S + 4) u in l1 (exp, sum and divide in float32),
+      which moves the mix by V times that;
+    - the float32 mix of F (or of the values) and of the weights for b_v
+      adds S u R_v, the blend of F 8 u R_v, each route's float32 map of the
+      mix u V, and full attention's float32 values u V;
     - the output projection multiplies by W, and the two float32 outputs
       each round once more (u of the largest output).
-    Together: |out32 - out64| <= W V (expm1(2 dl) + (2 S + 9) u) + 2 u max|out64|.
+    Together: |out32 - out64| <= W (V (expm1(2 dl) + (S + 7) u)
+    + R_v (S + 8) u) + 2 u max|out64|.
     """
 
     @staticmethod
     def bound(f_tgt, ctx, params, keys, out64):
         u = np.finfo(np.float32).eps / 2
-        d = params.q_proj.out_dim // params.heads
-        q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64)
-        q_l1 = np.abs(q.reshape(-1, params.heads, d)).sum(axis=-1).max()
-        k_max = np.abs(ctx.k.data).max()
+        c, d = ctx.f.channels, params.q_proj.out_dim // params.heads
+        dl = (c + 15) * u * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
         v_max = np.abs(ctx.value.data).max()
         w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
-        dl = (d + 7) * u * q_l1 * k_max / math.sqrt(d)
-        return (w_row * v_max * (math.expm1(2 * dl) + (2 * keys + 9) * u)
+        return (w_row * (v_max * (math.expm1(2 * dl) + (keys + 7) * u)
+                         + reach(params.v_proj, ctx.f) * (keys + 8) * u)
                 + 2 * u * np.abs(out64).max())
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -237,40 +272,237 @@ def oracle_query_major_attention(f_tgt, ctx, samples, params):
             valid.any(axis=1).reshape(f_tgt.height, f_tgt.width))
 
 
+def oracle_gather_heads(plan, fm, params):
+    """A map sampled through a slot-major plan, heads-major: (h, d, S, N)."""
+    x = plan.gather(fm.flat().T, dtype=params.dtype)
+    return x.reshape(params.heads, -1, *x.shape[1:])
+
+
+def oracle_two_gather_logits(f_tgt, ctx, samples, params):
+    """``epipolar_logits`` as it was when retrieval gathered the key map K
+    and the value map V each through the set's plan: the sampled keys
+    (h, d, S, N) multiplied in place by the channel-major query and summed
+    in head-channel order, then scaled. Kept verbatim as the oracle."""
+    n = f_tgt.height * f_tgt.width
+    q = np.ascontiguousarray(apply_linear(params.q_proj, f_tgt).flat().T, dtype=params.dtype)
+    q = q.reshape(params.heads, -1, 1, n)                                        # (h, d, 1, N)
+    k = oracle_gather_heads(samples.plan, ctx.k, params)
+    k *= q
+    logits = k.sum(axis=1)
+    del k
+    logits /= math.sqrt(q.shape[1])
+    return logits
+
+
+def oracle_two_gather_attention(f_tgt, ctx, samples, params):
+    """``epipolar_attention`` as it was with a gather of K and one of V.
+    Kept verbatim as the oracle. Returns (output map, contributed (H, W),
+    logits (h, S, N), weights, mixed values (h, N, d))."""
+    logits = oracle_two_gather_logits(f_tgt, ctx, samples, params)
+    weights = masked_softmax(logits.copy(), samples.valid)
+    v = oracle_gather_heads(samples.plan, ctx.value, params)
+    v *= weights[:, None]
+    mixed = v.sum(axis=2).swapaxes(1, 2)
+    out = np.moveaxis(mixed, 0, -2).reshape(-1, f_tgt.width, params.out_proj.in_dim)
+    fm = apply_linear(params.out_proj, FeatureMap(out))
+    return fm, samples.contributed.reshape(f_tgt.height, f_tgt.width), logits, weights, mixed
+
+
+def absorbed_bounds(f_tgt, ctx, samples, params):
+    """How far the one-gather route may lie from a route that samples the
+    stored K and V maps (the two-gather or the query-major oracle), on the
+    same block and sample set, each in the block's dtype (unit roundoff u).
+
+    Bilinear weights sum to 1, so sampling commutes with the affine
+    projections and both routes compute the same exact logits and mix; the
+    oracle samples K = W_k F + b_k and V = W_v F + b_v, stored as float32
+    maps, where the route samples F and applies W_k to the query and W_v
+    to the mix. With C the channels, d the head width, S the slots per
+    query, L the lerps of the plan (1 for two taps, 2 for four), e and u32
+    the float64 and float32 unit roundoffs, s = u32 + (C + 1) e the
+    rounding of a float32 map projected in float64, P =
+    :func:`logit_reach`, V the largest value entry, R_v = :func:`reach` of
+    the value projection over F, and W the largest absolute row sum of the
+    output projection:
+    - at an in-grid slot, a logit differs by at most dl = ((C + 3 d + 8 L
+      + 8) u + s) P / sqrt(d): the route rounds qa = W_kᵀ q (d + 1), blends
+      F (4 L), sums C channel products (C), adds q·b_k (d + 1) and scales
+      (1); the oracle reads K's rounding (s), blends K (4 L), sums d
+      products (d) and scales (1); each subtracts its row peak (2);
+    - so the weights of a query, which sum to 1, differ by at most dw =
+      expm1(2 dl) + 2 (S + 4) u in l1, which moves the mix by V dw;
+    - the route blends F (4 L u R_v), sums S products for the mix and for
+      Σw (S u R_v), applies W_v and b_v in float64 (C + 2) e R_v; the
+      oracle reads V's rounding (s V), blends V (4 L u V) and sums S
+      products (S u V); each stores its mix as a float32 map (u32 V): the
+      mix differs by at most dm = V (dw + (S + 4 L) u + s + 2 u32) + R_v
+      ((S + 4 L) u + (C + 2) e);
+    - the float64 output projection multiplies by W and adds 2 (C + 1) e W V
+      of its own rounding; each float32 output rounds once more.
+    An off-grid slot is masked in both routes, where the oracle's logit is
+    0 and the route's is q·b_k. Returns (dl, dw, dm, the output bound less
+    2 u32 max|out|).
+    """
+    u, e, u32 = (np.finfo(params.dtype).eps / 2, np.finfo(np.float64).eps / 2,
+                 np.finfo(np.float32).eps / 2)
+    c, d = ctx.f.channels, params.q_proj.out_dim // params.heads
+    slots, lerps = samples.uv.shape[0], samples.plan.frac.shape[0]
+    store = u32 + (c + 1) * e
+    dl = ((c + 3 * d + 8 * lerps + 8) * u + store) * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
+    dw = math.expm1(2 * dl) + 2 * (slots + 4) * u
+    v_max, r_v = np.abs(ctx.value.data).max(), reach(params.v_proj, ctx.f)
+    dm = (v_max * (dw + (slots + 4 * lerps) * u + store + 2 * u32)
+          + r_v * ((slots + 4 * lerps) * u + (c + 2) * e))
+    w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
+    return dl, dw, dm, w_row * (dm + 2 * (c + 1) * e * v_max)
+
+
+def sample_set(case, rng, w, h):
+    """A sample set on a w x h grid: a real camera pair's (two taps, every
+    slot on the grid), random positions with an integral u (two taps) or
+    none (four taps), some of them off the grid."""
+    if case == "camera-pair":
+        K = CameraIntrinsics.from_fov(w, h)
+        a, b = (SphericalCamera(rng.uniform(-10, 40), rng.uniform(0, 360), 2.0)
+                for _ in range(2))
+        return epipolar_sample_grid(relative_pose(camera_on_sphere(a), camera_on_sphere(b)), K)
+    uv = rng.uniform(-1.0, w, (h * w, 9, 2))
+    if case == "two-tap":
+        uv[..., 0] = rng.integers(-1, w + 1, uv.shape[:2])
+    return EpipolarSampleSet(uv=uv.swapaxes(0, 1), valid=(rng.random((h * w, 9)) > 0.2).T,
+                             width=w, height=h)
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """A copy of every map a ``BilinearPlan`` gathers from, and of what it
+    returns, in call order."""
+    seen = []
+    gather = BilinearPlan.gather
+
+    def recording(plan, grid, *args, **kwargs):
+        out = gather(plan, grid, *args, **kwargs)
+        seen.append((np.array(grid), out.copy()))
+        return out
+
+    monkeypatch.setattr(BilinearPlan, "gather", recording)
+    return seen
+
+
+class TestOneGatherDualRoute:
+    """Epipolar retrieval, which samples the raw map F once and absorbs the
+    block's key and value projections into the query and the mix, against
+    a frozen copy of the route that gathered K and V: byte-equal under
+    identity projections, where the samples of F, K and V have the same
+    bytes, and within :func:`absorbed_bounds` under seeded blocks, whose
+    key and value projections have biases."""
+
+    CASES = ["camera-pair", "two-tap", "four-tap"]
+
+    @staticmethod
+    def inputs(case, heads, dtype, seeded, seed):
+        rng = np.random.default_rng(seed)
+        w, h, c = 12, 10, 8
+        samples = sample_set(case, rng, w, h)
+        assert samples.plan.index.shape[0] == (4 if case == "four-tap" else 2)
+        assert samples.plan.in_grid == (case == "camera-pair")
+        params = (AttentionParams.seeded(c, heads, rng) if seeded
+                  else replace(AttentionParams.identity(c), heads=heads))
+        params = replace(params, dtype=dtype)
+        f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+        ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
+        return f_tgt, ctx, samples, params
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_identity_projections_are_byte_equal(self, case, heads, dtype, gathers):
+        f_tgt, ctx, samples, params = self.inputs(case, heads, dtype, False, 100 + heads)
+        want_fm, want_contributed, want_logits, _, _ = oracle_two_gather_attention(
+            f_tgt, ctx, samples, params)
+        gathers.clear()
+        fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+        assert len(gathers) == 1 and gathers[0][0].tobytes() == ctx.f.flat().T.tobytes()
+        assert fm.data.tobytes() == want_fm.data.tobytes()
+        assert contributed.tobytes() == want_contributed.tobytes()
+        in_grid = samples.plan.valid
+        logits = epipolar_logits(f_tgt, ctx, samples, params)
+        assert logits[:, in_grid].tobytes() == want_logits[:, in_grid].tobytes()
+        assert 0 < samples.valid.sum() < samples.valid.size
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_seeded_blocks_within_the_derived_bound(self, case, heads, dtype, monkeypatch):
+        import epiview.attention as attention
+        merged = []
+        merge = attention._merge
+
+        def recording(mixed, *args):
+            merged.append(np.array(mixed))
+            return merge(mixed, *args)
+
+        monkeypatch.setattr(attention, "_merge", recording)
+        f_tgt, ctx, samples, params = self.inputs(case, heads, dtype, True, 110 + heads)
+        assert params.k_proj.bias is not None and params.v_proj.bias is not None
+        want_fm, want_contributed, want_logits, want_weights, want_mixed = \
+            oracle_two_gather_attention(f_tgt, ctx, samples, params)
+        fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+        logits = epipolar_logits(f_tgt, ctx, samples, params)
+        weights = masked_softmax(logits.copy(), samples.valid)
+        dl, dw, dm, out_bound = absorbed_bounds(f_tgt, ctx, samples, params)
+        in_grid = samples.plan.valid
+        assert np.abs(logits - want_logits)[:, in_grid].max() <= dl
+        assert np.abs(weights - want_weights).sum(axis=1).max() <= dw
+        assert np.abs(merged[-1] - want_mixed).max() <= dm
+        err = np.abs(fm.data.astype(np.float64) - want_fm.data).max()
+        assert 0 < err <= out_bound + 2 * 2.0 ** -24 * np.abs(want_fm.data).max()
+        assert contributed.tobytes() == want_contributed.tobytes()
+
+    def test_key_bias_moves_the_logits_not_only_the_weights(self):
+        # the softmax cancels q·b_k, which is constant over a query's slots;
+        # epipolar_logits, which readers show, must still carry it
+        f_tgt, ctx, samples, params = self.inputs("camera-pair", 2, np.float64, True, 120)
+        want = oracle_two_gather_logits(f_tgt, ctx, samples, params)
+        dl = absorbed_bounds(f_tgt, ctx, samples, params)[0]
+        assert np.abs(epipolar_logits(f_tgt, ctx, samples, params) - want).max() <= dl
+        unbiased = replace(params, k_proj=LinearMap(params.k_proj.weight))
+        assert np.abs(epipolar_logits(f_tgt, ctx, samples, unbiased) - want).max() > 100 * dl
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_query_with_no_valid_slot_returns_the_projection_of_zero(self, dtype):
+        f_tgt, ctx, samples, params = self.inputs("four-tap", 2, dtype, True, 130)
+        valid = np.array(samples.valid)
+        valid[:, :5] = False   # the first five queries of the top row
+        samples = EpipolarSampleSet(uv=samples.uv, valid=valid, width=12, height=10)
+        fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+        zero = apply_linear(params.out_proj, FeatureMap(np.zeros((1, 5, 8)))).data
+        assert fm.data[:1, :5].tobytes() == zero.tobytes()
+        assert not contributed[0, :5].any() and contributed.sum() > 100
+        want_fm = oracle_two_gather_attention(f_tgt, ctx, samples, params)[0]
+        assert want_fm.data[:1, :5].tobytes() == zero.tobytes()
+
+
 class TestSlotMajorDualRoute:
     """Slot-major epipolar retrieval against a frozen copy of the
     query-major route it replaced, each slot-major array against the
-    oracle's transposed. The sampled values and masks keep their
-    bytes. In float64 the logits, weights and mixed values agree to 1e-12
-    of each array's largest magnitude: the logits now sum the head
-    channels in order where the oracle's matrix product may fuse them, and
-    the softmax and the mix sum the S slots in order where the oracle's
-    sums are pairwise. The float32 route stays inside the bound that
-    :class:`TestFloat32RouteDualRoute` derives against the oracle's float64
-    outputs."""
-
-    @staticmethod
-    def sample_set(case, rng, w, h):
-        if case == "camera-pair":   # two taps per sample
-            K = CameraIntrinsics.from_fov(w, h)
-            a, b = (SphericalCamera(rng.uniform(-10, 40), rng.uniform(0, 360), 2.0)
-                    for _ in range(2))
-            return epipolar_sample_grid(relative_pose(camera_on_sphere(a), camera_on_sphere(b)),
-                                        K)
-        return EpipolarSampleSet(uv=rng.uniform(-1.0, w, (h * w, 9, 2)).swapaxes(0, 1),
-                                 valid=(rng.random((h * w, 9)) > 0.2).T,   # four taps
-                                 width=w, height=h)
+    oracle's transposed. The sampled map, the masks, and under identity
+    projections the sampled values keep their bytes. Under identity
+    projections, in float64, the logits, weights and mixed values agree to
+    1e-12 of each array's largest magnitude: the logits sum the channels
+    in order where the oracle's matrix product may fuse them, and the
+    softmax and the mix sum the S slots in order where the oracle's sums
+    are pairwise. Under seeded blocks, which the route absorbs into the
+    query and the mix, they stay within :func:`absorbed_bounds`. The
+    float32 route stays inside the bound that
+    :class:`TestFloat32RouteDualRoute` derives against the oracle's
+    float64 outputs."""
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("case", ["camera-pair", "four-tap"])
-    def test_matches_the_query_major_route(self, case, heads, monkeypatch):
+    def test_matches_the_query_major_route(self, case, heads, monkeypatch, gathers):
         import epiview.attention as attention
-        gathered, softmaxed, merged = [], [], []
-
-        def gathering(*args):
-            out = gather_heads(*args)
-            gathered.append(out.copy())
-            return out
+        softmaxed, merged = [], []
 
         def keeping(logits, *args, **kwargs):
             softmaxed.append(np.array(logits))
@@ -282,50 +514,70 @@ class TestSlotMajorDualRoute:
             merged.append(np.array(mixed))
             return merge(mixed, *args)
 
-        gather_heads, merge = attention._gather_heads, attention._merge
-        monkeypatch.setattr(attention, "_gather_heads", gathering)
+        merge = attention._merge
         monkeypatch.setattr(attention, "masked_softmax", keeping)
         monkeypatch.setattr(attention, "_merge", recording)
         rng = np.random.default_rng(80 + heads)
         w, h, c = 12, 10, 8
         for _ in range(3):
-            samples = self.sample_set(case, rng, w, h)
+            samples = sample_set(case, rng, w, h)
             assert samples.plan.index.shape[0] == (2 if case == "camera-pair" else 4)
             f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
-            params = AttentionParams.seeded(c, heads, rng)
-            ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
-            fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
-            logits_seen, weights = softmaxed[-2:]
-            v_samp = gathered[-1].reshape(c, *samples.valid.shape)   # (C, S, N)
-            valid = samples.valid
-            # the public logits are the ones the core softmaxes
-            logits = epipolar_logits(f_tgt, ctx, samples, params)
-            assert logits.tobytes() == logits_seen.tobytes()
-            (want_logits, want_weights, want_v, want_valid, want_mixed, want_fm,
-             want_contributed) = oracle_query_major_attention(f_tgt, ctx, samples, params)
-            assert v_samp.tobytes() == np.ascontiguousarray(want_v.transpose(2, 1, 0)).tobytes()
-            assert valid.tobytes() == np.ascontiguousarray(want_valid.T).tobytes()
-            assert contributed.tobytes() == want_contributed.tobytes()
-            assert 0 < valid.sum() < valid.size
-            for got, want in ((logits, want_logits.swapaxes(-1, -2)),
-                              (weights, want_weights.swapaxes(-1, -2)),
-                              (merged.pop(), want_mixed)):
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.all(weights[:, ~valid] == 0.0)
-            # both maps round the mixed values to float32 (one rounding of
-            # u each, perhaps apart), project them, and round once more
-            u = np.finfo(np.float32).eps / 2
-            w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
-            tol = 2 * u * (w_row * np.abs(want_mixed).max() + np.abs(want_fm.data).max())
-            assert np.abs(fm.data.astype(np.float64) - want_fm.data).max() <= tol
+            blocks = (replace(AttentionParams.identity(c), heads=heads),
+                      AttentionParams.seeded(c, heads, rng))
+            f_ref = FeatureMap(rng.standard_normal((h, w, c)))
+            for seeded, params in enumerate(blocks):
+                self.check(f_tgt, project_context(f_ref, params), samples, params, seeded,
+                           gathers, softmaxed, merged)
+
+    @staticmethod
+    def check(f_tgt, ctx, samples, params, seeded, gathers, softmaxed, merged):
+        """One call of the route against the query-major oracle."""
+        gathers.clear()
+        fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+        logits_seen, weights = softmaxed[-2:]
+        (grid, f_samp), = gathers   # one gather, of F: (C, S, N)
+        valid = samples.valid
+        # the public logits are the ones the core softmaxes
+        logits = epipolar_logits(f_tgt, ctx, samples, params)
+        assert logits.tobytes() == logits_seen.tobytes()
+        (want_logits, want_weights, want_v, want_valid, want_mixed, want_fm,
+         want_contributed) = oracle_query_major_attention(f_tgt, ctx, samples, params)
+        plan = BilinearPlan.build(samples.uv.swapaxes(0, 1), samples.width, samples.height)
+        want_f = oracle_row_major_gather(plan, ctx.f.flat(), params.dtype)
+        assert grid.tobytes() == ctx.f.flat().T.tobytes()
+        assert f_samp.tobytes() == np.ascontiguousarray(want_f.transpose(2, 1, 0)).tobytes()
+        if not seeded:
+            assert f_samp.tobytes() == np.ascontiguousarray(want_v.transpose(2, 1, 0)).tobytes()
+        assert valid.tobytes() == np.ascontiguousarray(want_valid.T).tobytes()
+        assert contributed.tobytes() == want_contributed.tobytes()
+        assert 0 < valid.sum() < valid.size
+        in_grid = samples.plan.valid
+        dl, dw, dm, out_bound = absorbed_bounds(f_tgt, ctx, samples, params)
+        want_logits, want_weights = want_logits.swapaxes(-1, -2), want_weights.swapaxes(-1, -2)
+        assert logits.shape == want_logits.shape
+        for got, want, bound in ((logits[:, in_grid], want_logits[:, in_grid], dl),
+                                 (weights, want_weights, dw),
+                                 (merged.pop(), want_mixed, dm)):
+            assert got.shape == want.shape
+            if not seeded:
+                bound = 1e-12 * np.abs(want).max()
+            assert np.abs(got - want).max() <= bound
+        assert np.all(weights[:, ~valid] == 0.0)
+        # both maps round the mixed values to float32 (one rounding of
+        # u each, perhaps apart), project them, and round once more
+        u = np.finfo(np.float32).eps / 2
+        w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
+        tol = (out_bound if seeded else 2 * u * w_row * np.abs(want_mixed).max()) \
+            + 2 * u * np.abs(want_fm.data).max()
+        assert np.abs(fm.data.astype(np.float64) - want_fm.data).max() <= tol
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("case", ["camera-pair", "four-tap"])
     def test_float32_within_the_bound_of_the_query_major_route(self, case, heads):
         rng = np.random.default_rng(90 + heads)
         w, h, c = 12, 10, 8
-        samples = self.sample_set(case, rng, w, h)
+        samples = sample_set(case, rng, w, h)
         f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
         params64 = AttentionParams.seeded(c, heads, rng)
         ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params64)

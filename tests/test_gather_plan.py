@@ -32,6 +32,7 @@ from epiview.geometry import (
     relative_pose,
 )
 from epiview.numerics import BilinearPlan, FeatureMap, apply_linear, masked_softmax
+from test_attention import absorbed_bounds
 
 
 def bilinear_oracle(fm: FeatureMap, uv: np.ndarray):
@@ -161,11 +162,14 @@ def test_a_sample_sets_plan_is_slot_major_with_intp_indices():
         assert plan.valid.tobytes() == np.ascontiguousarray(query_major.valid.T).tobytes()
 
 
-def test_similarity_through_the_plan_matches_the_oracle_route():
+@pytest.mark.parametrize("block", ["identity", "seeded"])
+def test_similarity_through_the_plan_matches_the_oracle_route(block):
     rng = np.random.default_rng(3)
     f_tgt = FeatureMap(rng.standard_normal((12, 12, 4)))
     f_ref = FeatureMap(rng.standard_normal((12, 12, 4)))
     params = AttentionParams.seeded(4, 2, rng)
+    if block == "identity":
+        params = replace(AttentionParams.identity(4), heads=2)
     ctx = project_context(f_ref, params)
     for samples in random_sample_sets(4, 4, 12, 12):
         # slot-major (h, S, N) logits and weights, (C, S, N) values, (S, N) mask
@@ -179,14 +183,21 @@ def test_similarity_through_the_plan_matches_the_oracle_route():
         np.testing.assert_array_equal(valid, samples.valid & k_ok)
         q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64).reshape(144, 2, 2)
         k = k_want.swapaxes(0, 1).reshape(144, -1, 2, 2)
-        # the attention core's products, summed in head-channel order, on
-        # the oracle's keys
+        # the products of the route that gathered K, summed in head-channel
+        # order, on the oracle's keys
         want = q[:, None, :, 0] * k[..., 0] + q[:, None, :, 1] * k[..., 1]
         want = np.moveaxis(want, (2, 1), (0, 1)) / np.sqrt(2)
-        assert logits.tobytes() == np.ascontiguousarray(want).tobytes()
         # an independent formula; BLAS may fuse multiply-adds differently
-        np.testing.assert_allclose(
-            logits, np.einsum("qhd,qshd->hsq", q, k) / np.sqrt(2), rtol=0, atol=1e-12)
+        independent = np.einsum("qhd,qshd->hsq", q, k) / np.sqrt(2)
+        if block == "identity":
+            # K is F: the absorbed query is the query, whose zero channels
+            # of the other head add nothing
+            assert logits.tobytes() == np.ascontiguousarray(want).tobytes()
+            np.testing.assert_allclose(logits, independent, rtol=0, atol=1e-12)
+        else:
+            dl = absorbed_bounds(f_tgt, ctx, samples, params)[0]
+            assert np.abs(logits - want).max() <= dl
+            assert np.abs(logits - independent).max() <= dl + 1e-12
         # the set's own plan has the bytes of a plan built from its positions
         plan = BilinearPlan.build(samples.uv, 12, 12)
         for field in ("index", "frac", "valid"):
@@ -407,6 +418,9 @@ def oracle_two_mask_attention(f_tgt, ctx, uv, valid, params):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("seed", range(6))
 def test_a_set_clears_its_off_grid_slots_and_retrieves_as_the_two_masks_did(seed, dtype):
+    """Byte-equal to the two-mask oracle under identity projections, where
+    sampling F is sampling K and V; within the one-gather route's bound of
+    it under seeded blocks, which it absorbs into the query and the mix."""
     rng = np.random.default_rng(30 + seed)
     w, h, c = 7, 5, 4
     uv = rng.uniform(-1.0, w, (h * w, 6, 2))   # query-major, four taps, some off the grid
@@ -416,13 +430,20 @@ def test_a_set_clears_its_off_grid_slots_and_retrieves_as_the_two_masks_did(seed
     assert np.any(given & ~on_grid)   # valid slots off the grid, which the set clears
     assert samples.valid.tobytes() == np.ascontiguousarray((given & on_grid).T).tobytes()
     assert not samples.valid.flags.writeable
-    params = replace(AttentionParams.seeded(c, 2, rng), dtype=dtype)
+    seeded = replace(AttentionParams.seeded(c, 2, rng), dtype=dtype)
     f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
-    ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
-    fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
-    want_fm, want_contributed = oracle_two_mask_attention(f_tgt, ctx, uv, given, params)
-    assert fm.data.tobytes() == want_fm.data.tobytes()
-    assert contributed.tobytes() == want_contributed.tobytes()
+    f_ref = FeatureMap(rng.standard_normal((h, w, c)))
+    for params in (replace(AttentionParams.identity(c), heads=2, dtype=dtype), seeded):
+        ctx = project_context(f_ref, params)
+        fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+        want_fm, want_contributed = oracle_two_mask_attention(f_tgt, ctx, uv, given, params)
+        if params is seeded:
+            bound = absorbed_bounds(f_tgt, ctx, samples, params)[3]
+            bound += 2 * 2.0 ** -24 * np.abs(want_fm.data).max()
+            assert np.abs(fm.data.astype(np.float64) - want_fm.data).max() <= bound
+        else:
+            assert fm.data.tobytes() == want_fm.data.tobytes()
+        assert contributed.tobytes() == want_contributed.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -13,7 +13,7 @@ from epiview.errors import CacheMissError, DataError
 from epiview.fileio import to_u8
 from epiview.geometry import CameraIntrinsics, SphericalCamera
 from epiview.metrics import reprojection_consistency
-from epiview.numerics import masked_softmax
+from epiview.numerics import BilinearPlan, masked_softmax
 from epiview.pipeline import (
     GenerationConfig,
     TrajectorySynthesizer,
@@ -263,6 +263,42 @@ class TestPairMemoLifetime:
         assert grids[:-1] == [0] + [1 + min(i, 2) for i in range(8)]
         assert sum(grids) == 21
         assert all(len(refs) > n for refs, n in zip(views[1:-1], grids[1:]))
+
+
+class TestOneGatherPerRetrieval:
+    def test_each_epipolar_retrieval_gathers_once(self, monkeypatch):
+        # free16 targets 1-3 from input view 0 at 16 px: every epipolar
+        # retrieval samples the context's raw map through its pair's plan
+        # once, for its keys and its values alike
+        K = CameraIntrinsics.from_fov(16, 16)
+        scene = make_scene(0, "distinctive")
+        cams = make_trajectory("free16", 100)
+        input_cam, traj = cams[0], cams[1:4]
+        targets = {None: render(scene, input_cam, K).rgb.data}
+        for i, c in enumerate(traj):
+            targets[i] = render(scene, c, K).rgb.data
+        synth = TrajectorySynthesizer(
+            targets[None], input_cam, K, AnalyticAttentionDenoiser(targets, sigma=0.08),
+            NoiseSchedule.linear_beta(6),
+            GenerationConfig(context_views=2, inject_after_step=3, mode="epipolar"))
+        calls = {"gather": 0, "attention": 0}
+        gather, attend = BilinearPlan.gather, pipeline.epipolar_attention
+
+        def counting_gather(*args, **kwargs):
+            calls["gather"] += 1
+            return gather(*args, **kwargs)
+
+        def counting_attention(*args, **kwargs):
+            calls["attention"] += 1
+            return attend(*args, **kwargs)
+
+        monkeypatch.setattr(BilinearPlan, "gather", counting_gather)
+        monkeypatch.setattr(pipeline, "epipolar_attention", counting_attention)
+        synth.synthesize_trajectory(traj)
+        # the input view plus up to 2 earlier ones: 1, 2 and 3 contexts for
+        # the three targets, at each of 3 injected steps
+        assert calls["attention"] == (1 + 2 + 3) * 3
+        assert calls["gather"] == calls["attention"]
 
 
 class TestInversion:
