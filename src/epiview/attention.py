@@ -224,7 +224,7 @@ def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarS
     """The logits of :func:`epipolar_logits` and the one gather of a
     retrieval, the raw map F sampled through the set's plan (C, S, N). Each
     head's query absorbs the key projection, ``qa = W_kᵀ q`` (h, C, N), and
-    the logits sum ``qa · F`` in channel order, plus ``q · b_k``."""
+    the logits contract ``qa · F`` in channel order, plus ``q · b_k``."""
     n = f_tgt.height * f_tgt.width
     if samples.uv.ndim != 3 or samples.uv.shape[1] != n:
         raise ValueError("sample set is not (S, N, 2) for the target grid")
@@ -236,9 +236,7 @@ def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarS
     w_k, b_k = _heads_affine(params.k_proj, params)
     qa = (w_k.swapaxes(1, 2) @ q).astype(params.dtype)
     f = samples.plan.gather(ctx.f.flat().T, dtype=params.dtype)
-    logits = f[0] * qa[:, 0, None]
-    for c in range(1, len(f)):
-        logits += f[c] * qa[:, c, None]
+    logits = np.einsum("hcn,csn->hsn", qa, f)
     if b_k is not None:
         logits += (b_k * q).sum(axis=1)[:, None]
     logits /= math.sqrt(q.shape[1])   # a Python float keeps float32 logits in float32
@@ -265,8 +263,8 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     softmax (in place), and the weighted sum of the sampled value
     features. Queries whose sample set is empty contribute nothing and are
     marked False in the returned mask, a view of the set's read-only one.
-    The weights mix the one gather of F, ``m = Σ_s w F`` channel by
-    channel, and the values are ``W_v m + b_v Σ_s w``.
+    The weights mix the one gather of F in one contraction summed in slot
+    order, ``m = Σ_s w F``, and the values are ``W_v m + b_v Σ_s w``.
 
     Returns (FeatureMap, contributed (H, W) bool).
     """
@@ -275,7 +273,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     logits, f = _epipolar_scores(f_tgt, ctx, samples, params, counters)
     weights = masked_softmax(logits, samples.valid)
     w_v, b_v = _heads_affine(params.v_proj, params)
-    v = w_v @ np.stack([(weights * fc).sum(axis=1) for fc in f], axis=1)      # (h, d, N)
+    v = w_v @ np.einsum("hsn,csn->hcn", weights, f)   # (h, d, N)
     if b_v is not None:
         v += b_v * weights.sum(axis=1)[:, None]
     fm = _merge(v.swapaxes(1, 2), f_tgt, params)

@@ -10,7 +10,7 @@ attention at most L*L*max-samples.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -91,7 +91,4 @@ def fit_loglog_slope(sizes, values) -> float:
 
 
 def bench_csv_rows(rows: list) -> list:
-    out = [("L", "mode", "buffer_elems", "wall_ns_median", "reps")]
-    for r in rows:
-        out.append((r.size, r.mode, r.buffer_elems, r.wall_ns_median, r.reps))
-    return out
+    return [("L", "mode", "buffer_elems", "wall_ns_median", "reps")] + [astuple(r) for r in rows]

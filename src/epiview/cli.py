@@ -46,7 +46,7 @@ from .fileio import (
 )
 from .geometry import (CAMERA_RADIUS, CameraIntrinsics, SphericalCamera, epipolar_sample_grid,
                        relative_pose)
-from .metrics import metrics_csv_rows, psnr, reprojection_consistency, ssim
+from .metrics import SSIM_WINDOW, metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean, masked_softmax
 from .pipeline import CONFIG_RULES, GenerationConfig, TrajectorySynthesizer
 from .scenegen import SCENE_MODES, TRAJECTORIES, make_scene, make_trajectory, render
@@ -89,7 +89,8 @@ _KNOBS = {
     "size": (lambda x: x > 0, "a positive integer"),
     "radius": CAMERA_RADIUS,
     "sigma": (lambda x: 0 <= x <= 1e6, "a number in [0, 1e6]"),
-    "steps": (lambda x: x >= 0, "an integer >= 0"),
+    "steps": (lambda x: 0 <= x <= NoiseSchedule.MAX_STEPS,
+              f"an integer in [0, {NoiseSchedule.MAX_STEPS}]"),
     "backend": (lambda x: x in ("oracle", "analytic", "toyunet"), "oracle, analytic or toyunet"),
     "reps": (lambda x: x >= 3, "an integer >= 3"),
 }
@@ -324,6 +325,9 @@ def _cmd_eval(args) -> int:
     manifest = run_dir / "manifest.json"
     scene, _, _ = read_fixture(args.fixtures)
     K = read_intrinsics(manifest)
+    if min(K.width, K.height) < SSIM_WINDOW:
+        raise DataError(f"{manifest}: 'intrinsics' are {K.width}x{K.height}, smaller than "
+                        f"the {SSIM_WINDOW}x{SSIM_WINDOW} window that ssim scores")
     traj = read_trajectory(manifest, "trajectory")
     gt_views = [_render_view(scene, cam, K, f"{manifest} trajectory view {i}")
                 for i, cam in enumerate(traj)]

@@ -42,6 +42,7 @@ class NoiseSchedule:
     clean end and alpha_T the noisiest."""
 
     alphas: np.ndarray
+    MAX_STEPS = 11_867   # linear_beta's longest; past it cumprod(1 - beta) stops decreasing
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=np.float64)
@@ -237,10 +238,8 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
         eps = eps_from_x0(x_t, y, t, sched)
         if stage_cb is not None:
             fm = FeatureMap(y)
-            stage = AttentionStage(layer="stage0", feature=fm,
-                                   params=self._block,
-                                   baseline=fm)
-            replacement = stage_cb(stage)
+            replacement = stage_cb(AttentionStage(layer="stage0", feature=fm,
+                                                  params=self._block, baseline=fm))
             if replacement is not None:
                 eps = eps_from_x0(x_t, replacement.data.astype(np.float64), t, sched)
         return eps

@@ -27,12 +27,15 @@ from .scenegen import (
 __all__ = [
     "psnr",
     "ssim",
+    "SSIM_WINDOW",
     "reprojection_consistency",
     "PairConsistency",
     "localization_accuracy",
     "localization_study",
     "metrics_csv_rows",
 ]
+
+SSIM_WINDOW = 8   # the side of ssim's square patches
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -51,7 +54,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local SSIM over uniformly weighted 8 x 8 patches (stride 1),
     standard stabilizers, unit data range."""
-    window, c1, c2 = 8, 0.01 ** 2, 0.03 ** 2
+    window, c1, c2 = SSIM_WINDOW, 0.01 ** 2, 0.03 ** 2
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:

@@ -260,7 +260,5 @@ class TrajectorySynthesizer:
             "trajectory": [pose_to_json(c) for c in cams],
         }
         if self.counters is not None:
-            man["buffer_counters"] = {"peak_elems": self.counters.peak_elems,
-                                      "total_elems": self.counters.total_elems,
-                                      "calls": self.counters.calls}
+            man["buffer_counters"] = asdict(self.counters)
         return man

@@ -483,6 +483,114 @@ class TestOneGatherDualRoute:
         assert want_fm.data[:1, :5].tobytes() == zero.tobytes()
 
 
+def oracle_heads_affine(lin, params):
+    """A projection's float64 weight (h, d, C) and bias (h, d, 1), heads-major."""
+    bias = None if lin.bias is None else lin.bias.astype(np.float64).reshape(params.heads, -1, 1)
+    return lin.weight.astype(np.float64).reshape(params.heads, -1, lin.in_dim), bias
+
+
+def oracle_channel_loop_logits(f_tgt, ctx, samples, params):
+    """``epipolar_logits`` as it was when it summed ``qa · F`` in a Python
+    loop over the C channels, one (h, S, N) product per channel, starting
+    from the first. Kept verbatim as the oracle. Returns the logits and
+    the one gather of F (C, S, N)."""
+    n = f_tgt.height * f_tgt.width
+    q = apply_linear(params.q_proj, f_tgt).flat().T.reshape(params.heads, -1, n)   # (h, d, N)
+    w_k, b_k = oracle_heads_affine(params.k_proj, params)
+    qa = (w_k.swapaxes(1, 2) @ q).astype(params.dtype)
+    f = samples.plan.gather(ctx.f.flat().T, dtype=params.dtype)
+    logits = f[0] * qa[:, 0, None]
+    for c in range(1, len(f)):
+        logits += f[c] * qa[:, c, None]
+    if b_k is not None:
+        logits += (b_k * q).sum(axis=1)[:, None]
+    logits /= math.sqrt(q.shape[1])
+    return logits, f
+
+
+def oracle_channel_loop_mix(weights, f, params):
+    """The value mix ``W_v m + b_v Σ_s w`` (h, d, N) of ``epipolar_attention``
+    as it was when it mixed F one channel at a time, ``m`` stacked from C
+    slot sums. Kept verbatim as the oracle."""
+    w_v, b_v = oracle_heads_affine(params.v_proj, params)
+    v = w_v @ np.stack([(weights * fc).sum(axis=1) for fc in f], axis=1)
+    if b_v is not None:
+        v += b_v * weights.sum(axis=1)[:, None]
+    return v
+
+
+class TestChannelContractionDualRoute:
+    """Epipolar retrieval, which contracts the channel axis of the logits
+    and the slot axis of the value mix in one einsum each, against frozen
+    copies of the per-channel loops it replaced. Both sum in the same
+    order, so the logits at valid slots, the mixed values of contributed
+    queries and the output keep their bytes. Elsewhere they are
+    ``np.array_equal``: the loop starts each sum at its first product, the
+    einsum at +0.0, so a masked slot's logit or an empty query's mix may
+    differ in the sign of a zero, which the softmax and ``fuse`` discard.
+    numpy does not promise einsum's summation order; this is the test
+    that would see a release change it."""
+
+    CASES = [(case, heads, c, seeded)
+             for case in ("camera-pair", "two-tap", "four-tap")
+             for heads in (1, 2) for c in (3, 4, 16) for seeded in (False, True)
+             if seeded or c % heads == 0]   # an identity block's heads divide its channels
+
+    @staticmethod
+    def block(c, heads, seeded, rng):
+        """The identity block on C channels, or a seeded one of inner width
+        8 with biases, whose key and value projections the route absorbs."""
+        if not seeded:
+            return replace(AttentionParams.identity(c), heads=heads)
+
+        def lin(out_dim, in_dim):
+            return LinearMap(rng.standard_normal((out_dim, in_dim)) * 0.3,
+                             rng.standard_normal(out_dim) * 0.01)
+        return AttentionParams(lin(8, c), lin(8, c), lin(8, c), lin(c, 8), heads=heads)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case,heads,c,seeded", CASES)
+    def test_matches_the_channel_loops(self, case, heads, c, seeded, dtype, monkeypatch):
+        import epiview.attention as attention
+        merged = []
+        merge = attention._merge
+
+        def recording(mixed, *args):
+            merged.append(np.array(mixed))
+            return merge(mixed, *args)
+
+        monkeypatch.setattr(attention, "_merge", recording)
+        rng = np.random.default_rng(140 + 10 * c + heads)
+        w, h = 12, 10
+        samples = sample_set(case, rng, w, h)
+        valid = np.array(samples.valid)
+        valid[:, :5] = False   # five queries with no valid slot
+        samples = EpipolarSampleSet(uv=samples.uv, valid=valid, width=w, height=h)
+        assert samples.plan.in_grid == (case == "camera-pair")
+        params = replace(self.block(c, heads, seeded, rng), dtype=dtype)
+        f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
+        ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params)
+
+        want_logits, f = oracle_channel_loop_logits(f_tgt, ctx, samples, params)
+        weights = masked_softmax(want_logits.copy(), valid)
+        want_v = oracle_channel_loop_mix(weights, f, params)
+        out = np.moveaxis(want_v.swapaxes(1, 2), 0, -2).reshape(h, w, -1)
+        want_fm = apply_linear(params.out_proj, FeatureMap(out))
+
+        logits = epipolar_logits(f_tgt, ctx, samples, params)
+        fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
+        v = merged[-1].swapaxes(1, 2)   # (h, d, N)
+        full = samples.contributed
+        assert logits.dtype == want_logits.dtype and v.dtype == want_v.dtype
+        assert logits[:, valid].tobytes() == want_logits[:, valid].tobytes()
+        assert np.array_equal(logits, want_logits)
+        assert v[..., full].tobytes() == want_v[..., full].tobytes()
+        assert np.array_equal(v, want_v)
+        assert fm.data.tobytes() == want_fm.data.tobytes()
+        assert contributed.tobytes() == full.reshape(h, w).tobytes()
+        assert 0 < full.sum() < full.size
+
+
 class TestSlotMajorDualRoute:
     """Slot-major epipolar retrieval against a frozen copy of the
     query-major route it replaced, each slot-major array against the

@@ -346,6 +346,8 @@ class TestExitCodes:
           for b in ("analytic", "oracle")],
         ("--radius", lambda fx, tj, out: ["scene", "gen", "--radius", "1e154", "--size", "8",
                                            "--out", out]),
+        ("--steps", lambda fx, tj, out: ["invert", "--input", str(fx / "views" / "000.ppm"),
+                                          "--backend", "oracle", "--steps", "11868", "--out", out]),
     ], ids=["synth-input-view-99", "synth-steps-negative", "invert-steps-negative",
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
             "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene",
@@ -359,7 +361,8 @@ class TestExitCodes:
             "synth-inject-step-negative", "synth-mode-x", "synth-backend-x", "synth-seed-negative",
             "scene-seed-negative", "traj-seed-negative", "bench-seed-negative",
             "scene-radius-1e200", "traj-radius-1e200", "input-cam-inside-the-scene",
-            "synth-analytic-without-scene", "synth-oracle-without-scene", "scene-radius-1e154"])
+            "synth-analytic-without-scene", "synth-oracle-without-scene", "scene-radius-1e154",
+            "invert-steps-past-the-schedule"])
     def test_bad_flag_value_is_2_and_named(self, flag, argv, tmp_path, traj_file,
                                            fixture_dir, capsys):
         assert main(argv(fixture_dir, traj_file, str(tmp_path / "out"))) == 2
@@ -474,6 +477,10 @@ class TestExitCodes:
                          b' "radius": 1e7}]}', "cameras.json view 1 is not a camera"),
         ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 1e7}]}',
          "traj.json view 0 is not a camera"),
+        ("cfg.json", b'{"steps": 20000}', "cfg.json: 'steps' must be an integer in [0, 11867]"),
+        ("manifest.json", b'{"intrinsics": {"f": 2.1, "cx": 0.5, "cy": 0.0, "width": 2,'
+                          b' "height": 1}, "trajectory": []}',
+         "manifest.json: 'intrinsics' are 2x1, smaller than the 8x8 window"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -500,7 +507,8 @@ class TestExitCodes:
             "synth-input-view-inside-scene", "config-input-view-inside-scene",
             "traj-camera-inside-scene-toyunet", "toyunet-synth-odd-size",
             "toyunet-invert-odd-size", "scene-sphere-center-1e308", "scene-ball-past-the-bound",
-            "scene-box-corner-past-the-bound", "cameras-radius-1e7", "traj-radius-1e7"])
+            "scene-box-corner-past-the-bound", "cameras-radius-1e7", "traj-radius-1e7",
+            "config-steps-past-the-schedule", "eval-run-smaller-than-the-ssim-window"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name

@@ -43,6 +43,11 @@ class TestNoiseSchedule:
         s = NoiseSchedule.linear_beta(0)
         assert s.steps == 0 and s.alphas[0] == 1.0
 
+    def test_max_steps_is_the_longest_linear_beta_schedule(self):
+        assert NoiseSchedule.linear_beta(NoiseSchedule.MAX_STEPS).steps == NoiseSchedule.MAX_STEPS
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            NoiseSchedule.linear_beta(NoiseSchedule.MAX_STEPS + 1)
+
     def test_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
             NoiseSchedule(alphas=np.array([1.0, 0.5, 0.6]))
