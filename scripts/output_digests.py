@@ -6,10 +6,12 @@ consistency; with ``--check``, also compare each with its expected prefix.
 
 Runs ``run_unit`` of ``perfbench/workloads.py`` once, untraced, at seed
 0, for each of analytic-epipolar, toyunet-full and consistency-loop, and
-for toyunet-epipolar: toyunet-full's spec with ``"mode": "epipolar"``,
-built here, which byte-checks the per-context epipolar path on a 2-head
-map. It hashes the u8 images of every run of the unit in order
-(reference view first). Two checkouts print the same lines exactly when
+for two specs built here: toyunet-epipolar, toyunet-full's spec with
+``"mode": "epipolar"``, which byte-checks the per-context epipolar path on
+a 2-head map, and analytic-full, analytic-epipolar's spec with ``"mode":
+"full"``, which byte-checks full attention on an identity block. It
+hashes the u8 images of every run of the unit in order (reference view
+first). Two checkouts print the same lines exactly when
 their outputs are byte for byte the same. BLAS is pinned to one thread
 before numpy loads, as in ``perfbench/run.py``, and the library is
 imported from ``src/`` of this checkout. A unit marked failed by
@@ -49,20 +51,23 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-epipolar")
+WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-epipolar",
+             "analytic-full")
 # The prefix of every line. The toyunet prefixes were re-based when the
 # attention blocks began to compute in their own precision (they were
 # 233859cc782c07c0 and 84e26901e7c0531c before), and again when full
 # attention became key-major, with its scale on the queries and one
 # summation order changed (f49df66441dbeb13 and ab6a38ea5d0fa068 before:
 # 5 and 2 of the 27,648 u8 values moved, each by 1); scene-renders was
-# first taken before ray casts returned their hit points, and
-# reprojection before each view was ray-cast once per call.
+# first taken before ray casts returned their hit points, reprojection
+# before each view was ray-cast once per call, and analytic-full before
+# identity projections handed back their input.
 EXPECTED = {
     "analytic-epipolar": "5084e54caba36190",
     "toyunet-full": "215266917a99aa4c",
     "consistency-loop": "298cd9caf5f8538a",
     "toyunet-epipolar": "786e7e99b7c6bce4",
+    "analytic-full": "4bc240e20df10be5",
     "scene-renders": "c138a3add59b2d1c",
     "reprojection": "9efc96be45eadda3",
     "readers": "6ae5c449acdd22f4",
@@ -81,6 +86,7 @@ def main() -> int:
 
     specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
     specs["toyunet-epipolar"] = dict(specs["toyunet-full"], mode="epipolar")
+    specs["analytic-full"] = dict(specs["analytic-epipolar"], mode="full")
     failed, moved = False, []
 
     def report(name: str, prefix: str, bad: bool = False):

@@ -102,7 +102,8 @@ class AttentionParams:
 class ContextFeatures:
     """Features of one context view at one (step, layer): the raw map F,
     which epipolar retrieval samples, and its key and value projections,
-    made with the block's own parameters, which full attention reads."""
+    made with the block's own parameters, which full attention reads. For
+    an identity block, K and V *are* F: the same object, held once."""
 
     f: FeatureMap
     k: FeatureMap
@@ -143,7 +144,8 @@ def duplicate_params(src: AttentionParams) -> AttentionParams:
 
 def project_context(f_ref: FeatureMap, params: AttentionParams) -> ContextFeatures:
     """Precompute the reference-branch features retrieval needs: the K and
-    V projections of ``f_ref``."""
+    V projections of ``f_ref``. An identity projection returns ``f_ref``
+    itself (:func:`apply_linear`), so an identity block's K and V *are* F."""
     return ContextFeatures(f=f_ref, k=apply_linear(params.k_proj, f_ref),
                            value=apply_linear(params.v_proj, f_ref))
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .diffusion import (
     OracleDenoiser,
     ddim_invert,
 )
-from .errors import DataError, EpiViewError, UsageError
+from .errors import DataError, DivergenceError, EpiViewError, UsageError
 from .fileio import (
     camera_from_json,
     read_fixture,
@@ -168,6 +169,16 @@ def _build_denoiser(merged: dict, path, input_image, traj, scene):
     return AnalyticAttentionDenoiser(targets, sigma=merged["sigma"], seed=merged["seed"])
 
 
+@contextmanager
+def _walks(merged: dict):
+    """Report a DDIM walk that diverges as a data error naming the run's
+    backend and --steps."""
+    try:
+        yield
+    except DivergenceError as e:
+        raise DataError(f"backend {merged['backend']}, --steps {merged['steps']}: {e}") from None
+
+
 # --- subcommands ----------------------------------------------------------
 
 
@@ -195,7 +206,8 @@ def _cmd_invert(args) -> int:
     sched = NoiseSchedule.linear_beta(merged["steps"])
     image = read_ppm(args.input)
     denoiser = _build_denoiser(merged, args.input, image, [], None)
-    x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
+    with _walks(merged):
+        x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
     write_f32(args.out, x_ref.data, sidecar={"timestep": sched.steps})
     write_json(str(args.out) + ".manifest.json", {
         "version": __version__, "backend": merged["backend"],
@@ -250,7 +262,8 @@ def _cmd_synth(args) -> int:
     denoiser = _build_denoiser(merged, args.input, image, traj, scene)
     counters = AttentionCounters()
     synth = TrajectorySynthesizer(image, input_cam, K, denoiser, sched, config, counters)
-    images, manifest = synth.synthesize_trajectory(traj)
+    with _walks(merged):
+        images, manifest = synth.synthesize_trajectory(traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(images):

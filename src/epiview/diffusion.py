@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import AttentionParams
+from .errors import DivergenceError
 from .numerics import FeatureMap
 
 __all__ = [
@@ -146,15 +147,23 @@ def ddim_step(x_t: np.ndarray, eps: np.ndarray, t: int, t_to: int,
 def _ddim_walk(x: LatentImage, timesteps: range, denoiser: Denoiser, cond: Condition,
                sched: NoiseSchedule, stage_cb) -> LatentImage:
     """A prediction at each timestep of ``timesteps`` and a step to the
-    next; ``stage_cb(i, stage)`` sees step i counted from the first."""
+    next; ``stage_cb(i, stage)`` sees step i counted from the first. A
+    step whose arithmetic overflows or turns invalid stops the walk with a
+    DivergenceError naming it, before any non-finite value spreads."""
     data = x.data.astype(np.float64)
+    walk = "inversion" if timesteps.step > 0 else "sampling"
     for i, (t, t_to) in enumerate(zip(timesteps, timesteps[1:])):
         cb = None
         if stage_cb is not None:
             def cb(stage, _i=i):
                 return stage_cb(_i, stage)
-        eps = denoiser.predict(data, t, cond, sched, stage_cb=cb)
-        data = ddim_step(data, eps, t, t_to, sched)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                eps = denoiser.predict(data, t, cond, sched, stage_cb=cb)
+                data = ddim_step(data, eps, t, t_to, sched)
+        except FloatingPointError:
+            raise DivergenceError(f"features overflowed at DDIM {walk} step {i} "
+                                  f"of {sched.steps}") from None
     return LatentImage(data=data, t=timesteps[-1])
 
 

@@ -21,3 +21,7 @@ class CacheMissError(DataError):
         self.step = step
         self.layer = layer
         self.view = view
+
+
+class DivergenceError(DataError):
+    """A DDIM walk whose features overflowed at one of its steps."""

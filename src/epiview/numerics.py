@@ -7,7 +7,7 @@ in the precision their caller picks: float64 by default, the reference
 route that the dual-route checks and analytic oracles hold to, or float32,
 which halves the bytes the attention core moves (see
 :attr:`epiview.attention.AttentionParams.dtype`). Linear projections
-accumulate in float64 and store float32.
+accumulate in float64 and store float32; an identity one returns its input.
 """
 
 from __future__ import annotations
@@ -275,9 +275,19 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 def apply_linear(lin: LinearMap, fm: FeatureMap) -> FeatureMap:
-    """Apply an affine map to every pixel of a feature map."""
+    """Apply an affine map to every pixel of a feature map.
+
+    A map that is the identity when called (no bias, and a weight equal to
+    the identity matrix) hands back ``fm`` itself: a feature map is
+    immutable, and ``x @ I`` in float64 is ``x`` up to the sign of a zero.
+    So an identity block's K and V *are* its F, and its q and out
+    projections cost nothing. The test runs on every call, as a map's
+    weight stays writable, and a bias, even an all-zero one, skips it.
+    """
     if lin.in_dim != fm.channels:
         raise ValueError(f"linear map expects {lin.in_dim} channels, map has {fm.channels}")
+    if lin.bias is None and np.array_equal(lin.weight, np.eye(lin.in_dim, dtype=np.float32)):
+        return fm   # array_equal is False for a weight of another shape
     out = fm.flat().astype(np.float64) @ lin.weight.T.astype(np.float64)
     if lin.bias is not None:
         out = out + lin.bias.astype(np.float64)

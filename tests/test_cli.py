@@ -3,13 +3,18 @@ semantics. Commands run in-process through main()."""
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epiview import cli
+from epiview.attention import AttentionParams, self_attention
 from epiview.cli import _RUN_SETTINGS, _build_parser, main
+from epiview.diffusion import Denoiser
 from epiview.fileio import read_ppm
+from epiview.numerics import FeatureMap
 from epiview.pipeline import GenerationConfig
 from epiview.scenegen import SCENE_MODES, TRAJECTORIES
 
@@ -556,6 +561,35 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: 3 ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,view,named", [
+        ("invert", None, "inversion step 3 of 5"),
+        ("synth", 0, "sampling step 2 of 5"),
+    ], ids=["invert", "synth"])
+    def test_overflowing_walk_is_3_and_named(self, command, view, named, tmp_path, traj_file,
+                                             fixture_dir, monkeypatch, capsys):
+        """A backend whose float32 attention overflows at t = 3 of view
+        ``view``'s walk: one line naming the backend, --steps and the DDIM
+        step, and no warning (a RuntimeWarning fails the suite)."""
+        class Overflowing(Denoiser):
+            def __init__(self, seed):
+                self.block = replace(AttentionParams.identity(3), dtype=np.float32)
+
+            def predict(self, x_t, t, cond, sched, stage_cb=None):
+                scale = 1e20 if (t, cond.view_key) == (3, view) else 1.0
+                self_attention(FeatureMap(np.full((2, 2, 3), scale)), self.block)
+                return np.zeros_like(x_t)
+
+        monkeypatch.setattr(cli, "ToyUNet", Overflowing)
+        out = tmp_path / "out"
+        argv = [command, "--input", str(fixture_dir / "views" / "000.ppm"),
+                "--backend", "toyunet", "--steps", "5", "--out", str(out)]
+        if command == "synth":
+            argv += ["--traj", str(traj_file), "--mode", "off"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (f"error: 3 backend toyunet, --steps 5: features "
+                                           f"overflowed at DDIM {named}\n")
         assert not out.exists()
 
     def test_eval_size_mismatch_is_3_and_named(self, tmp_path, fixture_dir, capsys):

@@ -365,12 +365,43 @@ class TestSoftmaxDualRoute:
         assert weights.tobytes() == out_axis_softmax(kept, None, axis=-2).tobytes()
 
 
+def matmul_linear(lin: LinearMap, fm: FeatureMap) -> FeatureMap:
+    """apply_linear's general route, frozen as the oracle of its identity
+    shortcut: a float64 product, plus the bias."""
+    out = fm.flat().astype(np.float64) @ lin.weight.T.astype(np.float64)
+    if lin.bias is not None:
+        out = out + lin.bias.astype(np.float64)
+    return FeatureMap(out.reshape(fm.height, fm.width, lin.out_dim))
+
+
 class TestApplyLinear:
     def test_identity(self):
+        """An identity map hands back its input, with the oracle's bytes (up
+        to the sign of a zero); a map that only looks like one, or that was
+        the identity before its weight was written, takes the product."""
         rng = np.random.default_rng(4)
-        fm = FeatureMap(rng.standard_normal((3, 4, 5)))
-        out = apply_linear(LinearMap.identity(5), fm)
-        np.testing.assert_array_equal(out.data, fm.data)
+        for c in (1, 3, 5, 16):
+            data = rng.standard_normal((3, 4, c)).astype(np.float32)
+            data.flat[::5] = 0.0
+            data.flat[2::7] = -0.0
+            fm = FeatureMap(data)
+            eye = LinearMap.identity(c)
+            out = apply_linear(eye, fm)
+            assert out is fm
+            assert np.array_equal(out.data, matmul_linear(eye, fm).data)
+        nudged = np.eye(3)
+        nudged[0, 2] = 1e-7
+        fm3 = FeatureMap(data[..., :3])
+        written = LinearMap.identity(3)
+        assert apply_linear(written, fm3) is fm3
+        written.weight[1, 0] = 0.5
+        for lin in (LinearMap(nudged), LinearMap(np.eye(3), bias=np.zeros(3)), written):
+            out = apply_linear(lin, fm3)
+            assert out is not fm3
+            assert np.array_equal(out.data, matmul_linear(lin, fm3).data)
+        assert not np.array_equal(out.data, fm3.data)   # the write shows
+        np.testing.assert_allclose(out.data[..., 1], fm3.data[..., 1] + 0.5 * fm3.data[..., 0],
+                                   rtol=1e-6, atol=1e-6)
 
     def test_zero_weight_constant_bias(self):
         fm = FeatureMap(np.random.default_rng(5).standard_normal((3, 3, 2)))

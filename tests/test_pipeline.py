@@ -201,6 +201,23 @@ class TestCaches:
             vc.get(7, "stage0")
         assert "step 7" in str(exc.value) and "stage0" in str(exc.value)
 
+    @pytest.mark.parametrize("backend,arrays", [("analytic", 1), ("toyunet", 3)])
+    def test_cache_holds_each_distinct_array_once(self, backend, arrays, setup, intrinsics32):
+        """The analytic identity block's K and V are its F, so an entry
+        holds one H*W*C float32 array; the toyunet's seeded block holds three."""
+        _, _, traj, _, _, _ = setup
+        den = ToyUNet(seed=0) if backend == "toyunet" else None
+        synth = make_synth(setup, intrinsics32, steps=6, backend=den)
+        _, cache = synth.synthesize_view(traj[0], 0)
+        entries = list(cache.entries.values())
+        assert entries
+        for e in entries:
+            assert (e.k is e.f and e.value is e.f) == (arrays == 1)
+            assert len({id(fm.data) for fm in (e.f, e.k, e.value)}) == arrays
+        held = {id(fm.data): fm.data.nbytes for e in entries for fm in (e.f, e.k, e.value)}
+        f = entries[0].f
+        assert sum(held.values()) == len(entries) * arrays * f.height * f.width * f.channels * 4
+
     def test_cached_entry_recomputable_bit_exactly(self, setup, intrinsics32):
         from epiview.attention import project_context
         _, _, traj, _, _, _ = setup
