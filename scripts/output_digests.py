@@ -1,6 +1,7 @@
 """Print the u8 SHA-256 prefix of one whole perfbench unit per workload,
-one of the analytic scene renders, and one of their reprojection
-consistency; with ``--check``, also compare each with its expected prefix.
+one of the analytic scene renders, one of their reprojection consistency,
+one of the attention core's readers and one of a whole trajectory; with
+``--check``, also compare each with its expected prefix.
 
     python3 scripts/output_digests.py [--check]
 
@@ -37,6 +38,14 @@ of ``localization_study`` for ``make_scene(0, m)``, m in distinctive and
 plain, over three free16 (seed 100) view pairs at 32 px, as sorted-key
 JSON.
 
+The ``trajectory`` line hashes the u8 images, in order, of one whole
+``synthesize_trajectory`` run: toyunet (net seed 0) in epipolar mode
+with 2 context views, alpha 0.5, injection from step 4 of 50, from view
+0 to views 1-15 of free16 (seed 100) rendered from ``make_scene(0,
+"distinctive")`` at 16 px. It is the one line that runs a whole
+trajectory, so it is the one that sees caches freed after their last
+reader.
+
 ``EXPECTED`` is the record of every line's prefix. ``--check`` marks each
 line whose prefix differs from it as MOVED, names the moved lines last,
 and exits 1 if any moved.
@@ -60,8 +69,9 @@ WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-e
 # summation order changed (f49df66441dbeb13 and ab6a38ea5d0fa068 before:
 # 5 and 2 of the 27,648 u8 values moved, each by 1); scene-renders was
 # first taken before ray casts returned their hit points, reprojection
-# before each view was ray-cast once per call, and analytic-full before
-# identity projections handed back their input.
+# before each view was ray-cast once per call, analytic-full before
+# identity projections handed back their input, and trajectory before a
+# generated view's cache was freed after its last reader.
 EXPECTED = {
     "analytic-epipolar": "5084e54caba36190",
     "toyunet-full": "215266917a99aa4c",
@@ -71,6 +81,7 @@ EXPECTED = {
     "scene-renders": "c138a3add59b2d1c",
     "reprojection": "9efc96be45eadda3",
     "readers": "6ae5c449acdd22f4",
+    "trajectory": "d3981e9b463158c0",
 }
 
 
@@ -110,6 +121,7 @@ def main() -> int:
     report("scene-renders", renders)
     report("reprojection", reprojection)
     report("readers", readers_digest())
+    report("trajectory", trajectory_digest())
     if check:
         print(f"moved: {', '.join(moved)}" if moved else "check: every prefix as expected")
     return 1 if failed or moved else 0
@@ -170,6 +182,27 @@ def readers_digest() -> str:
         for a, b in ((0, 1), (3, 7), (12, 13)):
             result = localization_study(scene, render(scene, cams[a], K), render(scene, cams[b], K))
             digest.update(json.dumps(result, sort_keys=True).encode())
+    return digest.hexdigest()[:16]
+
+
+def trajectory_digest() -> str:
+    """The ``trajectory`` prefix."""
+    from epiview.diffusion import NoiseSchedule
+    from epiview.fileio import to_u8
+    from epiview.geometry import CameraIntrinsics
+    from epiview.pipeline import GenerationConfig, TrajectorySynthesizer
+    from epiview.scenegen import make_scene, make_trajectory, render
+    from epiview.toyunet import ToyUNet
+
+    K = CameraIntrinsics.from_fov(16, 16)
+    cams = make_trajectory("free16", 100)
+    image = render(make_scene(0, "distinctive"), cams[0], K).rgb.data
+    config = GenerationConfig(alpha=0.5, context_views=2, inject_after_step=4, mode="epipolar")
+    synth = TrajectorySynthesizer(image, cams[0], K, ToyUNet(seed=0),
+                                  NoiseSchedule.linear_beta(50), config)
+    digest = hashlib.sha256()
+    for im in synth.synthesize_trajectory(cams[1:])[0]:
+        digest.update(to_u8(im).tobytes())
     return digest.hexdigest()[:16]
 
 

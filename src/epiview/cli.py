@@ -76,7 +76,7 @@ _RUN_SETTINGS = {"backend": "analytic", "steps": 50, "seed": 0, "sigma": 0.0, "f
 # What a manifest records besides the settings (older manifests also carry
 # "timings"); a config file may carry them.
 _MANIFEST_RECORDS = ("version", "schedule", "input_view", "intrinsics", "trajectory",
-                     "timings", "buffer_counters", "input", "scene")
+                     "context_schedule", "timings", "buffer_counters", "input", "scene")
 # Removed GenerationConfig fields, at the one value that older manifests may hold.
 _RETIRED = {"inject_layers": [], "sample_axis": "dominant", "value_source": "value_projection"}
 # The JSON values a setting's type accepts, and their name; a bool is never a number.

@@ -220,6 +220,11 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
     consistency effect becomes measurable. Targets are RGB, so one 3-channel
     identity block serves every view; it computes in float32, the precision
     of its features.
+
+    A view's target is fixed, so its stage feature map is made once per view
+    key and the same immutable object is handed to every step. Since an
+    identity block's K and V are its F, a view's cache then holds one array
+    however many steps are injected.
     """
 
     def __init__(self, targets: dict, sigma: float = 0.0, seed: int = 0):
@@ -227,6 +232,7 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
         self.sigma = float(sigma)
         self.seed = int(seed)
         self._perturbed: dict = {}
+        self._features: dict = {}   # view key -> its stage's feature map
         self._block = replace(AttentionParams.identity(3), dtype=np.float32)
 
     def target_for(self, cond: Condition) -> np.ndarray:
@@ -246,7 +252,9 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
         y = self.target_for(cond)
         eps = eps_from_x0(x_t, y, t, sched)
         if stage_cb is not None:
-            fm = FeatureMap(y)
+            if cond.view_key not in self._features:
+                self._features[cond.view_key] = FeatureMap(y)
+            fm = self._features[cond.view_key]
             replacement = stage_cb(AttentionStage(layer="stage0", feature=fm,
                                                   params=self._block, baseline=fm))
             if replacement is not None:

@@ -5,7 +5,8 @@ from selected context views.
 
 The reference branch is never injected into (it has no context); target
 branches cache their own features at every injected (step, layer) so that
-later views can retrieve from them.
+later views can retrieve from them. A whole trajectory frees each target's
+cache after the last view that reads it.
 
 A (context, target) pair's epipolar sample set depends only on the two
 cameras and the feature grid, so it is built once per pair on first use
@@ -100,7 +101,9 @@ class GenerationConfig:
 @dataclass
 class ViewCache:
     """Per-view feature cache: one ContextFeatures per injected
-    (step, layer) pair. Frozen once the view's branch finishes."""
+    (step, layer) pair. Frozen once the view's branch finishes; released
+    (its entries dropped, its camera kept for ranking) once no later view
+    reads it, after which a get is a CacheMissError, never freed data."""
 
     key: object
     camera: SphericalCamera
@@ -111,6 +114,9 @@ class ViewCache:
         if self.frozen:
             raise DataError(f"cache of view {self.key!r} is frozen")
         self.entries[(step, layer)] = features
+
+    def release(self) -> None:
+        self.entries = {}
 
     def get(self, step: int, layer: str):
         try:
@@ -245,9 +251,31 @@ class TrajectorySynthesizer:
 
     def synthesize_trajectory(self, cams: list):
         """Generate every view of a trajectory in order; returns the image
-        list and a manifest sufficient to reproduce the run."""
-        images = [self.synthesize_view(cam, i)[0] for i, cam in enumerate(cams)]
-        return images, self.manifest(cams)
+        list and a manifest sufficient to reproduce the run, with each
+        view's context keys under ``context_schedule``.
+
+        Context selection reads only cameras and generation order, so a
+        replay over camera-only caches gives the whole schedule up front,
+        and each generated cache (those made before the call included) is
+        released right after its last reader: Belady's offline rule, which
+        keeps memory bounded however long the trajectory. A view made later
+        that selects a released cache gets a CacheMissError; one made with
+        ``synthesize_view`` alone keeps every cache."""
+        stubs = [ViewCache(vc.key, vc.camera) for vc in self.generated]
+        input_stub = ViewCache(INPUT_VIEW, self.input_cam)
+        schedule, last_read = [], {}   # id of a stub -> the last view reading it
+        for i, cam in enumerate(cams):
+            context = select_context_views(cam, stubs, input_stub, self.config.context_views)
+            schedule.append([vc.key for vc in context])
+            last_read.update((id(vc), i) for vc in context)
+            stubs.append(ViewCache(i, cam))
+        images = []
+        for i, cam in enumerate(cams):
+            images.append(self.synthesize_view(cam, i)[0])
+            for vc, stub in zip(self.generated, stubs):
+                if last_read.get(id(stub), -1) <= i:
+                    vc.release()
+        return images, {**self.manifest(cams), "context_schedule": schedule}
 
     def manifest(self, cams: list) -> dict:
         man = {

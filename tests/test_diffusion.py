@@ -231,6 +231,28 @@ class TestDenoiseAndHooks:
         assert np.array_equal(y0a, y0b)
         assert not np.array_equal(y0a, y1)
 
+    def test_stage_feature_made_once_per_view(self, oracle_setup):
+        """A view's target is fixed, so every step of its walk, the
+        reference's (key None) included, sees one immutable feature map;
+        each other view, even one with the same target, gets its own."""
+        input_image, targets = oracle_setup
+        targets = {**targets, 1: targets[0]}
+        sched = NoiseSchedule.linear_beta(6)
+        den = AnalyticAttentionDenoiser(targets, sigma=0.1, seed=4)
+        x_T = LatentImage(np.random.default_rng(13).standard_normal(input_image.shape), t=6)
+        seen = {}
+        for key in (None, 0, 1, 0):
+            maps = []
+            ddim_sample(x_T, den, Condition(view_key=key), sched,
+                        stage_cb=lambda i, stage: maps.extend([stage.feature, stage.baseline]))
+            assert len(maps) == 2 * sched.steps
+            assert all(fm is maps[0] for fm in maps)
+            assert not maps[0].data.flags.writeable
+            assert seen.setdefault(key, maps[0]) is maps[0]
+            np.testing.assert_array_equal(maps[0].data,
+                                          den.target_for(Condition(view_key=key)))
+        assert len({id(fm) for fm in seen.values()}) == 3
+
     def test_eps_guard_at_clean_endpoint(self):
         sched = NoiseSchedule.linear_beta(5)
         x = np.ones((2, 2, 3))

@@ -203,8 +203,9 @@ class TestCaches:
 
     @pytest.mark.parametrize("backend,arrays", [("analytic", 1), ("toyunet", 3)])
     def test_cache_holds_each_distinct_array_once(self, backend, arrays, setup, intrinsics32):
-        """The analytic identity block's K and V are its F, so an entry
-        holds one H*W*C float32 array; the toyunet's seeded block holds three."""
+        """The analytic identity block's K and V are its F, and a view's F is
+        one map at every step, so the whole cache holds one H*W*C float32
+        array; the toyunet's seeded block holds three per entry."""
         _, _, traj, _, _, _ = setup
         den = ToyUNet(seed=0) if backend == "toyunet" else None
         synth = make_synth(setup, intrinsics32, steps=6, backend=den)
@@ -216,7 +217,9 @@ class TestCaches:
             assert len({id(fm.data) for fm in (e.f, e.k, e.value)}) == arrays
         held = {id(fm.data): fm.data.nbytes for e in entries for fm in (e.f, e.k, e.value)}
         f = entries[0].f
-        assert sum(held.values()) == len(entries) * arrays * f.height * f.width * f.channels * 4
+        assert all((e.f is f) == (arrays == 1) for e in entries[1:])
+        distinct = 1 if arrays == 1 else len(entries) * arrays
+        assert sum(held.values()) == distinct * f.height * f.width * f.channels * 4
 
     def test_cached_entry_recomputable_bit_exactly(self, setup, intrinsics32):
         from epiview.attention import project_context
@@ -280,6 +283,95 @@ class TestPairMemoLifetime:
         assert grids[:-1] == [0] + [1 + min(i, 2) for i in range(8)]
         assert sum(grids) == 21
         assert all(len(refs) > n for refs, n in zip(views[1:-1], grids[1:]))
+
+
+@pytest.fixture(scope="module")
+def free32_16px():
+    """free32 (seed 100) at 16 px: input view 0 and its 31 targets."""
+    K = CameraIntrinsics.from_fov(16, 16)
+    cams = make_trajectory("free32", 100)
+    return K, cams[0], cams[1:], render(make_scene(0, "distinctive"), cams[0], K).rgb.data
+
+
+def free32_synth(free32_16px, **config):
+    K, input_cam, _, image = free32_16px
+    return TrajectorySynthesizer(image, input_cam, K, ToyUNet(seed=0), NoiseSchedule.linear_beta(6),
+                                 GenerationConfig(inject_after_step=4, **config))
+
+
+class TestCacheRelease:
+    """A whole trajectory frees each generated view's cache after the last
+    view that reads it; what it makes is what a loop of synthesize_view,
+    which keeps every cache, makes."""
+
+    @pytest.mark.parametrize("config", [
+        {}, {"mode": "full"}, {"mode": "off"}, {"context_views": 0}, {"alpha": 0.0}],
+        ids=["epipolar", "full", "off", "context-0", "alpha-0"])
+    def test_images_equal_a_keep_all_loop(self, config, free32_16px):
+        traj = free32_16px[2]
+        released, _ = free32_synth(free32_16px, **config).synthesize_trajectory(traj)
+        keep_all = free32_synth(free32_16px, **config)
+        kept = [keep_all.synthesize_view(cam, i)[0] for i, cam in enumerate(traj)]
+        assert [to_u8(a).tobytes() for a in released] == [to_u8(b).tobytes() for b in kept]
+        if config.get("mode") != "off":
+            assert all(vc.entries for vc in keep_all.generated)
+
+    def test_no_cache_outlives_its_last_reader(self, free32_16px, monkeypatch):
+        synth = free32_synth(free32_16px)
+        refs = []   # per generated view: weakrefs to its entries' key maps
+        live = []   # per target view: generated views whose entries are alive at its start
+        branch = TrajectorySynthesizer._branch
+
+        def recording(self, cam, key, cond, context):
+            if key != pipeline.INPUT_VIEW:
+                live.append([j for j, r in enumerate(refs) if any(w() for w in r)])
+                assert live[-1] == [j for j, vc in enumerate(synth.generated) if vc.entries]
+            image, cache = branch(self, cam, key, cond, context)
+            if key != pipeline.INPUT_VIEW:
+                refs.append([weakref.ref(e.k) for e in cache.entries.values()])
+            return image, cache
+
+        monkeypatch.setattr(TrajectorySynthesizer, "_branch", recording)
+        _, man = synth.synthesize_trajectory(free32_16px[2])
+        schedule = man["context_schedule"]
+        for i, alive in enumerate(live):
+            # still to be read by view i or a later one
+            assert alive == sorted({k for keys in schedule[i:] for k in keys[1:] if k < i})
+        # with the view being made and the input view, 5 caches at most hold entries
+        assert max(len(alive) for alive in live) + 2 == 5
+        assert all(w() is None for r in refs for w in r)    # the last view is never read
+        assert all(vc.camera == cam for vc, cam in zip(synth.generated, free32_16px[2]))
+
+    def test_get_on_a_released_cache_names_view_step_and_layer(self):
+        vc = ViewCache(key=3, camera=SphericalCamera(0, 0, 2.0))
+        vc.put(7, "stage0", "features")
+        vc.release()
+        with pytest.raises(CacheMissError) as exc:
+            vc.get(7, "stage0")
+        assert (exc.value.view, exc.value.step, exc.value.layer) == (3, 7, "stage0")
+        assert "view 3" in str(exc.value) and "step 7" in str(exc.value)
+        assert "stage0" in str(exc.value)
+
+    def test_manifest_records_the_contexts_each_view_read(self, free32_16px, monkeypatch):
+        synth = free32_synth(free32_16px)
+        read = []   # per target view: the keys of the caches it read, in order
+        get, branch = ViewCache.get, TrajectorySynthesizer._branch
+
+        def recording_get(self, step, layer):
+            if self.key not in read[-1]:
+                read[-1].append(self.key)
+            return get(self, step, layer)
+
+        def recording_branch(self, cam, key, cond, context):
+            if key != pipeline.INPUT_VIEW:
+                read.append([])
+            return branch(self, cam, key, cond, context)
+
+        monkeypatch.setattr(ViewCache, "get", recording_get)
+        monkeypatch.setattr(TrajectorySynthesizer, "_branch", recording_branch)
+        _, man = synth.synthesize_trajectory(free32_16px[2])
+        assert man["context_schedule"] == read
+        assert read[:3] == [["input"], ["input", 0], ["input", 1, 0]]
 
 
 class TestOneGatherPerRetrieval:
