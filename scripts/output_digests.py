@@ -1,7 +1,8 @@
 """Print the u8 SHA-256 prefix of one whole perfbench unit per workload,
 one of the analytic scene renders, one of their reprojection consistency,
-one of the attention core's readers and one of a whole trajectory; with
-``--check``, also compare each with its expected prefix.
+one of the attention core's readers, one of a whole trajectory and one
+of the oracle-style backends; with ``--check``, also compare each with
+its expected prefix.
 
     python3 scripts/output_digests.py [--check]
 
@@ -19,7 +20,7 @@ imported from ``src/`` of this checkout. A unit marked failed by
 perfbench, whether it raised or one of its runs failed ``check_outputs``,
 prints FAILED and makes the script exit 1.
 
-The last line, ``scene-renders``, hashes the rgb, depth and prim_id of
+The ``scene-renders`` line hashes the rgb, depth and prim_id of
 ``render`` and the 16x16 ``positional_features`` of ``make_scene(0, m)``,
 for m in distinctive and plain, at every free16 camera (seed 100) at
 32 px, in that order.
@@ -42,9 +43,16 @@ The ``trajectory`` line hashes the u8 images, in order, of one whole
 ``synthesize_trajectory`` run: toyunet (net seed 0) in epipolar mode
 with 2 context views, alpha 0.5, injection from step 4 of 50, from view
 0 to views 1-15 of free16 (seed 100) rendered from ``make_scene(0,
-"distinctive")`` at 16 px. It is the one line that runs a whole
-trajectory, so it is the one that sees caches freed after their last
-reader.
+"distinctive")`` at 16 px. It and the ``backends`` line run whole
+trajectories, so they are the ones that see caches freed after their
+last reader.
+
+The ``backends`` line hashes the u8 images, in order, of the same run
+(the trajectory line's scene, cameras and config) made first with
+``OracleDenoiser``, then with ``AnalyticAttentionDenoiser`` at sigma 0,
+each given the input image for the reference and the 16 px render of
+every later view as its targets. No other line runs either backend at
+sigma 0.
 
 ``EXPECTED`` is the record of every line's prefix. ``--check`` marks each
 line whose prefix differs from it as MOVED, names the moved lines last,
@@ -70,8 +78,9 @@ WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-e
 # 5 and 2 of the 27,648 u8 values moved, each by 1); scene-renders was
 # first taken before ray casts returned their hit points, reprojection
 # before each view was ray-cast once per call, analytic-full before
-# identity projections handed back their input, and trajectory before a
-# generated view's cache was freed after its last reader.
+# identity projections handed back their input, trajectory before a
+# generated view's cache was freed after its last reader, and backends
+# before the oracle backends held one float32 map per view.
 EXPECTED = {
     "analytic-epipolar": "5084e54caba36190",
     "toyunet-full": "215266917a99aa4c",
@@ -82,6 +91,7 @@ EXPECTED = {
     "reprojection": "9efc96be45eadda3",
     "readers": "6ae5c449acdd22f4",
     "trajectory": "d3981e9b463158c0",
+    "backends": "8e709745c7717831",
 }
 
 
@@ -122,6 +132,7 @@ def main() -> int:
     report("reprojection", reprojection)
     report("readers", readers_digest())
     report("trajectory", trajectory_digest())
+    report("backends", backends_digest())
     if check:
         print(f"moved: {', '.join(moved)}" if moved else "check: every prefix as expected")
     return 1 if failed or moved else 0
@@ -187,22 +198,43 @@ def readers_digest() -> str:
 
 def trajectory_digest() -> str:
     """The ``trajectory`` prefix."""
+    from epiview.toyunet import ToyUNet
+
+    return _trajectories_digest(lambda targets: [ToyUNet(seed=0)])
+
+
+def backends_digest() -> str:
+    """The ``backends`` prefix."""
+    from epiview.diffusion import AnalyticAttentionDenoiser, OracleDenoiser
+
+    return _trajectories_digest(
+        lambda targets: [OracleDenoiser(targets), AnalyticAttentionDenoiser(targets)])
+
+
+def _trajectories_digest(denoisers) -> str:
+    """The prefix of the u8 images, in order, of one whole epipolar
+    ``synthesize_trajectory`` run per denoiser in ``denoisers(targets)``:
+    from view 0 of free16 (seed 100), rendered from ``make_scene(0,
+    "distinctive")`` at 16 px, to views 1-15, with 2 context views, alpha
+    0.5 and injection from step 4 of 50. ``targets`` maps None to the
+    input image and i to the render of view i + 1."""
     from epiview.diffusion import NoiseSchedule
     from epiview.fileio import to_u8
     from epiview.geometry import CameraIntrinsics
     from epiview.pipeline import GenerationConfig, TrajectorySynthesizer
     from epiview.scenegen import make_scene, make_trajectory, render
-    from epiview.toyunet import ToyUNet
 
     K = CameraIntrinsics.from_fov(16, 16)
     cams = make_trajectory("free16", 100)
-    image = render(make_scene(0, "distinctive"), cams[0], K).rgb.data
+    scene = make_scene(0, "distinctive")
+    image = render(scene, cams[0], K).rgb.data
+    targets = {None: image, **{i: render(scene, cam, K).rgb.data for i, cam in enumerate(cams[1:])}}
     config = GenerationConfig(alpha=0.5, context_views=2, inject_after_step=4, mode="epipolar")
-    synth = TrajectorySynthesizer(image, cams[0], K, ToyUNet(seed=0),
-                                  NoiseSchedule.linear_beta(50), config)
     digest = hashlib.sha256()
-    for im in synth.synthesize_trajectory(cams[1:])[0]:
-        digest.update(to_u8(im).tobytes())
+    for den in denoisers(targets):
+        synth = TrajectorySynthesizer(image, cams[0], K, den, NoiseSchedule.linear_beta(50), config)
+        for im in synth.synthesize_trajectory(cams[1:])[0]:
+            digest.update(to_u8(im).tobytes())
     return digest.hexdigest()[:16]
 
 

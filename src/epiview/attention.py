@@ -246,13 +246,12 @@ def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarS
 
 
 def epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
-                    params: AttentionParams,
-                    counters: AttentionCounters | None = None) -> np.ndarray:
+                    params: AttentionParams) -> np.ndarray:
     """Slot-major similarity logits (h, S, N) of each target query against
     its epipolar key samples, each a contiguous vector of queries.
     ``samples`` must be an (S, N, 2) set on the context's grid. The weights
     are ``masked_softmax(logits, samples.valid)``."""
-    return _epipolar_scores(f_tgt, ctx, samples, params, counters)[0]
+    return _epipolar_scores(f_tgt, ctx, samples, params, None)[0]
 
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,

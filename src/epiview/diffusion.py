@@ -190,19 +190,22 @@ class OracleDenoiser(Denoiser):
     The implied clean-image estimate equals the target at every step,
     which makes DDIM round trips exact; used to test the diffusion math
     in isolation. Exposes no attention stages.
+
+    Each target is held once, as an immutable float32 ``FeatureMap`` per
+    view key, so a non-finite target is rejected here.
     """
 
     def __init__(self, targets: dict):
-        # targets are held at float32 precision so the feature-map view of
-        # the estimate is lossless
-        self._targets = {k: np.asarray(v, dtype=np.float32).astype(np.float64)
-                         for k, v in targets.items()}
+        self._maps = {k: FeatureMap(v) for k, v in targets.items()}
+
+    def _map_for(self, key) -> FeatureMap:
+        if key not in self._maps:
+            raise KeyError(f"no target image for view key {key!r}")
+        return self._maps[key]
 
     def target_for(self, cond: Condition) -> np.ndarray:
-        key = cond.view_key
-        if key not in self._targets:
-            raise KeyError(f"no target image for view key {key!r}")
-        return self._targets[key]
+        """The view's target image: read-only float32 data."""
+        return self._map_for(cond.view_key).data
 
     def predict(self, x_t, t, cond, sched, stage_cb=None):
         return eps_from_x0(x_t, self.target_for(cond), t, sched)
@@ -221,42 +224,35 @@ class AnalyticAttentionDenoiser(OracleDenoiser):
     identity block serves every view; it computes in float32, the precision
     of its features.
 
-    A view's target is fixed, so its stage feature map is made once per view
-    key and the same immutable object is handed to every step. Since an
-    identity block's K and V are its F, a view's cache then holds one array
-    however many steps are injected.
+    A view's clean map is swapped for its perturbed one on first use, so
+    one immutable float32 map per view key is at once its target, its
+    stage feature at every step and, since an identity block's K and V
+    are its F, the one array its cache holds.
     """
 
     def __init__(self, targets: dict, sigma: float = 0.0, seed: int = 0):
         super().__init__(targets)
         self.sigma = float(sigma)
         self.seed = int(seed)
-        self._perturbed: dict = {}
-        self._features: dict = {}   # view key -> its stage's feature map
         self._block = replace(AttentionParams.identity(3), dtype=np.float32)
+        # the view keys whose map is still the clean target
+        self._clean = {k for k in self._maps if k is not None} if self.sigma else set()
 
-    def target_for(self, cond: Condition) -> np.ndarray:
-        clean = super().target_for(cond)
-        key = cond.view_key
-        if self.sigma == 0.0 or key is None:
-            return clean
-        if key not in self._perturbed:
+    def _map_for(self, key) -> FeatureMap:
+        if key in self._clean:
             # noise keyed by (seed, view) so permuting future views cannot
             # change earlier ones
             rng = np.random.default_rng([self.seed, 7001 + int(key)])
-            y = clean + self.sigma * rng.standard_normal(clean.shape)
-            self._perturbed[key] = y.astype(np.float32).astype(np.float64)
-        return self._perturbed[key]
+            y = self._maps[key].data
+            self._maps[key] = FeatureMap(y + self.sigma * rng.standard_normal(y.shape))
+            self._clean.remove(key)
+        return super()._map_for(key)
 
     def predict(self, x_t, t, cond, sched, stage_cb=None):
-        y = self.target_for(cond)
-        eps = eps_from_x0(x_t, y, t, sched)
+        fm = self._map_for(cond.view_key)
         if stage_cb is not None:
-            if cond.view_key not in self._features:
-                self._features[cond.view_key] = FeatureMap(y)
-            fm = self._features[cond.view_key]
             replacement = stage_cb(AttentionStage(layer="stage0", feature=fm,
                                                   params=self._block, baseline=fm))
             if replacement is not None:
-                eps = eps_from_x0(x_t, replacement.data.astype(np.float64), t, sched)
-        return eps
+                fm = replacement
+        return eps_from_x0(x_t, fm.data, t, sched)
