@@ -65,9 +65,11 @@ ctx_ab = project_context(fb, idp)
 pose = relative_pose(vb.extrinsics, va.extrinsics)
 samples = epipolar_sample_grid(pose, K)
 
-ce, cf = AttentionCounters(), AttentionCounters()
-epipolar_attention(fa, ctx_ab, samples, idp, ce)
-full_cross_attention(fa, [ctx_ab], idp, cf)
+ce, cf = AttentionCounters(), AttentionCounters()   # one buffer each: heads x queries x keys
+epipolar_attention(fa, ctx_ab, samples, idp)
+ce.record(idp.heads, 32 * 32, samples.uv.shape[0])
+full_cross_attention(fa, [ctx_ab], idp)
+cf.record(idp.heads, 32 * 32, 32 * 32)
 print(f"2. similarity-buffer elements: epipolar {ce.peak_elems:,} "
       f"vs full {cf.peak_elems:,} "
       f"({cf.peak_elems / ce.peak_elems:.0f}x smaller search space)")

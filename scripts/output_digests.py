@@ -1,8 +1,8 @@
 """Print the u8 SHA-256 prefix of one whole perfbench unit per workload,
 one of the analytic scene renders, one of their reprojection consistency,
-one of the attention core's readers, one of a whole trajectory and one
-of the oracle-style backends; with ``--check``, also compare each with
-its expected prefix.
+one of the attention core's readers, one of a whole trajectory, one of
+the oracle-style backends and one of a trajectory's similarity-buffer
+counts; with ``--check``, also compare each with its expected prefix.
 
     python3 scripts/output_digests.py [--check]
 
@@ -47,6 +47,11 @@ with 2 context views, alpha 0.5, injection from step 4 of 50, from view
 trajectories, so they are the ones that see caches freed after their
 last reader.
 
+The ``counters`` line hashes ``asdict(synth.counters)``, as sorted-key
+JSON, after the trajectory line's run, then after the same run in
+``full`` mode: the similarity-buffer records of both retrieval modes over
+a whole trajectory on a 2-head half-resolution bottleneck.
+
 The ``backends`` line hashes the u8 images, in order, of the same run
 (the trajectory line's scene, cameras and config) made first with
 ``OracleDenoiser``, then with ``AnalyticAttentionDenoiser`` at sigma 0,
@@ -80,7 +85,8 @@ WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-e
 # before each view was ray-cast once per call, analytic-full before
 # identity projections handed back their input, trajectory before a
 # generated view's cache was freed after its last reader, and backends
-# before the oracle backends held one float32 map per view.
+# before the oracle backends held one float32 map per view, and counters
+# before the synthesizer, not the attention kernels, recorded each buffer.
 EXPECTED = {
     "analytic-epipolar": "5084e54caba36190",
     "toyunet-full": "215266917a99aa4c",
@@ -92,6 +98,7 @@ EXPECTED = {
     "readers": "6ae5c449acdd22f4",
     "trajectory": "d3981e9b463158c0",
     "backends": "8e709745c7717831",
+    "counters": "3b2cd82b12344cc4",
 }
 
 
@@ -131,8 +138,10 @@ def main() -> int:
     report("scene-renders", renders)
     report("reprojection", reprojection)
     report("readers", readers_digest())
-    report("trajectory", trajectory_digest())
+    trajectory, counters = trajectory_digests()
+    report("trajectory", trajectory)
     report("backends", backends_digest())
+    report("counters", counters)
     if check:
         print(f"moved: {', '.join(moved)}" if moved else "check: every prefix as expected")
     return 1 if failed or moved else 0
@@ -196,11 +205,20 @@ def readers_digest() -> str:
     return digest.hexdigest()[:16]
 
 
-def trajectory_digest() -> str:
-    """The ``trajectory`` prefix."""
+def trajectory_digests() -> tuple[str, str]:
+    """The ``trajectory`` and ``counters`` prefixes."""
+    from dataclasses import asdict
     from epiview.toyunet import ToyUNet
 
-    return _trajectories_digest(lambda targets: [ToyUNet(seed=0)])
+    def toyunet(targets):
+        return [ToyUNet(seed=0)]
+
+    trajectory, counters = _trajectories_digest(toyunet)
+    counters += _trajectories_digest(toyunet, "full")[1]
+    digest = hashlib.sha256()
+    for c in counters:
+        digest.update(json.dumps(asdict(c), sort_keys=True).encode())
+    return trajectory, digest.hexdigest()[:16]
 
 
 def backends_digest() -> str:
@@ -208,16 +226,18 @@ def backends_digest() -> str:
     from epiview.diffusion import AnalyticAttentionDenoiser, OracleDenoiser
 
     return _trajectories_digest(
-        lambda targets: [OracleDenoiser(targets), AnalyticAttentionDenoiser(targets)])
+        lambda targets: [OracleDenoiser(targets), AnalyticAttentionDenoiser(targets)])[0]
 
 
-def _trajectories_digest(denoisers) -> str:
-    """The prefix of the u8 images, in order, of one whole epipolar
-    ``synthesize_trajectory`` run per denoiser in ``denoisers(targets)``:
+def _trajectories_digest(denoisers, mode: str = "epipolar") -> tuple[str, list]:
+    """The prefix of the u8 images, in order, of one whole
+    ``synthesize_trajectory`` run in ``mode`` per denoiser in
+    ``denoisers(targets)``, and each run's similarity-buffer counters:
     from view 0 of free16 (seed 100), rendered from ``make_scene(0,
     "distinctive")`` at 16 px, to views 1-15, with 2 context views, alpha
     0.5 and injection from step 4 of 50. ``targets`` maps None to the
     input image and i to the render of view i + 1."""
+    from epiview.attention import AttentionCounters
     from epiview.diffusion import NoiseSchedule
     from epiview.fileio import to_u8
     from epiview.geometry import CameraIntrinsics
@@ -229,13 +249,15 @@ def _trajectories_digest(denoisers) -> str:
     scene = make_scene(0, "distinctive")
     image = render(scene, cams[0], K).rgb.data
     targets = {None: image, **{i: render(scene, cam, K).rgb.data for i, cam in enumerate(cams[1:])}}
-    config = GenerationConfig(alpha=0.5, context_views=2, inject_after_step=4, mode="epipolar")
-    digest = hashlib.sha256()
+    config = GenerationConfig(alpha=0.5, context_views=2, inject_after_step=4, mode=mode)
+    digest, counters = hashlib.sha256(), []
     for den in denoisers(targets):
-        synth = TrajectorySynthesizer(image, cams[0], K, den, NoiseSchedule.linear_beta(50), config)
+        counters.append(AttentionCounters())
+        synth = TrajectorySynthesizer(image, cams[0], K, den, NoiseSchedule.linear_beta(50),
+                                      config, counters[-1])
         for im in synth.synthesize_trajectory(cams[1:])[0]:
             digest.update(to_u8(im).tobytes())
-    return digest.hexdigest()[:16]
+    return digest.hexdigest()[:16], counters
 
 
 if __name__ == "__main__":

@@ -28,10 +28,10 @@ localization study. The backends give the blocks they expose float32,
 the precision their features are stored in, so that the gather and the
 softmax move half the bytes.
 
-Every retrieval call records how many similarity-buffer elements it
-allocates into an optional :class:`AttentionCounters`, which is what the
-complexity bench and the memory-bound invariants read. Counts are exact
-integer accounting (heads x queries x keys), independent of the machine.
+The kernels count nothing. :class:`AttentionCounters` keeps exact
+similarity-buffer accounting (heads x queries x keys, independent of the
+machine), recorded by the callers that hold those shapes: the
+synthesizer's stage callback, the complexity bench and demo 02.
 """
 
 from __future__ import annotations
@@ -112,18 +112,18 @@ class ContextFeatures:
 
 @dataclass
 class AttentionCounters:
-    """Exact similarity-buffer accounting over attention calls: running
-    count, total and peak, in constant memory.
-
-    There is one record per (target, context) buffer, heads x queries x
-    keys. A batched full-attention call over V contexts makes V records,
-    although it holds all V buffers at once."""
+    """Exact similarity-buffer accounting over retrievals: running count,
+    total and peak, in constant memory. The caller of a retrieval (the
+    synthesizer's stage callback) records one heads x queries x keys
+    buffer per (target, context) pair, so the peak is one such buffer,
+    although batched full attention over V contexts holds all V at once."""
 
     peak_elems: int = 0
     total_elems: int = 0
     calls: int = 0
 
-    def record(self, elems: int):
+    def record(self, heads: int, queries: int, keys: int):
+        elems = heads * queries * keys
         self.calls += 1
         self.total_elems += elems
         self.peak_elems = max(self.peak_elems, elems)
@@ -171,25 +171,20 @@ def self_attention(fm: FeatureMap, params: AttentionParams) -> FeatureMap:
     return full_cross_attention(fm, [project_context(fm, params)], params)[0][0]
 
 
-def full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
-                counters: AttentionCounters | None = None) -> np.ndarray:
+def full_logits(f_tgt: FeatureMap, contexts: list, params: AttentionParams) -> np.ndarray:
     """Key-major logits (heads, V, M, N) of the target queries, each column
     against every key of the V context maps, in one batched product
     ``k @ (q / sqrt(d)).T``: the scale touches the N*d queries, not the N*M
     logits (epipolar logits keep theirs, which would re-base every analytic
-    output to move). One counter record per context. Context i's weights
-    are ``masked_softmax(logits[:, i], None)``."""
+    output to move). Context i's weights are
+    ``masked_softmax(logits[:, i], None)``."""
     q = _heads(apply_linear(params.q_proj, f_tgt).flat(), params)
     q = q / math.sqrt(q.shape[-1])   # a Python float keeps float32 queries in float32
     k = _heads(np.stack([c.k.flat() for c in contexts]), params)
-    if counters is not None:
-        for _ in contexts:
-            counters.record(params.heads * q.shape[1] * k.shape[2])
     return k @ np.swapaxes(q, -1, -2)[:, None]
 
 
-def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionParams,
-                         counters: AttentionCounters | None = None) -> list:
+def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionParams) -> list:
     """Retrieval over every position of each context map, in one call.
 
     The target queries are projected once. The logits of all V contexts
@@ -206,7 +201,7 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
         raise ValueError("need at least one context view")
     if any(c.k.height != f_tgt.height or c.k.width != f_tgt.width for c in contexts):
         raise ValueError("context resolution does not match the target map")
-    logits = full_logits(f_tgt, contexts, params, counters)
+    logits = full_logits(f_tgt, contexts, params)
     weights = masked_softmax(logits, None)
     mixed = np.swapaxes(weights, -1, -2) @ _heads(np.stack([c.value.flat() for c in contexts]),
                                                   params)
@@ -222,7 +217,7 @@ def _heads_affine(lin: LinearMap, params: AttentionParams):
 
 
 def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
-                     params: AttentionParams, counters: AttentionCounters | None):
+                     params: AttentionParams):
     """The logits of :func:`epipolar_logits` and the one gather of a
     retrieval, the raw map F sampled through the set's plan (C, S, N). Each
     head's query absorbs the key projection, ``qa = W_kᵀ q`` (h, C, N), and
@@ -232,8 +227,6 @@ def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarS
         raise ValueError("sample set is not (S, N, 2) for the target grid")
     if (samples.width, samples.height) != (ctx.f.width, ctx.f.height):
         raise ValueError("sample set is not on the context grid")
-    if counters is not None:
-        counters.record(params.heads * n * samples.uv.shape[0])
     q = apply_linear(params.q_proj, f_tgt).flat().T.reshape(params.heads, -1, n)   # (h, d, N)
     w_k, b_k = _heads_affine(params.k_proj, params)
     qa = (w_k.swapaxes(1, 2) @ q).astype(params.dtype)
@@ -251,12 +244,11 @@ def epipolar_logits(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSa
     its epipolar key samples, each a contiguous vector of queries.
     ``samples`` must be an (S, N, 2) set on the context's grid. The weights
     are ``masked_softmax(logits, samples.valid)``."""
-    return _epipolar_scores(f_tgt, ctx, samples, params, None)[0]
+    return _epipolar_scores(f_tgt, ctx, samples, params)[0]
 
 
 def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
-                       params: AttentionParams,
-                       counters: AttentionCounters | None = None):
+                       params: AttentionParams):
     """Retrieve reference information along epipolar lines.
 
     For each query: similarity of its query feature against the key
@@ -271,7 +263,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     """
     if ctx.f.height != f_tgt.height or ctx.f.width != f_tgt.width:
         raise ValueError("context resolution does not match the target map")
-    logits, f = _epipolar_scores(f_tgt, ctx, samples, params, counters)
+    logits, f = _epipolar_scores(f_tgt, ctx, samples, params)
     weights = masked_softmax(logits, samples.valid)
     w_v, b_v = _heads_affine(params.v_proj, params)
     v = w_v @ np.einsum("hsn,csn->hcn", weights, f)   # (h, d, N)

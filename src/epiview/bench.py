@@ -1,10 +1,10 @@
 """Scaling benchmark for the similarity-buffer footprint and wall time of
 epipolar versus full retrieval attention.
 
-Buffer elements are exact integer counts from the attention
-instrumentation, so the fitted log-log slopes are machine-independent:
-full attention allocates (L*L)^2 entries on an L x L grid, epipolar
-attention at most L*L*max-samples.
+Buffer elements are exact integer counts recorded from each call's
+shapes, not from instrumentation inside the kernels, so the fitted
+log-log slopes are machine-independent: full attention allocates (L*L)^2
+entries on an L x L grid, epipolar attention L*L times max(W, H) slots.
 """
 
 from __future__ import annotations
@@ -67,15 +67,16 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), reps: int = 3, seed: int = 0) -> li
         params = AttentionParams.seeded(4, 1, rng)
         ctx = project_context(f_ref, params)
         samples = epipolar_sample_grid(pose, k_feat)
-        for mode in ("epipolar", "full"):
+        for mode, keys in (("epipolar", samples.uv.shape[0]), ("full", L * L)):
             counters = AttentionCounters()
+            counters.record(params.heads, L * L, keys)
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter_ns()
                 if mode == "epipolar":
-                    epipolar_attention(f_tgt, ctx, samples, params, counters)
+                    epipolar_attention(f_tgt, ctx, samples, params)
                 else:
-                    full_cross_attention(f_tgt, [ctx], params, counters)
+                    full_cross_attention(f_tgt, [ctx], params)
                 times.append(time.perf_counter_ns() - t0)
             rows.append(BenchRow(size=L, mode=mode,
                                  buffer_elems=counters.peak_elems,

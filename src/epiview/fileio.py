@@ -71,8 +71,10 @@ def read_ppm(path) -> np.ndarray:
         w, h, maxval = (int(f) for f in fields)
     except ValueError:
         raise DataError(f"{path}: bad PPM header {b' '.join(fields)!r}") from None
-    if w < 1 or h < 1 or not 1 <= maxval <= 255:
-        raise DataError(f"{path}: unsupported PPM {w}x{h}, maxval {maxval} (need maxval 1..255)")
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PPM size {w}x{h} is not a positive width and height")
+    if not 1 <= maxval <= 255:
+        raise DataError(f"{path}: unsupported PPM maxval {maxval} (need 1..255)")
     if len(raw) - pos < h * w * 3:
         raise DataError(f"{path}: truncated PPM, {len(raw) - pos} of {h * w * 3} pixel bytes")
     data = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3, offset=pos)

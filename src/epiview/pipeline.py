@@ -211,16 +211,20 @@ class TrajectorySynthesizer:
             if not context:
                 return None
             entries = [vc.get(step_idx, stage.layer) for vc in context]
+            n = stage.feature.height * stage.feature.width
             if cfg.mode == "full":
-                outs = full_cross_attention(stage.feature, entries, dup, self.counters)
+                outs, keys = full_cross_attention(stage.feature, entries, dup), [n] * len(entries)
             else:
-                outs = []
+                outs, keys = [], []
                 for vc, entry in zip(context, entries):
                     pair = (vc.camera, stage.feature.width, stage.feature.height)
                     if pair not in pairs:
                         pairs[pair] = self._pair_geometry(vc.camera, cam, pair[1])
-                    outs.append(epipolar_attention(stage.feature, entry, pairs[pair], dup,
-                                                   self.counters))
+                    outs.append(epipolar_attention(stage.feature, entry, pairs[pair], dup))
+                    keys.append(pairs[pair].uv.shape[0])
+            if self.counters is not None:   # one similarity buffer per context
+                for k in keys:
+                    self.counters.record(dup.heads, n, k)
             agg, contributed = multi_view_aggregate(outs)
             return fuse(stage.baseline, agg, contributed, cfg.alpha)
 

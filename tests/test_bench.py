@@ -17,10 +17,11 @@ class TestBufferCounts:
             if r.mode == "full":
                 assert r.buffer_elems == r.size ** 4
 
-    def test_epipolar_at_most_l_cubed(self, rows):
+    def test_epipolar_is_l_cubed_exactly(self, rows):
+        """L*L queries against the max(W, H) = L slots of each line."""
         for r in rows:
             if r.mode == "epipolar":
-                assert 0 < r.buffer_elems <= r.size ** 3
+                assert r.buffer_elems == r.size ** 3
 
     def test_counts_machine_independent(self):
         a = run_scaling_bench(sizes=(8, 16), reps=3, seed=0)

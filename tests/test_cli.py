@@ -486,6 +486,10 @@ class TestExitCodes:
         ("manifest.json", b'{"intrinsics": {"f": 2.1, "cx": 0.5, "cy": 0.0, "width": 2,'
                           b' "height": 1}, "trajectory": []}',
          "manifest.json: 'intrinsics' are 2x1, smaller than the 8x8 window"),
+        ("bad.ppm", b"P6\n-32 32\n255\n",
+         "bad.ppm: PPM size -32x32 is not a positive width and height"),
+        ("bad.ppm", b"P6\n32 0\n255\n", "bad.ppm: PPM size 32x0 is not a positive width and height"),
+        ("bad.ppm", b"P6\n2 2\n0\n" + bytes(12), "bad.ppm: unsupported PPM maxval 0 (need 1..255)"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -513,7 +517,8 @@ class TestExitCodes:
             "traj-camera-inside-scene-toyunet", "toyunet-synth-odd-size",
             "toyunet-invert-odd-size", "scene-sphere-center-1e308", "scene-ball-past-the-bound",
             "scene-box-corner-past-the-bound", "cameras-radius-1e7", "traj-radius-1e7",
-            "config-steps-past-the-schedule", "eval-run-smaller-than-the-ssim-window"])
+            "config-steps-past-the-schedule", "eval-run-smaller-than-the-ssim-window",
+            "ppm-width-negative", "ppm-height-0", "ppm-maxval-0"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name

@@ -66,6 +66,14 @@ class TestPpm:
         with pytest.raises(DataError, match="bad.ppm"):
             read_ppm(p)
 
+    @pytest.mark.parametrize("size", [b"-32 32", b"32 0"])
+    def test_bad_size_is_named_as_a_size(self, tmp_path, size):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(b"P6\n" + size + b"\n255\n")
+        with pytest.raises(DataError, match="PPM size") as err:
+            read_ppm(p)
+        assert "maxval" not in str(err.value)
+
     def test_maxval_below_255_is_rescaled(self, tmp_path):
         p = tmp_path / "x.ppm"
         p.write_bytes(b"P6\n1 1\n15\n" + bytes([0, 5, 15]))

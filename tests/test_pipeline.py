@@ -442,6 +442,29 @@ class TestBufferFootprint:
         assert cf.peak_elems == n * n
         assert ce.peak_elems <= n * 32
 
+    @pytest.mark.parametrize("mode", ["epipolar", "full"])
+    @pytest.mark.parametrize("backend,heads,side", [("analytic", 1, 32), ("toyunet", 2, 16)])
+    def test_counts_are_the_sum_over_the_schedule(self, setup, intrinsics32, backend, heads,
+                                                  side, mode):
+        """One record per (view, injected step, context view) of heads x N x
+        keys, keys = N in full mode and a sample set's max(w, h) slots in
+        epipolar mode: the analytic backend's one head on the 32 px image,
+        ToyUNet's two on its 16 px bottleneck."""
+        _, _, traj, _, _, _ = setup
+        counters = AttentionCounters()
+        synth = make_synth(setup, intrinsics32, mode=mode, counters=counters,
+                           backend=ToyUNet(seed=0) if backend == "toyunet" else None)
+        _, man = synth.synthesize_trajectory(traj)
+        injected = man["schedule"]["steps"] - man["config"]["inject_after_step"]
+        contexts = [len(keys) for keys in man["context_schedule"]]
+        assert injected > 0 and max(contexts) > 1
+        n = side * side
+        buffer = heads * n * (n if mode == "full" else side)
+        calls = sum(contexts) * injected
+        assert vars(counters) == {"peak_elems": buffer, "total_elems": calls * buffer,
+                                  "calls": calls}
+        assert man["buffer_counters"] == vars(counters)
+
 
 class TestConsistencyEffect:
     def test_injection_reduces_reprojection_error(self, setup, intrinsics32):
