@@ -15,11 +15,10 @@ epipolar positions, masked where invalid, one context at a time, laid
 out (..., S, N), and scales its S*N logits: moving that scale would
 re-base every analytic output for about 1% of a call. Both reuse the
 block's Q/K/V/out projections with no new parameters: full attention
-reads K and V, and epipolar attention gathers F once, putting the affine
+reads K and V, and epipolar attention gathers F once, putting the linear
 K and V projections into the query and onto the mix (sampling commutes
-with them, as bilinear weights sum to 1). Readers of similarities
-(``simmap``, the localization study) softmax the core's own
-:func:`full_logits` and :func:`epipolar_logits`.
+with them). Readers of similarities (``simmap``, the localization study)
+softmax the core's own :func:`full_logits` and :func:`epipolar_logits`.
 
 The core computes in the block's own precision,
 :attr:`AttentionParams.dtype`, and only that field chooses it. It is
@@ -64,7 +63,8 @@ __all__ = [
 @dataclass(frozen=True)
 class AttentionParams:
     """Q/K/V/output projections plus the head layout of one attention
-    block, and the float dtype its attention core computes in."""
+    block, and the float dtype its attention core computes in. K has Q's
+    shape, V reads Q's channels, and the output projection reads V's."""
 
     q_proj: LinearMap
     k_proj: LinearMap
@@ -76,7 +76,13 @@ class AttentionParams:
     def __post_init__(self):
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
-        if self.q_proj.out_dim % self.heads:
+        q, k, v, o = self.q_proj, self.k_proj, self.v_proj, self.out_proj
+        for name, lin, want in (("k_proj", k, q.weight.shape), ("v_proj", v, (v.out_dim, q.in_dim)),
+                                ("out_proj", o, (o.out_dim, v.out_dim))):
+            if lin.weight.shape != want:
+                raise ValueError(f"{name} is {lin.out_dim}x{lin.in_dim} (out x in), "
+                                 f"expected {want[0]}x{want[1]}")
+        if q.out_dim % self.heads or v.out_dim % self.heads:
             raise ValueError("projection out-dim must divide evenly into heads")
         dtype = np.dtype(self.dtype)
         if dtype not in (np.float32, np.float64):
@@ -92,9 +98,7 @@ class AttentionParams:
     @classmethod
     def seeded(cls, channels: int, heads: int, rng: np.random.Generator) -> "AttentionParams":
         def lin():
-            w = rng.standard_normal((channels, channels)) * 0.3
-            b = rng.standard_normal(channels) * 0.01
-            return LinearMap(weight=w, bias=b)
+            return LinearMap(rng.standard_normal((channels, channels)) * 0.3)
         return cls(q_proj=lin(), k_proj=lin(), v_proj=lin(), out_proj=lin(), heads=heads)
 
 
@@ -210,10 +214,9 @@ def full_cross_attention(f_tgt: FeatureMap, contexts: list, params: AttentionPar
             for x in np.split(_merge(mixed, f_tgt, params).data, len(contexts))]
 
 
-def _heads_affine(lin: LinearMap, params: AttentionParams):
-    """A projection's float64 weight (h, d, C) and bias (h, d, 1), heads-major."""
-    bias = None if lin.bias is None else lin.bias.astype(np.float64).reshape(params.heads, -1, 1)
-    return lin.weight.astype(np.float64).reshape(params.heads, -1, lin.in_dim), bias
+def _heads_weight(lin: LinearMap, params: AttentionParams) -> np.ndarray:
+    """A projection's float64 weight, heads-major: (h, d, C)."""
+    return lin.weight.astype(np.float64).reshape(params.heads, -1, lin.in_dim)
 
 
 def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarSampleSet,
@@ -221,19 +224,16 @@ def _epipolar_scores(f_tgt: FeatureMap, ctx: ContextFeatures, samples: EpipolarS
     """The logits of :func:`epipolar_logits` and the one gather of a
     retrieval, the raw map F sampled through the set's plan (C, S, N). Each
     head's query absorbs the key projection, ``qa = W_kᵀ q`` (h, C, N), and
-    the logits contract ``qa · F`` in channel order, plus ``q · b_k``."""
+    the logits contract ``qa · F`` in channel order."""
     n = f_tgt.height * f_tgt.width
     if samples.uv.ndim != 3 or samples.uv.shape[1] != n:
         raise ValueError("sample set is not (S, N, 2) for the target grid")
     if (samples.width, samples.height) != (ctx.f.width, ctx.f.height):
         raise ValueError("sample set is not on the context grid")
     q = apply_linear(params.q_proj, f_tgt).flat().T.reshape(params.heads, -1, n)   # (h, d, N)
-    w_k, b_k = _heads_affine(params.k_proj, params)
-    qa = (w_k.swapaxes(1, 2) @ q).astype(params.dtype)
+    qa = (_heads_weight(params.k_proj, params).swapaxes(1, 2) @ q).astype(params.dtype)
     f = samples.plan.gather(ctx.f.flat().T, dtype=params.dtype)
     logits = np.einsum("hcn,csn->hsn", qa, f)
-    if b_k is not None:
-        logits += (b_k * q).sum(axis=1)[:, None]
     logits /= math.sqrt(q.shape[1])   # a Python float keeps float32 logits in float32
     return logits, f
 
@@ -257,7 +257,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
     features. Queries whose sample set is empty contribute nothing and are
     marked False in the returned mask, a view of the set's read-only one.
     The weights mix the one gather of F in one contraction summed in slot
-    order, ``m = Σ_s w F``, and the values are ``W_v m + b_v Σ_s w``.
+    order, ``m = Σ_s w F``, and the values are ``W_v m``.
 
     Returns (FeatureMap, contributed (H, W) bool).
     """
@@ -265,10 +265,7 @@ def epipolar_attention(f_tgt: FeatureMap, ctx: ContextFeatures, samples: Epipola
         raise ValueError("context resolution does not match the target map")
     logits, f = _epipolar_scores(f_tgt, ctx, samples, params)
     weights = masked_softmax(logits, samples.valid)
-    w_v, b_v = _heads_affine(params.v_proj, params)
-    v = w_v @ np.einsum("hsn,csn->hcn", weights, f)   # (h, d, N)
-    if b_v is not None:
-        v += b_v * weights.sum(axis=1)[:, None]
+    v = _heads_weight(params.v_proj, params) @ np.einsum("hsn,csn->hcn", weights, f)   # (h, d, N)
     fm = _merge(v.swapaxes(1, 2), f_tgt, params)
     return fm, samples.contributed.reshape(f_tgt.height, f_tgt.width)
 

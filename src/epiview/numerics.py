@@ -68,10 +68,9 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Per-pixel affine map: ``y = W @ x + b``. ``bias`` may be None."""
+    """Per-pixel linear map: ``y = W @ x``."""
 
     weight: np.ndarray
-    bias: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=np.float32)
@@ -80,13 +79,6 @@ class LinearMap:
         if not np.all(np.isfinite(w)):
             raise ValueError("weight contains non-finite entries")
         object.__setattr__(self, "weight", w)
-        if self.bias is not None:
-            b = np.asarray(self.bias, dtype=np.float32).reshape(-1)
-            if b.shape[0] != w.shape[0]:
-                raise ValueError("bias length must match out-dim")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("bias contains non-finite entries")
-            object.__setattr__(self, "bias", b)
 
     @property
     def out_dim(self) -> int:
@@ -101,8 +93,7 @@ class LinearMap:
         return cls(weight=np.eye(dim, dtype=np.float32))
 
     def copy(self) -> "LinearMap":
-        return LinearMap(weight=self.weight.copy(),
-                         bias=None if self.bias is None else self.bias.copy())
+        return LinearMap(weight=self.weight.copy())
 
 
 @dataclass(frozen=True)
@@ -275,24 +266,20 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 def apply_linear(lin: LinearMap, fm: FeatureMap) -> FeatureMap:
-    """Apply an affine map to every pixel of a feature map.
+    """Apply a linear map to every pixel of a feature map.
 
-    A map that is the identity when called (no bias, and a weight equal to
-    the identity matrix) hands back ``fm`` itself: a feature map is
-    immutable, and ``x @ I`` in float64 is ``x`` up to the sign of a zero.
-    So an identity block's K and V *are* its F, and its q and out
-    projections cost nothing. The test runs on every call, as a map's
-    weight stays writable, and a bias, even an all-zero one, skips it.
+    A map whose weight is the identity matrix when called hands back ``fm``
+    itself: a feature map is immutable, and ``x @ I`` in float64 is ``x``
+    up to the sign of a zero. So an identity block's K and V *are* its F,
+    and its q and out projections cost nothing. The test runs on every
+    call, as a map's weight stays writable.
     """
     if lin.in_dim != fm.channels:
         raise ValueError(f"linear map expects {lin.in_dim} channels, map has {fm.channels}")
     w = lin.weight
-    if (lin.bias is None and w.shape[0] == w.shape[1] and np.count_nonzero(w) == w.shape[0]
-            and np.all(w.diagonal() == 1)):
+    if w.shape[0] == w.shape[1] and np.count_nonzero(w) == w.shape[0] and np.all(w.diagonal() == 1):
         return fm   # n nonzeros, n of them ones on the diagonal: the identity
-    out = fm.flat().astype(np.float64) @ lin.weight.T.astype(np.float64)
-    if lin.bias is not None:
-        out = out + lin.bias.astype(np.float64)
+    out = fm.flat().astype(np.float64) @ w.T.astype(np.float64)
     return FeatureMap(out.reshape(fm.height, fm.width, lin.out_dim))
 
 

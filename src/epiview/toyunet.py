@@ -1,5 +1,7 @@
 """A small encoder/decoder denoiser with one genuine multi-head
-self-attention block at the bottleneck and additive time/pose embeddings.
+self-attention block at the bottleneck, additive time/pose embeddings,
+and linear convolutions and projections (``y = W x``), as in latent
+diffusion's attention blocks.
 
 Its weights are seeded-random and never change: the method retrieves
 features from a fixed denoiser and learns nothing, so the net has no
@@ -21,23 +23,19 @@ __all__ = ["ToyUNet"]
 # bottleneck's attention, and the dtype of every weight and activation.
 C1, C2, HEADS, DTYPE = 8, 16, 2, np.float32
 
-# Every parameter's shape, in initialisation order; conv weights are (Cout, 9*Cin).
+# Every weight's shape, in initialisation order; conv weights are (Cout, 9*Cin).
 _WEIGHTS = {"enc1": (C1, 27), "enc2": (C2, 9 * C1), "attn.q": (C2, C2), "attn.k": (C2, C2),
             "attn.v": (C2, C2), "attn.o": (C2, C2), "dec1": (C1, 9 * C2), "dec2": (3, 9 * C1)}
-_PARAM_SHAPES = {f"{n}.{p}": (s if p == "w" else s[:1]) for n, s in _WEIGHTS.items() for p in "wb"}
 
 
 def _init_params(seed: int) -> dict:
-    """Zero biases, and normal weights scaled by sqrt(gain / fan-in), drawn
-    in ``_PARAM_SHAPES`` order so that a seed keeps its bytes."""
+    """Normal weights scaled by sqrt(gain / fan-in), drawn in ``_WEIGHTS``
+    order so that a seed keeps its bytes."""
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in _PARAM_SHAPES.items():
-        if name.endswith(".b"):
-            params[name] = np.zeros(shape, dtype=DTYPE)
-        else:
-            gain = 1.0 if name.startswith("attn.") else 2.0
-            params[name] = (rng.standard_normal(shape) * np.sqrt(gain / shape[1])).astype(DTYPE)
+    for name, shape in _WEIGHTS.items():
+        gain = 1.0 if name.startswith("attn.") else 2.0
+        params[name] = (rng.standard_normal(shape) * np.sqrt(gain / shape[1])).astype(DTYPE)
     return params
 
 
@@ -65,10 +63,10 @@ def _im2col(x: np.ndarray, stride: int):
     return win.reshape(ho * wo, 9 * c), (ho, wo)
 
 
-def _conv(x, w, b, stride):
+def _conv(x, w, stride):
     """3x3 convolution; w is (Cout, 9*Cin)."""
     cols, (ho, wo) = _im2col(x, stride)
-    return (cols @ w.T + b).reshape(ho, wo, -1)
+    return (cols @ w.T).reshape(ho, wo, -1)
 
 
 def _upsample2(x):
@@ -82,14 +80,8 @@ class ToyUNet(Denoiser):
 
     def __init__(self, seed: int):
         self.params = p = _init_params(seed)
-        self.attention = AttentionParams(
-            q_proj=LinearMap(p["attn.q.w"], p["attn.q.b"]),
-            k_proj=LinearMap(p["attn.k.w"], p["attn.k.b"]),
-            v_proj=LinearMap(p["attn.v.w"], p["attn.v.b"]),
-            out_proj=LinearMap(p["attn.o.w"], p["attn.o.b"]),
-            heads=HEADS,
-            dtype=DTYPE,
-        )
+        self.attention = AttentionParams(*(LinearMap(p[f"attn.{n}"]) for n in "qkvo"),
+                                         heads=HEADS, dtype=DTYPE)
 
     def _embedding(self, t: int, cond: Condition, sched: NoiseSchedule) -> np.ndarray:
         de, da, dr = cond.d_spherical
@@ -100,15 +92,15 @@ class ToyUNet(Denoiser):
     def _encode(self, x, t, cond, sched):
         """Two conv stages down plus the embedding: the bottleneck map."""
         p = self.params
-        h1 = np.maximum(_conv(x, p["enc1.w"], p["enc1.b"], 1), 0)
-        h2 = np.maximum(_conv(h1, p["enc2.w"], p["enc2.b"], 2), 0)
+        h1 = np.maximum(_conv(x, p["enc1"], 1), 0)
+        h2 = np.maximum(_conv(h1, p["enc2"], 2), 0)
         return h2 + self._embedding(t, cond, sched)
 
     def _decode(self, h3):
         """Upsample and two conv stages: the predicted noise."""
         p = self.params
-        u1 = np.maximum(_conv(_upsample2(h3), p["dec1.w"], p["dec1.b"], 1), 0)
-        return _conv(u1, p["dec2.w"], p["dec2.b"], 1)
+        u1 = np.maximum(_conv(_upsample2(h3), p["dec1"], 1), 0)
+        return _conv(u1, p["dec2"], 1)
 
     def predict(self, x_t, t, cond, sched, stage_cb=None):
         hb = self._encode(np.asarray(x_t, dtype=DTYPE), t, cond, sched)

@@ -36,9 +36,9 @@ def naive_self_attention(fm, params):
     h, w = fm.height, fm.width
     n, heads, hd = h * w, params.heads, params.q_proj.out_dim // params.heads
     flat = fm.flat().astype(np.float64)
-    q = flat @ params.q_proj.weight.T.astype(np.float64) + params.q_proj.bias
-    k = flat @ params.k_proj.weight.T.astype(np.float64) + params.k_proj.bias
-    v = flat @ params.v_proj.weight.T.astype(np.float64) + params.v_proj.bias
+    q = flat @ params.q_proj.weight.T.astype(np.float64)
+    k = flat @ params.k_proj.weight.T.astype(np.float64)
+    v = flat @ params.v_proj.weight.T.astype(np.float64)
     out = np.zeros((n, heads * hd))
     for i in range(n):
         for hh in range(heads):
@@ -49,7 +49,7 @@ def naive_self_attention(fm, params):
             wgt = e / e.sum()
             out[i, hh * hd:(hh + 1) * hd] = sum(
                 wgt[j] * v[j, hh * hd:(hh + 1) * hd] for j in range(n))
-    out = out @ params.out_proj.weight.T.astype(np.float64) + params.out_proj.bias
+    out = out @ params.out_proj.weight.T.astype(np.float64)
     return out.reshape(h, w, -1)
 
 
@@ -89,8 +89,6 @@ class TestDuplicateParams:
         for name in ("q_proj", "k_proj", "v_proj", "out_proj"):
             np.testing.assert_array_equal(getattr(dup, name).weight,
                                           getattr(src, name).weight)
-            np.testing.assert_array_equal(getattr(dup, name).bias,
-                                          getattr(src, name).bias)
         assert dup.heads == src.heads
 
     def test_mutation_isolated(self):
@@ -112,31 +110,68 @@ class TestBlockPrecision:
             replace(AttentionParams.identity(4), dtype=np.float16)
 
 
+class TestBlockShapes:
+    """A block whose projections do not compose is rejected when it is
+    built, naming the projection and its shape, not by numpy on the first
+    call."""
+
+    @staticmethod
+    def lin(out_dim, in_dim):
+        return LinearMap(np.ones((out_dim, in_dim)))
+
+    @pytest.mark.parametrize("heads,shapes,message", [
+        (1, {"k_proj": (6, 8)}, "k_proj is 6x8 .* expected 8x8"),     # q and k out-dims differ
+        (1, {"k_proj": (8, 5)}, "k_proj is 8x5 .* expected 8x8"),     # q and k in-dims differ
+        (1, {"v_proj": (8, 5)}, "v_proj is 8x5 .* expected 8x8"),     # q and v in-dims differ
+        (1, {"out_proj": (8, 6)}, "out_proj is 8x6 .* expected 8x8"),  # out reads v's out-dim
+        (1, {"v_proj": (7, 8)}, "out_proj is 8x8 .* expected 8x7"),   # ... which v sets
+        (2, {"v_proj": (7, 8), "out_proj": (8, 7)}, "heads"),         # v's heads
+    ])
+    def test_mismatched_projections(self, heads, shapes, message):
+        with pytest.raises(ValueError, match=message):
+            replace(AttentionParams.identity(8), heads=heads,
+                    **{field: self.lin(*shape) for field, shape in shapes.items()})
+
+    def test_composing_projections_of_other_widths_build(self):
+        params = AttentionParams(self.lin(4, 3), self.lin(4, 3), self.lin(6, 3), self.lin(5, 6),
+                                 heads=2)
+        fm = FeatureMap(np.random.default_rng(5).standard_normal((2, 3, 3)))
+        assert self_attention(fm, params).channels == 5
+
+
 def reach(lin, f: FeatureMap) -> float:
-    """|W|_inf max|f| + max|b|: a bound on every entry of ``lin`` applied
-    to a map whose entries are at most those of ``f``, and on the sum of
-    its entry-wise errors carried through W when each is at most max|f|."""
-    b = 0.0 if lin.bias is None else float(np.abs(lin.bias).max())
+    """|W|_inf max|f|: a bound on every entry of ``lin`` applied to a map
+    whose entries are at most those of ``f``, and on the sum of its
+    entry-wise errors carried through W when each is at most max|f|."""
     return float(np.abs(lin.weight.astype(np.float64)).sum(axis=1).max()
-                 * np.abs(f.data).max()) + b
+                 * np.abs(f.data).max())
 
 
 def logit_reach(f_tgt, ctx, params) -> float:
     """A bound P on sqrt(d) times every logit and on the sum of the
     magnitudes of the products that make it, in either route: max over
-    queries and heads of the absorbed query's sum_c |qa_c| max|F| + |q·b_k|
-    (the route that samples F) and of |q|_1 max|K| (a route that samples
-    the stored keys)."""
+    queries and heads of the absorbed query's sum_c |qa_c| max|F| (the
+    route that samples F) and of |q|_1 max|K| (a route that samples the
+    stored keys)."""
     d = params.q_proj.out_dim // params.heads
     q = apply_linear(params.q_proj, f_tgt).flat().astype(np.float64)
     q = q.reshape(-1, params.heads, d)                                       # (N, h, d)
     w_k = params.k_proj.weight.astype(np.float64).reshape(params.heads, d, -1)
-    bias = (np.zeros(params.k_proj.out_dim) if params.k_proj.bias is None
-            else params.k_proj.bias.astype(np.float64))
-    absorbed = (np.abs(np.einsum("nhd,hdc->nhc", q, w_k)).sum(axis=-1) * np.abs(ctx.f.data).max()
-                + np.abs(np.einsum("nhd,hd->nh", q, bias.reshape(params.heads, d))))
+    absorbed = np.abs(np.einsum("nhd,hdc->nhc", q, w_k)).sum(axis=-1) * np.abs(ctx.f.data).max()
     keyed = np.abs(q).sum(axis=-1) * np.abs(ctx.k.data).max()
     return float(max(absorbed.max(), keyed.max()))
+
+
+def seeded_as_drawn_with_biases(channels, heads, rng):
+    """The block ``AttentionParams.seeded`` drew when each projection also
+    drew a bias after its weight: the same weights and the same generator
+    state after it, with the biases dropped, so that a test keeps the
+    inputs its checks were set on."""
+    def lin():
+        w = rng.standard_normal((channels, channels)) * 0.3
+        rng.standard_normal(channels)
+        return LinearMap(w)
+    return AttentionParams(lin(), lin(), lin(), lin(), heads=heads)
 
 
 class TestFloat32RouteDualRoute:
@@ -146,25 +181,25 @@ class TestFloat32RouteDualRoute:
 
     Epipolar retrieval samples the raw map F once, absorbs the key
     projection into the query, ``qa = W_kᵀ q``, and applies the value
-    projection to the mix, ``W_v (Σ w F) + b_v Σ w``; full attention reads
+    projection to the mix, ``W_v (Σ w F)``; full attention reads
     the stored keys and values. With u = 2**-24 the float32 unit
     roundoff, C the channels, d the head width, S the keys per query
     (samples, or every context position), P = :func:`logit_reach`, V the
     largest value entry, R_v = :func:`reach` of the value projection over
     F, and W the largest absolute row sum of the output projection:
-    - a logit differs by at most dl = (C + 15) u P / sqrt(d): C roundings
+    - a logit differs by at most dl = (C + 14) u P / sqrt(d): C roundings
       in the float32 dot product over the C channels of the absorbed
       query (full attention sums d <= C products of its keys), one in
       rounding qa to float32, at most 8 u per entry in the float32
       bilinear blend of F (4 u a lerp, two lerps for four taps), one in
-      adding q·b_k, one in the scaling, 2 when the row peak is subtracted,
-      and one for the float32 keys that full attention reads;
+      the scaling, 2 when the row peak is subtracted, and one for the
+      float32 keys that full attention reads;
     - so the weights of a query, which sum to 1, differ by at most
       expm1(2 dl) + (S + 4) u in l1 (exp, sum and divide in float32),
       which moves the mix by V times that;
-    - the float32 mix of F (or of the values) and of the weights for b_v
-      adds S u R_v, the blend of F 8 u R_v, each route's float32 map of the
-      mix u V, and full attention's float32 values u V;
+    - the float32 mix of F (or of the values) adds S u R_v, the blend of
+      F 8 u R_v, each route's float32 map of the mix u V, and full
+      attention's float32 values u V;
     - the output projection multiplies by W, and the two float32 outputs
       each round once more (u of the largest output).
     Together: |out32 - out64| <= W (V (expm1(2 dl) + (S + 7) u)
@@ -175,7 +210,7 @@ class TestFloat32RouteDualRoute:
     def bound(f_tgt, ctx, params, keys, out64):
         u = np.finfo(np.float32).eps / 2
         c, d = ctx.f.channels, params.q_proj.out_dim // params.heads
-        dl = (c + 15) * u * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
+        dl = (c + 14) * u * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
         v_max = np.abs(ctx.value.data).max()
         w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
         return (w_row * (v_max * (math.expm1(2 * dl) + (keys + 7) * u)
@@ -189,7 +224,7 @@ class TestFloat32RouteDualRoute:
         h = w = 12
         c = 8
         f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
-        params64 = AttentionParams.seeded(c, heads, rng)
+        params64 = seeded_as_drawn_with_biases(c, heads, rng)
         params32 = replace(params64, dtype=np.float32)
         ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params64)
         if mode == "full":
@@ -313,46 +348,44 @@ def absorbed_bounds(f_tgt, ctx, samples, params):
     stored K and V maps (the two-gather or the query-major oracle), on the
     same block and sample set, each in the block's dtype (unit roundoff u).
 
-    Bilinear weights sum to 1, so sampling commutes with the affine
-    projections and both routes compute the same exact logits and mix; the
-    oracle samples K = W_k F + b_k and V = W_v F + b_v, stored as float32
-    maps, where the route samples F and applies W_k to the query and W_v
-    to the mix. With C the channels, d the head width, S the slots per
-    query, L the lerps of the plan (1 for two taps, 2 for four), e and u32
-    the float64 and float32 unit roundoffs, s = u32 + (C + 1) e the
-    rounding of a float32 map projected in float64, P =
+    Sampling commutes with the linear projections, so both routes compute
+    the same exact logits and mix; the oracle samples K = W_k F and V =
+    W_v F, stored as float32 maps, where the route samples F and applies
+    W_k to the query and W_v to the mix. With C the channels, d the head
+    width, S the slots per query, L the lerps of the plan (1 for two taps,
+    2 for four), e and u32 the float64 and float32 unit roundoffs, s = u32
+    + (C + 1) e the rounding of a float32 map projected in float64, P =
     :func:`logit_reach`, V the largest value entry, R_v = :func:`reach` of
     the value projection over F, and W the largest absolute row sum of the
     output projection:
-    - at an in-grid slot, a logit differs by at most dl = ((C + 3 d + 8 L
-      + 8) u + s) P / sqrt(d): the route rounds qa = W_kᵀ q (d + 1), blends
-      F (4 L), sums C channel products (C), adds q·b_k (d + 1) and scales
-      (1); the oracle reads K's rounding (s), blends K (4 L), sums d
-      products (d) and scales (1); each subtracts its row peak (2);
+    - at an in-grid slot, a logit differs by at most dl = ((C + 2 d + 8 L
+      + 7) u + s) P / sqrt(d): the route rounds qa = W_kᵀ q (d + 1), blends
+      F (4 L), sums C channel products (C) and scales (1); the oracle
+      reads K's rounding (s), blends K (4 L), sums d products (d) and
+      scales (1); each subtracts its row peak (2);
     - so the weights of a query, which sum to 1, differ by at most dw =
       expm1(2 dl) + 2 (S + 4) u in l1, which moves the mix by V dw;
-    - the route blends F (4 L u R_v), sums S products for the mix and for
-      Σw (S u R_v), applies W_v and b_v in float64 (C + 2) e R_v; the
-      oracle reads V's rounding (s V), blends V (4 L u V) and sums S
-      products (S u V); each stores its mix as a float32 map (u32 V): the
-      mix differs by at most dm = V (dw + (S + 4 L) u + s + 2 u32) + R_v
-      ((S + 4 L) u + (C + 2) e);
+    - the route blends F (4 L u R_v), sums S products for the mix (S u
+      R_v) and applies W_v in float64 ((C + 1) e R_v); the oracle reads
+      V's rounding (s V), blends V (4 L u V) and sums S products (S u V);
+      each stores its mix as a float32 map (u32 V): the mix differs by at
+      most dm = V (dw + (S + 4 L) u + s + 2 u32) + R_v ((S + 4 L) u + (C +
+      1) e);
     - the float64 output projection multiplies by W and adds 2 (C + 1) e W V
       of its own rounding; each float32 output rounds once more.
-    An off-grid slot is masked in both routes, where the oracle's logit is
-    0 and the route's is q·b_k. Returns (dl, dw, dm, the output bound less
-    2 u32 max|out|).
+    An off-grid slot is masked in both routes. Returns (dl, dw, dm, the
+    output bound less 2 u32 max|out|).
     """
     u, e, u32 = (np.finfo(params.dtype).eps / 2, np.finfo(np.float64).eps / 2,
                  np.finfo(np.float32).eps / 2)
     c, d = ctx.f.channels, params.q_proj.out_dim // params.heads
     slots, lerps = samples.uv.shape[0], samples.plan.frac.shape[0]
     store = u32 + (c + 1) * e
-    dl = ((c + 3 * d + 8 * lerps + 8) * u + store) * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
+    dl = ((c + 2 * d + 8 * lerps + 7) * u + store) * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
     dw = math.expm1(2 * dl) + 2 * (slots + 4) * u
     v_max, r_v = np.abs(ctx.value.data).max(), reach(params.v_proj, ctx.f)
     dm = (v_max * (dw + (slots + 4 * lerps) * u + store + 2 * u32)
-          + r_v * ((slots + 4 * lerps) * u + (c + 2) * e))
+          + r_v * ((slots + 4 * lerps) * u + (c + 1) * e))
     w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
     return dl, dw, dm, w_row * (dm + 2 * (c + 1) * e * v_max)
 
@@ -395,7 +428,7 @@ class TestOneGatherDualRoute:
     a frozen copy of the route that gathered K and V: byte-equal under
     identity projections, where the samples of F, K and V have the same
     bytes, and within :func:`absorbed_bounds` under seeded blocks, whose
-    key and value projections have biases."""
+    key and value projections the route absorbs."""
 
     CASES = ["camera-pair", "two-tap", "four-tap"]
 
@@ -444,7 +477,6 @@ class TestOneGatherDualRoute:
 
         monkeypatch.setattr(attention, "_merge", recording)
         f_tgt, ctx, samples, params = self.inputs(case, heads, dtype, True, 110 + heads)
-        assert params.k_proj.bias is not None and params.v_proj.bias is not None
         want_fm, want_contributed, want_logits, want_weights, want_mixed = \
             oracle_two_gather_attention(f_tgt, ctx, samples, params)
         fm, contributed = epipolar_attention(f_tgt, ctx, samples, params)
@@ -458,16 +490,6 @@ class TestOneGatherDualRoute:
         err = np.abs(fm.data.astype(np.float64) - want_fm.data).max()
         assert 0 < err <= out_bound + 2 * 2.0 ** -24 * np.abs(want_fm.data).max()
         assert contributed.tobytes() == want_contributed.tobytes()
-
-    def test_key_bias_moves_the_logits_not_only_the_weights(self):
-        # the softmax cancels q·b_k, which is constant over a query's slots;
-        # epipolar_logits, which readers show, must still carry it
-        f_tgt, ctx, samples, params = self.inputs("camera-pair", 2, np.float64, True, 120)
-        want = oracle_two_gather_logits(f_tgt, ctx, samples, params)
-        dl = absorbed_bounds(f_tgt, ctx, samples, params)[0]
-        assert np.abs(epipolar_logits(f_tgt, ctx, samples, params) - want).max() <= dl
-        unbiased = replace(params, k_proj=LinearMap(params.k_proj.weight))
-        assert np.abs(epipolar_logits(f_tgt, ctx, samples, unbiased) - want).max() > 100 * dl
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_a_query_with_no_valid_slot_returns_the_projection_of_zero(self, dtype):
@@ -483,40 +505,34 @@ class TestOneGatherDualRoute:
         assert want_fm.data[:1, :5].tobytes() == zero.tobytes()
 
 
-def oracle_heads_affine(lin, params):
-    """A projection's float64 weight (h, d, C) and bias (h, d, 1), heads-major."""
-    bias = None if lin.bias is None else lin.bias.astype(np.float64).reshape(params.heads, -1, 1)
-    return lin.weight.astype(np.float64).reshape(params.heads, -1, lin.in_dim), bias
+def oracle_heads_weight(lin, params):
+    """A projection's float64 weight, heads-major: (h, d, C)."""
+    return lin.weight.astype(np.float64).reshape(params.heads, -1, lin.in_dim)
 
 
 def oracle_channel_loop_logits(f_tgt, ctx, samples, params):
     """``epipolar_logits`` as it was when it summed ``qa · F`` in a Python
     loop over the C channels, one (h, S, N) product per channel, starting
-    from the first. Kept verbatim as the oracle. Returns the logits and
-    the one gather of F (C, S, N)."""
+    from the first. Kept as the oracle, less the key bias it added.
+    Returns the logits and the one gather of F (C, S, N)."""
     n = f_tgt.height * f_tgt.width
     q = apply_linear(params.q_proj, f_tgt).flat().T.reshape(params.heads, -1, n)   # (h, d, N)
-    w_k, b_k = oracle_heads_affine(params.k_proj, params)
+    w_k = oracle_heads_weight(params.k_proj, params)
     qa = (w_k.swapaxes(1, 2) @ q).astype(params.dtype)
     f = samples.plan.gather(ctx.f.flat().T, dtype=params.dtype)
     logits = f[0] * qa[:, 0, None]
     for c in range(1, len(f)):
         logits += f[c] * qa[:, c, None]
-    if b_k is not None:
-        logits += (b_k * q).sum(axis=1)[:, None]
     logits /= math.sqrt(q.shape[1])
     return logits, f
 
 
 def oracle_channel_loop_mix(weights, f, params):
-    """The value mix ``W_v m + b_v Σ_s w`` (h, d, N) of ``epipolar_attention``
-    as it was when it mixed F one channel at a time, ``m`` stacked from C
-    slot sums. Kept verbatim as the oracle."""
-    w_v, b_v = oracle_heads_affine(params.v_proj, params)
-    v = w_v @ np.stack([(weights * fc).sum(axis=1) for fc in f], axis=1)
-    if b_v is not None:
-        v += b_v * weights.sum(axis=1)[:, None]
-    return v
+    """The value mix ``W_v m`` (h, d, N) of ``epipolar_attention`` as it was
+    when it mixed F one channel at a time, ``m`` stacked from C slot sums.
+    Kept as the oracle, less the value bias it added."""
+    w_v = oracle_heads_weight(params.v_proj, params)
+    return w_v @ np.stack([(weights * fc).sum(axis=1) for fc in f], axis=1)
 
 
 class TestChannelContractionDualRoute:
@@ -539,13 +555,12 @@ class TestChannelContractionDualRoute:
     @staticmethod
     def block(c, heads, seeded, rng):
         """The identity block on C channels, or a seeded one of inner width
-        8 with biases, whose key and value projections the route absorbs."""
+        8, whose key and value projections the route absorbs."""
         if not seeded:
             return replace(AttentionParams.identity(c), heads=heads)
 
         def lin(out_dim, in_dim):
-            return LinearMap(rng.standard_normal((out_dim, in_dim)) * 0.3,
-                             rng.standard_normal(out_dim) * 0.01)
+            return LinearMap(rng.standard_normal((out_dim, in_dim)) * 0.3)
         return AttentionParams(lin(8, c), lin(8, c), lin(8, c), lin(c, 8), heads=heads)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

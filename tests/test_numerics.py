@@ -367,10 +367,8 @@ class TestSoftmaxDualRoute:
 
 def matmul_linear(lin: LinearMap, fm: FeatureMap) -> FeatureMap:
     """apply_linear's general route, frozen as the oracle of its identity
-    shortcut: a float64 product, plus the bias."""
+    shortcut: a float64 product."""
     out = fm.flat().astype(np.float64) @ lin.weight.T.astype(np.float64)
-    if lin.bias is not None:
-        out = out + lin.bias.astype(np.float64)
     return FeatureMap(out.reshape(fm.height, fm.width, lin.out_dim))
 
 
@@ -395,7 +393,7 @@ class TestApplyLinear:
         written = LinearMap.identity(3)
         assert apply_linear(written, fm3) is fm3
         written.weight[1, 0] = 0.5
-        for lin in (LinearMap(nudged), LinearMap(np.eye(3), bias=np.zeros(3)), written):
+        for lin in (LinearMap(nudged), written):
             out = apply_linear(lin, fm3)
             assert out is not fm3
             assert np.array_equal(out.data, matmul_linear(lin, fm3).data)
@@ -403,43 +401,32 @@ class TestApplyLinear:
         np.testing.assert_allclose(out.data[..., 1], fm3.data[..., 1] + 0.5 * fm3.data[..., 0],
                                    rtol=1e-6, atol=1e-6)
 
-    def test_zero_weight_constant_bias(self):
-        fm = FeatureMap(np.random.default_rng(5).standard_normal((3, 3, 2)))
-        lin = LinearMap(weight=np.zeros((4, 2)), bias=np.array([1, 2, 3, 4.0]))
-        out = apply_linear(lin, fm)
-        assert out.channels == 4
-        np.testing.assert_allclose(out.data, np.broadcast_to([1, 2, 3, 4], (3, 3, 4)),
-                                   atol=1e-7)
-
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(6)
         fm = FeatureMap(rng.standard_normal((4, 6, 3)))
-        lin = LinearMap(weight=rng.standard_normal((5, 3)),
-                        bias=rng.standard_normal(5))
+        lin = LinearMap(weight=rng.standard_normal((5, 3)))
         out = apply_linear(lin, fm)
         w = lin.weight.astype(np.float64)
-        b = lin.bias.astype(np.float64)
         for y in range(4):
             for x in range(6):
-                want = w @ fm.data[y, x].astype(np.float64) + b
+                want = w @ fm.data[y, x].astype(np.float64)
                 np.testing.assert_allclose(out.data[y, x], want, atol=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_linear(LinearMap.identity(4), FeatureMap(np.zeros((2, 2, 3))))
 
-    def test_additive_in_input(self):
+    def test_linear_in_input(self):
         # dyadic-rational inputs so float32 storage is exact and the test
-        # isolates the affine property itself
+        # isolates the linear property itself
         rng = np.random.default_rng(7)
         a = rng.integers(-64, 64, (3, 3, 4)) / 64.0
         b = rng.integers(-64, 64, (3, 3, 4)) / 64.0
-        lin = LinearMap(weight=rng.integers(-8, 8, (4, 4)) / 8.0,
-                        bias=rng.integers(-8, 8, 4) / 8.0)
+        lin = LinearMap(weight=rng.integers(-8, 8, (4, 4)) / 8.0)
         fa = apply_linear(lin, FeatureMap(a)).data.astype(np.float64)
         fb = apply_linear(lin, FeatureMap(b)).data.astype(np.float64)
-        fab = apply_linear(lin, FeatureMap(a + b)).data.astype(np.float64)
-        np.testing.assert_allclose(fab, fa + fb - lin.bias.astype(np.float64), atol=1e-9)
+        fab = apply_linear(lin, FeatureMap(a - 2 * b)).data.astype(np.float64)
+        np.testing.assert_allclose(fab, fa - 2 * fb, atol=1e-9)
 
 
 class TestDownsample:
