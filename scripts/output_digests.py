@@ -1,8 +1,9 @@
 """Print the u8 SHA-256 prefix of one whole perfbench unit per workload,
 one of the analytic scene renders, one of their reprojection consistency,
 one of the attention core's readers, one of a whole trajectory, one of
-the oracle-style backends and one of a trajectory's similarity-buffer
-counts; with ``--check``, also compare each with its expected prefix.
+the oracle-style backends, one of a trajectory's similarity-buffer
+counts and one of the ray cast and its correspondences; with
+``--check``, also compare each with its expected prefix.
 
     python3 scripts/output_digests.py [--check]
 
@@ -59,6 +60,14 @@ each given the input image for the reference and the 16 px render of
 every later view as its targets. No other line runs either backend at
 sigma 0.
 
+The ``raycast`` line hashes, per scene, the depth, surf and points of
+``raycast`` over every pixel center of a 24x20 grid (65 degree field of
+view) at every free16 camera (seed 100), then ``correspondence_grid``'s
+uv_b, visible, prim_a and prim_b from each such view to the next one on
+the trajectory; the scenes are ``make_scene(0, m)``, m in distinctive
+and plain, then the box fixture (``make_scene(3, "plain")`` with a box
+and a sphere added), the one scene here that holds a box.
+
 ``EXPECTED`` is the record of every line's prefix. ``--check`` marks each
 line whose prefix differs from it as MOVED, names the moved lines last,
 and exits 1 if any moved.
@@ -86,7 +95,8 @@ WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-e
 # identity projections handed back their input, trajectory before a
 # generated view's cache was freed after its last reader, and backends
 # before the oracle backends held one float32 map per view, and counters
-# before the synthesizer, not the attention kernels, recorded each buffer.
+# before the synthesizer, not the attention kernels, recorded each buffer,
+# and raycast before the ray cast became one vectorised pass.
 EXPECTED = {
     "analytic-epipolar": "5084e54caba36190",
     "toyunet-full": "215266917a99aa4c",
@@ -99,6 +109,7 @@ EXPECTED = {
     "trajectory": "d3981e9b463158c0",
     "backends": "8e709745c7717831",
     "counters": "3b2cd82b12344cc4",
+    "raycast": "517043de5ea610ce",
 }
 
 
@@ -142,6 +153,7 @@ def main() -> int:
     report("trajectory", trajectory)
     report("backends", backends_digest())
     report("counters", counters)
+    report("raycast", raycast_digest())
     if check:
         print(f"moved: {', '.join(moved)}" if moved else "check: every prefix as expected")
     return 1 if failed or moved else 0
@@ -171,6 +183,33 @@ def scene_digests() -> tuple[str, str]:
             rows = [(p.view_a, p.view_b, p.pixels, p.error) for p in pairs]
             reprojection.update(np.array([mean, *np.ravel(rows)], dtype=np.float64).tobytes())
     return renders.hexdigest()[:16], reprojection.hexdigest()[:16]
+
+
+def raycast_digest() -> str:
+    """The ``raycast`` prefix."""
+    import numpy as np
+    from epiview.geometry import CameraIntrinsics, pixel_grid
+    from epiview.scenegen import Box, Scene, Sphere, correspondence_grid, make_scene, \
+        make_trajectory, raycast, render
+
+    box = make_scene(3, "plain")
+    box = Scene(seed=3, mode="plain", bounding_radius=1.0, primitives=box.primitives + (
+        Box(lo=np.array([0.35, -0.3, -0.2]), hi=np.array([0.75, 0.1, 0.25]),
+            color=np.array([0.8, 0.2, 0.1])),
+        Sphere(center=np.array([-0.2, 0.75, 0.3]), radius=0.15, color=np.array([0.1, 0.6, 0.3])),
+    ))
+    K = CameraIntrinsics.from_fov(24, 20, 65.0)
+    uv = pixel_grid(K.width, K.height)
+    digest = hashlib.sha256()
+    for scene in (make_scene(0, "distinctive"), make_scene(0, "plain"), box):
+        views = [render(scene, cam, K) for cam in make_trajectory("free16", 100)]
+        for view in views:
+            for a in raycast(scene, view.extrinsics, K, uv):
+                digest.update(a.tobytes())
+        for view_a, view_b in zip(views, views[1:]):
+            for a in correspondence_grid(scene, view_a, view_b, uv):
+                digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def readers_digest() -> str:

@@ -13,6 +13,7 @@ all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,18 +119,20 @@ class Denoiser:
 
 
 def x0_from_eps(x_t: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """Clean-image estimate implied by a noise prediction."""
-    a = sched.alphas[t]
-    return (np.asarray(x_t, dtype=np.float64) - np.sqrt(1.0 - a) * np.asarray(eps, dtype=np.float64)) / np.sqrt(a)
+    """Clean-image estimate implied by a noise prediction, in one float64 buffer."""
+    a = sched.alphas[t]   # math.sqrt: each square root once, correctly rounded, as a Python float
+    out = np.multiply(eps, math.sqrt(1.0 - a), dtype=np.float64)
+    return np.divide(np.subtract(x_t, out, out=out), math.sqrt(a), out=out)
 
 
 def eps_from_x0(x_t: np.ndarray, x0: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """Noise implied by a clean-image target; zero at the clean endpoint
-    where the decomposition is degenerate."""
+    """Noise implied by a clean-image target, in one float64 buffer; zero
+    at the clean endpoint where the decomposition is degenerate."""
     a = sched.alphas[t]
     if 1.0 - a <= 0.0:
         return np.zeros_like(np.asarray(x_t, dtype=np.float64))
-    return (np.asarray(x_t, dtype=np.float64) - np.sqrt(a) * np.asarray(x0, dtype=np.float64)) / np.sqrt(1.0 - a)
+    out = np.multiply(x0, math.sqrt(a), dtype=np.float64)
+    return np.divide(np.subtract(x_t, out, out=out), math.sqrt(1.0 - a), out=out)
 
 
 def ddim_step(x_t: np.ndarray, eps: np.ndarray, t: int, t_to: int,
@@ -140,8 +143,9 @@ def ddim_step(x_t: np.ndarray, eps: np.ndarray, t: int, t_to: int,
     if abs(t - t_to) != 1 or not (0 <= t <= sched.steps and 0 <= t_to <= sched.steps):
         raise ValueError(f"no DDIM step from t={t} to t={t_to} in a {sched.steps}-step schedule")
     a_to = sched.alphas[t_to]
-    x0_hat = x0_from_eps(x_t, eps, t, sched)
-    return np.sqrt(a_to) * x0_hat + np.sqrt(1.0 - a_to) * np.asarray(eps, dtype=np.float64)
+    out = x0_from_eps(x_t, eps, t, sched)
+    out *= math.sqrt(a_to)
+    return np.add(out, np.multiply(eps, math.sqrt(1.0 - a_to), dtype=np.float64), out=out)
 
 
 def _ddim_walk(x: LatentImage, timesteps: range, denoiser: Denoiser, cond: Condition,

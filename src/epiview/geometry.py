@@ -240,8 +240,9 @@ class EpipolarSampleSet:
 def pixel_grid(width: int, height: int) -> np.ndarray:
     """Every pixel center of a ``width`` x ``height`` grid as (u, v), an
     (H*W, 2) float64 array in raster order (row-major)."""
-    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    return np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
+    uv = np.empty((height, width, 2))
+    uv[..., 0], uv[..., 1] = np.arange(width), np.arange(height)[:, None]
+    return uv.reshape(-1, 2)
 
 
 def skew_symmetric(t: np.ndarray) -> np.ndarray:
@@ -260,13 +261,13 @@ def camera_on_sphere(cam: SphericalCamera) -> Extrinsics:
     """
     center = cam.position()
     fwd = -center / np.linalg.norm(center)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(abs(cam.elevation_deg) - 90.0) < 1e-9:
-        up = np.array([1.0, 0.0, 0.0])
-    right = np.cross(fwd, up)
+    # right = fwd x up, down = fwd x right: np.cross's roundings, on Python floats
+    f0, f1, f2 = fwd.tolist()
+    u0, u1, u2 = (1.0, 0.0, 0.0) if abs(abs(cam.elevation_deg) - 90.0) < 1e-9 else (0.0, 0.0, 1.0)
+    right = np.array([f1 * u2 - f2 * u1, f2 * u0 - f0 * u2, f0 * u1 - f1 * u0])
     right /= np.linalg.norm(right)
-    down = np.cross(fwd, right)
-    R = np.stack([right, down, fwd])
+    r0, r1, r2 = right.tolist()
+    R = np.array([right, [f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0], fwd])
     return Extrinsics(R=R, t=-R @ center)
 
 

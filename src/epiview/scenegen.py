@@ -3,7 +3,8 @@ and view trajectories.
 
 Scenes are a large painted ball with a few small flat-colored satellite
 spheres (fixtures may also hold axis-aligned boxes) inside a unit-ish
-bounding sphere, rendered with a z-buffered pinhole model. Because every
+bounding sphere, rendered with a pinhole model whose one ray cast meets
+every primitive at once (the first in scene order wins a tie). Because every
 surface is analytic, depth and cross-view correspondences are exact,
 which is what the geometric and consistency tests lean on.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -148,11 +150,11 @@ class PaintedBall:
 
     def shade_normals(self, normals: np.ndarray) -> np.ndarray:
         """Unique equal-norm color per unit normal: the normal pulls the
-        gray diagonal by less than its own length, so distinct normals
-        map to distinct directions inside the RGB cube."""
-        d = np.full_like(normals, 1.0 / math.sqrt(3.0)) + 0.5 * normals
-        d /= np.linalg.norm(d, axis=-1, keepdims=True)
-        return np.clip(0.9 * d, 0.0, 1.0)
+        gray diagonal by less than its own length, so distinct normals map
+        to distinct directions inside the RGB cube, each channel in (0, 0.9]."""
+        d = 0.5 * normals + 1.0 / math.sqrt(3.0)
+        sq = d * d   # summed in channel order, as np.linalg.norm sums them
+        return 0.9 * (d / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None])
 
 
 @dataclass(frozen=True)
@@ -254,20 +256,25 @@ def make_scene(seed: int, mode: str = "distinctive") -> Scene:
     return Scene(seed=seed, primitives=tuple(prims), bounding_radius=1.0, mode=mode)
 
 
-def _ray_sphere(origin, dirs, center, radius):
-    """Smallest positive ray parameter per ray; inf if missed. ``dirs``
-    may be unnormalized (the parameter is in units of |dir|)."""
-    oc = origin - center
+def _ray_spheres(origin, dirs, spheres):
+    """(P, N) smallest positive ray parameter of each ray at each sphere, inf
+    for a miss; ``dirs`` may be unnormalized (the parameter is in units of |dir|)."""
+    d2 = 2.0 * dirs
+    b = np.empty((len(spheres), len(dirs)))
+    c = np.empty((len(spheres), 1))
+    for j, p in enumerate(spheres):
+        oc = origin - p.center
+        np.matmul(d2, oc, out=b[j])   # one product per sphere: a batched one may round otherwise
+        c[j] = oc @ oc - p.radius ** 2
     a = np.einsum("nd,nd->n", dirs, dirs)
-    b = 2.0 * dirs @ oc
-    c = oc @ oc - radius ** 2
     disc = b ** 2 - 4.0 * a * c
     hit = disc >= 0
     sq = np.sqrt(np.where(hit, disc, 0.0))
-    s0 = (-b - sq) / (2.0 * a)
-    s1 = (-b + sq) / (2.0 * a)
-    s = np.where(s0 > 1e-9, s0, s1)
-    return np.where(hit & (s > 1e-9), s, np.inf)
+    a *= 2.0
+    s = (-b - sq) / a   # the near root, or else the far one
+    np.copyto(s, (sq - b) / a, where=~(s > 1e-9))
+    s[~(hit & (s > 1e-9))] = np.inf
+    return s
 
 
 def _ray_box(origin, dirs, lo, hi):
@@ -286,11 +293,7 @@ def _ray_box(origin, dirs, lo, hi):
 def surface_table(scene: Scene):
     """Global surface-id layout: flat primitives own one id, painted
     balls one per patch. Returns (id base per primitive, total ids)."""
-    bases = []
-    total = 0
-    for p in scene.primitives:
-        bases.append(total)
-        total += p.id_count
+    *bases, total = accumulate((p.id_count for p in scene.primitives), initial=0)
     return bases, total
 
 
@@ -315,59 +318,51 @@ def raycast(scene: Scene, ext: Extrinsics, K: CameraIntrinsics, uv: np.ndarray):
     (patch-resolved for painted balls, BACKGROUND for misses), and the
     world hit point, camera center plus depth times the ray direction (the
     camera center itself for a miss).
+
+    Row 1 + i of one (1 + P, N) table holds primitive i's ray parameters,
+    under a row 0 that never hits. Each ray takes its first minimum, so the
+    first primitive in scene order wins a tie, and a ray that hits nothing
+    takes row 0, the background.
     """
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
     n = uv.shape[0]
-    d_cam = np.concatenate([K.normalize(uv), np.ones((n, 1))], axis=1)
-    dirs = d_cam @ ext.R                                # R^T per row
+    dirs = np.concatenate([K.normalize(uv), np.ones((n, 1))], axis=1) @ ext.R   # R^T per row
     origin = ext.camera_center()
 
-    bases, _ = surface_table(scene)
-    depth = np.full(n, np.inf)
-    winner = np.full(n, -1, dtype=np.int64)
-    for i, p in enumerate(scene.primitives):
-        if isinstance(p, (Sphere, PaintedBall)):
-            s = _ray_sphere(origin, dirs, np.asarray(p.center, dtype=np.float64), p.radius)
-        else:
-            s = _ray_box(origin, dirs, np.asarray(p.lo, dtype=np.float64),
-                         np.asarray(p.hi, dtype=np.float64))
-        closer = s < depth
-        depth = np.where(closer, s, depth)
-        winner = np.where(closer, i, winner)
-    points = origin[None, :] + dirs * np.where(np.isfinite(depth), depth, 0.0)[:, None]
+    prims = scene.primitives
+    table = np.full((1 + len(prims), n), np.inf)
+    balls = [i for i, p in enumerate(prims) if not isinstance(p, Box)]
+    table[[1 + i for i in balls]] = _ray_spheres(origin, dirs, [prims[i] for i in balls])
+    for i, p in enumerate(prims):
+        if isinstance(p, Box):
+            table[1 + i] = _ray_box(origin, dirs, np.asarray(p.lo, dtype=np.float64),
+                                    np.asarray(p.hi, dtype=np.float64))
+    pick = table.argmin(axis=0)
+    depth = table.min(axis=0)
+    points = dirs * np.where(pick > 0, depth, 0.0)[:, None] + origin
 
-    surf = np.full(n, BACKGROUND, dtype=np.int64)
-    for i, p in enumerate(scene.primitives):
-        sel = winner == i
-        if not sel.any():
-            continue
+    surf = np.array([BACKGROUND, *surface_table(scene)[0]], dtype=np.int64)[pick]
+    for i, p in enumerate(prims):
         if isinstance(p, PaintedBall) and p.shading == "voronoi":
-            normals = (points[sel] - np.asarray(p.center)) / p.radius
-            surf[sel] = bases[i] + np.argmax(normals @ p.seeds.T, axis=1)
-        else:
-            surf[sel] = bases[i]
+            sel = pick == 1 + i
+            surf[sel] += np.argmax((points[sel] - p.center) / p.radius @ p.seeds.T, axis=1)
     return depth, surf, points
 
 
 def render(scene: Scene, cam: SphericalCamera, K: CameraIntrinsics) -> RenderedView:
-    """Z-buffered pinhole render. Deterministic for a fixed scene."""
+    """Pinhole render of every pixel center. Deterministic for a fixed scene."""
     scene.check_camera(cam)
     h, w = K.height, K.width
     depth, surf, points = raycast(scene, camera_on_sphere(cam), K, pixel_grid(w, h))
-    rgb = np.zeros((h * w, 3), dtype=np.float64)
-    fg = surf >= 0
-    if fg.any():
-        rgb[fg] = surface_palette(scene)[surf[fg]]
-    bases, _ = surface_table(scene)
-    for p, base in zip(scene.primitives, bases):
+    rgb = np.concatenate([surface_palette(scene), np.zeros((1, 3))])[surf]   # -1: the black row
+    for p, base in zip(scene.primitives, surface_table(scene)[0]):
         if isinstance(p, PaintedBall) and p.shading == "normal":
             sel = surf == base
-            if sel.any():
-                rgb[sel] = p.shade_normals((points[sel] - np.asarray(p.center)) / p.radius)
+            rgb[sel] = p.shade_normals((points[sel] - p.center) / p.radius)
     return RenderedView(
         rgb=FeatureMap(rgb.reshape(h, w, 3)),
         depth=depth.reshape(h, w),
-        prim_id=surf.reshape(h, w).astype(np.int64),
+        prim_id=surf.reshape(h, w),
         camera=cam,
         intrinsics=K,
         points=points.reshape(h, w, 3),

@@ -162,18 +162,6 @@ def logit_reach(f_tgt, ctx, params) -> float:
     return float(max(absorbed.max(), keyed.max()))
 
 
-def seeded_as_drawn_with_biases(channels, heads, rng):
-    """The block ``AttentionParams.seeded`` drew when each projection also
-    drew a bias after its weight: the same weights and the same generator
-    state after it, with the biases dropped, so that a test keeps the
-    inputs its checks were set on."""
-    def lin():
-        w = rng.standard_normal((channels, channels)) * 0.3
-        rng.standard_normal(channels)
-        return LinearMap(w)
-    return AttentionParams(lin(), lin(), lin(), lin(), heads=heads)
-
-
 class TestFloat32RouteDualRoute:
     """The float32 route of the core against its float64 reference route,
     on the same float32 features and projections. Both routes round the
@@ -181,41 +169,53 @@ class TestFloat32RouteDualRoute:
 
     Epipolar retrieval samples the raw map F once, absorbs the key
     projection into the query, ``qa = W_kᵀ q``, and applies the value
-    projection to the mix, ``W_v (Σ w F)``; full attention reads
-    the stored keys and values. With u = 2**-24 the float32 unit
-    roundoff, C the channels, d the head width, S the keys per query
-    (samples, or every context position), P = :func:`logit_reach`, V the
-    largest value entry, R_v = :func:`reach` of the value projection over
-    F, and W the largest absolute row sum of the output projection:
-    - a logit differs by at most dl = (C + 14) u P / sqrt(d): C roundings
-      in the float32 dot product over the C channels of the absorbed
-      query (full attention sums d <= C products of its keys), one in
-      rounding qa to float32, at most 8 u per entry in the float32
-      bilinear blend of F (4 u a lerp, two lerps for four taps), one in
-      the scaling, 2 when the row peak is subtracted, and one for the
-      float32 keys that full attention reads;
+    projection to the mix, ``W_v (Σ w F)``; full attention reads the
+    stored keys and values, and never blends or mixes F. Each route's
+    bound charges only the roundings that route makes. With u = 2**-24 the
+    float32 unit roundoff, C the channels, d the head width, S the keys per
+    query (samples, or every context position), P = :func:`logit_reach`,
+    V the largest value entry, R_v = :func:`reach` of the value projection
+    over F, and W the largest absolute row sum of the output projection:
+    - a logit differs by at most dl = n_l u P / sqrt(d), where n_l counts
+      one rounding in the scaling and 2 when the row peak is subtracted,
+      and besides, for epipolar retrieval (n_l = C + 13): C in the float32
+      dot product over the C channels of the absorbed query, one in
+      rounding qa to float32, one in rounding F to float32, and at most 8
+      per entry in the float32 bilinear blend of F (4 a lerp, two lerps
+      for four taps); for full attention (n_l = d + 5): d in the float32
+      dot product over the d channels of a head, one in rounding q to
+      float32 and one in rounding the stored keys to float32;
     - so the weights of a query, which sum to 1, differ by at most
       expm1(2 dl) + (S + 4) u in l1 (exp, sum and divide in float32),
       which moves the mix by V times that;
-    - the float32 mix of F (or of the values) adds S u R_v, the blend of
-      F 8 u R_v, each route's float32 map of the mix u V, and full
-      attention's float32 values u V;
+    - each route's float32 map of the mix adds u V. Epipolar retrieval's
+      float32 mix of F adds S u R_v and its blend of F 8 u R_v; full
+      attention's float32 mix of the values adds S u V, and its float32
+      values u V;
     - the output projection multiplies by W, and the two float32 outputs
       each round once more (u of the largest output).
-    Together: |out32 - out64| <= W (V (expm1(2 dl) + (S + 7) u)
-    + R_v (S + 8) u) + 2 u max|out64|.
+    Together, |out32 - out64| is at most W (V (expm1(2 dl) + (S + 6) u)
+    + R_v (S + 8) u) + 2 u max|out64| for epipolar retrieval, and
+    W V (expm1(2 dl) + (2 S + 7) u) + 2 u max|out64| for full attention.
+    Neither exceeds the bound that charges every rounding of both routes,
+    dl = (C + 14) u P / sqrt(d) and W (V (expm1(2 dl) + (S + 7) u) + R_v
+    (S + 8) u) + 2 u max|out64|: d <= C, and V <= R_v.
     """
 
     @staticmethod
-    def bound(f_tgt, ctx, params, keys, out64):
+    def bound(mode, f_tgt, ctx, params, keys, out64):
         u = np.finfo(np.float32).eps / 2
         c, d = ctx.f.channels, params.q_proj.out_dim // params.heads
-        dl = (c + 14) * u * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
+        full = mode == "full"
+        dl = ((d + 5) if full else (c + 13)) * u * logit_reach(f_tgt, ctx, params) / math.sqrt(d)
         v_max = np.abs(ctx.value.data).max()
         w_row = np.abs(params.out_proj.weight.astype(np.float64)).sum(axis=1).max()
-        return (w_row * (v_max * (math.expm1(2 * dl) + (keys + 7) * u)
-                         + reach(params.v_proj, ctx.f) * (keys + 8) * u)
-                + 2 * u * np.abs(out64).max())
+        if full:
+            mixed = v_max * (math.expm1(2 * dl) + (2 * keys + 7) * u)
+        else:
+            mixed = (v_max * (math.expm1(2 * dl) + (keys + 6) * u)
+                     + reach(params.v_proj, ctx.f) * (keys + 8) * u)
+        return w_row * mixed + 2 * u * np.abs(out64).max()
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("mode", ["epipolar", "epipolar-4tap", "full"])
@@ -224,7 +224,7 @@ class TestFloat32RouteDualRoute:
         h = w = 12
         c = 8
         f_tgt = FeatureMap(rng.standard_normal((h, w, c)))
-        params64 = seeded_as_drawn_with_biases(c, heads, rng)
+        params64 = AttentionParams.seeded(c, heads, rng)
         params32 = replace(params64, dtype=np.float32)
         ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params64)
         if mode == "full":
@@ -247,7 +247,7 @@ class TestFloat32RouteDualRoute:
                 return epipolar_attention(f_tgt, ctx, samples, params)[0].data
             keys = samples.uv.shape[0]
         out64, out32 = run(params64), run(params32)
-        bound = self.bound(f_tgt, ctx, params64, keys, out64)
+        bound = self.bound(mode, f_tgt, ctx, params64, keys, out64)
         err = np.abs(out32.astype(np.float64) - out64).max()
         assert 0 < err <= bound
         assert bound < 1e-3 * np.abs(out64).max()   # and the bound is far below the outputs
@@ -706,7 +706,8 @@ class TestSlotMajorDualRoute:
         ctx = project_context(FeatureMap(rng.standard_normal((h, w, c))), params64)
         out64 = oracle_query_major_attention(f_tgt, ctx, samples, params64)[5].data
         out32 = epipolar_attention(f_tgt, ctx, samples, replace(params64, dtype=np.float32))[0]
-        bound = TestFloat32RouteDualRoute.bound(f_tgt, ctx, params64, samples.uv.shape[0], out64)
+        bound = TestFloat32RouteDualRoute.bound("epipolar", f_tgt, ctx, params64,
+                                                samples.uv.shape[0], out64)
         err = np.abs(out32.data.astype(np.float64) - out64).max()
         assert 0 < err <= bound
 

@@ -2,7 +2,11 @@
 replaced: the old ``ddim_step`` (t -> t-1 only), its hand-copied inverted
 twin (t -> t+1 only), and the two hand-written loops of ``ddim_sample``
 and ``ddim_invert``. Every update and every walk is byte-equal, and a
-recording stage callback sees the same step indices on both routes."""
+recording stage callback sees the same step indices on both routes.
+
+``x0_from_eps``, ``eps_from_x0`` and ``ddim_step``, which compute in one
+float64 buffer with their square roots taken once as Python floats, are
+held byte for byte to frozen copies of their array-expression forms."""
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from epiview.diffusion import (
     ddim_invert,
     ddim_sample,
     ddim_step,
+    eps_from_x0,
     x0_from_eps,
 )
 from epiview.geometry import CameraIntrinsics
@@ -40,6 +45,24 @@ def oracle_step_up(x_t, eps, t, sched):
     a_next = sched.alphas[t + 1]
     x0_hat = x0_from_eps(x_t, eps, t, sched)
     return np.sqrt(a_next) * x0_hat + np.sqrt(1.0 - a_next) * np.asarray(eps, dtype=np.float64)
+
+
+def oracle_x0_from_eps(x_t, eps, t, sched):
+    a = sched.alphas[t]
+    return (np.asarray(x_t, dtype=np.float64) - np.sqrt(1.0 - a) * np.asarray(eps, dtype=np.float64)) / np.sqrt(a)
+
+
+def oracle_eps_from_x0(x_t, x0, t, sched):
+    a = sched.alphas[t]
+    if 1.0 - a <= 0.0:
+        return np.zeros_like(np.asarray(x_t, dtype=np.float64))
+    return (np.asarray(x_t, dtype=np.float64) - np.sqrt(a) * np.asarray(x0, dtype=np.float64)) / np.sqrt(1.0 - a)
+
+
+def oracle_ddim_step(x_t, eps, t, t_to, sched):
+    a_to = sched.alphas[t_to]
+    x0_hat = oracle_x0_from_eps(x_t, eps, t, sched)
+    return np.sqrt(a_to) * x0_hat + np.sqrt(1.0 - a_to) * np.asarray(eps, dtype=np.float64)
 
 
 def oracle_ddim_sample(x_start, denoiser, cond, sched, stage_cb=None):
@@ -79,6 +102,29 @@ def test_step_matches_both_frozen_updates_at_every_t(steps):
             got = ddim_step(x, eps, t, t + 1, sched)
             assert got.dtype == np.float64
             assert got.tobytes() == oracle_step_up(x, eps, t, sched).tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 10, 50])
+@pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.float64, np.float32),
+                                    (np.float32, np.float32)])
+def test_one_buffer_arithmetic_matches_the_array_expressions(steps, dtypes):
+    """float64 latents with float64 or float32 predictions and targets (the
+    backends' mix), and float32 latents, over every step of the schedule."""
+    sched = NoiseSchedule.linear_beta(steps)
+    rng = np.random.default_rng(100 + steps)
+    for t in range(steps + 1):
+        x = (rng.standard_normal((6, 5, 3)) * 3.0).astype(dtypes[0])
+        y = (rng.standard_normal((6, 5, 3)) * 3.0).astype(dtypes[1])
+        for got, want in ((x0_from_eps(x, y, t, sched), oracle_x0_from_eps(x, y, t, sched)),
+                          (eps_from_x0(x, y, t, sched), oracle_eps_from_x0(x, y, t, sched))):
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for t_to in (t - 1, t + 1):
+            if 0 <= t_to <= steps:
+                got = ddim_step(x, y, t, t_to, sched)
+                assert got.dtype == np.float64
+                assert got.tobytes() == oracle_ddim_step(x, y, t, t_to, sched).tobytes()
+                assert not np.shares_memory(got, x) and not np.shares_memory(got, y)
 
 
 @pytest.mark.parametrize("t, t_to", [(5, 3), (3, 5), (5, 5), (10, 0), (0, 10)])

@@ -4,12 +4,25 @@ without hit points, ``render`` and ``positional_features`` that cast
 again, ``_unproject`` (the hit point as R^T (d z - t)), and the two
 hand-written correspondence routes (the per-pixel one classified each
 pixel by a status string). Renders and features are byte-equal;
-correspondences agree in every mask and id, and in position to 1e-12 px."""
+correspondences agree in every mask and id, and in position to 1e-12 px.
+
+The vectorised ray cast, which intersects every primitive at once and
+picks each row's first minimum, is held byte for byte to the
+per-primitive loop with a running z-buffer that it replaced
+(``oracle_raycast_loop``, with ``oracle_ray_sphere``), and the camera
+frame built from explicit cross products to its ``np.cross`` form, and
+normal shading to its ``np.linalg.norm`` form."""
 
 import numpy as np
 import pytest
 
-from epiview.geometry import CameraIntrinsics, SphericalCamera, camera_on_sphere
+from epiview.geometry import (
+    CameraIntrinsics,
+    Extrinsics,
+    SphericalCamera,
+    camera_on_sphere,
+    pixel_grid,
+)
 from epiview.numerics import FeatureMap
 from epiview.scenegen import (
     BACKGROUND,
@@ -20,7 +33,6 @@ from epiview.scenegen import (
     Scene,
     Sphere,
     _ray_box,
-    _ray_sphere,
     correspondence_grid,
     make_scene,
     make_trajectory,
@@ -34,6 +46,79 @@ from epiview.scenegen import (
 
 # --- frozen copies of the old routes, kept verbatim as oracles -------------
 
+def oracle_ray_sphere(origin, dirs, center, radius):
+    """Smallest positive ray parameter per ray; inf if missed. ``dirs``
+    may be unnormalized (the parameter is in units of |dir|)."""
+    oc = origin - center
+    a = np.einsum("nd,nd->n", dirs, dirs)
+    b = 2.0 * dirs @ oc
+    c = oc @ oc - radius ** 2
+    disc = b ** 2 - 4.0 * a * c
+    hit = disc >= 0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    s0 = (-b - sq) / (2.0 * a)
+    s1 = (-b + sq) / (2.0 * a)
+    s = np.where(s0 > 1e-9, s0, s1)
+    return np.where(hit & (s > 1e-9), s, np.inf)
+
+
+def oracle_raycast_loop(scene, ext, K, uv):
+    """``raycast`` as it was before it intersected every primitive at once:
+    one pass per primitive with a running z-buffer, hit points included."""
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    n = uv.shape[0]
+    d_cam = np.concatenate([K.normalize(uv), np.ones((n, 1))], axis=1)
+    dirs = d_cam @ ext.R                                # R^T per row
+    origin = ext.camera_center()
+
+    bases, _ = surface_table(scene)
+    depth = np.full(n, np.inf)
+    winner = np.full(n, -1, dtype=np.int64)
+    for i, p in enumerate(scene.primitives):
+        if isinstance(p, (Sphere, PaintedBall)):
+            s = oracle_ray_sphere(origin, dirs, np.asarray(p.center, dtype=np.float64), p.radius)
+        else:
+            s = _ray_box(origin, dirs, np.asarray(p.lo, dtype=np.float64),
+                         np.asarray(p.hi, dtype=np.float64))
+        closer = s < depth
+        depth = np.where(closer, s, depth)
+        winner = np.where(closer, i, winner)
+    points = origin[None, :] + dirs * np.where(np.isfinite(depth), depth, 0.0)[:, None]
+
+    surf = np.full(n, BACKGROUND, dtype=np.int64)
+    for i, p in enumerate(scene.primitives):
+        sel = winner == i
+        if not sel.any():
+            continue
+        if isinstance(p, PaintedBall) and p.shading == "voronoi":
+            normals = (points[sel] - np.asarray(p.center)) / p.radius
+            surf[sel] = bases[i] + np.argmax(normals @ p.seeds.T, axis=1)
+        else:
+            surf[sel] = bases[i]
+    return depth, surf, points
+
+
+def oracle_shade_normals(normals):
+    """``PaintedBall.shade_normals`` as it was with ``np.linalg.norm`` and a clip."""
+    d = np.full_like(normals, 1.0 / np.sqrt(3.0)) + 0.5 * normals
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    return np.clip(0.9 * d, 0.0, 1.0)
+
+
+def oracle_camera_on_sphere(cam):
+    """``camera_on_sphere`` as it was with ``np.cross``."""
+    center = cam.position()
+    fwd = -center / np.linalg.norm(center)
+    up = np.array([0.0, 0.0, 1.0])
+    if abs(abs(cam.elevation_deg) - 90.0) < 1e-9:
+        up = np.array([1.0, 0.0, 0.0])
+    right = np.cross(fwd, up)
+    right /= np.linalg.norm(right)
+    down = np.cross(fwd, right)
+    R = np.stack([right, down, fwd])
+    return Extrinsics(R=R, t=-R @ center)
+
+
 def oracle_raycast(scene, ext, K, uv):
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
     n = uv.shape[0]
@@ -46,7 +131,7 @@ def oracle_raycast(scene, ext, K, uv):
     winner = np.full(n, -1, dtype=np.int64)
     for i, p in enumerate(scene.primitives):
         if isinstance(p, (Sphere, PaintedBall)):
-            s = _ray_sphere(origin, dirs, np.asarray(p.center, dtype=np.float64), p.radius)
+            s = oracle_ray_sphere(origin, dirs, np.asarray(p.center, dtype=np.float64), p.radius)
         else:
             s = _ray_box(origin, dirs, np.asarray(p.lo, dtype=np.float64),
                          np.asarray(p.hi, dtype=np.float64))
@@ -325,3 +410,116 @@ def test_gt_correspondence_behind_the_other_view():
     statuses = [assert_row_matches_the_oracle(scene, va, vb, p, [x[k] for x in rows])
                 for k, p in enumerate(uv)]
     assert statuses == ["behind"] * xs.size + ["background"]   # (0, 0) is background in A
+
+
+# --- the vectorised ray cast against the per-primitive loop -----------------
+
+def assert_raycast_matches_the_loop(scene, ext, K, uv):
+    """Byte-equal depth, surf and points; returns the surf ids."""
+    got = raycast(scene, ext, K, uv)
+    want = oracle_raycast_loop(scene, ext, K, uv)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    return got[1]
+
+
+POLES = [SphericalCamera(el, az, r) for el in (90.0, -90.0) for az, r in ((0.0, 2.0), (137.0, 3.5))]
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_vectorised_raycast_is_byte_equal_to_the_loop(name):
+    scene = SCENES[name]()
+    rng = np.random.default_rng(17)
+    seen = set()
+    for K in (CameraIntrinsics.from_fov(32, 32), CameraIntrinsics.from_fov(24, 20, 65.0)):
+        for cam in make_trajectory("free16", 100) + POLES:
+            ext = camera_on_sphere(cam)
+            for uv in (pixel_grid(K.width, K.height), rng.uniform(-3.0, 34.0, (257, 2))):
+                seen |= set(assert_raycast_matches_the_loop(scene, ext, K, uv).tolist())
+    assert BACKGROUND in seen and set(surface_table(scene)[0]) <= seen
+
+
+def test_empty_scene_is_all_background():
+    scene = Scene(seed=0, primitives=(), bounding_radius=1.0)
+    K = CameraIntrinsics.from_fov(12, 8)
+    cam = SphericalCamera(20.0, 30.0, 2.0)
+    surf = assert_raycast_matches_the_loop(scene, camera_on_sphere(cam), K, pixel_grid(12, 8))
+    assert np.all(surf == BACKGROUND)
+    view = render(scene, cam, K)
+    assert np.all(view.depth == np.inf) and not view.rgb.data.any()
+    assert np.all(view.points == camera_on_sphere(cam).camera_center())
+    assert raycast(scene, camera_on_sphere(cam), K, np.zeros((0, 2)))[2].shape == (0, 3)
+
+
+def test_coincident_primitives_the_first_wins():
+    first = Sphere(center=np.array([0.1, -0.2, 0.0]), radius=0.5, color=np.array([0.9, 0.1, 0.1]))
+    second = Sphere(center=first.center.copy(), radius=0.5, color=np.array([0.1, 0.9, 0.1]))
+    box = Box(lo=np.array([-0.3, -0.3, -0.3]), hi=np.array([0.3, 0.3, 0.3]),
+              color=np.array([0.1, 0.1, 0.9]))
+    twin = Box(lo=box.lo.copy(), hi=box.hi.copy(), color=np.array([0.5, 0.5, 0.5]))
+    K = CameraIntrinsics.from_fov(16, 12)
+    for prims in ((first, second), (first, second, first), (box, twin)):
+        scene = Scene(seed=0, primitives=prims, bounding_radius=1.0)
+        for cam in make_trajectory("fixed16", 0)[::4] + POLES:
+            surf = assert_raycast_matches_the_loop(scene, camera_on_sphere(cam), K,
+                                                   pixel_grid(16, 12))
+            assert set(surf.tolist()) == {BACKGROUND, 0}   # the later twins never win
+            rgb = render(scene, cam, K).rgb.data.reshape(-1, 3)
+            assert np.all(rgb[surf == 0] == np.float32(prims[0].color))
+
+
+def test_rays_that_miss_everything():
+    K = CameraIntrinsics.from_fov(32, 32)
+    uv = np.concatenate([np.random.default_rng(3).uniform(-400.0, -300.0, (50, 2)),
+                         [[1e4, 1e4], [-1e6, 5.0]]])
+    for scene in (SCENES["box"](), SCENES["distinctive"]()):
+        for cam in make_trajectory("free16", 100)[::5] + POLES:
+            ext = camera_on_sphere(cam)
+            assert np.all(assert_raycast_matches_the_loop(scene, ext, K, uv) == BACKGROUND)
+            depth, _, points = raycast(scene, ext, K, uv)
+            assert np.all(depth == np.inf) and np.all(points == ext.camera_center())
+
+
+def test_rays_from_inside_a_sphere_take_the_far_root():
+    # the camera sits inside a shell: every ray's near root lies behind it
+    shell = Sphere(center=np.array([0.2, 0.0, 0.1]), radius=3.0, color=np.array([0.3, 0.3, 0.3]))
+    scene = Scene(seed=0, bounding_radius=1.0, primitives=make_scene(0, "plain").primitives
+                  + (shell,))
+    K = CameraIntrinsics.from_fov(20, 14, 70.0)
+    shell_id = surface_table(scene)[0][-1]
+    for cam in make_trajectory("free16", 100)[::4] + POLES[:2]:
+        surf = assert_raycast_matches_the_loop(scene, camera_on_sphere(cam), K, pixel_grid(20, 14))
+        assert shell_id in surf and BACKGROUND not in surf
+
+
+@pytest.mark.parametrize("mode", ["fixed16", "free16", "free32"])
+def test_camera_frame_is_bit_equal_to_np_cross(mode):
+    cams = make_trajectory(mode, 100) + make_trajectory(mode, 7, radius=3.25) + POLES
+    for cam in cams:
+        got, want = camera_on_sphere(cam), oracle_camera_on_sphere(cam)
+        assert got.R.tobytes() == want.R.tobytes()
+        assert got.t.tobytes() == want.t.tobytes()
+
+
+def test_pixel_grid_is_the_meshgrid():
+    for w, h in ((1, 1), (5, 3), (3, 5), (32, 32)):
+        vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        want = np.stack([uu.ravel(), vv.ravel()], axis=-1).astype(np.float64)
+        got = pixel_grid(w, h)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_normal_shading_is_bit_equal_to_the_norm_and_clip():
+    rng = np.random.default_rng(23)
+    normals = rng.standard_normal((20000, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    ball = make_scene(0, "distinctive").primitives[0]
+    assert ball.shading == "normal"
+    view = render(make_scene(0, "distinctive"), make_trajectory("free16", 100)[3],
+                  CameraIntrinsics.from_fov(32, 32))
+    hits = (view.points[view.prim_id == 0] - ball.center) / ball.radius
+    for n in (normals, hits, normals[:7].reshape(7, 1, 3)):
+        got = ball.shade_normals(n)
+        assert got.shape == n.shape and got.tobytes() == oracle_shade_normals(n).tobytes()
