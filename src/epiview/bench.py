@@ -24,7 +24,13 @@ from .attention import (
 from .geometry import CameraIntrinsics, SphericalCamera, camera_on_sphere, epipolar_sample_grid, relative_pose
 from .numerics import FeatureMap
 
-__all__ = ["BenchRow", "run_scaling_bench", "fit_loglog_slope", "bench_csv_rows"]
+__all__ = ["BENCH_RULES", "BenchRow", "run_scaling_bench", "fit_loglog_slope", "bench_csv_rows"]
+
+# Each bench knob's rule: the test its value must pass, and what it must be.
+BENCH_RULES = {
+    "sizes": (lambda s: all(L >= 1 for L in s) and list(s) == sorted(s), "positive and ascending"),
+    "reps": (lambda x: x >= 3, "an integer >= 3"),
+}
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,13 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), reps: int = 3, seed: int = 0) -> li
     """Measure buffer elements and median wall time per size, for epipolar
     then full attention, on 4-channel maps.
 
-    Sizes must be ascending and reps >= 3. Single-threaded; one head, so
-    the full-attention count is exactly L^4.
+    Sizes and reps must pass their BENCH_RULES rule, else a ValueError names
+    the knob. Single-threaded; one head, so the full-attention count is exactly L^4.
     """
-    if list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be ascending")
-    if reps < 3:
-        raise ValueError("reps must be >= 3")
+    for name, value in (("sizes", sizes), ("reps", reps)):
+        ok, want = BENCH_RULES[name]
+        if not ok(value):
+            raise ValueError(f"{name} must be {want}, got {value}")
     rng = np.random.default_rng(seed)
     pose = _bench_pose(rng)
     rows: list[BenchRow] = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .attention import AttentionCounters, AttentionParams, epipolar_logits, full_logits, project_context
-from .bench import bench_csv_rows, run_scaling_bench
+from .bench import BENCH_RULES, bench_csv_rows, run_scaling_bench
 from .diffusion import (
     AnalyticAttentionDenoiser,
     Condition,
@@ -93,7 +93,7 @@ _KNOBS = {
     "steps": (lambda x: 0 <= x <= NoiseSchedule.MAX_STEPS,
               f"an integer in [0, {NoiseSchedule.MAX_STEPS}]"),
     "backend": (lambda x: x in ("oracle", "analytic", "toyunet"), "oracle, analytic or toyunet"),
-    "reps": (lambda x: x >= 3, "an integer >= 3"),
+    **BENCH_RULES,
 }
 
 
@@ -151,17 +151,16 @@ def _render_view(scene, cam, K, where: str):
         raise DataError(f"{where}: {e}") from None
 
 
-def _build_denoiser(merged: dict, path, input_image, traj, scene):
+def _build_denoiser(merged: dict, path, input_image, K, traj, scene):
     """The run's backend for the input image read from ``path``. An oracle-style
-    backend's targets are that image for the reference and, rendered from the
-    fixture ``scene`` (None when ``traj`` is empty), each trajectory view."""
+    backend's targets are that image for the reference and, rendered at ``K``
+    from the fixture ``scene`` (both None when ``traj`` is empty), each trajectory view."""
     h, w = input_image.shape[:2]
     backend = merged["backend"]   # checked with the knobs
     if backend == "toyunet":
         if h % 2 or w % 2:   # the net halves the grid, then doubles it
             raise DataError(f"{path} is {w}x{h}, but toyunet wants an even width and height")
         return ToyUNet(seed=merged["seed"])
-    K = CameraIntrinsics.from_fov(w, h, merged["fov"])
     targets = {None: input_image}
     targets.update((i, render(scene, cam, K).rgb.data) for i, cam in enumerate(traj))
     if backend == "oracle":
@@ -205,7 +204,7 @@ def _cmd_invert(args) -> int:
     merged, _ = _merged(args)
     sched = NoiseSchedule.linear_beta(merged["steps"])
     image = read_ppm(args.input)
-    denoiser = _build_denoiser(merged, args.input, image, [], None)
+    denoiser = _build_denoiser(merged, args.input, image, None, [], None)
     with _walks(merged):
         x_ref = ddim_invert(LatentImage(image, t=0), denoiser, Condition.reference(), sched)
     write_f32(args.out, x_ref.data, sidecar={"timestep": sched.steps})
@@ -227,6 +226,8 @@ def _cmd_synth(args) -> int:
     sched = NoiseSchedule.linear_beta(merged["steps"])
     image = read_ppm(args.input)
     traj = read_trajectory(args.traj)
+    scene, cams, fixture_K = (None, [], None) if args.scene is None else read_fixture(args.scene)
+    cameras = None if args.scene is None else Path(args.scene) / "cameras.json"
     # the input camera, and the error class and name that a bad one is reported with
     if args.input_cam is not None:
         bad, where = UsageError, f"--input-cam {args.input_cam!r}"
@@ -235,9 +236,7 @@ def _cmd_synth(args) -> int:
         except (ValueError, DataError) as e:   # ValueError: not JSON
             raise bad(f"{where}: {e}") from None
     elif args.input_view is not None:
-        cameras = Path(args.scene) / "cameras.json"
         bad, where = DataError, f"{cameras} view {args.input_view}"
-        cams = read_trajectory(cameras)
         if not 0 <= args.input_view < len(cams):
             raise UsageError(f"--input-view {args.input_view} outside the fixture's "
                              f"{len(cams)} cameras")
@@ -248,8 +247,9 @@ def _cmd_synth(args) -> int:
     else:
         bad, where = DataError, "the default input camera"
         input_cam = SphericalCamera(30.0, 0.0, 2.0)
-    scene = None if args.scene is None else read_fixture(args.scene)[0]
-    if scene is not None:   # every camera, before any backend is built
+    h, w = image.shape[:2]
+    K = CameraIntrinsics.from_fov(w, h, merged["fov"])
+    if scene is not None:   # every camera, then the camera model, before any backend is built
         named = [(input_cam, bad, where)] + [
             (cam, DataError, f"{args.traj} trajectory view {i}") for i, cam in enumerate(traj)]
         for cam, error, name in named:
@@ -257,9 +257,10 @@ def _cmd_synth(args) -> int:
                 scene.check_camera(cam)
             except ValueError as e:
                 raise error(f"{name}: {e}") from None
-    h, w = image.shape[:2]
-    K = CameraIntrinsics.from_fov(w, h, merged["fov"])
-    denoiser = _build_denoiser(merged, args.input, image, traj, scene)
+        if K != fixture_K:
+            raise DataError(f"{cameras}: the fixture's intrinsics {fixture_K} are not the run's "
+                            f"{K}, made from --fov {merged['fov']} at the {w}x{h} input")
+    denoiser = _build_denoiser(merged, args.input, image, K, traj, scene)
     counters = AttentionCounters()
     synth = TrajectorySynthesizer(image, input_cam, K, denoiser, sched, config, counters)
     with _walks(merged):
@@ -320,14 +321,16 @@ def _cmd_simmap(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _sizes(text: str) -> tuple:
+    """--sizes parsed: comma-separated integers; its rule is checked with the knobs."""
     try:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        return tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise UsageError(f"--sizes wants comma-separated integers, got {args.sizes!r}")
-    if min(sizes) < 1 or list(sizes) != sorted(sizes):
-        raise UsageError(f"--sizes must be positive and ascending, got {args.sizes}")
-    rows = run_scaling_bench(sizes=sizes, reps=args.reps, seed=args.seed)
+        raise UsageError(f"--sizes wants comma-separated integers, got {text!r}") from None
+
+
+def _cmd_bench(args) -> int:
+    rows = run_scaling_bench(sizes=args.sizes, reps=args.reps, seed=args.seed)
     _write_csv(args.out, bench_csv_rows(rows))
     print(f"bench CSV written to {args.out}")
     return 0
@@ -429,7 +432,7 @@ def _build_parser() -> _Parser:
     sm.set_defaults(fn=_cmd_simmap)
 
     be = sub.add_parser("bench", help="attention scaling bench")
-    be.add_argument("--sizes", default="8,16,32,64")
+    be.add_argument("--sizes", type=_sizes, default="8,16,32,64")
     be.add_argument("--reps", type=int, default=3)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--out", required=True)

@@ -153,9 +153,11 @@ def _ddim_walk(x: LatentImage, timesteps: range, denoiser: Denoiser, cond: Condi
     """A prediction at each timestep of ``timesteps`` and a step to the
     next; ``stage_cb(i, stage)`` sees step i counted from the first. A
     step whose arithmetic overflows or turns invalid stops the walk with a
-    DivergenceError naming it, before any non-finite value spreads."""
+    DivergenceError naming it, before any non-finite value spreads; so
+    does a last step that lands past the float32 range of the latent."""
     data = x.data.astype(np.float64)
     walk = "inversion" if timesteps.step > 0 else "sampling"
+    last = len(timesteps) - 2
     for i, (t, t_to) in enumerate(zip(timesteps, timesteps[1:])):
         cb = None
         if stage_cb is not None:
@@ -165,6 +167,8 @@ def _ddim_walk(x: LatentImage, timesteps: range, denoiser: Denoiser, cond: Condi
             with np.errstate(over="raise", invalid="raise"):
                 eps = denoiser.predict(data, t, cond, sched, stage_cb=cb)
                 data = ddim_step(data, eps, t, t_to, sched)
+                if i == last:
+                    data = data.astype(np.float32)
         except FloatingPointError:
             raise DivergenceError(f"features overflowed at DDIM {walk} step {i} "
                                   f"of {sched.steps}") from None

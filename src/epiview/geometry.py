@@ -16,7 +16,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,8 @@ __all__ = [
     "essential_matrix",
     "epipolar_line",
     "epipolar_sample_grid",
+    "to_record",
+    "from_record",
     "pose_to_json",
     "pose_from_json",
 ]
@@ -362,16 +365,26 @@ def epipolar_sample_grid(pose: RelativePose, K_feat: CameraIntrinsics) -> Epipol
     return _sample_lines(lines @ K_feat.inverse(), width, height)   # == (K^-T @ l)^T, pixel frame
 
 
-def pose_to_json(cam: SphericalCamera) -> dict:
-    """A camera as the pose record of trajectories, fixtures and manifests."""
-    return {"elevation_deg": cam.elevation_deg,
-            "azimuth_deg": cam.azimuth_deg,
-            "radius": cam.radius}
+# The one rule of every JSON record that holds a dataclass (a pose, a scene
+# primitive): a key per field, whose value the field's type (less any
+# "| None") writes and reads.
+_FIELD_RULES = {"float": (float, float), "str": (lambda v: v, lambda v: v),
+                "np.ndarray": (lambda a: np.asarray(a, dtype=np.float64).tolist(), np.array)}
 
 
-def pose_from_json(obj: dict) -> SphericalCamera:
-    """Inverse of :func:`pose_to_json`; a record that is not a camera's
-    raises KeyError, TypeError or ValueError."""
-    return SphericalCamera(elevation_deg=float(obj["elevation_deg"]),
-                           azimuth_deg=float(obj["azimuth_deg"]),
-                           radius=float(obj["radius"]))
+def to_record(obj) -> dict:
+    """A dataclass as a JSON record; a field holding None is left out."""
+    return {f.name: _FIELD_RULES[f.type.split()[0]][0](v) for f in fields(obj)
+            if (v := getattr(obj, f.name)) is not None}
+
+
+def from_record(cls, record: dict):
+    """A ``cls`` from its JSON record: other keys are ignored, and an absent
+    field takes its default, else raises KeyError naming it."""
+    return cls(**{f.name: _FIELD_RULES[f.type.split()[0]][1](record[f.name])
+                  for f in fields(cls) if f.name in record or f.default is MISSING})
+
+
+# A camera as the pose record of trajectories, fixtures and manifests, and back.
+pose_to_json = to_record
+pose_from_json = partial(from_record, SphericalCamera)

@@ -22,7 +22,9 @@ from .geometry import (
     Extrinsics,
     SphericalCamera,
     camera_on_sphere,
+    from_record,
     pixel_grid,
+    to_record,
 )
 from .numerics import FeatureMap
 
@@ -42,6 +44,7 @@ __all__ = [
     "make_trajectory",
     "SCENE_MODES",
     "TRAJECTORIES",
+    "PRIMITIVE_KINDS",
     "scene_to_json",
     "scene_from_json",
 ]
@@ -64,6 +67,8 @@ def _check_array(name: str, value, rows: bool = False, unit: bool = False) -> No
     """Reject a primitive's point or color that is not a finite (3,) array,
     or, with ``rows``, a finite (m, 3) array of m >= 1 rows; with ``unit``
     (a color), also one with an entry outside [0, 1]."""
+    if value is None:
+        raise ValueError(f"{name} is missing")
     a = np.asarray(value, dtype=np.float64)
     want = "(m, 3)" if rows else "(3,)"
     if not ((a.ndim == 2 and len(a) >= 1 and a.shape[1] == 3) if rows else a.shape == (3,)):
@@ -155,6 +160,10 @@ class PaintedBall:
         d = 0.5 * normals + 1.0 / math.sqrt(3.0)
         sq = d * d   # summed in channel order, as np.linalg.norm sums them
         return 0.9 * (d / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None])
+
+
+# scene.json's primitive kinds: name -> class.
+PRIMITIVE_KINDS = {"sphere": Sphere, "box": Box, "painted_ball": PaintedBall}
 
 
 @dataclass(frozen=True)
@@ -439,43 +448,19 @@ def make_trajectory(mode: str, seed: int, radius: float = 2.0) -> list[Spherical
 
 
 def scene_to_json(scene: Scene) -> dict:
-    prims = []
-    for p in scene.primitives:
-        if isinstance(p, PaintedBall):
-            entry = {"kind": "painted_ball", "center": [float(x) for x in p.center],
-                     "radius": float(p.radius), "shading": p.shading}
-            if p.shading == "voronoi":
-                entry["seeds"] = [[float(x) for x in s] for s in p.seeds]
-                entry["colors"] = [[float(x) for x in c] for c in p.colors]
-            prims.append(entry)
-        elif isinstance(p, Sphere):
-            prims.append({"kind": "sphere", "center": [float(x) for x in p.center],
-                          "radius": float(p.radius), "color": [float(x) for x in p.color]})
-        else:
-            prims.append({"kind": "box", "lo": [float(x) for x in p.lo],
-                          "hi": [float(x) for x in p.hi], "color": [float(x) for x in p.color]})
-    return {"seed": scene.seed, "mode": scene.mode,
-            "bounding_radius": scene.bounding_radius, "primitives": prims}
+    """A scene as its scene.json record: a primitive is its ``kind`` and its fields."""
+    kinds = {cls: kind for kind, cls in PRIMITIVE_KINDS.items()}
+    return {"seed": scene.seed, "mode": scene.mode, "bounding_radius": scene.bounding_radius,
+            "primitives": [{"kind": kinds[type(p)], **to_record(p)} for p in scene.primitives]}
 
 
 def scene_from_json(obj: dict) -> Scene:
+    """Inverse of :func:`scene_to_json`, by the record rule of :func:`from_record`."""
     prims: list = []
     for p in obj["primitives"]:
-        if p["kind"] == "painted_ball":
-            shading = p.get("shading", "voronoi")
-            prims.append(PaintedBall(
-                center=np.array(p["center"]), radius=float(p["radius"]),
-                seeds=np.array(p["seeds"]) if shading == "voronoi" else None,
-                colors=np.array(p["colors"]) if shading == "voronoi" else None,
-                shading=shading))
-        elif p["kind"] == "sphere":
-            prims.append(Sphere(center=np.array(p["center"]), radius=float(p["radius"]),
-                                color=np.array(p["color"])))
-        elif p["kind"] == "box":
-            prims.append(Box(lo=np.array(p["lo"]), hi=np.array(p["hi"]),
-                             color=np.array(p["color"])))
-        else:
+        if p["kind"] not in PRIMITIVE_KINDS:
             raise ValueError(f"unknown primitive kind {p['kind']!r}")
+        prims.append(from_record(PRIMITIVE_KINDS[p["kind"]], p))
     scene = Scene(seed=int(obj["seed"]), primitives=tuple(prims),
                   bounding_radius=float(obj["bounding_radius"]), mode=obj.get("mode", "distinctive"))
     # every primitive inside the bounding sphere: in front of every camera check_camera admits

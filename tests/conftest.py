@@ -12,7 +12,7 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session")
 def frozen():
-    """Thresholds recorded by the oracle runs (see tests/data/README)."""
+    """Thresholds recorded by the oracle runs (regenerate with scripts/refresh_frozen.py)."""
     return json.loads((DATA / "frozen.json").read_text())
 
 

@@ -54,6 +54,14 @@ class TestHarness:
         with pytest.raises(ValueError):
             run_scaling_bench(sizes=(8,), reps=1)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"sizes": (0, 8)}, r"sizes must be positive and ascending, got \(0, 8\)"),
+        ({"sizes": (8,), "reps": 2}, "reps must be an integer >= 3, got 2"),
+    ], ids=["size-0", "reps-2"])
+    def test_a_knob_breaking_its_rule_is_named(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            run_scaling_bench(**kwargs)
+
     def test_csv_layout(self, rows):
         table = bench_csv_rows(rows)
         assert table[0] == ("L", "mode", "buffer_elems", "wall_ns_median", "reps")

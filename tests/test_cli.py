@@ -14,6 +14,7 @@ from epiview.attention import AttentionParams, self_attention
 from epiview.cli import _RUN_SETTINGS, _build_parser, main
 from epiview.diffusion import Denoiser
 from epiview.fileio import read_ppm
+from epiview.geometry import CameraIntrinsics
 from epiview.numerics import FeatureMap
 from epiview.pipeline import GenerationConfig
 from epiview.scenegen import SCENE_MODES, TRAJECTORIES
@@ -490,6 +491,13 @@ class TestExitCodes:
          "bad.ppm: PPM size -32x32 is not a positive width and height"),
         ("bad.ppm", b"P6\n32 0\n255\n", "bad.ppm: PPM size 32x0 is not a positive width and height"),
         ("bad.ppm", b"P6\n2 2\n0\n" + bytes(12), "bad.ppm: unsupported PPM maxval 0 (need 1..255)"),
+        ("scene.json", scene_json(b'{"kind": "sphere", "center": [0, 0, 0], "color": [1, 0, 0]}'),
+         "scene.json: missing key 'radius'"),
+        ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0], "radius": 0.7,'
+                                  b' "seeds": [[1, 0, 0]]}'),
+         "scene.json: ValueError: colors is missing"),
+        ("scene.json", scene_json(b'{"kind": "cone", "center": [0, 0, 0], "radius": 0.1}'),
+         "scene.json: ValueError: unknown primitive kind 'cone'"),
     ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
@@ -518,7 +526,8 @@ class TestExitCodes:
             "toyunet-invert-odd-size", "scene-sphere-center-1e308", "scene-ball-past-the-bound",
             "scene-box-corner-past-the-bound", "cameras-radius-1e7", "traj-radius-1e7",
             "config-steps-past-the-schedule", "eval-run-smaller-than-the-ssim-window",
-            "ppm-width-negative", "ppm-height-0", "ppm-maxval-0"])
+            "ppm-width-negative", "ppm-height-0", "ppm-maxval-0", "scene-sphere-without-radius",
+            "scene-voronoi-ball-without-colors", "scene-kind-unknown"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name
@@ -596,6 +605,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"error: 3 backend toyunet, --steps 5: features "
                                            f"overflowed at DDIM {named}\n")
         assert not out.exists()
+
+    def test_walk_past_float32_at_its_last_step_is_3_and_named(self, tmp_path, fixture_dir,
+                                                                monkeypatch, capsys):
+        """A backend whose eps, finite in float64, puts the walk's latent past
+        float32's range: the cast to the latent's float32 is the last step's
+        divergence, not a non-finite latent (exit 4)."""
+        class Huge(Denoiser):
+            def __init__(self, seed):
+                pass
+
+            def predict(self, x_t, t, cond, sched, stage_cb=None):
+                return np.full_like(x_t, 1e40)
+
+        monkeypatch.setattr(cli, "ToyUNet", Huge)
+        out = tmp_path / "out"
+        assert main(["invert", "--input", str(fixture_dir / "views" / "000.ppm"),
+                     "--backend", "toyunet", "--steps", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("error: 3 backend toyunet, --steps 3: features "
+                                           "overflowed at DDIM inversion step 2 of 3\n")
+        assert not out.exists()
+
+    def test_synth_at_other_intrinsics_than_the_fixture_is_3_and_named(self, tmp_path, traj_file,
+                                                                      capsys):
+        """A fixture made at --fov 70 and synthesized at the default --fov 50:
+        one line naming cameras.json, both intrinsics and --fov."""
+        fixture = tmp_path / "fix70"
+        assert main(["scene", "gen", "--fov", "70", "--traj", "free16", "--out", str(fixture)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["synth", "--input", str(fixture / "views" / "000.ppm"), "--traj", str(traj_file),
+                "--scene", str(fixture), "--steps", "2", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        fixture_K = CameraIntrinsics.from_fov(32, 32, 70.0)
+        run_K = CameraIntrinsics.from_fov(32, 32)
+        assert err == (f"error: 3 {fixture / 'cameras.json'}: the fixture's intrinsics {fixture_K} "
+                       f"are not the run's {run_K}, made from --fov 50.0 at the 32x32 input\n")
+        assert not out.exists()
+        assert main([*argv, "--fov", "70"]) == 0
 
     def test_eval_size_mismatch_is_3_and_named(self, tmp_path, fixture_dir, capsys):
         """A manifest whose intrinsics are not the size of the run's PPMs."""
