@@ -2,8 +2,9 @@
 one of the analytic scene renders, one of their reprojection consistency,
 one of the attention core's readers, one of a whole trajectory, one of
 the oracle-style backends, one of a trajectory's similarity-buffer
-counts and one of the ray cast and its correspondences; with
-``--check``, also compare each with its expected prefix.
+counts, one of the ray cast and its correspondences and one of the JSON
+records that fixtures and manifests hold; with ``--check``, also compare
+each with its expected prefix.
 
     python3 scripts/output_digests.py [--check]
 
@@ -68,6 +69,15 @@ the trajectory; the scenes are ``make_scene(0, m)``, m in distinctive
 and plain, then the box fixture (``make_scene(3, "plain")`` with a box
 and a sphere added), the one scene here that holds a box.
 
+The ``records`` line hashes the bytes of the JSON records: the
+``scene.json`` and ``cameras.json`` that ``write_fixture`` writes for
+``make_scene(0, m)``, m in distinctive and plain, then for the box
+fixture, each with the first four free16 cameras (seed 100) at 16 px;
+then the ``manifest.json`` of a short analytic ``synthesize_trajectory``
+run (sigma 0.08, seed 0, 10 steps, injection from step 2, from view 0 of
+those cameras on the distinctive scene to views 1-3), written as the CLI
+writes it.
+
 ``EXPECTED`` is the record of every line's prefix. ``--check`` marks each
 line whose prefix differs from it as MOVED, names the moved lines last,
 and exits 1 if any moved.
@@ -96,7 +106,9 @@ WORKLOADS = ("analytic-epipolar", "toyunet-full", "consistency-loop", "toyunet-e
 # generated view's cache was freed after its last reader, and backends
 # before the oracle backends held one float32 map per view, and counters
 # before the synthesizer, not the attention kernels, recorded each buffer,
-# and raycast before the ray cast became one vectorised pass.
+# and raycast before the ray cast became one vectorised pass; records
+# was first taken before every JSON record read and wrote through its
+# dataclass fields.
 EXPECTED = {
     "analytic-epipolar": "5084e54caba36190",
     "toyunet-full": "215266917a99aa4c",
@@ -110,6 +122,7 @@ EXPECTED = {
     "backends": "8e709745c7717831",
     "counters": "3b2cd82b12344cc4",
     "raycast": "517043de5ea610ce",
+    "records": "e1d8700a17b250df",
 }
 
 
@@ -154,6 +167,7 @@ def main() -> int:
     report("backends", backends_digest())
     report("counters", counters)
     report("raycast", raycast_digest())
+    report("records", records_digest())
     if check:
         print(f"moved: {', '.join(moved)}" if moved else "check: every prefix as expected")
     return 1 if failed or moved else 0
@@ -185,23 +199,28 @@ def scene_digests() -> tuple[str, str]:
     return renders.hexdigest()[:16], reprojection.hexdigest()[:16]
 
 
-def raycast_digest() -> str:
-    """The ``raycast`` prefix."""
+def _box_scene():
+    """The box fixture: ``make_scene(3, "plain")`` with a box and a sphere added."""
     import numpy as np
-    from epiview.geometry import CameraIntrinsics, pixel_grid
-    from epiview.scenegen import Box, Scene, Sphere, correspondence_grid, make_scene, \
-        make_trajectory, raycast, render
+    from epiview.scenegen import Box, Scene, Sphere, make_scene
 
-    box = make_scene(3, "plain")
-    box = Scene(seed=3, mode="plain", bounding_radius=1.0, primitives=box.primitives + (
+    prims = make_scene(3, "plain").primitives
+    return Scene(seed=3, mode="plain", bounding_radius=1.0, primitives=prims + (
         Box(lo=np.array([0.35, -0.3, -0.2]), hi=np.array([0.75, 0.1, 0.25]),
             color=np.array([0.8, 0.2, 0.1])),
         Sphere(center=np.array([-0.2, 0.75, 0.3]), radius=0.15, color=np.array([0.1, 0.6, 0.3])),
     ))
+
+
+def raycast_digest() -> str:
+    """The ``raycast`` prefix."""
+    from epiview.geometry import CameraIntrinsics, pixel_grid
+    from epiview.scenegen import correspondence_grid, make_scene, make_trajectory, raycast, render
+
     K = CameraIntrinsics.from_fov(24, 20, 65.0)
     uv = pixel_grid(K.width, K.height)
     digest = hashlib.sha256()
-    for scene in (make_scene(0, "distinctive"), make_scene(0, "plain"), box):
+    for scene in (make_scene(0, "distinctive"), make_scene(0, "plain"), _box_scene()):
         views = [render(scene, cam, K) for cam in make_trajectory("free16", 100)]
         for view in views:
             for a in raycast(scene, view.extrinsics, K, uv):
@@ -209,6 +228,35 @@ def raycast_digest() -> str:
         for view_a, view_b in zip(views, views[1:]):
             for a in correspondence_grid(scene, view_a, view_b, uv):
                 digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def records_digest() -> str:
+    """The ``records`` prefix."""
+    import tempfile
+    from epiview.attention import AttentionCounters
+    from epiview.diffusion import AnalyticAttentionDenoiser, NoiseSchedule
+    from epiview.fileio import write_fixture, write_json
+    from epiview.geometry import CameraIntrinsics
+    from epiview.pipeline import GenerationConfig, TrajectorySynthesizer
+    from epiview.scenegen import make_scene, make_trajectory, render
+
+    K = CameraIntrinsics.from_fov(16, 16)
+    cams = make_trajectory("free16", 100)[:4]
+    scenes = (make_scene(0, "distinctive"), make_scene(0, "plain"), _box_scene())
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for scene in scenes:
+            write_fixture(tmp, scene, K, [render(scene, cam, K) for cam in cams])
+            for name in ("scene.json", "cameras.json"):
+                digest.update((Path(tmp) / name).read_bytes())
+        views = [render(scenes[0], cam, K).rgb.data for cam in cams]
+        denoiser = AnalyticAttentionDenoiser({None: views[0], **dict(enumerate(views[1:]))},
+                                             sigma=0.08, seed=0)
+        synth = TrajectorySynthesizer(views[0], cams[0], K, denoiser, NoiseSchedule.linear_beta(10),
+                                      GenerationConfig(inject_after_step=2), AttentionCounters())
+        write_json(Path(tmp) / "manifest.json", synth.synthesize_trajectory(cams[1:])[1])
+        digest.update((Path(tmp) / "manifest.json").read_bytes())
     return digest.hexdigest()[:16]
 
 

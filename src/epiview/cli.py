@@ -46,7 +46,7 @@ from .fileio import (
     write_trajectory,
 )
 from .geometry import (CAMERA_RADIUS, CameraIntrinsics, SphericalCamera, epipolar_sample_grid,
-                       relative_pose)
+                       read_value, relative_pose)
 from .metrics import SSIM_WINDOW, metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean, masked_softmax
 from .pipeline import CONFIG_RULES, GenerationConfig, TrajectorySynthesizer
@@ -71,16 +71,14 @@ _SETTINGS = {"alpha": ("--alpha", float), "context_views": ("--context", int),
              "inject_after_step": ("--inject-step", int), "mode": ("--mode", str),
              "seed": ("--seed", int), "backend": ("--backend", str), "steps": ("--steps", int),
              "sigma": ("--sigma", float), "fov": ("--fov", float)}
-# The defaults of the settings that GenerationConfig does not hold, and of its seed.
-_RUN_SETTINGS = {"backend": "analytic", "steps": 50, "seed": 0, "sigma": 0.0, "fov": 50.0}
+# The defaults of the settings that GenerationConfig does not hold.
+_RUN_SETTINGS = {"backend": "analytic", "steps": 50, "sigma": 0.0, "fov": 50.0}
 # What a manifest records besides the settings (older manifests also carry
 # "timings"); a config file may carry them.
 _MANIFEST_RECORDS = ("version", "schedule", "input_view", "intrinsics", "trajectory",
                      "context_schedule", "timings", "buffer_counters", "input", "scene")
 # Removed GenerationConfig fields, at the one value that older manifests may hold.
 _RETIRED = {"inject_layers": [], "sample_axis": "dominant", "value_source": "value_projection"}
-# The JSON values a setting's type accepts, and their name; a bool is never a number.
-_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
 # The rule of every knob, by setting name or flag dest: GenerationConfig's
 # own, and the seed, geometry, noise, schedule, backend and bench knobs.
 _KNOBS = {
@@ -122,9 +120,10 @@ def _check_config(path, obj: dict) -> None:
             continue
         if key not in _SETTINGS:
             raise DataError(f"{path}: unknown key {key!r}")
-        accepted, name = _JSON_TYPES[_SETTINGS[key][1]]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise DataError(f"{path}: {key!r} must be {name}, got {value!r}")
+        try:
+            read_value(key, _SETTINGS[key][1].__name__, value)
+        except TypeError as e:
+            raise DataError(f"{path}: {e}") from None
     _check_knobs(obj, path)
 
 
@@ -138,8 +137,8 @@ def _merged(args) -> tuple[dict, dict]:
     _check_config(args.config, recorded)
     _check_config(args.config, nested)
     flags = {k: v for k, v in vars(args).items() if v is not None}
-    merged = {**_RUN_SETTINGS, **nested, **recorded, **flags}
-    return {k: merged[k] for k in _SETTINGS if k in merged}, recorded
+    merged = {**GenerationConfig().to_json(), **_RUN_SETTINGS, **nested, **recorded, **flags}
+    return {k: merged[k] for k in _SETTINGS}, recorded
 
 
 def _render_view(scene, cam, K, where: str):

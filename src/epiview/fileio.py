@@ -8,13 +8,12 @@ stay stable across machines.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .geometry import CameraIntrinsics, SphericalCamera, pose_from_json, pose_to_json
+from .geometry import CameraIntrinsics, SphericalCamera, from_record, to_record
 from .scenegen import RenderedView, Scene, scene_from_json, scene_to_json
 
 __all__ = [
@@ -116,13 +115,13 @@ def read_json(path) -> dict:
 def camera_from_json(obj, where: str) -> SphericalCamera:
     """The SphericalCamera of a pose record; anything else is a DataError naming ``where``."""
     try:
-        return pose_from_json(obj)
-    except (KeyError, TypeError, ValueError) as e:
+        return from_record(SphericalCamera, obj)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{where} is not a camera ({type(e).__name__}: {e})") from None
 
 
 def write_trajectory(path, cams: list[SphericalCamera]) -> None:
-    write_json(path, {"views": [pose_to_json(c) for c in cams]})
+    write_json(path, {"views": [to_record(c) for c in cams]})
 
 
 def read_trajectory(path, key: str = "views") -> list[SphericalCamera]:
@@ -139,8 +138,8 @@ def read_intrinsics(path) -> CameraIntrinsics:
     if "intrinsics" not in obj:
         raise DataError(f"{path}: missing key 'intrinsics'")
     try:
-        return CameraIntrinsics(**obj["intrinsics"])
-    except (TypeError, ValueError) as e:
+        return from_record(CameraIntrinsics, obj["intrinsics"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: bad 'intrinsics' ({type(e).__name__}: {e})") from None
 
 
@@ -154,30 +153,24 @@ def write_fixture(out_dir, scene: Scene, K: CameraIntrinsics, views: list[Render
     (out / "depth").mkdir(parents=True, exist_ok=True)
     write_json(out / "scene.json", scene_to_json(scene))
     write_json(out / "cameras.json",
-               {"intrinsics": asdict(K), "views": [pose_to_json(v.camera) for v in views]})
+               {"intrinsics": to_record(K), "views": [to_record(v.camera) for v in views]})
     for i, view in enumerate(views):
         write_ppm(out / "views" / f"{i:03d}.ppm", view.rgb.data)
         write_f32(out / "depth" / f"{i:03d}.f32", np.where(np.isfinite(view.depth), view.depth, 0.0),
                   sidecar={"background": 0.0})
 
 
-def _parse(parse, path):
-    """``parse`` applied to the JSON object in ``path``; a missing key or a
-    malformed value is a DataError naming the file."""
-    obj = read_json(path)
-    try:
-        return parse(obj)
-    except KeyError as e:
-        raise DataError(f"{path}: missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as e:   # OverflowError: int() of an infinity
-        raise DataError(f"{path}: {type(e).__name__}: {e}") from None
-
-
 def read_fixture(fixture_dir):
     """Load a fixture directory's scene and cameras, rendering nothing: a
     caller renders the views it needs from the scene, so depth and prim
-    buffers are exact. Returns (scene, cams, K)."""
-    fix = Path(fixture_dir)
-    scene = _parse(scene_from_json, fix / "scene.json")
-    K = read_intrinsics(fix / "cameras.json")
-    return scene, read_trajectory(fix / "cameras.json"), K
+    buffers are exact. Returns (scene, cams, K). A missing key or a
+    malformed value is a DataError naming the file."""
+    path, cameras = Path(fixture_dir) / "scene.json", Path(fixture_dir) / "cameras.json"
+    try:
+        scene = scene_from_json(read_json(path))
+    except KeyError as e:
+        raise DataError(f"{path}: missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as e:   # float() of a huge int overflows
+        raise DataError(f"{path}: {type(e).__name__}: {e}") from None
+    K = read_intrinsics(cameras)
+    return scene, read_trajectory(cameras), K

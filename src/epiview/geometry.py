@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -40,8 +39,7 @@ __all__ = [
     "epipolar_sample_grid",
     "to_record",
     "from_record",
-    "pose_to_json",
-    "pose_from_json",
+    "read_value",
 ]
 
 # The one camera-radius rule (scene units), as a (test, description) pair:
@@ -64,9 +62,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        for name in ("width", "height"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        for name in ("width", "height"):   # the record rule's integer, so never a bool
+            if (size := read_value(name, "int", getattr(self, name))) < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
         if not 0 < self.f < math.inf:
             raise ValueError(f"focal length f must be a finite number > 0, got {self.f}")
@@ -99,16 +96,22 @@ class CameraIntrinsics:
             height=int(round(self.height * scale)),
         )
 
+    # one column at a time: numpy runs (N, 2) minus (2,) as N loops of 2
     def normalize(self, uv: np.ndarray) -> np.ndarray:
         """Pixel points (..., 2) -> normalized points (..., 2)."""
-        uv = np.asarray(uv, dtype=np.float64)
-        return (uv - np.array([self.cx, self.cy])) / self.f
+        xy = np.array(uv, dtype=np.float64)
+        xy[..., 0] -= self.cx
+        xy[..., 1] -= self.cy
+        xy /= self.f
+        return xy
 
     def project(self, xyz: np.ndarray) -> np.ndarray:
         """Camera-frame points (..., 3) -> pixel points (..., 2)."""
         xyz = np.asarray(xyz, dtype=np.float64)
-        z = xyz[..., 2:3]
-        return xyz[..., :2] / z * self.f + np.array([self.cx, self.cy])
+        uv = xyz[..., :2] / xyz[..., 2:3] * self.f
+        uv[..., 0] += self.cx
+        uv[..., 1] += self.cy
+        return uv
 
 
 @dataclass(frozen=True)
@@ -365,26 +368,36 @@ def epipolar_sample_grid(pose: RelativePose, K_feat: CameraIntrinsics) -> Epipol
     return _sample_lines(lines @ K_feat.inverse(), width, height)   # == (K^-T @ l)^T, pixel frame
 
 
-# The one rule of every JSON record that holds a dataclass (a pose, a scene
-# primitive): a key per field, whose value the field's type (less any
-# "| None") writes and reads.
-_FIELD_RULES = {"float": (float, float), "str": (lambda v: v, lambda v: v),
-                "np.ndarray": (lambda a: np.asarray(a, dtype=np.float64).tolist(), np.array)}
+# The one JSON type rule of every record, by a field's type less any "| None":
+# the JSON values it accepts (a number is never a bool, an int in Python, or a
+# string), how one is read and written, and what a value must be.
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_FIELD_RULES = {
+    "float": (_NUMBER, float, float, "a number"),
+    "int": (lambda v: _NUMBER(v) and isinstance(v, int), int, int, "an integer"),
+    "str": (lambda v: isinstance(v, str), str, str, "a string"),
+    "np.ndarray": (lambda v: isinstance(v, list) and all(map(_NUMBER, np.array(v, object).flat)),
+                   np.array, lambda a: np.asarray(a, float).tolist(), "an array of numbers"),
+}
 
 
-def to_record(obj) -> dict:
-    """A dataclass as a JSON record; a field holding None is left out."""
-    return {f.name: _FIELD_RULES[f.type.split()[0]][0](v) for f in fields(obj)
-            if (v := getattr(obj, f.name)) is not None}
+def read_value(name: str, kind: str, value):
+    """JSON ``value`` read by the rule of type ``kind``, else a TypeError naming key ``name``."""
+    accepts, read, _, want = _FIELD_RULES[kind]
+    if not accepts(value):
+        raise TypeError(f"{name!r} must be {want}, got {value!r}")
+    return read(value)
 
 
-def from_record(cls, record: dict):
-    """A ``cls`` from its JSON record: other keys are ignored, and an absent
-    field takes its default, else raises KeyError naming it."""
-    return cls(**{f.name: _FIELD_RULES[f.type.split()[0]][1](record[f.name])
-                  for f in fields(cls) if f.name in record or f.default is MISSING})
+def to_record(obj, **given) -> dict:
+    """A dataclass as a JSON record less its None fields; one in ``given`` is written as given."""
+    return {f.name: given[f.name] if f.name in given else _FIELD_RULES[f.type.split()[0]][2](v)
+            for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
 
 
-# A camera as the pose record of trajectories, fixtures and manifests, and back.
-pose_to_json = to_record
-pose_from_json = partial(from_record, SphericalCamera)
+def from_record(cls, record: dict, **given):
+    """A ``cls`` from its JSON record and the fields in ``given``: other keys
+    are ignored, and an absent field takes its default, else raises KeyError naming it."""
+    return cls(**given, **{f.name: read_value(f.name, f.type.split()[0], record[f.name])
+                           for f in fields(cls)
+                           if f.name not in given and (f.name in record or f.default is MISSING)})

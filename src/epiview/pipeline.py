@@ -45,8 +45,9 @@ from .geometry import (
     SphericalCamera,
     camera_on_sphere,
     epipolar_sample_grid,
-    pose_to_json,
+    from_record,
     relative_pose,
+    to_record,
 )
 
 __all__ = [
@@ -90,12 +91,7 @@ class GenerationConfig:
             if not ok(value):
                 raise DataError(f"{name} must be {want}, got {value!r}")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GenerationConfig":
-        return cls(**{f: obj[f] for f in cls.__dataclass_fields__ if f in obj})
+    to_json, from_json = to_record, classmethod(from_record)
 
 
 @dataclass
@@ -287,9 +283,9 @@ class TrajectorySynthesizer:
             "config": self.config.to_json(),
             "schedule": {"steps": self.sched.steps,
                          "alphas": [float(a) for a in self.sched.alphas]},
-            "input_view": pose_to_json(self.input_cam),
-            "intrinsics": asdict(self.intrinsics),
-            "trajectory": [pose_to_json(c) for c in cams],
+            "input_view": to_record(self.input_cam),
+            "intrinsics": to_record(self.intrinsics),
+            "trajectory": [to_record(c) for c in cams],
         }
         if self.counters is not None:
             man["buffer_counters"] = asdict(self.counters)

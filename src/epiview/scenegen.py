@@ -450,8 +450,8 @@ def make_trajectory(mode: str, seed: int, radius: float = 2.0) -> list[Spherical
 def scene_to_json(scene: Scene) -> dict:
     """A scene as its scene.json record: a primitive is its ``kind`` and its fields."""
     kinds = {cls: kind for kind, cls in PRIMITIVE_KINDS.items()}
-    return {"seed": scene.seed, "mode": scene.mode, "bounding_radius": scene.bounding_radius,
-            "primitives": [{"kind": kinds[type(p)], **to_record(p)} for p in scene.primitives]}
+    return to_record(scene, primitives=[{"kind": kinds[type(p)], **to_record(p)}
+                                        for p in scene.primitives])
 
 
 def scene_from_json(obj: dict) -> Scene:
@@ -461,8 +461,7 @@ def scene_from_json(obj: dict) -> Scene:
         if p["kind"] not in PRIMITIVE_KINDS:
             raise ValueError(f"unknown primitive kind {p['kind']!r}")
         prims.append(from_record(PRIMITIVE_KINDS[p["kind"]], p))
-    scene = Scene(seed=int(obj["seed"]), primitives=tuple(prims),
-                  bounding_radius=float(obj["bounding_radius"]), mode=obj.get("mode", "distinctive"))
+    scene = from_record(Scene, obj, primitives=tuple(prims))
     # every primitive inside the bounding sphere: in front of every camera check_camera admits
     for i, (p, record) in enumerate(zip(prims, obj["primitives"])):
         if isinstance(p, Box):   # the corner farthest from the origin

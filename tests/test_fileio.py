@@ -20,7 +20,7 @@ from epiview.fileio import (
     write_json,
     write_trajectory,
 )
-from epiview.geometry import CameraIntrinsics, SphericalCamera, pose_to_json
+from epiview.geometry import CameraIntrinsics, SphericalCamera, to_record
 from epiview.scenegen import make_scene, make_trajectory, render
 
 
@@ -126,7 +126,7 @@ class TestIntrinsicsRecord:
 
     @pytest.mark.parametrize("obj, match", [
         ({"views": []}, "missing key 'intrinsics'"),
-        ({"intrinsics": {"f": 10.0, "cx": 4.0, "cy": 4.0, "width": 8}}, "bad 'intrinsics'.*TypeError"),
+        ({"intrinsics": {"f": 10.0, "cx": 4.0, "cy": 4.0, "width": 8}}, "bad 'intrinsics'.*KeyError"),
         ({"intrinsics": {"f": -1.0, "cx": 4.0, "cy": 4.0, "width": 8, "height": 8}},
          "bad 'intrinsics'.*ValueError"),
     ], ids=["missing", "missing-field", "bad-focal"])
@@ -166,7 +166,7 @@ class TestFixture:
         inside = SphericalCamera(20.0, 0.0, 0.5)
         write_json(tmp_path / "fix" / "cameras.json",
                    {"intrinsics": read_json(tmp_path / "fix" / "cameras.json")["intrinsics"],
-                    "views": [pose_to_json(inside)]})
+                    "views": [to_record(inside)]})
         assert read_fixture(tmp_path / "fix")[1:] == ([inside], K)
         with pytest.raises(ValueError, match="bounding sphere"):
             render(scene, inside, K)

@@ -17,10 +17,10 @@ from epiview.geometry import (
     epipolar_sample_grid,
     _sample_lines,
     essential_matrix,
-    pose_from_json,
-    pose_to_json,
+    from_record,
     relative_pose,
     skew_symmetric,
+    to_record,
 )
 from epiview.scenegen import correspondence_grid, make_scene, render
 
@@ -65,6 +65,33 @@ class TestSphericalCamera:
         for bad in (0.0, -1.0, np.nextafter(1e6, np.inf), 1e154, np.inf, np.nan):
             with pytest.raises(ValueError, match=r"radius must be a number in \(0, 1e6\]"):
                 SphericalCamera(0.0, 0.0, bad)
+
+
+class TestIntrinsicsColumns:
+    """normalize and project shift one column at a time; the broadcast
+    forms they replaced are the reference, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(2,), (1024, 2), (3, 5, 2)])
+    def test_normalize_matches_the_broadcast_form(self, shape):
+        K = CameraIntrinsics.from_fov(24, 20, 65.0)
+        uv = np.random.default_rng(0).uniform(-2.0, 30.0, shape)
+        want = (uv - np.array([K.cx, K.cy])) / K.f
+        assert K.normalize(uv).tobytes() == want.tobytes()
+        assert K.normalize(uv.tolist()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (1024, 3), (3, 5, 3)])
+    def test_project_matches_the_broadcast_form(self, shape):
+        K = CameraIntrinsics.from_fov(24, 20, 65.0)
+        xyz = np.random.default_rng(1).uniform(0.1, 3.0, shape)
+        want = xyz[..., :2] / xyz[..., 2:3] * K.f + np.array([K.cx, K.cy])
+        assert K.project(xyz).tobytes() == want.tobytes()
+
+    def test_sizes_take_the_record_rule(self):
+        for bad in (8.0, True, "8"):
+            with pytest.raises(TypeError, match="'width' must be an integer"):
+                CameraIntrinsics(f=10.0, cx=3.5, cy=3.5, width=bad, height=8)
+        with pytest.raises(ValueError, match="height must be an integer >= 1, got 0"):
+            CameraIntrinsics(f=10.0, cx=3.5, cy=0.0, width=8, height=0)
 
 
 class TestCameraOnSphere:
@@ -403,4 +430,4 @@ class TestSampleLines:
 class TestPoseJson:
     def test_spherical_roundtrip(self):
         cam = SphericalCamera(12.5, 270.0, 1.8)
-        assert pose_from_json(pose_to_json(cam)) == cam
+        assert from_record(SphericalCamera, to_record(cam)) == cam
