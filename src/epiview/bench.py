@@ -1,7 +1,7 @@
 """Scaling benchmark for the similarity-buffer footprint and wall time of
 epipolar versus full retrieval attention.
 
-Buffer elements are exact integer counts recorded from each call's
+Buffer elements are exact integer counts computed from each call's
 shapes, not from instrumentation inside the kernels, so the fitted
 log-log slopes are machine-independent: full attention allocates (L*L)^2
 entries on an L x L grid, epipolar attention L*L times max(W, H) slots.
@@ -14,13 +14,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .attention import (
-    AttentionCounters,
-    AttentionParams,
-    epipolar_attention,
-    full_cross_attention,
-    project_context,
-)
+from .attention import AttentionParams, epipolar_attention, full_cross_attention, project_context
 from .geometry import CameraIntrinsics, SphericalCamera, camera_on_sphere, epipolar_sample_grid, relative_pose
 from .numerics import FeatureMap
 
@@ -74,8 +68,6 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), reps: int = 3, seed: int = 0) -> li
         ctx = project_context(f_ref, params)
         samples = epipolar_sample_grid(pose, k_feat)
         for mode, keys in (("epipolar", samples.uv.shape[0]), ("full", L * L)):
-            counters = AttentionCounters()
-            counters.record(params.heads, L * L, keys)
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter_ns()
@@ -85,7 +77,7 @@ def run_scaling_bench(sizes=(8, 16, 32, 64), reps: int = 3, seed: int = 0) -> li
                     full_cross_attention(f_tgt, [ctx], params)
                 times.append(time.perf_counter_ns() - t0)
             rows.append(BenchRow(size=L, mode=mode,
-                                 buffer_elems=counters.peak_elems,
+                                 buffer_elems=params.heads * L * L * keys,
                                  wall_ns_median=int(np.median(times)), reps=reps))
     return rows
 

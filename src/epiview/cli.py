@@ -30,7 +30,7 @@ from .diffusion import (
     OracleDenoiser,
     ddim_invert,
 )
-from .errors import DataError, DivergenceError, EpiViewError, UsageError
+from .errors import DataError, DivergenceError, EpiViewError, UsageError, named
 from .fileio import (
     camera_from_json,
     read_fixture,
@@ -46,7 +46,7 @@ from .fileio import (
     write_trajectory,
 )
 from .geometry import (CAMERA_RADIUS, CameraIntrinsics, SphericalCamera, epipolar_sample_grid,
-                       read_value, relative_pose)
+                       from_record, read_value, relative_pose)
 from .metrics import SSIM_WINDOW, metrics_csv_rows, psnr, reprojection_consistency, ssim
 from .numerics import downsample_mean, masked_softmax
 from .pipeline import CONFIG_RULES, GenerationConfig, TrajectorySynthesizer
@@ -108,8 +108,10 @@ def _check_knobs(values: dict, path=None) -> None:
             raise DataError(f"{path}: {key!r} must be {want}, got {value!r}")
 
 
-def _check_config(path, obj: dict) -> None:
-    """Reject a config file's unknown keys, wrong-typed or bad settings and changed retired keys."""
+def _check_config(path, obj: dict) -> dict:
+    """A config file's settings, each read by its type's record rule; an unknown key, a
+    wrong-typed or bad setting or a changed retired key is a data error naming the file."""
+    settings = {}
     for key, value in obj.items():
         if key in ("config", *_MANIFEST_RECORDS):
             continue
@@ -120,11 +122,10 @@ def _check_config(path, obj: dict) -> None:
             continue
         if key not in _SETTINGS:
             raise DataError(f"{path}: unknown key {key!r}")
-        try:
-            read_value(key, _SETTINGS[key][1].__name__, value)
-        except TypeError as e:
-            raise DataError(f"{path}: {e}") from None
-    _check_knobs(obj, path)
+        with named(path):
+            settings[key] = read_value(key, _SETTINGS[key][1].__name__, value)
+    _check_knobs(settings, path)
+    return settings
 
 
 def _merged(args) -> tuple[dict, dict]:
@@ -134,20 +135,11 @@ def _merged(args) -> tuple[dict, dict]:
     nested = recorded.get("config", {})
     if not isinstance(nested, dict):
         raise DataError(f'{args.config}: "config" is not a JSON object')
-    _check_config(args.config, recorded)
-    _check_config(args.config, nested)
+    top = _check_config(args.config, recorded)   # wins over the settings under "config"
     flags = {k: v for k, v in vars(args).items() if v is not None}
-    merged = {**GenerationConfig().to_json(), **_RUN_SETTINGS, **nested, **recorded, **flags}
+    merged = {**GenerationConfig().to_json(), **_RUN_SETTINGS,
+              **_check_config(args.config, nested), **top, **flags}
     return {k: merged[k] for k in _SETTINGS}, recorded
-
-
-def _render_view(scene, cam, K, where: str):
-    """The scene rendered at ``cam``; a camera inside the scene's bounding
-    sphere is a data error naming ``where``."""
-    try:
-        return render(scene, cam, K)
-    except ValueError as e:
-        raise DataError(f"{where}: {e}") from None
 
 
 def _build_denoiser(merged: dict, path, input_image, K, traj, scene):
@@ -230,10 +222,8 @@ def _cmd_synth(args) -> int:
     # the input camera, and the error class and name that a bad one is reported with
     if args.input_cam is not None:
         bad, where = UsageError, f"--input-cam {args.input_cam!r}"
-        try:
-            input_cam = camera_from_json(json.loads(args.input_cam), "the pose")
-        except (ValueError, DataError) as e:   # ValueError: not JSON
-            raise bad(f"{where}: {e}") from None
+        with named(where, bad):
+            input_cam = from_record(SphericalCamera, json.loads(args.input_cam))
     elif args.input_view is not None:
         bad, where = DataError, f"{cameras} view {args.input_view}"
         if not 0 <= args.input_view < len(cams):
@@ -249,13 +239,10 @@ def _cmd_synth(args) -> int:
     h, w = image.shape[:2]
     K = CameraIntrinsics.from_fov(w, h, merged["fov"])
     if scene is not None:   # every camera, then the camera model, before any backend is built
-        named = [(input_cam, bad, where)] + [
-            (cam, DataError, f"{args.traj} trajectory view {i}") for i, cam in enumerate(traj)]
-        for cam, error, name in named:
-            try:
+        for cam, error, name in [(input_cam, bad, where)] + [
+                (cam, DataError, f"{args.traj} trajectory view {i}") for i, cam in enumerate(traj)]:
+            with named(name, error):
                 scene.check_camera(cam)
-            except ValueError as e:
-                raise error(f"{name}: {e}") from None
         if K != fixture_K:
             raise DataError(f"{cameras}: the fixture's intrinsics {fixture_K} are not the run's "
                             f"{K}, made from --fov {merged['fov']} at the {w}x{h} input")
@@ -291,7 +278,10 @@ def _cmd_simmap(args) -> int:
         raise UsageError(f"--feature-scale {scale} must be a positive divisor of the "
                          f"fixture's {K.width}x{K.height} size")
     where = Path(args.scene) / "cameras.json"
-    view_a, view_b = (_render_view(scene, cams[i], K, f"{where} view {i}") for i in (a, b))
+    with named(f"{where} view {a}"):
+        view_a = render(scene, cams[a], K)
+    with named(f"{where} view {b}"):
+        view_b = render(scene, cams[b], K)
     f_tgt = downsample_mean(view_a.rgb, scale)
     f_ref = downsample_mean(view_b.rgb, scale)
     wf, hf = f_tgt.width, f_tgt.height
@@ -344,8 +334,10 @@ def _cmd_eval(args) -> int:
         raise DataError(f"{manifest}: 'intrinsics' are {K.width}x{K.height}, smaller than "
                         f"the {SSIM_WINDOW}x{SSIM_WINDOW} window that ssim scores")
     traj = read_trajectory(manifest, "trajectory")
-    gt_views = [_render_view(scene, cam, K, f"{manifest} trajectory view {i}")
-                for i, cam in enumerate(traj)]
+    gt_views = []
+    for i, cam in enumerate(traj):
+        with named(f"{manifest} trajectory view {i}"):
+            gt_views.append(render(scene, cam, K))
     images = []
     for i in range(len(traj)):
         path = run_dir / f"{i:03d}.ppm"
@@ -415,10 +407,11 @@ def _build_parser() -> _Parser:
     sy.add_argument("--traj", required=True)
     _add_settings(sy, *_SETTINGS)
     sy.add_argument("--scene")
-    sy.add_argument("--input-cam", dest="input_cam",
-                    help="input view camera as pose JSON")
-    sy.add_argument("--input-view", dest="input_view", type=int,
-                    help="index of the input view in --scene's cameras")
+    input_camera = sy.add_mutually_exclusive_group()
+    input_camera.add_argument("--input-cam", dest="input_cam",
+                              help="input view camera as pose JSON")
+    input_camera.add_argument("--input-view", dest="input_view", type=int,
+                              help="index of the input view in --scene's cameras")
     sy.add_argument("--out", required=True)
     sy.set_defaults(fn=_cmd_synth)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, named
 from .geometry import CameraIntrinsics, SphericalCamera, from_record, to_record
 from .scenegen import RenderedView, Scene, scene_from_json, scene_to_json
 
@@ -66,10 +66,8 @@ def read_ppm(path) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
+    with named(f"{path} PPM header"):
         w, h, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise DataError(f"{path}: bad PPM header {b' '.join(fields)!r}") from None
     if w < 1 or h < 1:
         raise DataError(f"{path}: PPM size {w}x{h} is not a positive width and height")
     if not 1 <= maxval <= 255:
@@ -105,7 +103,7 @@ def read_json(path) -> dict:
     """A JSON object from a file; anything else is a DataError naming the path."""
     try:
         obj = json.loads(Path(path).read_text())
-    except ValueError as e:   # incl. JSON and UTF-8 decode errors
+    except (ValueError, RecursionError) as e:   # JSON, UTF-8, or nested past the decoder
         raise DataError(f"{path}: not JSON ({e})") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: not a JSON object")
@@ -114,10 +112,8 @@ def read_json(path) -> dict:
 
 def camera_from_json(obj, where: str) -> SphericalCamera:
     """The SphericalCamera of a pose record; anything else is a DataError naming ``where``."""
-    try:
+    with named(where):
         return from_record(SphericalCamera, obj)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DataError(f"{where} is not a camera ({type(e).__name__}: {e})") from None
 
 
 def write_trajectory(path, cams: list[SphericalCamera]) -> None:
@@ -137,10 +133,8 @@ def read_intrinsics(path) -> CameraIntrinsics:
     obj = read_json(path)
     if "intrinsics" not in obj:
         raise DataError(f"{path}: missing key 'intrinsics'")
-    try:
+    with named(f"{path} intrinsics"):
         return from_record(CameraIntrinsics, obj["intrinsics"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DataError(f"{path}: bad 'intrinsics' ({type(e).__name__}: {e})") from None
 
 
 def write_fixture(out_dir, scene: Scene, K: CameraIntrinsics, views: list[RenderedView]) -> None:
@@ -166,11 +160,7 @@ def read_fixture(fixture_dir):
     buffers are exact. Returns (scene, cams, K). A missing key or a
     malformed value is a DataError naming the file."""
     path, cameras = Path(fixture_dir) / "scene.json", Path(fixture_dir) / "cameras.json"
-    try:
+    with named(path):
         scene = scene_from_json(read_json(path))
-    except KeyError as e:
-        raise DataError(f"{path}: missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as e:   # float() of a huge int overflows
-        raise DataError(f"{path}: {type(e).__name__}: {e}") from None
     K = read_intrinsics(cameras)
     return scene, read_trajectory(cameras), K

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -376,16 +377,19 @@ _FIELD_RULES = {
     "float": (_NUMBER, float, float, "a number"),
     "int": (lambda v: _NUMBER(v) and isinstance(v, int), int, int, "an integer"),
     "str": (lambda v: isinstance(v, str), str, str, "a string"),
-    "np.ndarray": (lambda v: isinstance(v, list) and all(map(_NUMBER, np.array(v, object).flat)),
+    # numpy iterates (.flat) at most 32 dimensions, so deeper nesting is no array
+    "np.ndarray": (lambda v: isinstance(v, list) and (a := np.array(v, object)).ndim <= 32
+                   and all(map(_NUMBER, a.flat)),
                    np.array, lambda a: np.asarray(a, float).tolist(), "an array of numbers"),
 }
 
 
 def read_value(name: str, kind: str, value):
-    """JSON ``value`` read by the rule of type ``kind``, else a TypeError naming key ``name``."""
+    """JSON ``value`` read by the rule of type ``kind``, else a TypeError naming key ``name``
+    and the value, its nesting and length cut short."""
     accepts, read, _, want = _FIELD_RULES[kind]
     if not accepts(value):
-        raise TypeError(f"{name!r} must be {want}, got {value!r}")
+        raise TypeError(f"{name!r} must be {want}, got {reprlib.repr(value)}")
     return read(value)
 
 

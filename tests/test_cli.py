@@ -168,6 +168,22 @@ class TestSynth:
         config = json.loads(manifest)["config"]
         assert not {"inject_layers", "sample_axis", "value_source"} & set(config)
 
+    def test_config_settings_are_read_by_the_record_rule(self, tmp_path, traj_file, fixture_dir):
+        """A float setting given as a JSON integer is recorded as a float,
+        and a rerun of that manifest writes the same manifest bytes."""
+        inputs = ["--input", str(fixture_dir / "views" / "000.ppm"), "--traj", str(traj_file),
+                  "--scene", str(fixture_dir), "--steps", "2"]
+        (tmp_path / "cfg.json").write_text('{"fov": 50, "sigma": 0}')
+        first = tmp_path / "first"
+        assert main(["synth", *inputs, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(first)]) == 0
+        manifest = (first / "manifest.json").read_bytes()
+        assert b'"fov": 50.0' in manifest and b'"sigma": 0.0' in manifest
+        rerun = tmp_path / "rerun"
+        assert main(["synth", *inputs, "--config", str(first / "manifest.json"),
+                     "--out", str(rerun)]) == 0
+        assert (rerun / "manifest.json").read_bytes() == manifest
+
 
 class TestInvert:
     def test_blob_and_manifest(self, tmp_path, fixture_dir):
@@ -321,7 +337,8 @@ class TestExitCodes:
           for cam in ['{', '{"elevation_deg": 100, "azimuth_deg": 0, "radius": 2}',
                       '{"elevation_deg": 10}',
                       '{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 1]}',
-                      '{"elevation_deg": 10, "azimuth_deg": NaN, "radius": 2}']],
+                      '{"elevation_deg": 10, "azimuth_deg": NaN, "radius": 2}',
+                      "[" * 2000 + "]" * 2000]],
         *[(flag, lambda fx, tj, out, flag=flag, v=v: ["scene", "gen", flag, v, "--out", out])
           for flag, v in (("--size", "0"), ("--size", "-4"), ("--fov", "0"), ("--fov", "190"),
                           ("--radius", "0.1"))],
@@ -358,7 +375,8 @@ class TestExitCodes:
             "simmap-feature-scale-0", "simmap-feature-scale-3", "bench-sizes-descending",
             "bench-sizes-not-int", "bench-reps-1", "synth-input-view-without-scene",
             "input-cam-not-json", "input-cam-elevation-100", "input-cam-missing-keys",
-            "input-cam-relative-pose", "input-cam-azimuth-nan", "scene-size-0",
+            "input-cam-relative-pose", "input-cam-azimuth-nan", "input-cam-nested-2000-deep",
+            "scene-size-0",
             "scene-size-negative", "scene-fov-0",
             "scene-fov-190", "scene-radius-inside-the-scene", "traj-radius-0",
             "traj-radius-negative", "traj-radius-inf", "synth-fov-0", "synth-fov-180",
@@ -376,10 +394,22 @@ class TestExitCodes:
         assert err.startswith(f"error: 2 {flag} ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_input_cam_with_input_view_is_2_naming_both(self, tmp_path, traj_file, fixture_dir,
+                                                        capsys):
+        """Both flags name the input camera, so neither may silently win."""
+        out = tmp_path / "out"
+        assert synth(out, traj_file, fixture_dir, "--input-cam",
+                     '{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2}') == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 ") and err.count("\n") == 1
+        assert "--input-cam" in err and "--input-view" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", [
         ("bad.ppm", b"P6\n32 32\n255\n" + bytes(100)),
         ("bad.ppm", b"P3\n1 1\n255\n0 0 0"),
         ("bad.ppm", b"P6\n2 2\n65535\n" + bytes(24)),
+        ("bad.ppm", b"P6\n2 x\n255\n" + bytes(12), "bad.ppm PPM header: ValueError"),
         ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
                       b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.1}]}',
          "trajectory view 1"),
@@ -402,25 +432,27 @@ class TestExitCodes:
         ("cameras.json", b'{"views": []}'),
         ("manifest.json", b'{"trajectory": []}', "manifest.json: missing key 'intrinsics'"),
         ("manifest.json", b'{"intrinsics": {"f": -1.0, "cx": 0, "cy": 0, "width": 32,'
-                          b' "height": 32}, "trajectory": []}', "manifest.json: bad 'intrinsics'"),
+                          b' "height": 32}, "trajectory": []}',
+         "manifest.json intrinsics: ValueError: focal length f"),
         ("manifest.json", INTRINSICS32 + b'"trajectory": [{"R": [1, 0, 0, 0, 1, 0, 0, 0, 1],'
-                          b' "t": [0, 0, 1]}]}', "manifest.json view 0 is not a camera"),
+                          b' "t": [0, 0, 1]}]}',
+         "manifest.json view 0: missing key 'elevation_deg'"),
         ("manifest.json", INTRINSICS32 + b'"trajectory": [{"elevation_deg": 10}]}',
-         "manifest.json view 0 is not a camera"),
+         "manifest.json view 0: missing key 'azimuth_deg'"),
         ("manifest.json", INTRINSICS32 + b'"trajectory": [{"elevation_deg": 20,'
                           b' "azimuth_deg": 90, "radius": 0.1}]}',
-         "manifest.json trajectory view 0: camera must stay outside"),
+         "manifest.json trajectory view 0: ValueError: camera must stay outside"),
         ("cfg.json", b'{"fov": 190}', "cfg.json: 'fov' must be"),
         ("cfg.json", b'{"config": {"alpha": 0.5}, "fov": 0}', "cfg.json: 'fov' must be"),
         ("cfg.json", b'{"config": {"fov": 180.0}}', "cfg.json: 'fov' must be"),
         ("cfg.json", b'{"sigma": -1}', "cfg.json: 'sigma' must be"),
         ("cfg.json", b'{"sigma": NaN}', "cfg.json: 'sigma' must be"),
         ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": NaN, "radius": 2.0}]}',
-         "traj.json view 0 is not a camera"),
+         "traj.json view 0: ValueError: elevation and azimuth must be finite"),
         ("bad.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": NaN, "radius": 2.0}]}',
-         "bad.json view 0 is not a camera"),
+         "bad.json view 0: ValueError: elevation and azimuth must be finite"),
         ("bad.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": Infinity}]}',
-         "bad.json view 0 is not a camera"),
+         "bad.json view 0: ValueError: radius must be"),
         ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0], "radius": 0.7,'
                                   b' "shading": "phong"}'), "scene.json: ValueError: shading"),
         ("scene.json", scene_json(b'{"kind": "painted_ball", "center": [0, 0, 0], "radius": -0.7,'
@@ -439,7 +471,7 @@ class TestExitCodes:
         *[("scene.json", b'{"seed": 0, "bounding_radius": ' + r + b', "primitives": []}',
            "scene.json: ValueError: bounding_radius") for r in (b"NaN", b"0", b"-1", b"Infinity")],
         *[("cameras.json", b'{"intrinsics": {' + fields + b'}, "views": []}',
-           "cameras.json: bad 'intrinsics' (" + named)
+           "cameras.json intrinsics: " + named)
           for fields, named in (
               (b'"f": 34.3, "cx": 15.5, "cy": 15.5, "width": 32.0, "height": 32',
                "TypeError: 'width' must be an integer, got 32.0"),
@@ -463,17 +495,17 @@ class TestExitCodes:
         ("pair/cameras.json", INTRINSICS32 + b'"views": [{"elevation_deg": 20, "azimuth_deg": 0,'
                               b' "radius": 2.0}, {"elevation_deg": 20, "azimuth_deg": 90,'
                               b' "radius": 0.1}]}',
-         "pair/cameras.json view 1: camera must stay outside"),
+         "pair/cameras.json view 1: ValueError: camera must stay outside"),
         ("input/cameras.json", INTRINSICS32 + b'"views": [{"elevation_deg": 20, "azimuth_deg": 0,'
                                b' "radius": 2.0}, {"elevation_deg": 20, "azimuth_deg": 0,'
                                b' "radius": 0.5}]}',
-         "input/cameras.json view 1: camera must stay outside"),
+         "input/cameras.json view 1: ValueError: camera must stay outside"),
         ("scene/cfg.json", b'{"input_view": {"elevation_deg": 20, "azimuth_deg": 0,'
                            b' "radius": 0.5}}',
-         "scene/cfg.json input_view: camera must stay outside"),
+         "scene/cfg.json input_view: ValueError: camera must stay outside"),
         ("toyunet/traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 2.0},'
                               b' {"elevation_deg": 20, "azimuth_deg": 90, "radius": 0.5}]}',
-         "toyunet/traj.json trajectory view 1: camera must stay outside"),
+         "toyunet/traj.json trajectory view 1: ValueError: camera must stay outside"),
         *[(name, b"P6\n33 33\n255\n" + bytes(33 * 33 * 3), f"{name} is 33x33")
           for name in ("odd.ppm", "invert/odd.ppm")],
         ("scene.json", scene_json(b'{"kind": "sphere", "center": [1e308, 0, 0], "radius": 0.1,'
@@ -484,9 +516,9 @@ class TestExitCodes:
                                   b' "color": [1, 0, 0]}'), "scene.json: ValueError: primitive 0"),
         ("cameras.json", INTRINSICS32 + b'"views": [{"elevation_deg": 20, "azimuth_deg": 0,'
                          b' "radius": 2.0}, {"elevation_deg": 20, "azimuth_deg": 0,'
-                         b' "radius": 1e7}]}', "cameras.json view 1 is not a camera"),
+                         b' "radius": 1e7}]}', "cameras.json view 1: ValueError: radius must be"),
         ("traj.json", b'{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 1e7}]}',
-         "traj.json view 0 is not a camera"),
+         "traj.json view 0: ValueError: radius must be"),
         ("cfg.json", b'{"steps": 20000}', "cfg.json: 'steps' must be an integer in [0, 11867]"),
         ("manifest.json", b'{"intrinsics": {"f": 2.1, "cx": 0.5, "cy": 0.0, "width": 2,'
                           b' "height": 1}, "trajectory": []}',
@@ -502,7 +534,13 @@ class TestExitCodes:
          "scene.json: ValueError: colors is missing"),
         ("scene.json", scene_json(b'{"kind": "cone", "center": [0, 0, 0], "radius": 0.1}'),
          "scene.json: ValueError: unknown primitive kind 'cone'"),
-    ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535",
+        *[(name, b'{"views": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+           f"{name}: not JSON (maximum recursion depth exceeded")
+          for name in ("traj.json", "cfg.json")],
+        ("scene.json", scene_json(b'{"kind": "sphere", "center": ' + b"[" * 100 + b"0"
+                                  + b"]" * 100 + b', "radius": 0.1, "color": [1, 0, 0]}'),
+         "scene.json: TypeError: 'center' must be an array of numbers"),
+    ], ids=["truncated-ppm", "ppm-bad-magic", "ppm-maxval-65535", "ppm-height-not-a-number",
             "traj-camera-inside-scene", "traj-not-json", "traj-without-views",
             "traj-view-not-a-camera", "scene-json-corrupt",
             "config-not-an-object", "config-unknown-key", "config-unknown-nested-key",
@@ -531,7 +569,8 @@ class TestExitCodes:
             "scene-box-corner-past-the-bound", "cameras-radius-1e7", "traj-radius-1e7",
             "config-steps-past-the-schedule", "eval-run-smaller-than-the-ssim-window",
             "ppm-width-negative", "ppm-height-0", "ppm-maxval-0", "scene-sphere-without-radius",
-            "scene-voronoi-ball-without-colors", "scene-kind-unknown"])
+            "scene-voronoi-ball-without-colors", "scene-kind-unknown", "traj-nested-200000-deep",
+            "config-nested-200000-deep", "scene-center-nested-100-deep"])
     def test_bad_data_is_3_and_named(self, case, tmp_path, traj_file, fixture_dir, capsys):
         name, payload, *named = case   # the error names the bad file, or what a row gives
         bad = tmp_path / name

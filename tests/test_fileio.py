@@ -125,15 +125,16 @@ class TestIntrinsicsRecord:
         assert read_intrinsics(tmp_path / "fix" / "cameras.json") == K
 
     @pytest.mark.parametrize("obj, match", [
-        ({"views": []}, "missing key 'intrinsics'"),
-        ({"intrinsics": {"f": 10.0, "cx": 4.0, "cy": 4.0, "width": 8}}, "bad 'intrinsics'.*KeyError"),
+        ({"views": []}, ": missing key 'intrinsics'"),
+        ({"intrinsics": {"f": 10.0, "cx": 4.0, "cy": 4.0, "width": 8}},
+         " intrinsics: missing key 'height'"),
         ({"intrinsics": {"f": -1.0, "cx": 4.0, "cy": 4.0, "width": 8, "height": 8}},
-         "bad 'intrinsics'.*ValueError"),
+         " intrinsics: ValueError: focal length"),
     ], ids=["missing", "missing-field", "bad-focal"])
     def test_bad_record_is_a_data_error_naming_the_path(self, tmp_path, obj, match):
         p = tmp_path / "manifest.json"
         write_json(p, obj)
-        with pytest.raises(DataError, match=f"manifest.json: {match}"):
+        with pytest.raises(DataError, match=f"manifest.json{match}"):
             read_intrinsics(p)
 
 

@@ -114,6 +114,26 @@ def test_an_array_of_other_than_numbers_is_named(fix, tmp_path, field, value):
         read_fixture(tmp_path)
 
 
+@pytest.mark.parametrize("depth", [33, 900])
+def test_an_array_nested_deeper_than_numpy_iterates_is_named(fix, tmp_path, depth):
+    """numpy iterates at most 32 dimensions, while the JSON decoder reads
+    about 1000 levels: a deeper array is no array of numbers, in the rule
+    and in ``simmap``'s one short line."""
+    nested = "[" * depth + "0" + "]" * depth
+    with pytest.raises(TypeError, match=r"^'center' must be an array of numbers, got \[\[\["):
+        read_value("center", "np.ndarray", json.loads(nested))
+    scene = tmp_path / "fix"
+    scene.mkdir()
+    (scene / "cameras.json").write_bytes((fix / "fix" / "cameras.json").read_bytes())
+    obj = read_json(fix / "fix" / "scene.json")
+    obj["primitives"][1]["center"] = "nested"
+    (scene / "scene.json").write_text(json.dumps(obj).replace('"nested"', nested))
+    rc, err = quiet_main(["simmap", "--query", "1,1", "--pair", "0,1", "--scene", str(scene),
+                          "--out", str(tmp_path / "maps")])
+    assert rc == 3 and err.count("\n") == 1 and len(err) < 200
+    assert f"{scene / 'scene.json'}: TypeError: 'center' must be an array of numbers" in err
+
+
 def test_a_pose_of_the_wrong_types_makes_synth_exit_3_naming_the_trajectory(fix, tmp_path):
     """Such a pose once ran, at elevation float(True) = 1.0."""
     traj = tmp_path / "traj.json"
@@ -121,7 +141,7 @@ def test_a_pose_of_the_wrong_types_makes_synth_exit_3_naming_the_trajectory(fix,
     out = tmp_path / "out"
     rc, err = quiet_main(synth_argv(fix, fix / "fix", traj, out))
     assert rc == 3 and err.count("\n") == 1
-    assert f"{traj} view 0 is not a camera" in err and "'elevation_deg' must be a number" in err
+    assert f"{traj} view 0: TypeError: 'elevation_deg' must be a number" in err
     assert not out.exists()
 
 
@@ -129,7 +149,7 @@ def test_an_integer_too_large_for_a_float_is_a_data_error(fix, tmp_path):
     traj = tmp_path / "traj.json"
     traj.write_text('{"views": [{"elevation_deg": 20, "azimuth_deg": 0, "radius": 1' + "0" * 400
                     + "}]}")
-    with pytest.raises(DataError, match=f"{traj} view 0 is not a camera \\(OverflowError"):
+    with pytest.raises(DataError, match=f"{traj} view 0: OverflowError"):
         read_trajectory(traj)
 
 
